@@ -22,9 +22,8 @@ from .model import (CheckResult, CoefficientFamily, CouplingRejectedError,
                     tabulated_potential, tabulated_potential_from_csv,
                     validate_hypotheses, zero_coupling)
 from .prufer import (CartesianTrajectory, IntegrationError, OverflowAbort,
-                     PruferState, PruferTrajectory, export_trajectory,
-                     integrate_cartesian, integrate_prufer, ode_residual,
-                     prufer_rhs)
+                     PruferTrajectory, export_trajectory, integrate_cartesian,
+                     integrate_prufer, ode_residual, prufer_rhs)
 from .spectrum import (AccumulationVerdict, AngleMismatchError, Bracket,
                        BracketError, ConvergenceError, DecayFit,
                        EigenvalueRecord, Eigenfunction, MonotonicityError,

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import CoefficientFamily, classify_zero_endpoint
+from .model import CoefficientFamily, classify_zero_endpoint, polar_rates
 
 
 class NoWindowError(RuntimeError):
@@ -155,12 +155,6 @@ class TruncationWindow:
         return math.sqrt(self.x_zero * self.x_inf)
 
 
-def _angle_field(family: CoefficientFamily, lam: float, x: float, theta: float) -> float:
-    p11, p12, p22 = family.coeffs(x)
-    ct, st = math.cos(theta), math.sin(theta)
-    return (lam - p11) * ct * ct - 2.0 * p12 * ct * st + (lam - p22) * st * st
-
-
 def select_truncation(
     family: CoefficientFamily,
     lam_range: tuple,
@@ -220,6 +214,9 @@ def select_truncation(
 
     lam_samples = (lo, 0.5 * (lo + hi), hi)
 
+    def angle_field(lam: float, x: float, theta: float) -> float:
+        return polar_rates(*family.coeffs(x), lam, theta)[0]
+
     def cone_ok_inf(x_cut: float) -> bool:
         pts = np.logspace(math.log10(x_cut), math.log10(x_cut) + 1.0, cone_points)
         for lam in lam_samples:
@@ -227,8 +224,8 @@ def select_truncation(
             if th - eps <= math.pi / 2.0:
                 return False
             for x in pts:
-                if not (_angle_field(family, lam, x, th - eps) < 0.0
-                        < _angle_field(family, lam, x, th + eps)):
+                if not (angle_field(lam, x, th - eps) < 0.0
+                        < angle_field(lam, x, th + eps)):
                     return False
         return True
 
@@ -237,8 +234,8 @@ def select_truncation(
         th = zero.theta_zero
         for lam in lam_samples:
             for x in pts:
-                if not (_angle_field(family, lam, x, th - eps) > 0.0
-                        > _angle_field(family, lam, x, th + eps)):
+                if not (angle_field(lam, x, th - eps) > 0.0
+                        > angle_field(lam, x, th + eps)):
                     return False
         return True
 

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .asymptotics import TruncationWindow, ZeroData, infinity_data, zero_data
 from .model import CoefficientFamily, NonlinearCoupling
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError,
-                     OverflowAbort, _integrate_cartesian_engine,
-                     integrate_prufer)
-from .spectrum import EigenvalueRecord, _gauss_log_segments
+                     OverflowAbort, integrate_cartesian)
+# unused here, kept because perfbench/tracing.py traces this module attribute
+from .prufer import integrate_prufer  # noqa: F401
+from .spectrum import EigenvalueRecord, _l2_mass, _matched, _nodal_index
 
 
 class CorrectorError(RuntimeError):
@@ -48,14 +48,9 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
     with sign -1 when the matched angles differ by an odd multiple of pi.
     """
     zero = zero or zero_data(family)
-    idata = infinity_data(family.mu_minus, family.mu_plus, lam)
-    x_mid = window.x_mid
-    fwd = integrate_prufer(family, lam, window, zero.theta_zero, "forward",
-                           rtol=rtol, atol=atol, x_stop=x_mid)
-    bwd = integrate_prufer(family, lam, window, idata.theta_inf, "backward",
-                           rtol=rtol, atol=atol, x_stop=x_mid)
-    ratio = math.exp(fwd.logrho_end - bwd.logrho_end)
-    parity = round((fwd.theta_end - bwd.theta_end) / math.pi)
+    info = _matched(family, lam, window, zero, rtol, atol)
+    ratio = math.exp(info.fwd.logrho_end - info.bwd.logrho_end)
+    parity = round((info.theta_fwd_mid - info.theta_bwd_mid) / math.pi)
     return ratio, (-1.0 if parity % 2 else 1.0)
 
 
@@ -63,9 +58,9 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
 class ShootResult:
     """Midpoint mismatch of one forward/backward nonlinear shot.
 
-    mismatch is z_fwd(x_mid) - z_bwd(x_mid) in true (unrenormalized)
-    amplitude.  rotation is the angle sweep of the composite solution across
-    the window divided by pi (None when a side is identically zero).
+    mismatch is z_fwd(x_mid) - z_bwd(x_mid) in true amplitude.  rotation is
+    the angle sweep of the composite solution across the window divided by pi
+    (None when a side is identically zero).
     """
 
     lam: float
@@ -88,10 +83,9 @@ def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
                     atol: float = DEFAULT_ATOL) -> ShootResult:
     """Integrate the full nonlinear system from both ends to the midpoint.
 
-    Renormalization is disabled (amplitude is meaningful here); if the scales
-    overflow the representable range the run aborts with OverflowAbort naming
-    the last x reached.  a = b = 0 returns the exact zero mismatch of the
-    trivial solution.
+    The true amplitude is meaningful here; if it overflows the representable
+    range the run aborts with OverflowAbort naming the last x reached.
+    a = b = 0 returns the exact zero mismatch of the trivial solution.
     """
     zero = zero or zero_data(family)
     idata = infinity_data(family.mu_minus, family.mu_plus, lam)
@@ -105,18 +99,18 @@ def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
     fwd = bwd = None
     if a != 0.0:
         sgn = 1.0 if a > 0.0 else -1.0
-        fwd = _integrate_cartesian_engine(
+        fwd = integrate_cartesian(
             family, lam, window, (sgn * math.cos(th0), sgn * math.sin(th0)),
-            "forward", coupling=coupling, renormalize=False,
+            "forward", coupling=coupling,
             rtol=rtol, atol=atol, x_stop=x_mid, log_scale_init=math.log(abs(a)))
         zf = endpoint_value(fwd)
     else:
         zf = np.zeros(2)
     if b != 0.0:
         sgn = 1.0 if b > 0.0 else -1.0
-        bwd = _integrate_cartesian_engine(
+        bwd = integrate_cartesian(
             family, lam, window, (sgn * math.cos(thi), sgn * math.sin(thi)),
-            "backward", coupling=coupling, renormalize=False,
+            "backward", coupling=coupling,
             rtol=rtol, atol=atol, x_stop=x_mid, log_scale_init=math.log(abs(b)))
         zb = endpoint_value(bwd)
     else:
@@ -151,11 +145,6 @@ class BranchPoint:
     flags: tuple = ()
 
 
-def _index_from_rotation(rotation: float, quadrant: str) -> int:
-    shifted = rotation if quadrant != "second" else rotation + 0.5
-    return math.floor(shifted)
-
-
 def _point_from_shot(family, zero, shot: ShootResult, n_samples=257) -> BranchPoint:
     window = shot.fwd.window
     xs = np.geomspace(window.x_zero, window.x_inf, n_samples)
@@ -167,29 +156,14 @@ def _point_from_shot(family, zero, shot: ShootResult, n_samples=257) -> BranchPo
         s = math.exp(ls)
         us[i], vs[i] = s * u, s * v
 
-    # L2 norm: quadrature inside the window plus linear-rate end corrections
-    gx, gw = _gauss_log_segments(window.x_zero, window.x_inf)
-    logn = np.array([(shot.fwd if x <= shot.x_mid else shot.bwd).log_norm(x)
-                     for x in gx])
-    lmax = float(logn.max())
-    mass = float(np.sum(gw * np.exp(2.0 * (logn - lmax))))
-    idata = infinity_data(family.mu_minus, family.mu_plus, shot.lam)
-    tail = math.exp(2.0 * (shot.bwd.log_norm(window.x_inf) - lmax)) \
-        / (2.0 * idata.decay_rate)
-    if family.beta == 1.0:
-        head = math.exp(2.0 * (shot.fwd.log_norm(window.x_zero) - lmax)) \
-            * window.x_zero / (2.0 * math.sqrt(zero.delta_star) + 1.0)
-    else:
-        x0 = window.x_zero
-        head_int, _ = quad(
-            lambda x: math.exp(-2.0 * zero.rate * (x ** (1.0 - family.beta)
-                                                   - x0 ** (1.0 - family.beta))),
-            0.0, x0)
-        head = math.exp(2.0 * (shot.fwd.log_norm(x0) - lmax)) * head_int
+    def log_norm(x):
+        return (shot.fwd if x <= shot.x_mid else shot.bwd).log_norm(x)
+
+    lmax, mass, tail, head = _l2_mass(family, zero, window, shot.lam, log_norm)
     l2 = math.exp(lmax) * math.sqrt(mass + tail + head)
 
     rot = shot.rotation
-    idx = _index_from_rotation(rot, zero.quadrant)
+    idx = _nodal_index(rot, zero.quadrant)[0]
     return BranchPoint(lam=shot.lam, a=shot.a, b=shot.b, x=xs, u=us, v=vs,
                        l2_norm=l2, rotation=rot, index=idx,
                        residual=float(np.linalg.norm(shot.mismatch)))
@@ -310,7 +284,7 @@ def linearized_index(family: CoefficientFamily, coupling: NonlinearCoupling,
     shot = shoot_nonlinear(family, coupling, point.lam, point.a, point.b,
                            window, zero=zero, rtol=rtol, atol=atol)
     j = shot.rotation
-    return j, _index_from_rotation(j, zero.quadrant)
+    return j, _nodal_index(j, zero.quadrant)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -392,27 +392,46 @@ def cmd_check(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_OK if ok else EXIT_REJECTED
 
 
-def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
-    """Scan the gap, solve every bracketed level, persist the records."""
+def _solve_levels(cfg: RunConfig, quiet: bool, wanted=None, level=None):
+    """Build the family, window and scan it, and solve the bracketed levels.
+
+    ``wanted`` restricts the solve to a set of level indices.  ``level`` asks
+    for one level: its first bracket is solved, and a missing one is rejected.
+    Returns (family, zero, window, records), or None after reporting why the
+    family or the level was rejected.
+    """
     family = build_dirac_family(cfg.params)
     if not classify_zero_endpoint(family).admissible:
         _say(quiet, "family rejected: origin endpoint not admissible")
-        return EXIT_REJECTED
+        return None
     zero = zero_data(family)
     window = _make_window(cfg, family, zero)
     scan = spectrum.scan_spectrum(family, cfg.lam_grid, window, zero,
                                   rtol=cfg.rtol, atol=cfg.atol)
+    brackets = scan.brackets
+    if level is not None:
+        brackets = [b for b in brackets if b.k == level][:1]
+        if not brackets:
+            _say(quiet, f"no level k={level} bracketed on the scan grid")
+            return None
+    elif wanted is not None:
+        brackets = [b for b in brackets if b.k in wanted]
+    records = [spectrum.find_eigenvalue(family, br.k, (br.lam_lo, br.lam_hi),
+                                        cfg.tol, window=window, zero=zero,
+                                        rtol=cfg.rtol, atol=cfg.atol)
+               for br in brackets]
+    return family, zero, window, records
+
+
+def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
+    """Scan the gap, solve every bracketed level, persist the records."""
     wanted = cfg.task.get("spectrum_k")
     if wanted is not None:
         wanted = {int(v) for v in (wanted if isinstance(wanted, list) else [wanted])}
-    records = []
-    for br in scan.brackets:
-        if wanted is not None and br.k not in wanted:
-            continue
-        rec = spectrum.find_eigenvalue(family, br.k, (br.lam_lo, br.lam_hi),
-                                       cfg.tol, window=window, zero=zero,
-                                       rtol=cfg.rtol, atol=cfg.atol)
-        records.append(rec)
+    solved = _solve_levels(cfg, quiet, wanted)
+    if solved is None:
+        return EXIT_REJECTED
+    _, _, window, records = solved
     rows = [(r.k, r.lam, r.rot, r.nodal_index, r.residual,
              r.decay.exponent_inf, r.decay.exponent_zero) for r in records]
     _write_csv(cfg.out_dir / "spectrum.csv", cfg, "spectrum",
@@ -432,21 +451,10 @@ def cmd_eigenfunction(cfg: RunConfig, quiet: bool = False) -> int:
     want = cfg.task.get("eigenfunction_k")
     if want is None:
         raise ConfigError(["[eigenfunction] k: required for this command"])
-    family = build_dirac_family(cfg.params)
-    if not classify_zero_endpoint(family).admissible:
-        _say(quiet, "family rejected: origin endpoint not admissible")
+    solved = _solve_levels(cfg, quiet, level=want)
+    if solved is None:
         return EXIT_REJECTED
-    zero = zero_data(family)
-    window = _make_window(cfg, family, zero)
-    scan = spectrum.scan_spectrum(family, cfg.lam_grid, window, zero,
-                                  rtol=cfg.rtol, atol=cfg.atol)
-    match = [b for b in scan.brackets if b.k == want]
-    if not match:
-        _say(quiet, f"no level k={want} bracketed on the scan grid")
-        return EXIT_REJECTED
-    rec = spectrum.find_eigenvalue(family, want, (match[0].lam_lo, match[0].lam_hi),
-                                   cfg.tol, window=window, zero=zero,
-                                   rtol=cfg.rtol, atol=cfg.atol)
+    family, zero, window, (rec,) = solved
     ef = spectrum.eigenfunction(family, rec, cfg.task["samples"], zero=zero,
                                 rtol=cfg.rtol, atol=cfg.atol)
     rows = list(zip(ef.x, ef.u, ef.v))
@@ -491,21 +499,10 @@ def cmd_branch(cfg: RunConfig, quiet: bool = False) -> int:
     if seed_k is None:
         raise ConfigError(["[branch] seed_k: required for this command"])
     coupling = _build_coupling(cfg)
-    family = build_dirac_family(cfg.params)
-    if not classify_zero_endpoint(family).admissible:
-        _say(quiet, "family rejected: origin endpoint not admissible")
+    solved = _solve_levels(cfg, quiet, level=seed_k)
+    if solved is None:
         return EXIT_REJECTED
-    zero = zero_data(family)
-    window = _make_window(cfg, family, zero)
-    scan = spectrum.scan_spectrum(family, cfg.lam_grid, window, zero,
-                                  rtol=cfg.rtol, atol=cfg.atol)
-    match = [b for b in scan.brackets if b.k == seed_k]
-    if not match:
-        _say(quiet, f"no level k={seed_k} bracketed on the scan grid")
-        return EXIT_REJECTED
-    seed = spectrum.find_eigenvalue(family, seed_k, (match[0].lam_lo, match[0].lam_hi),
-                                    cfg.tol, window=window, zero=zero,
-                                    rtol=cfg.rtol, atol=cfg.atol)
+    family, zero, window, (seed,) = solved
     branch = bifurcation.continue_branch(
         family, coupling, seed, cfg.task["ds"], cfg.task["max_steps"],
         a_max=cfg.task["a_max"], window=window, zero=zero,

@@ -103,13 +103,6 @@ class PotentialSpec:
             return 0.0
         return self.v(x) - self.gamma_zero * x ** (-self.alpha_zero)
 
-    def remainder_at_inf(self, x: float) -> float:
-        if self.remainder_inf is not None:
-            return self.remainder_inf(x)
-        if self.kind == "pure-coulomb":
-            return 0.0
-        return self.v(x) - self.gamma_inf * x ** (-self.alpha_inf)
-
     def d_remainder_at_zero(self, x: float) -> float:
         if self.d_remainder_zero is not None:
             return self.d_remainder_zero(x)
@@ -279,10 +272,6 @@ class CoefficientFamily:
     def limit_inf(self) -> np.ndarray:
         return np.diag([self.mu_minus, self.mu_plus])
 
-    @property
-    def gap(self) -> tuple:
-        return (self.mu_minus, self.mu_plus)
-
     def remainder_zero(self, x: float) -> np.ndarray:
         """x**beta * P(x) - limit_zero."""
         w = x ** self.beta
@@ -300,6 +289,17 @@ class CoefficientFamily:
 
     def remainder_inf_norm(self, x: float) -> float:
         return float(np.linalg.norm(self.remainder_inf(x), 2))
+
+
+def polar_rates(p11: float, p12: float, p22: float, lam: float,
+                theta: float) -> tuple:
+    """Polar rates (theta', (log rho)') of J z' + P z = lam z at angle theta,
+    for z = rho (cos theta, sin theta)."""
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    dtheta = (lam - p11) * ct * ct - 2.0 * p12 * ct * st + (lam - p22) * st * st
+    dlogrho = p12 * (ct * ct - st * st) + (p22 - p11) * st * ct
+    return dtheta, dlogrho
 
 
 def build_dirac_family(params: DiracRadialParams) -> CoefficientFamily:
@@ -602,17 +602,13 @@ class NonlinearCoupling:
     """Symmetric matrix coupling S(x, z) with envelope bound data.
 
     ``entries(x, u, v)`` returns (s11, s12, s22).  The envelope satisfies
-    |S_ij(x, z)| <= alpha(x) * eta_ij(z) with eta vanishing at z = 0, alpha
-    bounded and decaying at infinity.
+    |S_ii(x, z)| <= alpha(x) * eta_diag(z) with eta_diag vanishing at z = 0,
+    alpha bounded and decaying at infinity.
     """
 
     entries: Callable[[float, float, float], tuple]
     alpha: Callable[[float], float]
     eta_diag: Callable[[float, float], float]
-    eta_off: Callable[[float, float], float]
-    f: Callable[[float], float]
-    gamma_fn: Callable[[float], float]
-    lipschitz_bound: float
     angular_constant: float = 4.0 * math.pi
 
     def matrix(self, x: float, z) -> np.ndarray:
@@ -626,10 +622,6 @@ def zero_coupling() -> NonlinearCoupling:
         entries=lambda x, u, v: (0.0, 0.0, 0.0),
         alpha=lambda x: 0.0,
         eta_diag=lambda u, v: 0.0,
-        eta_off=lambda u, v: 0.0,
-        f=lambda s: 0.0,
-        gamma_fn=lambda r: 0.0,
-        lipschitz_bound=0.0,
     )
 
 
@@ -680,9 +672,5 @@ def build_soler_coupling(
         entries=entries,
         alpha=alpha,
         eta_diag=lambda u, v: abs(u * u - v * v),
-        eta_off=lambda u, v: 0.0,
-        f=f,
-        gamma_fn=gamma,
-        lipschitz_bound=lipschitz_bound,
         angular_constant=c,
     )

@@ -12,10 +12,11 @@ x^-beta; the left part of the window is therefore integrated in a transformed
 variable, log x for beta = 1 and x^(1-beta) for beta > 1, in which the flow is
 asymptotically autonomous.  The module picks the chart automatically.
 
-The raw Cartesian path integrates z' = J^{-1}(lam Id - P) z, renormalizing z
-back to unit size whenever its norm leaves [1e-150, 1e150] and accumulating
-the discarded scale in a log; it serves as an independent cross-check of the
-polar formulation and as the engine for the nonlinear shooting solver.
+The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z in the exactly
+scaled variables z = e^mu w, with w kept at unit size and mu carrying the log
+of the true amplitude; it serves as an independent cross-check of the polar
+formulation (w is integrated in components, not in angle) and as the engine
+for the nonlinear shooting solver.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .asymptotics import TruncationWindow
-from .model import CoefficientFamily, NonlinearCoupling
+from .model import CoefficientFamily, NonlinearCoupling, polar_rates
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-_RENORM_LOG = 150.0 * math.log(10.0)       # keep double-precision headroom
-_OVERFLOW_LOG = 100.0 * math.log(10.0)     # abort bound for amplitude-true runs
+_OVERFLOW_LOG = 100.0 * math.log(10.0)     # abort bound for coupled runs
+_EVAL_BUDGET = 150_000                     # RHS evaluations per Cartesian run
 
 
 class IntegrationError(RuntimeError):
@@ -46,30 +47,17 @@ class IntegrationError(RuntimeError):
 
 
 class OverflowAbort(IntegrationError):
-    """Amplitude left the representable range in an amplitude-true run."""
-
-
-class _EvalBudgetExceeded(Exception):
-    def __init__(self, s: float):
-        self.s = s
+    """True amplitude left the representable range in a coupled run."""
 
 
 def prufer_rhs(p: np.ndarray, lam: float, theta: float) -> tuple:
     """Angle and log-amplitude derivatives for coefficient matrix p at theta."""
     p = np.asarray(p, dtype=float)
-    return _rhs_core(p[0, 0], p[0, 1], p[1, 1], lam, theta)
-
-
-def _rhs_core(p11: float, p12: float, p22: float, lam: float, theta: float) -> tuple:
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    dtheta = (lam - p11) * ct * ct - 2.0 * p12 * ct * st + (lam - p22) * st * st
-    dlogrho = p12 * (ct * ct - st * st) + (p22 - p11) * st * ct
-    return dtheta, dlogrho
+    return polar_rates(p[0, 0], p[0, 1], p[1, 1], lam, theta)
 
 
 # ---------------------------------------------------------------------------
-# Charts and window segmentation
+# Charts, window segmentation and the integration loop
 # ---------------------------------------------------------------------------
 
 class _Chart:
@@ -165,25 +153,58 @@ def _locate(pieces: list, x: float) -> _Piece:
     raise ValueError(f"x = {x:g} outside the integrated span")
 
 
-# ---------------------------------------------------------------------------
-# Angle/log-amplitude trajectories
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PruferState:
-    x: float
-    theta: float
-    logrho: float
+def _state_at(pieces: list, x: float) -> np.ndarray:
+    p = _locate(pieces, x)
+    return p.sol(p.chart.to_s(min(max(x, p.x_lo), p.x_hi)))
 
 
 @dataclass
 class IntegratorStats:
     steps: int
-    rejected_steps: int        # estimated from evaluation counts
     nfev: int
     rtol: float
     atol: float
 
+
+def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
+                  atol: float, events: Optional[list] = None) -> tuple:
+    """Integrate over ordered chart segments; returns (pieces, stats, x_event).
+
+    x_event is the x at which a terminal event stopped the run, or None when
+    the whole span was covered.
+    """
+    pieces = []
+    y = np.array(y0, dtype=float)
+    nfev = 0
+    steps = 0
+    x_event = None
+    for chart, x_from, x_to in segments:
+
+        def rhs(s, yy, _c=chart):
+            j = _c.dx_ds(s)
+            dy = rhs_in_x(_c.to_x(s), yy)
+            return [d * j for d in dy]
+
+        res = solve_ivp(rhs, (chart.to_s(x_from), chart.to_s(x_to)), y,
+                        method="DOP853", rtol=rtol, atol=atol,
+                        dense_output=True, events=events)
+        if res.status == -1:
+            raise IntegrationError(res.message, chart.to_x(res.t[-1]))
+        nfev += res.nfev
+        steps += len(res.t) - 1
+        if res.status == 1:
+            x_event = chart.to_x(res.t[-1])
+            break
+        pieces.append(_Piece(chart=chart, sol=res.sol,
+                             x_lo=min(x_from, x_to), x_hi=max(x_from, x_to)))
+        y = res.y[:, -1]
+    stats = IntegratorStats(steps=steps, nfev=nfev, rtol=rtol, atol=atol)
+    return pieces, stats, x_event
+
+
+# ---------------------------------------------------------------------------
+# Angle/log-amplitude trajectories
+# ---------------------------------------------------------------------------
 
 @dataclass
 class PruferTrajectory:
@@ -204,8 +225,7 @@ class PruferTrajectory:
     _pieces: list = field(repr=False)
 
     def _eval(self, x: float) -> tuple:
-        p = _locate(self._pieces, x)
-        y = p.sol(p.chart.to_s(min(max(x, p.x_lo), p.x_hi)))
+        y = _state_at(self._pieces, x)
         return float(y[0]), float(y[1])
 
     def theta(self, x: float) -> float:
@@ -214,10 +234,6 @@ class PruferTrajectory:
     def logrho(self, x: float) -> float:
         return self._eval(x)[1]
 
-    def state(self, x: float) -> PruferState:
-        th, lr = self._eval(x)
-        return PruferState(x=x, theta=th, logrho=lr)
-
     @property
     def theta_end(self) -> float:
         return self._eval(self.x_end)[0]
@@ -225,46 +241,6 @@ class PruferTrajectory:
     @property
     def logrho_end(self) -> float:
         return self._eval(self.x_end)[1]
-
-    def z(self, x: float, logrho_offset: float = 0.0) -> tuple:
-        """Reconstruct (u, v) = e^(logrho + offset) (cos theta, sin theta)."""
-        th, lr = self._eval(x)
-        r = math.exp(lr + logrho_offset)
-        return (r * math.cos(th), r * math.sin(th))
-
-
-_DOP853_STAGES = 12
-_DENSE_EXTRA = 3
-
-
-def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
-                  atol: float) -> tuple:
-    """Integrate over ordered chart segments; returns (pieces, y_end, stats)."""
-    pieces = []
-    y = np.array(y0, dtype=float)
-    nfev = 0
-    steps = 0
-    for chart, x_from, x_to in segments:
-        s0, s1 = chart.to_s(x_from), chart.to_s(x_to)
-
-        def rhs(s, yy, _c=chart):
-            j = _c.dx_ds(s)
-            dy = rhs_in_x(_c.to_x(s), yy)
-            return [d * j for d in dy]
-
-        res = solve_ivp(rhs, (s0, s1), y, method="DOP853", rtol=rtol,
-                        atol=atol, dense_output=True)
-        if res.status != 0:
-            raise IntegrationError(res.message, chart.to_x(res.t[-1]))
-        pieces.append(_Piece(chart=chart, sol=res.sol,
-                             x_lo=min(x_from, x_to), x_hi=max(x_from, x_to)))
-        y = res.y[:, -1]
-        nfev += res.nfev
-        steps += len(res.t) - 1
-    attempts = max(steps, (nfev - len(segments) - _DENSE_EXTRA * steps) // _DOP853_STAGES)
-    stats = IntegratorStats(steps=steps, rejected_steps=max(0, attempts - steps),
-                            nfev=nfev, rtol=rtol, atol=atol)
-    return pieces, y, stats
 
 
 def integrate_prufer(
@@ -291,40 +267,26 @@ def integrate_prufer(
 
     def rhs_in_x(x, y):
         p11, p12, p22 = coeffs(x)
-        return _rhs_core(p11, p12, p22, lam, y[0])
+        return polar_rates(p11, p12, p22, lam, y[0])
 
     segs = _segments(window, family.beta, direction, x_stop)
-    pieces, _, stats = _run_segments(rhs_in_x, (theta_init, logrho_init),
+    pieces, stats, _ = _run_segments(rhs_in_x, (theta_init, logrho_init),
                                      segs, rtol, atol)
-    x_start = segs[0][1]
-    x_end = segs[-1][2]
     return PruferTrajectory(lam=lam, direction=direction, window=window,
-                            x_start=x_start, x_end=x_end, stats=stats,
+                            x_start=segs[0][1], x_end=segs[-1][2], stats=stats,
                             _pieces=pieces)
 
 
 # ---------------------------------------------------------------------------
-# Cartesian trajectories with renormalization
+# Cartesian trajectories in scaled variables
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Chunk:
-    chart: _Chart
-    sol: object
-    x_lo: float
-    x_hi: float
-    s_from: float              # chunk orientation in the chart variable
-    s_to: float
-    log_scale: float           # accumulated renormalization log for this chunk
-    scale_in_state: bool = False   # third state component carries the log scale
-
-
-@dataclass
 class CartesianTrajectory:
-    """Raw (u, v) trajectory with renormalization log and unwrapped angle.
+    """Cartesian trajectory z = e^mu w with an unwrapped angle.
 
-    ``state(x)`` returns (u, v, log_scale): the actual solution value is
-    e^(log_scale) * (u, v).  ``angle(x)`` is the continuously unwrapped polar
+    ``state(x)`` returns (u, v, mu): the solution value is e^mu * (u, v), with
+    (u, v) = w of unit size.  ``angle(x)`` is the continuously unwrapped polar
     angle, anchored at the initial direction; ``log_norm(x)`` the log of the
     true solution norm.
     """
@@ -335,30 +297,13 @@ class CartesianTrajectory:
     x_start: float
     x_end: float
     stats: IntegratorStats
-    renorm_log: list = field(repr=False)       # (x, log_scale after event)
-    _chunks: list = field(repr=False, default_factory=list)
-    _node_x: np.ndarray = field(repr=False, default=None)
-    _node_angle: np.ndarray = field(repr=False, default=None)
-
-    def _chunk_at(self, x: float) -> _Chunk:
-        best, dist = None, math.inf
-        for c in self._chunks:
-            if c.x_lo * (1.0 - 1e-12) <= x <= c.x_hi * (1.0 + 1e-12):
-                return c
-            d = min(abs(x - c.x_lo), abs(x - c.x_hi))
-            if d < dist:
-                best, dist = c, d
-        if dist <= 1e-9 * max(1.0, abs(x)):
-            return best
-        raise ValueError(f"x = {x:g} outside the integrated span")
+    _pieces: list = field(repr=False)
+    _node_x: np.ndarray = field(repr=False)
+    _node_angle: np.ndarray = field(repr=False)
 
     def state(self, x: float) -> tuple:
-        c = self._chunk_at(x)
-        s = c.chart.to_s(min(max(x, c.x_lo), c.x_hi))
-        y = c.sol(s)
-        if c.scale_in_state:
-            return float(y[0]), float(y[1]), float(y[2])
-        return float(y[0]), float(y[1]), c.log_scale
+        y = _state_at(self._pieces, x)
+        return float(y[0]), float(y[1]), float(y[2])
 
     def log_norm(self, x: float) -> float:
         u, v, ls = self.state(x)
@@ -375,12 +320,8 @@ class CartesianTrajectory:
         d = (d + math.pi) % (2.0 * math.pi) - math.pi
         return base + d
 
-    @property
-    def angle_end(self) -> float:
-        return float(self._node_angle[-1])
 
-
-def _unwrap_nodes(chunks: list, direction: str, theta_anchor: float) -> tuple:
+def _unwrap_nodes(pieces: list, direction: str, theta_anchor: float) -> tuple:
     """Unwrapped angle at solver nodes, refined so no jump exceeds pi/2."""
     xs = []
     angs = []
@@ -391,11 +332,8 @@ def _unwrap_nodes(chunks: list, direction: str, theta_anchor: float) -> tuple:
 
     prev_raw = None
     total = theta_anchor
-    for c in chunks:
-        s_nodes = list(c.sol.ts) if hasattr(c.sol, "ts") else list(c.sol.t)
-        # guarantee orientation from s_from to s_to
-        s_nodes = sorted({float(s) for s in s_nodes},
-                         reverse=bool(c.s_from > c.s_to))
+    for c in pieces:
+        s_nodes = [float(s) for s in c.sol.ts]      # in integration order
         k = 0
         refined = 0
         while k < len(s_nodes):
@@ -443,186 +381,6 @@ def _unwrap_nodes(chunks: list, direction: str, theta_anchor: float) -> tuple:
     return key[order], angs[order]
 
 
-def _cartesian_matrix_terms(coeffs, entries, lam):
-    """RHS factory for z' = J^{-1}(lam Id - P + S) z, S evaluated at true z."""
-    if entries is None:
-        def terms(x, zu, zv):
-            p11, p12, p22 = coeffs(x)
-            return lam - p11, -p12, lam - p22
-    else:
-        def terms(x, zu, zv):
-            p11, p12, p22 = coeffs(x)
-            s11, s12, s22 = entries(x, zu, zv)
-            return lam - p11 + s11, -p12 + s12, lam - p22 + s22
-    return terms
-
-
-def _integrate_cartesian_engine(
-    family: CoefficientFamily,
-    lam: float,
-    window: TruncationWindow,
-    z_init,
-    direction: str,
-    *,
-    coupling: Optional[NonlinearCoupling] = None,
-    renormalize: bool = True,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    x_stop: Optional[float] = None,
-    log_scale_init: float = 0.0,
-    eval_budget: int = 150_000,
-) -> CartesianTrajectory:
-    """Two engine modes share this entry point.
-
-    renormalize=True integrates the raw two-component system and rescales the
-    state back to unit norm at the representable-range events (the linear
-    cross-check path).  renormalize=False integrates the exactly equivalent
-    scaled system for z = e^mu w,
-
-        w' = A(x, e^mu w) w - rho w,   mu' = rho,   rho = <w, A w> / <w, w>,
-
-    which keeps the integrated state of unit size over arbitrarily many
-    amplitude decades while mu carries the true (meaningful) amplitude; any
-    coupling term is evaluated at the true z.  This is the amplitude-true mode
-    the nonlinear shooting uses; overflow of the true amplitude aborts.
-    """
-    z0 = np.array(z_init, dtype=float)
-    if not np.any(z0):
-        raise ValueError("z_init must be nonzero")
-    coeffs = family.coeffs
-    entries = coupling.entries if coupling is not None else None
-    terms = _cartesian_matrix_terms(coeffs, entries, lam)
-    segs = _segments(window, family.beta, direction, x_stop)
-    chunks = []
-    renorm_log = []
-    nfev = 0
-    steps = 0
-
-    if renormalize:
-        if log_scale_init != 0.0:
-            raise ValueError("log_scale_init requires the scaled mode")
-
-        def rhs_in_x(x, y):
-            m11, m12, m22 = terms(x, y[0], y[1])
-            return (-m12 * y[0] - m22 * y[1], m11 * y[0] + m12 * y[1])
-
-        def too_large(s, y):
-            return 0.5 * math.log(y[0] * y[0] + y[1] * y[1]) - _RENORM_LOG
-        too_large.terminal = True
-
-        def too_small(s, y):
-            return 0.5 * math.log(y[0] * y[0] + y[1] * y[1]) + _RENORM_LOG
-        too_small.terminal = True
-        events = [too_large, too_small]
-
-        y = z0.copy()
-        log_scale = 0.0
-        for chart, x_from, x_to in segs:
-            s_cur, s_end = chart.to_s(x_from), chart.to_s(x_to)
-
-            def rhs(s, yy, _c=chart):
-                j = _c.dx_ds(s)
-                du, dv = rhs_in_x(_c.to_x(s), yy)
-                return [du * j, dv * j]
-
-            while True:
-                res = solve_ivp(rhs, (s_cur, s_end), y, method="DOP853",
-                                rtol=rtol, atol=atol, dense_output=True,
-                                events=events)
-                x_here = chart.to_x(res.t[-1])
-                if res.status == -1:
-                    raise IntegrationError(res.message, x_here)
-                chunks.append(_Chunk(chart=chart, sol=res.sol,
-                                     x_lo=min(chart.to_x(s_cur), x_here),
-                                     x_hi=max(chart.to_x(s_cur), x_here),
-                                     s_from=s_cur, s_to=res.t[-1],
-                                     log_scale=log_scale))
-                nfev += res.nfev
-                steps += len(res.t) - 1
-                y = res.y[:, -1].copy()
-                if res.status == 0:
-                    break
-                n = math.hypot(y[0], y[1])
-                log_scale += math.log(n)
-                y /= n
-                renorm_log.append((x_here, log_scale))
-                s_cur = res.t[-1]
-                if s_cur == s_end:
-                    break
-    else:
-        used = [0]
-
-        def rhs_in_x(x, y):
-            # clamped so that trial stages overshooting the overflow bound
-            # cannot push the coupling argument into inf/nan territory
-            mu = y[2]
-            scale = 0.0 if mu <= -700.0 else math.exp(min(mu, 150.0))
-            m11, m12, m22 = terms(x, scale * y[0], scale * y[1])
-            a1 = -m12 * y[0] - m22 * y[1]
-            a2 = m11 * y[0] + m12 * y[1]
-            n2 = y[0] * y[0] + y[1] * y[1]
-            rho = (y[0] * a1 + y[1] * a2) / n2
-            return (a1 - rho * y[0], a2 - rho * y[1], rho)
-
-        def overflow(s, y):
-            return y[2] + 0.5 * math.log(y[0] * y[0] + y[1] * y[1]) \
-                - _OVERFLOW_LOG
-        overflow.terminal = True
-
-        n0 = math.hypot(z0[0], z0[1])
-        y = np.array([z0[0] / n0, z0[1] / n0,
-                      log_scale_init + math.log(n0)])
-        for chart, x_from, x_to in segs:
-            s_cur, s_end = chart.to_s(x_from), chart.to_s(x_to)
-
-            def rhs(s, yy, _c=chart):
-                # fail fast on near-blowup trajectories instead of letting the
-                # step control chase the spike indefinitely
-                used[0] += 1
-                if used[0] > eval_budget:
-                    raise _EvalBudgetExceeded(s)
-                j = _c.dx_ds(s)
-                dy = rhs_in_x(_c.to_x(s), yy)
-                return [d * j for d in dy]
-
-            try:
-                res = solve_ivp(rhs, (s_cur, s_end), y, method="DOP853",
-                                rtol=rtol, atol=atol, dense_output=True,
-                                events=[overflow])
-            except _EvalBudgetExceeded as exc:
-                raise IntegrationError(
-                    "integration work budget exceeded (near-blowup "
-                    "trajectory)", chart.to_x(exc.s)) from None
-            x_here = chart.to_x(res.t[-1])
-            if res.status == -1:
-                raise IntegrationError(res.message, x_here)
-            if res.status == 1:
-                raise OverflowAbort(
-                    "amplitude exceeded the representable range; shrink the "
-                    "window or the shooting scales", x_here)
-            chunks.append(_Chunk(chart=chart, sol=res.sol,
-                                 x_lo=min(x_from, x_to),
-                                 x_hi=max(x_from, x_to),
-                                 s_from=s_cur, s_to=res.t[-1],
-                                 log_scale=0.0, scale_in_state=True))
-            nfev += res.nfev
-            steps += len(res.t) - 1
-            y = res.y[:, -1].copy()
-
-    attempts = max(steps, (nfev - len(chunks) - _DENSE_EXTRA * steps) // _DOP853_STAGES)
-    stats = IntegratorStats(steps=steps, rejected_steps=max(0, attempts - steps),
-                            nfev=nfev, rtol=rtol, atol=atol)
-    theta_anchor = math.atan2(z0[1], z0[0])
-    traj = CartesianTrajectory(lam=lam, direction=direction, window=window,
-                               x_start=segs[0][1], x_end=segs[-1][2],
-                               stats=stats, renorm_log=renorm_log,
-                               _chunks=chunks)
-    node_x, node_angle = _unwrap_nodes(chunks, direction, theta_anchor)
-    traj._node_x = node_x
-    traj._node_angle = node_angle
-    return traj
-
-
 def integrate_cartesian(
     family: CoefficientFamily,
     lam: float,
@@ -630,14 +388,75 @@ def integrate_cartesian(
     z_init,
     direction: str = "forward",
     *,
+    coupling: Optional[NonlinearCoupling] = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     x_stop: Optional[float] = None,
+    log_scale_init: float = 0.0,
 ) -> CartesianTrajectory:
-    """Integrate the raw linear system with automatic renormalization."""
-    return _integrate_cartesian_engine(family, lam, window, z_init, direction,
-                                       coupling=None, renormalize=True,
-                                       rtol=rtol, atol=atol, x_stop=x_stop)
+    """Integrate z' = J^{-1}(lam Id - P + S) z as z = e^mu w, where
+
+        w' = A(x, e^mu w) w - rho w,   mu' = rho,   rho = <w, A w> / <w, w>,
+
+    an exact reformulation that keeps w of unit size over arbitrarily many
+    amplitude decades while mu carries the true amplitude; the run starts at
+    e^log_scale_init * z_init.  S is zero without a ``coupling``; with one it
+    is evaluated at the true z, and the run aborts with OverflowAbort when the
+    true amplitude leaves the representable range.  A run that exhausts the
+    evaluation budget (a near-blowup trajectory) raises IntegrationError.
+    """
+    z0 = np.array(z_init, dtype=float)
+    if not np.any(z0):
+        raise ValueError("z_init must be nonzero")
+    coeffs = family.coeffs
+    entries = coupling.entries if coupling is not None else None
+    used = [0]
+
+    def rhs_in_x(x, y):
+        # fail fast on near-blowup trajectories instead of letting the step
+        # control chase the spike indefinitely
+        used[0] += 1
+        if used[0] > _EVAL_BUDGET:
+            raise IntegrationError("integration work budget exceeded "
+                                   "(near-blowup trajectory)", x)
+        p11, p12, p22 = coeffs(x)
+        m11, m12, m22 = lam - p11, -p12, lam - p22
+        if entries is not None:
+            # clamped so that trial stages overshooting the overflow bound
+            # cannot push the coupling argument into inf/nan territory
+            mu = y[2]
+            scale = 0.0 if mu <= -700.0 else math.exp(min(mu, 150.0))
+            s11, s12, s22 = entries(x, scale * y[0], scale * y[1])
+            m11, m12, m22 = m11 + s11, m12 + s12, m22 + s22
+        a1 = -m12 * y[0] - m22 * y[1]
+        a2 = m11 * y[0] + m12 * y[1]
+        n2 = y[0] * y[0] + y[1] * y[1]
+        rho = (y[0] * a1 + y[1] * a2) / n2
+        return (a1 - rho * y[0], a2 - rho * y[1], rho)
+
+    events = None
+    if coupling is not None:
+        def overflow(s, y):
+            return y[2] + 0.5 * math.log(y[0] * y[0] + y[1] * y[1]) \
+                - _OVERFLOW_LOG
+        overflow.terminal = True
+        events = [overflow]
+
+    segs = _segments(window, family.beta, direction, x_stop)
+    n0 = math.hypot(z0[0], z0[1])
+    y0 = (z0[0] / n0, z0[1] / n0, log_scale_init + math.log(n0))
+    pieces, stats, x_event = _run_segments(rhs_in_x, y0, segs, rtol, atol,
+                                           events)
+    if x_event is not None:
+        raise OverflowAbort(
+            "amplitude exceeded the representable range; shrink the "
+            "window or the shooting scales", x_event)
+    node_x, node_angle = _unwrap_nodes(pieces, direction,
+                                       math.atan2(z0[1], z0[0]))
+    return CartesianTrajectory(lam=lam, direction=direction, window=window,
+                               x_start=segs[0][1], x_end=segs[-1][2],
+                               stats=stats, _pieces=pieces, _node_x=node_x,
+                               _node_angle=node_angle)
 
 
 def export_trajectory(trajectory: PruferTrajectory, path,
@@ -664,7 +483,7 @@ def ode_residual(trajectory: PruferTrajectory, family: CoefficientFamily,
     Rebuilds z from the polar data at log-spaced interior samples, forms the
     derivative by fourth-order central differences of the dense output, and
     compares against J^{-1}(lam Id - P) z.  Amplitudes are measured relative
-    to the sample point, so renormalization scale never overflows.
+    to the sample point, so the reconstruction never overflows.
     """
     if sample_count <= 0:
         return 0.0

@@ -444,6 +444,39 @@ def _gauss_log_segments(x_lo: float, x_hi: float, nodes_per_decade: int = 48):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _l2_mass(family: CoefficientFamily, zero: ZeroData,
+             window: TruncationWindow, lam: float, log_amp) -> tuple:
+    """Squared L2 mass of e^log_amp(x), relative to its peak on the window.
+
+    Returns (peak, inside, tail, head): peak is the largest log_amp at the
+    quadrature nodes, inside the Gauss-Legendre quadrature of
+    e^(2 (log_amp - peak)) over the window, tail and head the closed-form
+    masses beyond x_inf and below x_zero from the linear decay rates at lam.
+    The total mass is e^(2 peak) (inside + tail + head).
+    """
+    gx, gw = _gauss_log_segments(window.x_zero, window.x_inf)
+    lr_nodes = np.array([log_amp(x) for x in gx])
+    peak = float(lr_nodes.max())
+    mass_window = float(np.sum(gw * np.exp(2.0 * (lr_nodes - peak))))
+
+    idata = infinity_data(family.mu_minus, family.mu_plus, lam)
+    tail = math.exp(2.0 * (log_amp(window.x_inf) - peak)) \
+        / (2.0 * idata.decay_rate)
+    x0 = window.x_zero
+    lr_start = log_amp(x0)
+    if family.beta == 1.0:
+        head = math.exp(2.0 * (lr_start - peak)) * x0 \
+            / (2.0 * math.sqrt(zero.delta_star) + 1.0)
+    else:
+        rate = zero.rate
+        head_int, _ = quad(
+            lambda x: math.exp(-2.0 * rate * (x ** (1.0 - family.beta)
+                                              - x0 ** (1.0 - family.beta))),
+            0.0, x0)
+        head = math.exp(2.0 * (lr_start - peak)) * head_int
+    return peak, mass_window, tail, head
+
+
 def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
                   n_samples: int = 512, *, zero: Optional[ZeroData] = None,
                   angle_tol: float = 1e-6, rtol: float = DEFAULT_RTOL,
@@ -459,13 +492,9 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     """
     window = record.window
     zero = zero or zero_data(family)
-    idata = infinity_data(family.mu_minus, family.mu_plus, record.lam)
-    x_mid = window.x_mid
-    fwd = integrate_prufer(family, record.lam, window, zero.theta_zero,
-                           "forward", rtol=rtol, atol=atol, x_stop=x_mid)
-    bwd = integrate_prufer(family, record.lam, window, idata.theta_inf,
-                           "backward", rtol=rtol, atol=atol, x_stop=x_mid)
-    th_f, th_b = fwd.theta_end, bwd.theta_end
+    info = _matched(family, record.lam, window, zero, rtol, atol)
+    fwd, bwd, x_mid = info.fwd, info.bwd, info.x_mid
+    th_f, th_b = info.theta_fwd_mid, info.theta_bwd_mid
     mism = (th_f - th_b + math.pi / 2.0) % math.pi - math.pi / 2.0
     if abs(mism) > angle_tol:
         raise AngleMismatchError(
@@ -485,26 +514,8 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
         return bwd.logrho(x) + lr_offset
 
     # normalization, overflow-safe relative to the amplitude peak
-    gx, gw = _gauss_log_segments(window.x_zero, window.x_inf)
-    lr_nodes = np.array([logrho_at(x) for x in gx])
-    lr_max = float(lr_nodes.max())
-    mass_window = float(np.sum(gw * np.exp(2.0 * (lr_nodes - lr_max))))
-
-    lr_end = logrho_at(window.x_inf)
-    tail = math.exp(2.0 * (lr_end - lr_max)) / (2.0 * idata.decay_rate)
-    lr_start = logrho_at(window.x_zero)
-    if family.beta == 1.0:
-        head = math.exp(2.0 * (lr_start - lr_max)) * window.x_zero \
-            / (2.0 * math.sqrt(zero.delta_star) + 1.0)
-    else:
-        rate = zero.rate
-        x0 = window.x_zero
-        head_int, _ = quad(
-            lambda x: math.exp(-2.0 * rate * (x ** (1.0 - family.beta)
-                                              - x0 ** (1.0 - family.beta))),
-            0.0, x0)
-        head = math.exp(2.0 * (lr_start - lr_max)) * head_int
-
+    lr_max, mass_window, tail, head = _l2_mass(family, zero, window,
+                                               record.lam, logrho_at)
     total = mass_window + tail + head
     lr_shift = -(lr_max + 0.5 * math.log(total))
 
@@ -531,10 +542,6 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
         check += val
     check += (tail + head) * math.exp(2.0 * lr_max + 2.0 * lr_shift)
 
-    info = _MatchInfo(lam=record.lam, nu_hat=idata.theta_inf + th_f - th_b,
-                      nu_star_hat=math.pi + th_f - th_b, theta_fwd_mid=th_f,
-                      theta_bwd_mid=th_b, inf=idata, fwd=fwd, bwd=bwd,
-                      x_mid=x_mid)
     decay = _decay_fit(family, zero, info, window)
     return Eigenfunction(record=record, x=xs, u=us, v=vs,
                          norm_window=mass_window * math.exp(2.0 * lr_max + 2.0 * lr_shift),

@@ -17,7 +17,7 @@ direction (its origin and infinity boundary angles coincide at 1.8325957), so
 its rotation number is exactly 0, and in the first-quadrant channel the
 lowest state (0.9659258) has rotation 0.45834; the quoted 0.5 presumes a
 pairing of the 0.8660254 level with the pi/12 origin angle that the angle
-flow does not realize.  See the decisions ledger for the full analysis.
+flow does not realize.
 """
 
 import math
@@ -74,7 +74,7 @@ def test_a2_rotation_and_nodal_structure(records_plus):
                    reason="the n_r = 0 eigenfunction has constant phase "
                           "direction, so its rotation number is exactly 0; "
                           "no channel of this family realizes 0.5 "
-                          "(see the decisions ledger)")
+                          "(see the module docstring)")
 def test_a2_ground_rotation_half(records_plus):
     rot = records_plus[0].rot
     ok = abs(rot - 0.5) < 1e-4

@@ -165,3 +165,18 @@ def test_overflow_abort_reports_position(coulomb_plus, zero_plus,
     with pytest.raises((dg.OverflowAbort, dg.IntegrationError)):
         dg.shoot_nonlinear(coulomb_plus, dg.zero_coupling(), 0.5, 1e-3, 1e80,
                            win, zero=zero_plus)
+
+
+@pytest.mark.parametrize("a", [1e-2, 0.3])
+def test_linear_point_l2_norm_matches_eigenfunction(coulomb_plus, zero_plus,
+                                                    seed_branch, branch_window,
+                                                    a):
+    # with the trivial coupling a solved point is c times the normalized
+    # eigenfunction on the same sample grid, so its L2 norm is |c|
+    pt = dg.solve_point(coulomb_plus, dg.zero_coupling(), seed_branch.lam, a,
+                        window=branch_window, zero=zero_plus)
+    ef = dg.eigenfunction(coulomb_plus, seed_branch, 257, zero=zero_plus)
+    np.testing.assert_array_equal(pt.x, ef.x)
+    i = int(np.argmax(np.hypot(pt.u, pt.v)))
+    c = pt.u[i] / ef.u[i] if abs(ef.u[i]) > abs(ef.v[i]) else pt.v[i] / ef.v[i]
+    assert abs(pt.l2_norm - abs(c)) < 1e-7 * abs(c)

@@ -1,0 +1,55 @@
+"""The benchmark's outside-in hooks still find what they patch.
+
+perfbench/tracing.py traces module attributes and counts coefficient
+evaluations by swapping ``cli.build_dirac_family``; a refactor that renames
+a traced attribute or bypasses one of them would silently break the traced
+benchmark or zero its counts.  These checks import the tracer as it is.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from diracgap import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_traced_attributes_resolve(tracing):
+    for module, attr in tracing.TRACED:
+        name = f"{module.__name__}.{attr}"
+        assert callable(getattr(module, attr, None)), name
+
+
+def test_tracer_installs_and_restores(tracing):
+    before = [getattr(module, attr) for module, attr in tracing.TRACED]
+    with tracing.Tracer().install():
+        pass
+    assert [getattr(module, attr) for module, attr in tracing.TRACED] == before
+
+
+def test_cli_spectrum_is_counted_and_traced(tracing, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\nkind = pure-coulomb\ngamma = -0.5\nk = 1\n"
+                   "[numerics]\nlambda_min = 0.5\nlambda_max = 0.93\n"
+                   "lambda_points = 4\nx_zero = 1e-3\nx_inf = 60.0\n")
+    counter, tracer = tracing.CoeffCounter(), tracing.Tracer()
+    with tracing.counting_cli(counter), tracer.install():
+        code = cli.main(["spectrum", "--config", str(cfg),
+                         "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert counter.n > 0
+    names = {s.name for s in tracer.spans}
+    assert {"cli.build_dirac_family", "spectrum.scan_spectrum",
+            "spectrum.find_eigenvalue", "spectrum.integrate_prufer"} <= names

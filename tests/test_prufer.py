@@ -140,17 +140,18 @@ def test_amplitude_consistency(coulomb_minus, zero_minus):
         assert abs(tp.logrho(x) - tc.log_norm(x)) < 1e-8
 
 
-def test_cartesian_renormalization_log(coulomb_minus, zero_minus):
-    # a growing run over a long window must renormalize and keep the true
-    # log-amplitude reconstructable
+def test_cartesian_amplitude_exact_across_hundreds_of_decades(coulomb_minus,
+                                                              zero_minus):
+    # a growing run over a long window: the scaled state stays of unit size
+    # while mu carries the true log-amplitude, which matches the polar one
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=800.0, delta=2e-4, eps=1e-3)
     tc = dg.integrate_cartesian(
         coulomb_minus, 0.3, win,
         (math.cos(zero_minus.theta_zero), math.sin(zero_minus.theta_zero)))
-    assert len(tc.renorm_log) >= 1
-    u, v, ls = tc.state(800.0)
-    assert math.hypot(u, v) <= 10.0 ** 151
+    tp = dg.integrate_prufer(coulomb_minus, 0.3, win, zero_minus.theta_zero)
+    assert abs(math.hypot(*tc.state(800.0)[:2]) - 1.0) < 1e-9
     assert tc.log_norm(800.0) > 300.0
+    assert abs(tc.log_norm(800.0) - tp.logrho(800.0)) < 1e-8
 
 
 def test_cartesian_decay_and_growth_rates():
