@@ -28,7 +28,7 @@ from .spectrum import (AccumulationVerdict, AngleMismatchError, Bracket,
                        BracketError, ConvergenceError, DecayFit,
                        EigenvalueRecord, Eigenfunction, MonotonicityError,
                        ScanResult, detect_accumulation, eigenfunction,
-                       find_eigenvalue, nu, nu_star, scan_spectrum)
+                       find_eigenvalue, nu_star, scan_spectrum)
 
 __version__ = "0.1.0"
 

@@ -68,11 +68,19 @@ class ShootResult:
     b: float
     x_mid: float
     mismatch: np.ndarray
-    rotation: Optional[float]
     fwd: object = field(repr=False, default=None)
     bwd: object = field(repr=False, default=None)
     theta_zero: float = math.nan
     theta_inf: float = math.nan
+
+    @property
+    def rotation(self) -> Optional[float]:
+        if self.fwd is None or self.bwd is None:
+            return None
+        # forward piece plus the backward piece's increment from the
+        # midpoint out to x_inf
+        return (self.theta_inf - self.theta_zero + self.fwd.angle(self.x_mid)
+                - self.bwd.angle(self.x_mid)) / math.pi
 
 
 def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
@@ -115,15 +123,8 @@ def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
         zb = endpoint_value(bwd)
     else:
         zb = np.zeros(2)
-
-    rotation = None
-    if fwd is not None and bwd is not None:
-        # angle sweep of the composite solution: forward piece plus the
-        # backward piece's increment from the midpoint out to x_inf
-        rotation = (thi - th0 + fwd.angle(x_mid) - bwd.angle(x_mid)) / math.pi
     return ShootResult(lam=lam, a=a, b=b, x_mid=x_mid, mismatch=zf - zb,
-                       rotation=rotation, fwd=fwd, bwd=bwd,
-                       theta_zero=th0, theta_inf=thi)
+                       fwd=fwd, bwd=bwd, theta_zero=th0, theta_inf=thi)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +175,14 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                 b_guess: Optional[float] = None, *,
                 window: TruncationWindow,
                 zero: Optional[ZeroData] = None,
-                constraint: str = "amplitude",
                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                 max_iter: int = 25) -> BranchPoint:
     """Newton-correct one nonlinear solution near the supplied guess.
 
-    With constraint "amplitude" the unknowns are (lam, b) at fixed left
-    amplitude a_target; with constraint "lambda" they are (a, b) at fixed
-    lam_guess.  The mismatch is driven below 1e-9 * max(1, a); the Jacobian is
-    formed by forward differences.  b may be negative (the backward direction
-    flips sign for odd rotation offsets); its sign is frozen from the guess.
+    The unknowns are (lam, b) at fixed left amplitude a_target.  The mismatch
+    is driven below 1e-9 * max(1, a); the Jacobian is formed by forward
+    differences.  b may be negative (the backward direction flips sign for
+    odd rotation offsets); its sign is frozen from the guess.
     """
     zero = zero or zero_data(family)
     if a_target <= 0.0:
@@ -202,26 +201,15 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         if float(np.max(np.abs(p))) > 700.0:
             raise CorrectorError("corrector step left the representable "
                                  "amplitude range")
-        if constraint == "amplitude":
-            lam, b = p[0], b_sign * math.exp(p[1])
-            a = a_target
-        else:
-            lam = lam_guess
-            a, b = math.exp(p[0]), b_sign * math.exp(p[1])
+        lam, b = p[0], b_sign * math.exp(p[1])
         if not (family.mu_minus + gap_margin < lam < family.mu_plus - gap_margin):
             raise CorrectorError(f"lam = {lam:.6g} left the spectral gap")
-        shot = shoot_nonlinear(family, coupling, lam, a, b, window, zero=zero,
-                               rtol=rtol, atol=atol)
+        shot = shoot_nonlinear(family, coupling, lam, a_target, b, window,
+                               zero=zero, rtol=rtol, atol=atol)
         return shot.mismatch, shot
 
-    if constraint == "amplitude":
-        p = np.array([lam_guess, math.log(abs(b_guess))])
-        steps = np.array([1e-7 * max(1.0, abs(lam_guess)), 1e-7])
-    elif constraint == "lambda":
-        p = np.array([math.log(a_target), math.log(abs(b_guess))])
-        steps = np.array([1e-7, 1e-7])
-    else:
-        raise ValueError("constraint must be 'amplitude' or 'lambda'")
+    p = np.array([lam_guess, math.log(abs(b_guess))])
+    steps = np.array([1e-7 * max(1.0, abs(lam_guess)), 1e-7])
 
     try:
         r, shot = residual(p)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -287,8 +288,9 @@ class CartesianTrajectory:
 
     ``state(x)`` returns (u, v, mu): the solution value is e^mu * (u, v), with
     (u, v) = w of unit size.  ``angle(x)`` is the continuously unwrapped polar
-    angle, anchored at the initial direction; ``log_norm(x)`` the log of the
-    true solution norm.
+    angle, anchored at the initial direction ``theta_anchor``; the unwrap runs
+    on the first ``angle`` call.  ``log_norm(x)`` is the log of the true
+    solution norm.
     """
 
     lam: float
@@ -297,9 +299,8 @@ class CartesianTrajectory:
     x_start: float
     x_end: float
     stats: IntegratorStats
+    theta_anchor: float
     _pieces: list = field(repr=False)
-    _node_x: np.ndarray = field(repr=False)
-    _node_angle: np.ndarray = field(repr=False)
 
     def state(self, x: float) -> tuple:
         y = _state_at(self._pieces, x)
@@ -309,11 +310,16 @@ class CartesianTrajectory:
         u, v, ls = self.state(x)
         return ls + 0.5 * math.log(u * u + v * v)
 
+    @cached_property
+    def _nodes(self) -> tuple:
+        return _unwrap_nodes(self._pieces, self.direction, self.theta_anchor)
+
     def angle(self, x: float) -> float:
-        idx = bisect_right(self._node_x, x if self.direction == "forward" else -x) - 1
-        idx = min(max(idx, 0), len(self._node_x) - 1)
-        xa = self._node_x[idx] if self.direction == "forward" else -self._node_x[idx]
-        base = self._node_angle[idx]
+        node_x, node_angle = self._nodes
+        idx = bisect_right(node_x, x if self.direction == "forward" else -x) - 1
+        idx = min(max(idx, 0), len(node_x) - 1)
+        xa = node_x[idx] if self.direction == "forward" else -node_x[idx]
+        base = node_angle[idx]
         u0, v0, _ = self.state(xa)
         u1, v1, _ = self.state(x)
         d = math.atan2(v1, u1) - math.atan2(v0, u0)
@@ -451,12 +457,11 @@ def integrate_cartesian(
         raise OverflowAbort(
             "amplitude exceeded the representable range; shrink the "
             "window or the shooting scales", x_event)
-    node_x, node_angle = _unwrap_nodes(pieces, direction,
-                                       math.atan2(z0[1], z0[0]))
     return CartesianTrajectory(lam=lam, direction=direction, window=window,
                                x_start=segs[0][1], x_end=segs[-1][2],
-                               stats=stats, _pieces=pieces, _node_x=node_x,
-                               _node_angle=node_angle)
+                               stats=stats,
+                               theta_anchor=math.atan2(z0[1], z0[0]),
+                               _pieces=pieces)
 
 
 def export_trajectory(trajectory: PruferTrajectory, path,

@@ -12,15 +12,17 @@ with nu_star(lam_k) = k*pi.  The rotation number of the eigenfunction is
 (nu(lam_k) - theta_zero)/pi, and the nodal index follows from it by the
 quadrant-dependent floor rule.
 
-Numerically nu is evaluated at the finite cutoff x_inf; the cone margin of the
-truncation window bounds that surrogate's error.  The root solve itself uses a
-two-sided form of the same functional, pi + theta_fwd(x_mid) - theta_bwd(x_mid),
-with the backward trajectory started on the decaying direction at x_inf.  The
-two forms have the same roots, monotonicity and bracket structure, but the
-matched form stays well conditioned near a root: one-sided shooting turns into
-a numerical staircase there (the transition width shrinks like
-exp(-2*rate*x_inf), far below double precision), which would make the residual
-|nu_star - k*pi| unattainable.
+Numerically nu_star is evaluated in its matched form
+
+    nu_star(lam) = pi + theta_fwd(x_mid) - theta_bwd(x_mid),
+
+with the forward trajectory started at theta_zero on x_zero and the backward
+one started on the decaying direction theta_inf at x_inf (theta_inf plus the
+gap angle is pi).  It has the roots and monotonicity of the limit functional
+and stays well conditioned at a root, where shooting from one end only would
+turn into a numerical staircase.  The scan and the root solve evaluate this
+one function, so at equal integrator tolerances the solver accepts every
+bracket the scan emits.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .asymptotics import (InfinityData, TruncationWindow, ZeroData, gap_angle,
+from .asymptotics import (InfinityData, TruncationWindow, ZeroData,
                           infinity_data, select_truncation, zero_data)
 from .model import CoefficientFamily, mirror_family
 from .prufer import DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory, integrate_prufer
@@ -55,28 +57,8 @@ class AngleMismatchError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# The angle functionals
+# The angle functional
 # ---------------------------------------------------------------------------
-
-def nu(family: CoefficientFamily, lam: float, window: TruncationWindow,
-       zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
-       atol: float = DEFAULT_ATOL) -> float:
-    """Unwrapped angle at x_inf of the forward trajectory started at the origin
-    boundary angle.  Truncation error is bounded by the window's cone margin.
-    """
-    zero = zero or zero_data(family)
-    traj = integrate_prufer(family, lam, window, zero.theta_zero, "forward",
-                            rtol=rtol, atol=atol)
-    return traj.theta_end
-
-
-def nu_star(family: CoefficientFamily, lam: float, window: TruncationWindow,
-            zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
-            atol: float = DEFAULT_ATOL) -> float:
-    """nu plus the gap angle; strictly increasing across the gap."""
-    return nu(family, lam, window, zero, rtol=rtol, atol=atol) \
-        + gap_angle(family.mu_minus, family.mu_plus, lam)
-
 
 @dataclass
 class _MatchInfo:
@@ -107,6 +89,14 @@ def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
                       inf=idata, fwd=fwd, bwd=bwd, x_mid=x_mid)
 
 
+def nu_star(family: CoefficientFamily, lam: float, window: TruncationWindow,
+            zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
+            atol: float = DEFAULT_ATOL) -> float:
+    """Matched value of nu_star at lam; strictly increasing across the gap."""
+    zero = zero or zero_data(family)
+    return _matched(family, lam, window, zero, rtol, atol).nu_star_hat
+
+
 # ---------------------------------------------------------------------------
 # Spectrum scan
 # ---------------------------------------------------------------------------
@@ -135,10 +125,13 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
                   angle_tol: float = 1e-8) -> ScanResult:
     """Evaluate nu_star on a grid and bracket every crossing of k*pi.
 
-    The values must be non-decreasing up to integration noise; a decrease
-    beyond 10 * angle_tol raises MonotonicityError (it signals that the window
-    is too small for the requested lam range).  Cells containing more than one
-    crossing are subdivided until each bracket isolates a single level.
+    nu_star is the matched value that find_eigenvalue solves; with the same
+    rtol and atol, a bracket's end values are the ones the root solve checks
+    before it starts.  The values must be non-decreasing up to integration
+    noise; a decrease beyond 10 * angle_tol raises MonotonicityError (it
+    signals that the window is too small for the requested lam range).  Cells
+    containing more than one crossing are subdivided until each bracket
+    isolates a single level.
     """
     lams = np.sort(np.asarray(list(lam_grid), dtype=float))
     if lams.size == 0:
@@ -260,11 +253,12 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket: tuple,
                     max_iter: int = 80) -> EigenvalueRecord:
     """Solve nu_star(lam) = k*pi inside a bracket by bisection with secant steps.
 
-    The bracket must straddle the level (monotonicity makes the root unique).
-    Integrator tolerances are tightened once the lam interval shrinks below
-    1e-9.  Returns the full record: rotation number, quadrant-dependent nodal
-    index, residual, and the least-squares decay exponents of the eigenfunction
-    amplitude at both ends.
+    nu_star is evaluated in the same matched form as in scan_spectrum.  The
+    bracket must straddle the level or end on it (monotonicity makes the root
+    unique).  Integrator tolerances are tightened once the lam interval
+    shrinks below 1e-9.  Returns the full record: rotation number,
+    quadrant-dependent nodal index, residual, and the least-squares decay
+    exponents of the eigenfunction amplitude at both ends.
     """
     zero = zero or zero_data(family)
     a, b = float(bracket[0]), float(bracket[1])
@@ -277,18 +271,27 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket: tuple,
         info = _matched(family, lam, window, zero, cur_rtol, cur_atol)
         return info.nu_star_hat - target, info
 
-    fa, _ = g(a)
-    fb, _ = g(b)
-    if not (fa < 0.0 < fb):
+    fa, info_a = g(a)
+    fb, info_b = g(b)
+    if not (fa <= 0.0 <= fb):
         raise BracketError(
             f"nu_star - {k}*pi has the same sign at both bracket ends "
             f"({fa:.3g}, {fb:.3g})")
 
     x_prev, f_prev = a, fa
     x_cur, f_cur = b, fb
+    # an end can sit on the level to the last bit: at a constant-phase
+    # eigenfunction (the Coulomb ground state) neither half-angle moves, and
+    # the scan brackets a level with a cell whose upper value is exactly k*pi
     best = (math.inf, None, None)
+    if fa == 0.0:
+        best = (0.0, a, info_a)
+    elif fb == 0.0:
+        best = (0.0, b, info_b)
     tightened = False
     for _ in range(max_iter):
+        if best[0] < tol:
+            break
         x_new = None
         if f_cur != f_prev:
             cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
@@ -300,8 +303,6 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket: tuple,
         f_new, info = g(x_new)
         if abs(f_new) < best[0]:
             best = (abs(f_new), x_new, info)
-        if abs(f_new) < tol:
-            break
         if f_new < 0.0:
             a = x_new
         else:

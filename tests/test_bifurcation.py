@@ -86,8 +86,7 @@ def test_solve_point_infeasible_lambda(coulomb_plus, zero_plus, branch_window,
                                        soler_coupling):
     with pytest.raises((dg.CorrectorError, ValueError)):
         dg.solve_point(coulomb_plus, soler_coupling, 1.5, 1e-3,
-                       constraint="lambda", window=branch_window,
-                       zero=zero_plus)
+                       window=branch_window, zero=zero_plus)
 
 
 def test_linear_coupling_point_recovers_eigenvalue(coulomb_plus, zero_plus,

@@ -53,3 +53,7 @@ def test_cli_spectrum_is_counted_and_traced(tracing, tmp_path):
     names = {s.name for s in tracer.spans}
     assert {"cli.build_dirac_family", "spectrum.scan_spectrum",
             "spectrum.find_eigenvalue", "spectrum.integrate_prufer"} <= names
+    # the scan must reach the traced nu_star, or spectrum.scan_evals reads 0
+    scan_span = next(i for i, s in enumerate(tracer.spans)
+                     if s.name == "spectrum.scan_spectrum")
+    assert tracing.count_below(tracer.spans, scan_span, "spectrum.nu_star") >= 4

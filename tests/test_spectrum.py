@@ -1,16 +1,20 @@
-"""Angle functionals, eigenvalue search, accumulation, eigenfunctions."""
+"""The matched angle functional, eigenvalue search, accumulation, eigenfunctions."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diracgap as dg
 from conftest import sommerfeld
 
 
 def test_nu_stationary_synthetic():
+    # at lam = 0 both boundary angles are 3*pi/4, a fixed point of the
+    # constant flow, so the matched value is pi + 3*pi/4 - 3*pi/4
     fam = dg.CoefficientFamily(coeffs=lambda x: (-1.0, 0.0, 1.0),
                                mu_minus=-1.0, mu_plus=1.0, beta=1.0,
                                limit_zero=np.zeros((2, 2)))
@@ -22,21 +26,22 @@ def test_nu_stationary_synthetic():
                      growth_direction=np.array([1.0, 0.0]),
                      theta_zero=3.0 * math.pi / 4.0, quadrant="second",
                      degenerate=False)
-    val = dg.nu(fam, 0.0, win, zd)
-    assert abs(val - 3.0 * math.pi / 4.0) < 1e-6
+    val = dg.nu_star(fam, 0.0, win, zd)
+    assert abs(val - math.pi) < 1e-6
 
 
 def test_nu_non_decreasing_sample(coulomb_minus, zero_minus, fast_window):
-    lo = dg.nu(coulomb_minus, 0.6, fast_window, zero_minus)
-    hi = dg.nu(coulomb_minus, 0.7, fast_window, zero_minus)
+    lo = dg.nu_star(coulomb_minus, 0.6, fast_window, zero_minus)
+    hi = dg.nu_star(coulomb_minus, 0.7, fast_window, zero_minus)
     assert lo <= hi + 1e-9
 
 
-def test_nu_star_shift_arithmetic(coulomb_minus, zero_minus, fast_window):
-    for lam, shift in ((0.0, math.pi / 4.0), (math.sqrt(3.0) / 2.0, 1.3089969)):
-        a = dg.nu(coulomb_minus, lam, fast_window, zero_minus)
-        b = dg.nu_star(coulomb_minus, lam, fast_window, zero_minus)
-        assert math.isclose(b - a, shift, abs_tol=5e-8)
+def test_nu_star_shift_arithmetic(coulomb_plus, zero_plus, fast_window):
+    # nu_star crosses k*pi at the k-th closed-form level
+    ground = dg.nu_star(coulomb_plus, sommerfeld(0), fast_window, zero_plus)
+    first = dg.nu_star(coulomb_plus, sommerfeld(1), fast_window, zero_plus)
+    assert abs(ground - math.pi) < 1e-8
+    assert abs(first - 2.0 * math.pi) < 1e-7
 
 
 # -- scanning ------------------------------------------------------------------
@@ -57,6 +62,28 @@ def test_scan_free_family_no_brackets(free_family):
     out = dg.scan_spectrum(free_family, np.linspace(-0.6, 0.9, 9), win, zd)
     assert out.brackets == ()
     assert np.all(np.diff(out.values) >= -1e-7)
+
+
+@settings(max_examples=12, deadline=None)
+@given(gamma=st.floats(-0.7, -0.3), n_r=st.sampled_from([0, 1]),
+       j=st.sampled_from([-1, 0, 1]))
+@example(gamma=-0.5, n_r=0, j=1)
+@example(gamma=-0.53125, n_r=0, j=-1)
+def test_scan_point_on_or_beside_level_is_solved(gamma, n_r, j, fast_window):
+    # a grid point on a level, or one ulp to either side, must neither drop
+    # that level nor emit a bracket the root solver refuses
+    fam = dg.build_dirac_family(
+        dg.DiracRadialParams(k=1, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    level = sommerfeld(n_r, gamma)
+    point = math.nextafter(level, level + j) if j else level
+    out = dg.scan_spectrum(fam, [0.5, point, 0.99], fast_window, zd)
+    inside = [n + 1 for n in range(64) if 0.5 < sommerfeld(n, gamma) < 0.99]
+    assert [b.k for b in out.brackets] == inside
+    br = next(b for b in out.brackets if b.k == n_r + 1)
+    rec = dg.find_eigenvalue(fam, br.k, (br.lam_lo, br.lam_hi), 1e-9,
+                             window=fast_window, zero=zd)
+    assert abs(rec.lam - level) / level < 1e-8
 
 
 def test_scan_first_quadrant_channel_brackets(coulomb_minus, zero_minus):
