@@ -168,11 +168,14 @@ class IntegratorStats:
 
 
 def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
-                  atol: float, events: Optional[list] = None) -> tuple:
-    """Integrate over ordered chart segments; returns (pieces, stats, x_event).
+                  atol: float, events: Optional[list] = None,
+                  dense: bool = True) -> tuple:
+    """Integrate over ordered chart segments.
 
-    x_event is the x at which a terminal event stopped the run, or None when
-    the whole span was covered.
+    Returns (pieces, stats, x_event, y_end): x_event is the x at which a
+    terminal event stopped the run, or None when the whole span was covered,
+    and y_end the solver's final state.  Without ``dense`` the pieces carry no
+    interpolant (scipy's step sequence is the same either way).
     """
     pieces = []
     y = np.array(y0, dtype=float)
@@ -188,19 +191,19 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
 
         res = solve_ivp(rhs, (chart.to_s(x_from), chart.to_s(x_to)), y,
                         method="DOP853", rtol=rtol, atol=atol,
-                        dense_output=True, events=events)
+                        dense_output=dense, events=events)
         if res.status == -1:
             raise IntegrationError(res.message, chart.to_x(res.t[-1]))
         nfev += res.nfev
         steps += len(res.t) - 1
+        y = res.y[:, -1]
         if res.status == 1:
             x_event = chart.to_x(res.t[-1])
             break
         pieces.append(_Piece(chart=chart, sol=res.sol,
                              x_lo=min(x_from, x_to), x_hi=max(x_from, x_to)))
-        y = res.y[:, -1]
     stats = IntegratorStats(steps=steps, nfev=nfev, rtol=rtol, atol=atol)
-    return pieces, stats, x_event
+    return pieces, stats, x_event, y
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +212,13 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
 
 @dataclass
 class PruferTrajectory:
-    """Dense, continuously unwrapped angle trajectory over (part of) a window.
+    """Continuously unwrapped angle trajectory over (part of) a window.
 
-    ``theta`` and ``logrho`` are queryable at arbitrary x in the integrated
-    span; ``x_end``/``theta_end``/``logrho_end`` give the terminal values.
-    Immutable after construction (fields are never reassigned), so instances
-    can be shared across threads.
+    ``x_end``/``theta_end``/``logrho_end`` give the solver's final state.  A
+    dense trajectory also answers ``theta`` and ``logrho`` at arbitrary x in
+    the integrated span; an endpoint-only one (``dense=False``) raises
+    ValueError there.  Immutable after construction (fields are never
+    reassigned), so instances can be shared across threads.
     """
 
     lam: float
@@ -223,9 +227,14 @@ class PruferTrajectory:
     x_start: float
     x_end: float
     stats: IntegratorStats
+    dense: bool
+    _y_end: tuple = field(repr=False)
     _pieces: list = field(repr=False)
 
     def _eval(self, x: float) -> tuple:
+        if not self.dense:
+            raise ValueError("trajectory was integrated without dense output; "
+                             "only theta_end and logrho_end are available")
         y = _state_at(self._pieces, x)
         return float(y[0]), float(y[1])
 
@@ -237,11 +246,11 @@ class PruferTrajectory:
 
     @property
     def theta_end(self) -> float:
-        return self._eval(self.x_end)[0]
+        return self._y_end[0]
 
     @property
     def logrho_end(self) -> float:
-        return self._eval(self.x_end)[1]
+        return self._y_end[1]
 
 
 def integrate_prufer(
@@ -255,12 +264,15 @@ def integrate_prufer(
     atol: float = DEFAULT_ATOL,
     logrho_init: float = 0.0,
     x_stop: Optional[float] = None,
+    dense: bool = True,
 ) -> PruferTrajectory:
     """Integrate (theta, logrho) across the window with adaptive embedded RK.
 
     ``direction`` chooses the starting end; ``x_stop`` truncates the run at an
-    interior point (used by the midpoint-matching solver).  The returned
-    trajectory supports dense queries anywhere in the integrated span.
+    interior point (used by the midpoint-matching solver).  With ``dense`` the
+    returned trajectory supports queries anywhere in the integrated span;
+    without it only the end values are kept, which saves the interpolation
+    stages of every step.
     """
     if not math.isfinite(theta_init):
         raise ValueError("theta_init must be finite")
@@ -271,10 +283,11 @@ def integrate_prufer(
         return polar_rates(p11, p12, p22, lam, y[0])
 
     segs = _segments(window, family.beta, direction, x_stop)
-    pieces, stats, _ = _run_segments(rhs_in_x, (theta_init, logrho_init),
-                                     segs, rtol, atol)
+    pieces, stats, _, y_end = _run_segments(
+        rhs_in_x, (theta_init, logrho_init), segs, rtol, atol, dense=dense)
     return PruferTrajectory(lam=lam, direction=direction, window=window,
                             x_start=segs[0][1], x_end=segs[-1][2], stats=stats,
+                            dense=dense, _y_end=tuple(map(float, y_end)),
                             _pieces=pieces)
 
 
@@ -451,8 +464,8 @@ def integrate_cartesian(
     segs = _segments(window, family.beta, direction, x_stop)
     n0 = math.hypot(z0[0], z0[1])
     y0 = (z0[0] / n0, z0[1] / n0, log_scale_init + math.log(n0))
-    pieces, stats, x_event = _run_segments(rhs_in_x, y0, segs, rtol, atol,
-                                           events)
+    pieces, stats, x_event, _ = _run_segments(rhs_in_x, y0, segs, rtol,
+                                              atol, events)
     if x_event is not None:
         raise OverflowAbort(
             "amplitude exceeded the representable range; shrink the "

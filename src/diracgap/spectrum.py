@@ -23,6 +23,19 @@ and stays well conditioned at a root, where shooting from one end only would
 turn into a numerical staircase.  The scan and the root solve evaluate this
 one function, so at equal integrator tolerances the solver accepts every
 bracket the scan emits.
+
+The lam-derivative of the matched value needs no further integration.  With
+psi = d theta / d lam the angle equation gives psi' = 1 - 2 (log rho)' psi,
+that is (rho^2 psi)' = rho^2.  The forward half starts at psi = 0 (theta_zero
+does not depend on lam), the backward half at psi = d theta_inf / d lam =
+-1 / (2 kappa), kappa the decay rate at infinity.  With rho the amplitude of
+the two halves spliced to agree at x_mid and the integral taken over the
+window,
+
+    d nu_star / d lam = (int rho^2 dx + rho(x_inf)^2 / (2 kappa)) / rho(x_mid)^2,
+
+the window mass and tail term of the L2 normalization.  find_eigenvalue uses
+it for Newton steps.
 """
 
 from __future__ import annotations
@@ -73,13 +86,13 @@ class _MatchInfo:
     x_mid: float
 
 
-def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
+def _matched(family, lam, window, zero, rtol, atol, dense=True) -> _MatchInfo:
     x_mid = window.x_mid
     idata = infinity_data(family.mu_minus, family.mu_plus, lam)
     fwd = integrate_prufer(family, lam, window, zero.theta_zero, "forward",
-                           rtol=rtol, atol=atol, x_stop=x_mid)
+                           rtol=rtol, atol=atol, x_stop=x_mid, dense=dense)
     bwd = integrate_prufer(family, lam, window, idata.theta_inf, "backward",
-                           rtol=rtol, atol=atol, x_stop=x_mid)
+                           rtol=rtol, atol=atol, x_stop=x_mid, dense=dense)
     th_f = fwd.theta_end
     th_b = bwd.theta_end
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
@@ -94,7 +107,28 @@ def nu_star(family: CoefficientFamily, lam: float, window: TruncationWindow,
             atol: float = DEFAULT_ATOL) -> float:
     """Matched value of nu_star at lam; strictly increasing across the gap."""
     zero = zero or zero_data(family)
-    return _matched(family, lam, window, zero, rtol, atol).nu_star_hat
+    return _matched(family, lam, window, zero, rtol, atol,
+                    dense=False).nu_star_hat
+
+
+def _spliced_logrho(info: _MatchInfo):
+    """log rho of the two halves, the backward one shifted to meet at x_mid."""
+    fwd, bwd, x_mid = info.fwd, info.bwd, info.x_mid
+    offset = fwd.logrho_end - bwd.logrho_end
+
+    def logrho_at(x):
+        if x <= x_mid:
+            return fwd.logrho(x)
+        return bwd.logrho(x) + offset
+
+    return logrho_at
+
+
+def _nu_star_slope(family, zero, window, info: _MatchInfo) -> float:
+    """d nu_star / d lam at info.lam from the spliced amplitude (see above)."""
+    peak, inside, tail, _ = _l2_mass(family, zero, window, info.lam,
+                                     _spliced_logrho(info))
+    return math.exp(2.0 * (peak - info.fwd.logrho_end)) * (inside + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +165,9 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
     noise; a decrease beyond 10 * angle_tol raises MonotonicityError (it
     signals that the window is too small for the requested lam range).  Cells
     containing more than one crossing are subdivided until each bracket
-    isolates a single level.
+    isolates a single level.  The grid is closed at both ends: a level whose
+    value at a grid end is k*pi to within 1024 ulp is bracketed by the end
+    cell, on whichever side rounding put it.
     """
     lams = np.sort(np.asarray(list(lam_grid), dtype=float))
     if lams.size == 0:
@@ -156,13 +192,23 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
 
     brackets = []
 
-    def crossings(vlo, vhi):
+    def on_level(v):
+        # integration rounding alone moves the value at a constant-phase level
+        # (the Coulomb ground state) by up to about 200 ulp of pi
+        k_pi = round(v / math.pi) * math.pi
+        return abs(v - k_pi) <= 1024.0 * math.ulp(k_pi)
+
+    def crossings(vlo, vhi, closed_lo, closed_hi):
         lo_k = math.floor(vlo / math.pi) + 1
         hi_k = math.floor(vhi / math.pi)
+        if closed_lo and on_level(vlo):
+            lo_k = min(lo_k, round(vlo / math.pi))
+        if closed_hi and on_level(vhi):
+            hi_k = max(hi_k, round(vhi / math.pi))
         return list(range(lo_k, hi_k + 1))
 
-    def emit(llo, lhi, vlo, vhi, depth):
-        ks = crossings(vlo, vhi)
+    def emit(llo, lhi, vlo, vhi, depth, closed_lo, closed_hi):
+        ks = crossings(vlo, vhi, closed_lo, closed_hi)
         if not ks:
             return
         if len(ks) == 1 or depth >= 12:
@@ -172,11 +218,13 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
             return
         lmid = 0.5 * (llo + lhi)
         vmid = val(lmid)
-        emit(llo, lmid, vlo, vmid, depth + 1)
-        emit(lmid, lhi, vmid, vhi, depth + 1)
+        emit(llo, lmid, vlo, vmid, depth + 1, closed_lo, False)
+        emit(lmid, lhi, vmid, vhi, depth + 1, False, closed_hi)
 
+    last = lams.size - 2
     for i in range(lams.size - 1):
-        emit(lams[i], lams[i + 1], values[i], values[i + 1], 0)
+        emit(lams[i], lams[i + 1], values[i], values[i + 1], 0,
+             i == 0, i == last)
 
     return ScanResult(lambdas=lams, values=values, brackets=tuple(brackets),
                       max_decrease=max_dec)
@@ -207,6 +255,8 @@ class EigenvalueRecord:
     quadrant: str
     decay: DecayFit
     flags: tuple = ()
+    # (lam, nu_star(lam) - k*pi, rtol in force), one per matched evaluation
+    history: tuple = ()
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -251,14 +301,20 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket: tuple,
                     zero: Optional[ZeroData] = None,
                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                     max_iter: int = 80) -> EigenvalueRecord:
-    """Solve nu_star(lam) = k*pi inside a bracket by bisection with secant steps.
+    """Solve nu_star(lam) = k*pi inside a bracket by safeguarded Newton.
 
-    nu_star is evaluated in the same matched form as in scan_spectrum.  The
-    bracket must straddle the level or end on it (monotonicity makes the root
-    unique).  Integrator tolerances are tightened once the lam interval
-    shrinks below 1e-9.  Returns the full record: rotation number,
-    quadrant-dependent nodal index, residual, and the least-squares decay
-    exponents of the eigenfunction amplitude at both ends.
+    nu_star is evaluated in the same matched form as in scan_spectrum, and
+    its lam-derivative comes from the same two half runs (module docstring).
+    A bracket end with residual below tol is returned as it is; otherwise the
+    bracket must straddle the level (monotonicity makes the root unique).
+    Newton starts from the end with the smaller residual; a step that is not
+    strictly inside the current bracket, or a slope that is not finite and
+    positive, is replaced by bisection, and every evaluation shrinks the
+    bracket by the sign of its residual.  Integrator tolerances are tightened
+    once the lam interval shrinks below 1e-9.  Returns the full record:
+    rotation number, quadrant-dependent nodal index, residual, the
+    least-squares decay exponents of the eigenfunction amplitude at both
+    ends, and the iteration history.
     """
     zero = zero or zero_data(family)
     a, b = float(bracket[0]), float(bracket[1])
@@ -266,67 +322,56 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket: tuple,
         raise BracketError("bracket must be an increasing interval")
     target = k * math.pi
     cur_rtol, cur_atol = rtol, atol
+    history = []
 
     def g(lam):
         info = _matched(family, lam, window, zero, cur_rtol, cur_atol)
-        return info.nu_star_hat - target, info
+        f = info.nu_star_hat - target
+        history.append((lam, f, cur_rtol))
+        return f, info
 
     fa, info_a = g(a)
     fb, info_b = g(b)
-    if not (fa <= 0.0 <= fb):
+    # an end may sit on the level: at a constant-phase eigenfunction (the
+    # Coulomb ground state) the matched value is k*pi to rounding, and the
+    # scan brackets a level on a grid end with the end cell
+    lam, f, info = (a, fa, info_a) if abs(fa) <= abs(fb) else (b, fb, info_b)
+    if abs(f) >= tol and not (fa <= 0.0 <= fb):
         raise BracketError(
             f"nu_star - {k}*pi has the same sign at both bracket ends "
             f"({fa:.3g}, {fb:.3g})")
 
-    x_prev, f_prev = a, fa
-    x_cur, f_cur = b, fb
-    # an end can sit on the level to the last bit: at a constant-phase
-    # eigenfunction (the Coulomb ground state) neither half-angle moves, and
-    # the scan brackets a level with a cell whose upper value is exactly k*pi
-    best = (math.inf, None, None)
-    if fa == 0.0:
-        best = (0.0, a, info_a)
-    elif fb == 0.0:
-        best = (0.0, b, info_b)
     tightened = False
     for _ in range(max_iter):
-        if best[0] < tol:
+        if abs(f) < tol:
             break
-        x_new = None
-        if f_cur != f_prev:
-            cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-            margin = 0.01 * (b - a)
-            if a + margin < cand < b - margin:
-                x_new = cand
-        if x_new is None:
-            x_new = 0.5 * (a + b)
-        f_new, info = g(x_new)
-        if abs(f_new) < best[0]:
-            best = (abs(f_new), x_new, info)
-        if f_new < 0.0:
-            a = x_new
+        slope = _nu_star_slope(family, zero, window, info)
+        lam_new = 0.5 * (a + b)
+        if math.isfinite(slope) and slope > 0.0 and a < lam - f / slope < b:
+            lam_new = lam - f / slope
+        lam, (f, info) = lam_new, g(lam_new)
+        if f < 0.0:
+            a = lam
         else:
-            b = x_new
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_new, f_new
+            b = lam
         if not tightened and b - a < 1e-9 * max(1.0, abs(b)):
             cur_rtol, cur_atol = rtol * 1e-2, atol * 1e-2
             tightened = True
     else:
-        if best[0] >= tol:
+        if abs(f) >= tol:
             raise ConvergenceError(
-                f"residual {best[0]:.3g} above tolerance {tol:g} "
+                f"residual {abs(f):.3g} above tolerance {tol:g} "
                 f"after {max_iter} iterations")
 
-    residual, lam_hat, info = best
     rot = (info.nu_hat - zero.theta_zero) / math.pi
     nodal, flags = _nodal_index(rot, zero.quadrant)
     if zero.degenerate:
         flags = flags + ("degenerate-origin-angle",)
     decay = _decay_fit(family, zero, info, window)
-    return EigenvalueRecord(k=k, lam=lam_hat, rot=rot, nodal_index=nodal,
-                            residual=residual, window=window,
-                            quadrant=zero.quadrant, decay=decay, flags=flags)
+    return EigenvalueRecord(k=k, lam=lam, rot=rot, nodal_index=nodal,
+                            residual=abs(f), window=window,
+                            quadrant=zero.quadrant, decay=decay, flags=flags,
+                            history=tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +547,12 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
             f"angle mismatch {mism:.3g} at x_mid = {x_mid:.3g}; "
             "lam is not an eigenvalue to tolerance")
     shift_pi = round((th_f - th_b) / math.pi)       # branch alignment
-    lr_offset = fwd.logrho_end - bwd.logrho_end
+    logrho_at = _spliced_logrho(info)
 
     def theta_at(x):
         if x <= x_mid:
             return fwd.theta(x)
         return bwd.theta(x) + shift_pi * math.pi
-
-    def logrho_at(x):
-        if x <= x_mid:
-            return fwd.logrho(x)
-        return bwd.logrho(x) + lr_offset
 
     # normalization, overflow-safe relative to the amplitude peak
     lr_max, mass_window, tail, head = _l2_mass(family, zero, window,

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diracgap as dg
+from diracgap import spectrum
+from diracgap.prufer import DEFAULT_ATOL, DEFAULT_RTOL
 from conftest import sommerfeld
 
 
@@ -86,6 +88,32 @@ def test_scan_point_on_or_beside_level_is_solved(gamma, n_r, j, fast_window):
     assert abs(rec.lam - level) / level < 1e-8
 
 
+@settings(max_examples=12, deadline=None)
+@given(gamma=st.floats(-0.7, -0.3), j=st.sampled_from([-1, 0, 1]),
+       end=st.sampled_from(["lower", "upper"]))
+@example(gamma=-0.5, j=0, end="upper")
+@example(gamma=-0.53125, j=0, end="lower")
+@example(gamma=-0.6549583522840874, j=0, end="upper")
+@example(gamma=-0.69, j=0, end="lower")
+def test_grid_end_on_or_beside_level_is_solved(gamma, j, end, fast_window):
+    # n_r = 0 only: that constant-phase level reads k*pi to rounding (the
+    # last two examples read pi - 22 ulp and pi + 176 ulp), so a grid end on
+    # it, or one ulp beside it, may land on either side of pi
+    fam = dg.build_dirac_family(
+        dg.DiracRadialParams(k=1, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    level = sommerfeld(0, gamma)
+    point = math.nextafter(level, level + j) if j else level
+    grid = [0.5, point] if end == "upper" else [point, 0.99]
+    out = dg.scan_spectrum(fam, grid, fast_window, zd)
+    above = [n + 1 for n in range(1, 64) if sommerfeld(n, gamma) < grid[1]]
+    assert [b.k for b in out.brackets] == [1] + above
+    br = out.brackets[0]
+    rec = dg.find_eigenvalue(fam, br.k, (br.lam_lo, br.lam_hi), 1e-9,
+                             window=fast_window, zero=zd)
+    assert abs(rec.lam - level) / level < 1e-8
+
+
 def test_scan_first_quadrant_channel_brackets(coulomb_minus, zero_minus):
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=2000.0, delta=2e-4, eps=1e-3)
     out = dg.scan_spectrum(coulomb_minus, np.linspace(0.9, 0.993, 20),
@@ -120,6 +148,47 @@ def test_first_quadrant_channel_spectrum(coulomb_minus, zero_minus):
         assert rec.k - 1 < rec.rot < rec.k
         assert rec.nodal_index == rec.k - 1
         assert rec.residual < 1e-9
+
+
+def test_a1_levels_take_at_most_six_matched_evaluations(records_plus):
+    for rec in records_plus:
+        assert 1 <= len(rec.history) <= 6
+        assert (rec.lam, rec.residual) in [(lam, abs(f))
+                                           for lam, f, _ in rec.history]
+
+
+@pytest.mark.parametrize("lam", [0.0, sommerfeld(0) + 1e-4,
+                                 sommerfeld(1) - 1e-4])
+def test_nu_star_slope_matches_central_difference(coulomb_plus, zero_plus,
+                                                  fast_window, lam):
+    info = spectrum._matched(coulomb_plus, lam, fast_window, zero_plus,
+                             DEFAULT_RTOL, DEFAULT_ATOL)
+    slope = spectrum._nu_star_slope(coulomb_plus, zero_plus, fast_window, info)
+    h = 1e-6
+    diff = (dg.nu_star(coulomb_plus, lam + h, fast_window, zero_plus)
+            - dg.nu_star(coulomb_plus, lam - h, fast_window, zero_plus)) / (2 * h)
+    assert abs(slope - diff) / diff < 1e-5
+
+
+# inputs on which the secant/bisection root solve ran into its noise floor
+# and raised ConvergenceError: Dirac k = 2, n_r = 1 (level 2)
+@pytest.mark.parametrize("gamma, bracket, x_inf", [
+    (-0.7121863196942128,
+     (0.9705422679099147 - 9.25e-8, 0.9705422679099147 + 3.24e-7),
+     1226.7908292491109),
+    (-0.683523887725851, (0.9699805561020441, 0.9731349214640846),
+     1224.7851624503678),
+])
+def test_noise_floor_refusals_solve(gamma, bracket, x_inf):
+    fam = dg.build_dirac_family(
+        dg.DiracRadialParams(k=2, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    sel = dg.select_truncation(fam, bracket, zero=zd)
+    win = dg.TruncationWindow(x_zero=sel.x_zero, x_inf=x_inf,
+                              delta=sel.delta, eps=sel.eps)
+    rec = dg.find_eigenvalue(fam, 2, bracket, 1e-9, window=win, zero=zd)
+    assert abs(rec.lam - sommerfeld(1, gamma, k=2)) < 1e-8
+    assert rec.nodal_index == 1
 
 
 def test_second_quadrant_rotation_intervals(records_plus):
