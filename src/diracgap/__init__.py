@@ -12,7 +12,7 @@ from .asymptotics import (InfinityData, NoWindowError, TruncationWindow,
                           zero_data)
 from .bifurcation import (Branch, BranchPoint, CorrectorError, ShootResult,
                           continue_branch, linear_amplitude_ratio,
-                          linearized_index, shoot_nonlinear, solve_point)
+                          shoot_nonlinear, solve_point)
 from .model import (CheckResult, CoefficientFamily, CouplingRejectedError,
                     DiracRadialParams, GridTooCoarseError, HypothesisReport,
                     MissingDerivativeError, NonlinearCoupling, PotentialSpec,
@@ -23,7 +23,7 @@ from .model import (CheckResult, CoefficientFamily, CouplingRejectedError,
                     validate_hypotheses, zero_coupling)
 from .prufer import (CartesianTrajectory, IntegrationError, OverflowAbort,
                      PruferTrajectory, export_trajectory, integrate_cartesian,
-                     integrate_prufer, ode_residual, prufer_rhs)
+                     integrate_prufer, ode_residual)
 from .spectrum import (AccumulationVerdict, AngleMismatchError, Bracket,
                        BracketError, ConvergenceError, DecayFit,
                        EigenvalueRecord, Eigenfunction, MonotonicityError,

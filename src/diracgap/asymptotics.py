@@ -37,10 +37,10 @@ def gap_angle(mu_minus: float, mu_plus: float, lam: float) -> float:
 class InfinityData:
     """Eigen-structure of the frozen system at infinity for one lam in the gap.
 
-    decay_rate is sqrt((mu_plus - lam)(lam - mu_minus)); the decaying and
-    growing directions are eigenvectors of J^{-1}(lam Id - diag(mu-, mu+)) for
-    -decay_rate and +decay_rate.  theta_inf, the polar angle of the decaying
-    direction, lies in (pi/2, pi) and equals pi minus the gap angle.
+    decay_rate is sqrt((mu_plus - lam)(lam - mu_minus)); the decaying
+    direction is the eigenvector of J^{-1}(lam Id - diag(mu-, mu+)) for
+    -decay_rate.  theta_inf, its polar angle, lies in (pi/2, pi) and equals
+    pi minus the gap angle.
     """
 
     lam: float
@@ -48,28 +48,20 @@ class InfinityData:
     mu_plus: float
     decay_rate: float
     decay_direction: np.ndarray
-    growth_direction: np.ndarray
     theta_inf: float
-
-    def frozen_matrix(self) -> np.ndarray:
-        return np.array([[0.0, self.mu_plus - self.lam],
-                         [self.lam - self.mu_minus, 0.0]])
 
 
 def infinity_data(mu_minus: float, mu_plus: float, lam: float) -> InfinityData:
-    """Decay/growth directions and boundary angle at infinity."""
+    """Decaying direction and boundary angle at infinity."""
     if not (mu_minus < lam < mu_plus):
         raise ValueError(f"lam = {lam} outside the open gap ({mu_minus}, {mu_plus})")
     delta = (mu_plus - lam) * (lam - mu_minus)
     rate = math.sqrt(delta)
     b1 = np.array([lam - mu_plus, rate])
-    b2 = np.array([mu_plus - lam, rate])
     b1 /= np.linalg.norm(b1)
-    b2 /= np.linalg.norm(b2)
     theta = math.pi - gap_angle(mu_minus, mu_plus, lam)
     return InfinityData(lam=lam, mu_minus=mu_minus, mu_plus=mu_plus,
-                        decay_rate=rate, decay_direction=b1,
-                        growth_direction=b2, theta_inf=theta)
+                        decay_rate=rate, decay_direction=b1, theta_inf=theta)
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,6 @@ class ZeroData:
     rate: float                 # positive eigenvalue of flow_matrix
     flow_matrix: np.ndarray
     decay_direction: np.ndarray
-    growth_direction: np.ndarray
     theta_zero: float
     quadrant: str               # "first" | "second" | "degenerate"
     degenerate: bool
@@ -119,12 +110,9 @@ def zero_data(family: CoefficientFamily) -> ZeroData:
     rate = math.sqrt(delta_star) if family.beta == 1.0 \
         else math.sqrt(delta_star) / (family.beta - 1.0)
     w1 = _eigvec_tracefree(c, -rate)
-    w2 = _eigvec_tracefree(c, rate)
-    # sign-fix both directions into the closed upper half plane
+    # sign-fix the direction into the closed upper half plane
     if w1[1] < 0.0 or (w1[1] == 0.0 and w1[0] < 0.0):
         w1 = -w1
-    if w2[1] < 0.0 or (w2[1] == 0.0 and w2[0] < 0.0):
-        w2 = -w2
     theta = math.atan2(w1[1], w1[0]) % math.pi
     degenerate = min(abs(theta), abs(theta - math.pi / 2.0),
                      abs(theta - math.pi)) < 1e-9
@@ -133,8 +121,8 @@ def zero_data(family: CoefficientFamily) -> ZeroData:
     else:
         quadrant = "first" if theta < math.pi / 2.0 else "second"
     return ZeroData(beta=family.beta, delta_star=delta_star, rate=rate,
-                    flow_matrix=c, decay_direction=w1, growth_direction=w2,
-                    theta_zero=theta, quadrant=quadrant, degenerate=degenerate)
+                    flow_matrix=c, decay_direction=w1, theta_zero=theta,
+                    quadrant=quadrant, degenerate=degenerate)
 
 
 @dataclass(frozen=True)

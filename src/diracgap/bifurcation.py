@@ -257,24 +257,6 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         f"(final mismatch {float(np.max(np.abs(r))):.3g}, tolerance {tol:.3g})")
 
 
-def linearized_index(family: CoefficientFamily, coupling: NonlinearCoupling,
-                     point: BranchPoint, *, window: TruncationWindow,
-                     zero: Optional[ZeroData] = None,
-                     rtol: float = DEFAULT_RTOL,
-                     atol: float = DEFAULT_ATOL) -> tuple:
-    """(j, i) for a solved point: j is the rotation number of the solution's
-    own unwrapped angle across the window (the solution solves its linearized
-    equation, so no second integration is needed), i the quadrant floor of j.
-    """
-    zero = zero or zero_data(family)
-    if point.a == 0.0 or point.b == 0.0:
-        raise ValueError("solution vanishes on one side; angle sweep undefined")
-    shot = shoot_nonlinear(family, coupling, point.lam, point.a, point.b,
-                           window, zero=zero, rtol=rtol, atol=atol)
-    j = shot.rotation
-    return j, _nodal_index(j, zero.quadrant)[0]
-
-
 # ---------------------------------------------------------------------------
 # Branch continuation
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ Config schema (sections and keys, defaults in brackets):
     [numerics]
     rtol [1e-10]  atol [1e-12]  delta [1e-4 * gap width]  eps [1e-3]
     lambda_min lambda_max lambda_points   scan grid       [-0.9, 0.999, 50]
-    x_zero x_inf                          window overrides (optional)
+    x_zero x_inf                          window overrides (optional; positive,
+                                          x_zero below x_inf)
     tol [1e-9]                            eigenvalue residual tolerance
 
     [output]
@@ -96,11 +97,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_scalar(text: str):
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
     try:
         return int(text)
     except ValueError:
@@ -248,6 +244,13 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
         errors.append("[numerics] scan grid must lie inside the gap (-1, 1)")
     if lam_pts < 2:
         errors.append("[numerics] lambda_points must be at least 2")
+    for key, value in (("x_zero", xz), ("x_inf", xi)):
+        if value is not None and not value > 0.0:
+            errors.append(f"line {sections['numerics'][key][1]}: [numerics] "
+                          f"{key}: window override must be positive")
+    if xz is not None and xi is not None and xz >= xi:
+        errors.append(f"line {sections['numerics']['x_inf'][1]}: [numerics] "
+                      "x_inf: window override must exceed x_zero")
 
     task = {
         "spectrum_k": get("spectrum", "k", None),
@@ -342,16 +345,15 @@ def _window_line(window: TruncationWindow) -> str:
 
 def _make_window(cfg: RunConfig, family, zero) -> TruncationWindow:
     lam_range = (float(cfg.lam_grid[0]), float(cfg.lam_grid[-1]))
-    if cfg.x_zero_override and cfg.x_inf_override:
+    xz, xi = cfg.x_zero_override, cfg.x_inf_override
+    if xz is not None and xi is not None:
         delta = cfg.delta if cfg.delta is not None \
             else 1e-4 * (family.mu_plus - family.mu_minus)
-        return TruncationWindow(x_zero=cfg.x_zero_override,
-                                x_inf=cfg.x_inf_override,
-                                delta=delta, eps=cfg.eps)
+        return TruncationWindow(x_zero=xz, x_inf=xi, delta=delta, eps=cfg.eps)
     win = select_truncation(family, lam_range, cfg.delta, cfg.eps, zero=zero)
-    if cfg.x_zero_override or cfg.x_inf_override:
-        win = TruncationWindow(x_zero=cfg.x_zero_override or win.x_zero,
-                               x_inf=cfg.x_inf_override or win.x_inf,
+    if xz is not None or xi is not None:
+        win = TruncationWindow(x_zero=win.x_zero if xz is None else xz,
+                               x_inf=win.x_inf if xi is None else xi,
                                delta=win.delta, eps=win.eps)
     return win
 

@@ -238,10 +238,9 @@ class DiracRadialParams:
 class CoefficientFamily:
     """Symmetric coefficient matrix P(x) together with its endpoint data.
 
-    ``coeffs(x)`` returns the scalar triple (p11, p12, p22); ``matrix(x)``
-    assembles the symmetric 2x2 array with bit-identical off-diagonal entries.
-    ``limit_zero`` is the limit of x**beta * P(x) at the origin, and the limit
-    at infinity is diag(mu_minus, mu_plus).  Evaluators are pure, so a family
+    ``coeffs(x)`` returns the scalar triple (p11, p12, p22), so the matrix is
+    symmetric by construction.  ``limit_zero`` is the limit of x**beta * P(x)
+    at the origin, and the limit at infinity is diag(mu_minus, mu_plus).  Evaluators are pure, so a family
     may be shared read-only across concurrent computations.
     """
 
@@ -263,10 +262,6 @@ class CoefficientFamily:
             raise ValueError("integrability exponents must be >= 1")
         object.__setattr__(self, "limit_zero",
                            np.array(self.limit_zero, dtype=float))
-
-    def matrix(self, x: float) -> np.ndarray:
-        p11, p12, p22 = self.coeffs(x)
-        return np.array([[p11, p12], [p12, p22]])
 
     @property
     def limit_inf(self) -> np.ndarray:
@@ -599,30 +594,21 @@ def _potential_checks(params: DiracRadialParams, left: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class NonlinearCoupling:
-    """Symmetric matrix coupling S(x, z) with envelope bound data.
+    """Symmetric matrix coupling S(x, z).
 
-    ``entries(x, u, v)`` returns (s11, s12, s22).  The envelope satisfies
-    |S_ii(x, z)| <= alpha(x) * eta_diag(z) with eta_diag vanishing at z = 0,
-    alpha bounded and decaying at infinity.
+    ``entries(x, u, v)`` returns the scalar triple (s11, s12, s22) at the true
+    solution value z = (u, v).  The envelope conditions on S (bounded near the
+    origin, decaying at infinity, vanishing at z = 0) are checked where a
+    coupling is built, see build_soler_coupling.
     """
 
     entries: Callable[[float, float, float], tuple]
-    alpha: Callable[[float], float]
-    eta_diag: Callable[[float, float], float]
     angular_constant: float = 4.0 * math.pi
-
-    def matrix(self, x: float, z) -> np.ndarray:
-        s11, s12, s22 = self.entries(x, float(z[0]), float(z[1]))
-        return np.array([[s11, s12], [s12, s22]])
 
 
 def zero_coupling() -> NonlinearCoupling:
     """The trivial coupling S = 0 (turns the solver into the linear problem)."""
-    return NonlinearCoupling(
-        entries=lambda x, u, v: (0.0, 0.0, 0.0),
-        alpha=lambda x: 0.0,
-        eta_diag=lambda u, v: 0.0,
-    )
+    return NonlinearCoupling(entries=lambda x, u, v: (0.0, 0.0, 0.0))
 
 
 def build_soler_coupling(
@@ -668,9 +654,4 @@ def build_soler_coupling(
         s = gamma(x) * f((u * u - v * v) / (c * x * x))
         return (s, 0.0, -s)
 
-    return NonlinearCoupling(
-        entries=entries,
-        alpha=alpha,
-        eta_diag=lambda u, v: abs(u * u - v * v),
-        angular_constant=c,
-    )
+    return NonlinearCoupling(entries=entries, angular_constant=c)

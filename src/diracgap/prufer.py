@@ -6,26 +6,26 @@ J z' + P(x) z = lam z decouples into
     theta'   = (lam - p11) cos^2 - 2 p12 cos sin + (lam - p22) sin^2
     logrho'  = p12 (cos^2 - sin^2) + (p22 - p11) sin cos
 
-The angle is integrated as an ODE, never rebuilt from atan2 branch fixing, so
-the winding count is exact.  Near the origin the coefficients blow up like
-x^-beta; the left part of the window is therefore integrated in a transformed
-variable, log x for beta = 1 and x^(1-beta) for beta > 1, in which the flow is
+One winding rule holds on both integration paths: the angle is integrated as
+an ODE component, never rebuilt from atan2 branch fixing, so the winding
+count is exact.  Near the origin the coefficients blow up like x^-beta; the
+left part of the window is therefore integrated in a transformed variable,
+log x for beta = 1 and x^(1-beta) for beta > 1, in which the flow is
 asymptotically autonomous.  The module picks the chart automatically.
 
 The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z in the exactly
 scaled variables z = e^mu w, with w kept at unit size and mu carrying the log
-of the true amplitude; it serves as an independent cross-check of the polar
-formulation (w is integrated in components, not in angle) and as the engine
-for the nonlinear shooting solver.
+of the true amplitude, and carries the polar angle of w as a fourth
+component; it serves as an independent cross-check of the polar formulation
+(w is integrated in components, and its angle rate is formed from them) and
+as the engine for the nonlinear shooting solver.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -51,61 +51,30 @@ class OverflowAbort(IntegrationError):
     """True amplitude left the representable range in a coupled run."""
 
 
-def prufer_rhs(p: np.ndarray, lam: float, theta: float) -> tuple:
-    """Angle and log-amplitude derivatives for coefficient matrix p at theta."""
-    p = np.asarray(p, dtype=float)
-    return polar_rates(p[0, 0], p[0, 1], p[1, 1], lam, theta)
-
-
 # ---------------------------------------------------------------------------
 # Charts, window segmentation and the integration loop
 # ---------------------------------------------------------------------------
 
-class _Chart:
+class _Chart(NamedTuple):
     """Monotone reparametrization x = x(s) of part of the window."""
 
-    kind = "identity"
-
-    def to_s(self, x: float) -> float:
-        return x
-
-    def to_x(self, s: float) -> float:
-        return s
-
-    def dx_ds(self, s: float) -> float:
-        return 1.0
+    to_s: Callable[[float], float]
+    to_x: Callable[[float], float]
+    dx_ds: Callable[[float], float]
 
 
-class _LogChart(_Chart):
-    kind = "log"
-
-    def to_s(self, x):
-        return math.log(x)
-
-    def to_x(self, s):
-        return math.exp(s)
-
-    def dx_ds(self, s):
-        return math.exp(s)
+_IDENTITY = _Chart(lambda x: x, lambda s: s, lambda s: 1.0)
+_LOG = _Chart(math.log, math.exp, math.exp)
 
 
-class _PowerChart(_Chart):
+def _power_chart(beta: float) -> _Chart:
     """s = x^(1-beta) for beta > 1; s is decreasing in x."""
 
-    kind = "power"
+    def to_x(s):
+        return s ** (1.0 / (1.0 - beta))
 
-    def __init__(self, beta: float):
-        self.beta = beta
-
-    def to_s(self, x):
-        return x ** (1.0 - self.beta)
-
-    def to_x(self, s):
-        return s ** (1.0 / (1.0 - self.beta))
-
-    def dx_ds(self, s):
-        x = self.to_x(s)
-        return x ** self.beta / (1.0 - self.beta)
+    return _Chart(lambda x: x ** (1.0 - beta), to_x,
+                  lambda s: to_x(s) ** beta / (1.0 - beta))
 
 
 def _segments(window: TruncationWindow, beta: float, direction: str,
@@ -120,17 +89,15 @@ def _segments(window: TruncationWindow, beta: float, direction: str,
     if not (window.x_zero <= min(a, b) and max(a, b) <= window.x_inf) or a == b:
         raise ValueError("integration span must be a nontrivial part of the window")
 
-    left_chart = _LogChart() if beta == 1.0 else _PowerChart(beta)
+    left_chart = _LOG if beta == 1.0 else _power_chart(beta)
     lo, hi = min(a, b), max(a, b)
     pieces = []
     if lo < 1.0:
         pieces.append((left_chart, lo, min(hi, 1.0)))
     if hi > 1.0:
-        pieces.append((_Chart(), max(lo, 1.0), hi))
+        pieces.append((_IDENTITY, max(lo, 1.0), hi))
     if direction == "backward":
         pieces = [(c, x1, x0) for (c, x0, x1) in reversed(pieces)]
-    else:
-        pieces = [(c, x0, x1) for (c, x0, x1) in pieces]
     return pieces
 
 
@@ -297,13 +264,14 @@ def integrate_prufer(
 
 @dataclass
 class CartesianTrajectory:
-    """Cartesian trajectory z = e^mu w with an unwrapped angle.
+    """Cartesian trajectory z = e^mu w with its integrated polar angle.
 
     ``state(x)`` returns (u, v, mu): the solution value is e^mu * (u, v), with
-    (u, v) = w of unit size.  ``angle(x)`` is the continuously unwrapped polar
-    angle, anchored at the initial direction ``theta_anchor``; the unwrap runs
-    on the first ``angle`` call.  ``log_norm(x)`` is the log of the true
-    solution norm.
+    (u, v) = w of unit size.  ``angle(x)`` is the polar angle of w, integrated
+    as the fourth state component from the initial direction, so its winding
+    is exact.  ``log_norm(x)`` is the log of the true solution norm.
+    Immutable after construction (fields are never reassigned), so instances
+    can be shared across threads.
     """
 
     lam: float
@@ -312,7 +280,6 @@ class CartesianTrajectory:
     x_start: float
     x_end: float
     stats: IntegratorStats
-    theta_anchor: float
     _pieces: list = field(repr=False)
 
     def state(self, x: float) -> tuple:
@@ -323,81 +290,8 @@ class CartesianTrajectory:
         u, v, ls = self.state(x)
         return ls + 0.5 * math.log(u * u + v * v)
 
-    @cached_property
-    def _nodes(self) -> tuple:
-        return _unwrap_nodes(self._pieces, self.direction, self.theta_anchor)
-
     def angle(self, x: float) -> float:
-        node_x, node_angle = self._nodes
-        idx = bisect_right(node_x, x if self.direction == "forward" else -x) - 1
-        idx = min(max(idx, 0), len(node_x) - 1)
-        xa = node_x[idx] if self.direction == "forward" else -node_x[idx]
-        base = node_angle[idx]
-        u0, v0, _ = self.state(xa)
-        u1, v1, _ = self.state(x)
-        d = math.atan2(v1, u1) - math.atan2(v0, u0)
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        return base + d
-
-
-def _unwrap_nodes(pieces: list, direction: str, theta_anchor: float) -> tuple:
-    """Unwrapped angle at solver nodes, refined so no jump exceeds pi/2."""
-    xs = []
-    angs = []
-
-    def raw_angle(c, s):
-        y = c.sol(s)
-        return math.atan2(y[1], y[0])
-
-    prev_raw = None
-    total = theta_anchor
-    for c in pieces:
-        s_nodes = [float(s) for s in c.sol.ts]      # in integration order
-        k = 0
-        refined = 0
-        while k < len(s_nodes):
-            s = s_nodes[k]
-            a = raw_angle(c, s)
-            if prev_raw is None:
-                total = theta_anchor
-            else:
-                d = a - prev_raw
-                d = (d + math.pi) % (2.0 * math.pi) - math.pi
-                # Refine intervals where the sampled angle jumps by more than
-                # pi/2 so the winding count stays exact.  Refinement is capped:
-                # once the amplitude decays to the integrator's absolute noise
-                # floor the direction flips through the origin in a single
-                # roundoff step and no subdivision can resolve it; the wrapped
-                # increment is accepted there (the angle is pure noise anyway).
-                if abs(d) > 0.5 * math.pi and k > 0 and refined < 4096:
-                    depth = 0
-                    lo_s, hi_s = s_nodes[k - 1], s
-                    inserted = []
-                    resolved = False
-                    while depth < 24:
-                        mids = 0.5 * (lo_s + hi_s)
-                        am = raw_angle(c, mids)
-                        dm = (am - prev_raw + math.pi) % (2.0 * math.pi) - math.pi
-                        if abs(dm) <= 0.5 * math.pi:
-                            inserted.insert(0, mids)
-                            resolved = True
-                            break
-                        hi_s = mids
-                        depth += 1
-                    if resolved:
-                        refined += len(inserted)
-                        s_nodes[k:k] = inserted
-                        continue
-                total += d
-            prev_raw = a
-            xs.append(c.chart.to_x(s))
-            angs.append(total)
-            k += 1
-    xs = np.array(xs)
-    angs = np.array(angs)
-    key = xs if direction == "forward" else -xs
-    order = np.argsort(key, kind="stable")
-    return key[order], angs[order]
+        return float(_state_at(self._pieces, x)[3])
 
 
 def integrate_cartesian(
@@ -419,8 +313,10 @@ def integrate_cartesian(
 
     an exact reformulation that keeps w of unit size over arbitrarily many
     amplitude decades while mu carries the true amplitude; the run starts at
-    e^log_scale_init * z_init.  S is zero without a ``coupling``; with one it
-    is evaluated at the true z, and the run aborts with OverflowAbort when the
+    e^log_scale_init * z_init.  The polar angle of w is integrated alongside,
+    theta' = (u (Aw)_2 - v (Aw)_1) / <w, w> (the rho terms cancel), from the
+    angle of z_init.  S is zero without a ``coupling``; with one it is
+    evaluated at the true z, and the run aborts with OverflowAbort when the
     true amplitude leaves the representable range.  A run that exhausts the
     evaluation budget (a near-blowup trajectory) raises IntegrationError.
     """
@@ -451,7 +347,8 @@ def integrate_cartesian(
         a2 = m11 * y[0] + m12 * y[1]
         n2 = y[0] * y[0] + y[1] * y[1]
         rho = (y[0] * a1 + y[1] * a2) / n2
-        return (a1 - rho * y[0], a2 - rho * y[1], rho)
+        return (a1 - rho * y[0], a2 - rho * y[1], rho,
+                (y[0] * a2 - y[1] * a1) / n2)
 
     events = None
     if coupling is not None:
@@ -463,7 +360,8 @@ def integrate_cartesian(
 
     segs = _segments(window, family.beta, direction, x_stop)
     n0 = math.hypot(z0[0], z0[1])
-    y0 = (z0[0] / n0, z0[1] / n0, log_scale_init + math.log(n0))
+    y0 = (z0[0] / n0, z0[1] / n0, log_scale_init + math.log(n0),
+          math.atan2(z0[1], z0[0]))
     pieces, stats, x_event, _ = _run_segments(rhs_in_x, y0, segs, rtol,
                                               atol, events)
     if x_event is not None:
@@ -472,9 +370,7 @@ def integrate_cartesian(
             "window or the shooting scales", x_event)
     return CartesianTrajectory(lam=lam, direction=direction, window=window,
                                x_start=segs[0][1], x_end=segs[-1][2],
-                               stats=stats,
-                               theta_anchor=math.atan2(z0[1], z0[0]),
-                               _pieces=pieces)
+                               stats=stats, _pieces=pieces)
 
 
 def export_trajectory(trajectory: PruferTrajectory, path,

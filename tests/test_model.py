@@ -14,14 +14,13 @@ def test_dirac_matrix_at_unit_radius():
     # direct substitution oracle: V(1) = -0.5, off-diagonal -k/1
     fam = dg.build_dirac_family(
         dg.DiracRadialParams(k=-1, mu_a=0.0, potential=dg.coulomb_potential(-0.5)))
-    np.testing.assert_allclose(fam.matrix(1.0),
-                               [[-1.5, 1.0], [1.0, 0.5]], rtol=0, atol=0)
+    assert fam.coeffs(1.0) == (-1.5, 1.0, 0.5)
 
 
 def test_matrix_tends_to_gap_diagonal():
     fam = dg.build_dirac_family(
         dg.DiracRadialParams(k=3, mu_a=0.0, potential=dg.coulomb_potential(-0.4)))
-    np.testing.assert_allclose(fam.matrix(1e9), np.diag([-1.0, 1.0]), atol=1e-8)
+    np.testing.assert_allclose(fam.coeffs(1e9), (-1.0, 0.0, 1.0), atol=1e-8)
     np.testing.assert_allclose(fam.limit_inf, np.diag([-1.0, 1.0]))
 
 
@@ -34,11 +33,12 @@ def test_anomalous_moment_origin_limit():
 
 
 def test_symmetry_bit_identical():
+    # the assembled remainder matrices the hypothesis checks measure
     fam = dg.build_dirac_family(
         dg.DiracRadialParams(k=2, mu_a=0.5, potential=dg.coulomb_potential(-0.3)))
     for x in np.geomspace(1e-6, 1e6, 25):
-        m = fam.matrix(x)
-        assert m[0, 1] == m[1, 0]
+        for m in (fam.remainder_zero(x), fam.remainder_inf(x)):
+            assert m[0, 1] == m[1, 0]
 
 
 def test_remainder_zero_offdiagonal_vanishes_without_moment():
@@ -181,17 +181,17 @@ def test_tabulated_rejects_unsorted():
 def test_soler_coupling_accepted():
     coup = dg.build_soler_coupling(lambda r: r * r / (1.0 + r ** 5),
                                    lambda s: s, 1.0)
-    # alpha(r) = 1/(4 pi (1 + r^5)): bounded, decaying
-    assert math.isclose(coup.alpha(1e-6), 1.0 / (4.0 * math.pi), rel_tol=1e-4)
-    assert coup.alpha(100.0) < 1e-9
+    # S_11(r, (1, 0)) = 1/(4 pi (1 + r^5)): bounded, decaying
+    assert math.isclose(coup.entries(1e-6, 1.0, 0.0)[0], 1.0 / (4.0 * math.pi),
+                        rel_tol=1e-4)
+    assert coup.entries(100.0, 1.0, 0.0)[0] < 1e-9
 
 
 def test_soler_zero_input_gives_zero_matrix():
     coup = dg.build_soler_coupling(lambda r: r * r / (1.0 + r ** 5),
                                    lambda s: s, 1.0)
     for r in (1e-3, 1.0, 50.0):
-        np.testing.assert_array_equal(coup.matrix(r, (0.0, 0.0)),
-                                      np.zeros((2, 2)))
+        assert coup.entries(r, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_soler_envelope_unbounded_rejected():
@@ -205,21 +205,25 @@ def test_soler_diagonal_antisymmetry():
     rng = np.random.default_rng(7)
     for _ in range(20):
         r = float(rng.uniform(0.01, 20.0))
-        z = rng.normal(size=2)
-        s = coup.matrix(r, z)
-        assert s[0, 0] == -s[1, 1]
-        assert s[0, 1] == 0.0 == s[1, 0]
+        u, v = rng.normal(size=2)
+        s11, s12, s22 = coup.entries(r, u, v)
+        assert s11 == -s22
+        assert s12 == 0.0
 
 
 def test_soler_envelope_dominates_entries():
-    coup = dg.build_soler_coupling(lambda r: r * r / (1.0 + r ** 5),
-                                   lambda s: s, 1.0)
+    def gamma(r):
+        return r * r / (1.0 + r ** 5)
+
+    coup = dg.build_soler_coupling(gamma, lambda s: s, 1.0)
     rng = np.random.default_rng(11)
     for _ in range(50):
         r = float(rng.uniform(1e-3, 1e3))
         u, v = rng.normal(size=2) * 3.0
         s11, s12, s22 = coup.entries(r, u, v)
-        bound = coup.alpha(r) * coup.eta_diag(u, v)
+        # envelope alpha(r) = C |gamma(r)| / (c r^2) times eta(z) = |u^2 - v^2|
+        alpha = abs(gamma(r)) / (4.0 * math.pi * r * r)
+        bound = alpha * abs(u * u - v * v)
         assert abs(s11) <= bound * (1.0 + 1e-12)
         assert abs(s22) <= bound * (1.0 + 1e-12)
 

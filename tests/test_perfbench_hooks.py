@@ -57,3 +57,22 @@ def test_cli_spectrum_is_counted_and_traced(tracing, tmp_path):
     scan_span = next(i for i, s in enumerate(tracer.spans)
                      if s.name == "spectrum.scan_spectrum")
     assert tracing.count_below(tracer.spans, scan_span, "spectrum.nu_star") >= 4
+
+
+def test_cli_branch_shots_are_traced(tracing, tmp_path):
+    # the shot spans read their integrator work off the Cartesian
+    # trajectories, or prufer.cartesian_nfev reads 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\nkind = pure-coulomb\ngamma = -0.5\nk = 1\n"
+                   "[numerics]\nlambda_min = 0.5\nlambda_max = 0.93\n"
+                   "lambda_points = 4\nx_zero = 1e-3\nx_inf = 60.0\n"
+                   "[branch]\nseed_k = 1\nds = 0.001\nmax_steps = 2\n"
+                   "[coupling]\nkind = soler\n")
+    tracer = tracing.Tracer()
+    with tracer.install():
+        code = cli.main(["branch", "--config", str(cfg),
+                         "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    shots = [s for s in tracer.spans if s.name == "bifurcation.shoot_nonlinear"
+             and s.error is None]
+    assert shots and all(s.nfev > 0 for s in shots)

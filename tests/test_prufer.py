@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracgap as dg
+from diracgap.model import polar_rates
 
 
 def constant_family():
@@ -19,23 +20,20 @@ def constant_family():
 # -- right-hand side -----------------------------------------------------------
 
 def test_rhs_at_zero_angle():
-    p = np.array([[0.3, -0.7], [-0.7, 1.1]])
-    dth, dlr = dg.prufer_rhs(p, 0.25, 0.0)
+    dth, dlr = polar_rates(0.3, -0.7, 1.1, 0.25, 0.0)
     assert math.isclose(dth, 0.25 - 0.3)
     assert math.isclose(dlr, -0.7)
 
 
 def test_rhs_at_right_angle():
-    p = np.array([[0.3, -0.7], [-0.7, 1.1]])
-    dth, dlr = dg.prufer_rhs(p, 0.25, math.pi / 2.0)
+    dth, dlr = polar_rates(0.3, -0.7, 1.1, 0.25, math.pi / 2.0)
     assert math.isclose(dth, 0.25 - 1.1, abs_tol=1e-15)
     assert math.isclose(dlr, 0.7, abs_tol=1e-15)
 
 
 def test_rhs_can_be_negative():
     # the angle is not monotone for these systems: Coulomb matrix at x = 1
-    p = np.array([[-1.5, 1.0], [1.0, 0.5]])
-    dth, _ = dg.prufer_rhs(p, 0.0, math.pi / 4.0)
+    dth, _ = polar_rates(-1.5, 1.0, 0.5, 0.0, math.pi / 4.0)
     assert math.isclose(dth, -0.5)
 
 
@@ -45,7 +43,7 @@ def test_rhs_can_be_negative():
 def test_rhs_matches_cartesian_quadratic_forms(p11, p12, p22, lam, theta):
     # reconstruct from the raw system: theta' = (u v' - v u')/rho^2 and
     # (log rho)' = (u u' + v v')/rho^2 on the unit circle
-    dth, dlr = dg.prufer_rhs(np.array([[p11, p12], [p12, p22]]), lam, theta)
+    dth, dlr = polar_rates(p11, p12, p22, lam, theta)
     u, v = math.cos(theta), math.sin(theta)
     du = p12 * u - (lam - p22) * v
     dv = (lam - p11) * u - p12 * v
@@ -145,6 +143,10 @@ def test_angle_equivalence_random_families(seed):
     xs = np.geomspace(win.x_zero, win.x_inf, 64)
     for x in xs:
         assert abs(tp.theta(x) - tc.angle(x)) < 1e-8
+        # the integrated angle stays tied to the integrated components
+        u, v, _ = tc.state(x)
+        d = tc.angle(x) - math.atan2(v, u)
+        assert abs((d + math.pi) % (2.0 * math.pi) - math.pi) < 1e-9
 
 
 def test_amplitude_consistency(coulomb_minus, zero_minus):

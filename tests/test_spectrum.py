@@ -25,7 +25,6 @@ def test_nu_stationary_synthetic():
                      flow_matrix=np.diag([-1.0, 1.0]),
                      decay_direction=np.array([math.cos(3 * math.pi / 4),
                                                math.sin(3 * math.pi / 4)]),
-                     growth_direction=np.array([1.0, 0.0]),
                      theta_zero=3.0 * math.pi / 4.0, quadrant="second",
                      degenerate=False)
     val = dg.nu_star(fam, 0.0, win, zd)
