@@ -50,7 +50,7 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
     zero = zero or zero_data(family)
     info = _matched(family, lam, window, zero, rtol, atol)
     ratio = math.exp(info.fwd.logrho_end - info.bwd.logrho_end)
-    parity = round((info.theta_fwd_mid - info.theta_bwd_mid) / math.pi)
+    parity = round((info.fwd.theta_end - info.bwd.theta_end) / math.pi)
     return ratio, (-1.0 if parity % 2 else 1.0)
 
 

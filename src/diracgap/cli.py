@@ -159,6 +159,7 @@ class RunConfig:
     x_inf_override: Optional[float]
     out_dir: Path
     task: dict = field(default_factory=dict)
+    override_lines: dict = field(default_factory=dict)   # [numerics] key -> line
     config_hash: str = ""
     coupling_spec: Optional[dict] = None
 
@@ -294,6 +295,8 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
                      lam_grid=np.linspace(lam_min, lam_max, lam_pts), tol=tol,
                      x_zero_override=xz, x_inf_override=xi,
                      out_dir=Path(out_dir), task=task, config_hash=digest,
+                     override_lines={key: line for key, (_, line)
+                                     in sections.get("numerics", {}).items()},
                      coupling_spec=coupling_spec)
 
 
@@ -351,11 +354,15 @@ def _make_window(cfg: RunConfig, family, zero) -> TruncationWindow:
             else 1e-4 * (family.mu_plus - family.mu_minus)
         return TruncationWindow(x_zero=xz, x_inf=xi, delta=delta, eps=cfg.eps)
     win = select_truncation(family, lam_range, cfg.delta, cfg.eps, zero=zero)
-    if xz is not None or xi is not None:
-        win = TruncationWindow(x_zero=win.x_zero if xz is None else xz,
-                               x_inf=win.x_inf if xi is None else xi,
-                               delta=win.delta, eps=win.eps)
-    return win
+    x_zero = win.x_zero if xz is None else xz
+    x_inf = win.x_inf if xi is None else xi
+    if not x_zero < x_inf:          # one override beyond the selected cutoff
+        key = "x_zero" if xz is not None else "x_inf"
+        raise ConfigError([f"line {cfg.override_lines[key]}: [numerics] {key}: "
+                           "window override crosses the selected cutoff "
+                           f"(window {_fmt(x_zero)} .. {_fmt(x_inf)})"])
+    return TruncationWindow(x_zero=x_zero, x_inf=x_inf, delta=win.delta,
+                            eps=win.eps)
 
 
 def _say(quiet: bool, *args):
@@ -418,8 +425,8 @@ def _solve_levels(cfg: RunConfig, quiet: bool, wanted=None, level=None):
             return None
     elif wanted is not None:
         brackets = [b for b in brackets if b.k in wanted]
-    records = [spectrum.find_eigenvalue(family, br.k, (br.lam_lo, br.lam_hi),
-                                        cfg.tol, window=window, zero=zero,
+    records = [spectrum.find_eigenvalue(family, br.k, br, cfg.tol,
+                                        window=window, zero=zero,
                                         rtol=cfg.rtol, atol=cfg.atol)
                for br in brackets]
     return family, zero, window, records

@@ -603,7 +603,6 @@ class NonlinearCoupling:
     """
 
     entries: Callable[[float, float, float], tuple]
-    angular_constant: float = 4.0 * math.pi
 
 
 def zero_coupling() -> NonlinearCoupling:
@@ -619,8 +618,9 @@ def build_soler_coupling(
 ) -> NonlinearCoupling:
     """Self-coupling S(r, z) = gamma(r) F((u^2 - v^2) / (c r^2)) diag(1, -1).
 
-    c is the angular normalization constant (4*pi by default, exposed as a
-    knob).  Requires |F(s)| <= C|s| with C = lipschitz_bound, gamma continuous;
+    c is the angular normalization constant (4*pi by default, the config's
+    [coupling] constant); ``entries`` captures it, and the returned record
+    keeps no copy.  Requires |F(s)| <= C|s| with C = lipschitz_bound, gamma continuous;
     the induced envelope alpha(r) = C*gamma(r)/(c r^2) must be bounded near
     the origin (gamma = O(r^2)) and decay at infinity, and r^2 gamma(r) must
     vanish at infinity.  Violations raise CouplingRejectedError.
@@ -654,4 +654,4 @@ def build_soler_coupling(
         s = gamma(x) * f((u * u - v * v) / (c * x * x))
         return (s, 0.0, -s)
 
-    return NonlinearCoupling(entries=entries, angular_constant=c)
+    return NonlinearCoupling(entries=entries)

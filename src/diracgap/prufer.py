@@ -154,7 +154,7 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
         def rhs(s, yy, _c=chart):
             j = _c.dx_ds(s)
             dy = rhs_in_x(_c.to_x(s), yy)
-            return [d * j for d in dy]
+            return dy * j if isinstance(dy, np.ndarray) else [d * j for d in dy]
 
         res = solve_ivp(rhs, (chart.to_s(x_from), chart.to_s(x_to)), y,
                         method="DOP853", rtol=rtol, atol=atol,
@@ -256,6 +256,36 @@ def integrate_prufer(
                             x_start=segs[0][1], x_end=segs[-1][2], stats=stats,
                             dense=dense, _y_end=tuple(map(float, y_end)),
                             _pieces=pieces)
+
+
+def integrate_angle_lanes(family: CoefficientFamily, lams, window: TruncationWindow,
+                          theta_init, direction: str, *, rtol: float,
+                          atol: float, x_stop: Optional[float]) -> tuple:
+    """Endpoint-only angle runs for an array of lam, as one vector ODE.
+
+    Lane i integrates theta' at lams[i] from theta_init (shared, or one per
+    lane) over integrate_prufer's chart segments; one ``coeffs(x)`` call per
+    RHS evaluation serves every lane.  DOP853's error norm is an RMS over
+    components, so rtol and atol are scaled by sqrt(2/N) for N lanes: no lane
+    gets a looser bound than theta in the two-component scalar run.  Returns
+    (theta_end array, IntegratorStats).
+    """
+    lam = np.asarray(lams, dtype=float).reshape(-1)
+    coeffs = family.coeffs
+
+    def rhs_in_x(x, th):
+        # the theta' of polar_rates, per lane
+        p11, p12, p22 = coeffs(x)
+        ct = np.cos(th)
+        st = np.sin(th)
+        return (lam - p11) * ct * ct - 2.0 * p12 * ct * st + (lam - p22) * st * st
+
+    scale = math.sqrt(2.0 / lam.size)
+    _, stats, _, y_end = _run_segments(
+        rhs_in_x, np.broadcast_to(theta_init, lam.shape),
+        _segments(window, family.beta, direction, x_stop),
+        rtol * scale, atol * scale, dense=False)
+    return y_end, stats
 
 
 # ---------------------------------------------------------------------------

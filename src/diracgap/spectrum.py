@@ -20,9 +20,10 @@ with the forward trajectory started at theta_zero on x_zero and the backward
 one started on the decaying direction theta_inf at x_inf (theta_inf plus the
 gap angle is pi).  It has the roots and monotonicity of the limit functional
 and stays well conditioned at a root, where shooting from one end only would
-turn into a numerical staircase.  The scan and the root solve evaluate this
-one function, so at equal integrator tolerances the solver accepts every
-bracket the scan emits.
+turn into a numerical staircase.  The scan evaluates it in lanes (one vector
+ODE per half), where a value moves slightly with the other lanes of its run,
+so a scan bracket carries the end values it was bracketed on; the root solve
+takes its sign test and first (secant) step from them and so accepts it.
 
 The lam-derivative of the matched value needs no further integration.  With
 psi = d theta / d lam the angle equation gives psi' = 1 - 2 (log rho)' psi,
@@ -41,7 +42,7 @@ it for Newton steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +51,8 @@ from scipy.integrate import quad
 from .asymptotics import (InfinityData, TruncationWindow, ZeroData,
                           infinity_data, select_truncation, zero_data)
 from .model import CoefficientFamily, mirror_family
-from .prufer import DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory, integrate_prufer
+from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory,
+                     integrate_angle_lanes, integrate_prufer)
 
 
 class BracketError(ValueError):
@@ -78,8 +80,6 @@ class _MatchInfo:
     lam: float
     nu_hat: float               # two-sided value of nu
     nu_star_hat: float          # two-sided value of nu_star
-    theta_fwd_mid: float
-    theta_bwd_mid: float
     inf: InfinityData
     fwd: PruferTrajectory
     bwd: PruferTrajectory
@@ -97,18 +97,45 @@ def _matched(family, lam, window, zero, rtol, atol, dense=True) -> _MatchInfo:
     th_b = bwd.theta_end
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
     return _MatchInfo(lam=lam, nu_hat=idata.theta_inf + th_f - th_b,
-                      nu_star_hat=math.pi + th_f - th_b,
-                      theta_fwd_mid=th_f, theta_bwd_mid=th_b,
-                      inf=idata, fwd=fwd, bwd=bwd, x_mid=x_mid)
+                      nu_star_hat=math.pi + th_f - th_b, inf=idata,
+                      fwd=fwd, bwd=bwd, x_mid=x_mid)
 
 
-def nu_star(family: CoefficientFamily, lam: float, window: TruncationWindow,
+@dataclass(frozen=True)
+class LaneWork:
+    """Lane-run work: vector RHS calls and steps of both halves, lam values,
+    and lane-RHS evaluations (each call counted once per lane it served)."""
+
+    rhs_calls: int = 0
+    steps: int = 0
+    lanes: int = 0
+    lane_evals: int = 0
+
+
+def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
             zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
-            atol: float = DEFAULT_ATOL) -> float:
-    """Matched value of nu_star at lam; strictly increasing across the gap."""
+            atol: float = DEFAULT_ATOL, work: Optional[list] = None):
+    """Matched value of nu_star, strictly increasing across the gap.
+
+    ``lam`` is a float or an array, integrated as one lane per value; the
+    result has its shape.  A ``work`` list receives the run's LaneWork.
+    """
     zero = zero or zero_data(family)
-    return _matched(family, lam, window, zero, rtol, atol,
-                    dense=False).nu_star_hat
+    lams = np.asarray(lam, dtype=float)
+    theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
+                 for l in lams.flat]
+    (th_f, fwd), (th_b, bwd) = (
+        integrate_angle_lanes(family, lams, window, th0, direction, rtol=rtol,
+                              atol=atol, x_stop=window.x_mid)
+        for th0, direction in ((zero.theta_zero, "forward"),
+                               (theta_inf, "backward")))
+    if work is not None:
+        calls = fwd.nfev + bwd.nfev
+        work.append(LaneWork(calls, fwd.steps + bwd.steps, lams.size,
+                             calls * lams.size))
+    # theta_inf plus the gap angle is pi, as in _matched
+    values = (math.pi + th_f - th_b).reshape(lams.shape)
+    return float(values) if values.ndim == 0 else values
 
 
 def _spliced_logrho(info: _MatchInfo):
@@ -140,6 +167,8 @@ class Bracket:
     k: int
     lam_lo: float
     lam_hi: float
+    value_lo: float             # nu_star at the ends, as the scan read them
+    value_hi: float
 
 
 @dataclass(frozen=True)
@@ -148,6 +177,7 @@ class ScanResult:
     values: np.ndarray
     brackets: tuple
     max_decrease: float          # largest observed monotonicity defect
+    work: LaneWork = LaneWork()  # summed over the grid and subdivision runs
 
 
 def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
@@ -157,15 +187,15 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
                   angle_tol: float = 1e-8) -> ScanResult:
     """Evaluate nu_star on a grid and bracket every crossing of k*pi.
 
-    nu_star is the matched value that find_eigenvalue solves; with the same
-    rtol and atol, a bracket's end values are the ones the root solve checks
-    before it starts.  The values must be non-decreasing up to integration
-    noise; a decrease beyond 10 * angle_tol raises MonotonicityError (it
-    signals that the window is too small for the requested lam range).  Cells
-    containing more than one crossing are subdivided until each bracket
-    isolates a single level.  The grid is closed at both ends: a level whose
-    value at a grid end is k*pi to within 1024 ulp is bracketed by the end
-    cell, on whichever side rounding put it.
+    The grid is one lane run, and so is each subdivision depth (breadth
+    first); every Bracket carries the end values it was bracketed on.  The
+    values must be non-decreasing up to integration noise; a decrease beyond
+    10 * angle_tol raises MonotonicityError (it signals that the window is
+    too small for the requested lam range).  Cells containing more than one
+    crossing are subdivided until each bracket isolates a single level.  The
+    grid is closed at both ends: a level whose value at a grid end is k*pi to
+    within 1024 ulp is bracketed by the end cell, on whichever side rounding
+    put it.
     """
     lams = np.sort(np.asarray(list(lam_grid), dtype=float))
     if lams.size == 0:
@@ -176,19 +206,19 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
     zero = zero or zero_data(family)
     if window is None:
         window = select_truncation(family, (lams[0], lams[-1]), zero=zero)
+    runs = []
 
     def val(lam):
-        return nu_star(family, lam, window, zero, rtol=rtol, atol=atol)
+        return nu_star(family, lam, window, zero, rtol=rtol, atol=atol,
+                       work=runs)
 
-    values = np.array([val(l) for l in lams])
+    values = val(lams)
     diffs = np.diff(values)
     max_dec = float(-diffs.min()) if diffs.size and diffs.min() < 0 else 0.0
     if max_dec > 10.0 * angle_tol:
         raise MonotonicityError(
             f"nu_star decreased by {max_dec:.3g} on the scan grid; "
             "enlarge the truncation window")
-
-    brackets = []
 
     def on_level(v):
         # integration rounding alone moves the value at a constant-phase level
@@ -205,26 +235,31 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
             hi_k = max(hi_k, round(vhi / math.pi))
         return list(range(lo_k, hi_k + 1))
 
-    def emit(llo, lhi, vlo, vhi, depth, closed_lo, closed_hi):
-        ks = crossings(vlo, vhi, closed_lo, closed_hi)
-        if not ks:
-            return
-        if len(ks) == 1 or depth >= 12:
-            for k in ks:
-                brackets.append(Bracket(k=k, lam_lo=llo, lam_hi=lhi))
-            return
-        lmid = 0.5 * (llo + lhi)
-        vmid = val(lmid)
-        emit(llo, lmid, vlo, vmid, depth + 1, closed_lo, False)
-        emit(lmid, lhi, vmid, vhi, depth + 1, False, closed_hi)
-
-    last = lams.size - 2
-    for i in range(lams.size - 1):
-        emit(lams[i], lams[i + 1], values[i], values[i + 1], 0,
-             i == 0, i == last)
-
+    # cells (lam_lo, lam_hi, value_lo, value_hi, closed_lo, closed_hi)
+    ls, vs = lams.tolist(), values.tolist()
+    cells = [(ls[i], ls[i + 1], vs[i], vs[i + 1], i == 0, i == len(ls) - 2)
+             for i in range(len(ls) - 1)]
+    brackets = []
+    for depth in range(13):
+        split = []
+        for cell in cells:
+            ks = crossings(*cell[2:])
+            if len(ks) == 1 or (ks and depth == 12):
+                brackets += [Bracket(k, *cell[:4]) for k in ks]
+            elif ks:
+                split.append(cell)
+        if not split:
+            break
+        mids = [0.5 * (c[0] + c[1]) for c in split]
+        cells = []
+        for (llo, lhi, vlo, vhi, c_lo, c_hi), lmid, vmid in zip(
+                split, mids, val(np.array(mids)).tolist()):
+            cells += [(llo, lmid, vlo, vmid, c_lo, False),
+                      (lmid, lhi, vmid, vhi, False, c_hi)]
+    brackets.sort(key=lambda b: (b.lam_lo, b.k))
+    work = LaneWork(*(sum(col) for col in zip(*(astuple(r) for r in runs))))
     return ScanResult(lambdas=lams, values=values, brackets=tuple(brackets),
-                      max_decrease=max_dec)
+                      max_decrease=max_dec, work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -293,28 +328,31 @@ def _nodal_index(rot: float, quadrant: str) -> tuple:
     return idx, flags
 
 
-def find_eigenvalue(family: CoefficientFamily, k: int, bracket: tuple,
+def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
                     tol: float = 1e-9, *, window: TruncationWindow,
                     zero: Optional[ZeroData] = None,
                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                     max_iter: int = 80) -> EigenvalueRecord:
     """Solve nu_star(lam) = k*pi inside a bracket by safeguarded Newton.
 
-    nu_star is evaluated in the same matched form as in scan_spectrum, and
-    its lam-derivative comes from the same two half runs (module docstring).
-    A bracket end with residual below tol is returned as it is; otherwise the
-    bracket must straddle the level (monotonicity makes the root unique).
-    Newton starts from the end with the smaller residual; a step that is not
-    strictly inside the current bracket, or a slope that is not finite and
-    positive, is replaced by bisection, and every evaluation shrinks the
-    bracket by the sign of its residual.  Integrator tolerances are tightened
-    once the lam interval shrinks below 1e-9.  Returns the full record:
-    rotation number, quadrant-dependent nodal index, residual, the
-    least-squares decay exponents of the eigenfunction amplitude at both
-    ends, and the iteration history.
+    ``bracket`` is a scan Bracket, whose carried end values give the sign
+    test and a first secant step, or a (lo, hi) pair, whose ends are
+    evaluated and Newton starts from the one with the smaller residual.  An
+    end with residual below tol is solved where it is; otherwise the bracket
+    must straddle the level (monotonicity makes the root unique).  Iterates
+    are scalar dense matched runs, which also give the lam-derivative
+    (module docstring).  A step not strictly inside the current bracket, or
+    a slope that is not finite and positive, is replaced by bisection, and
+    every evaluation shrinks the bracket by the sign of its residual.
+    Integrator tolerances are tightened once the lam interval shrinks below
+    1e-9.  Returns the full record: rotation number, quadrant-dependent
+    nodal index, residual, the least-squares decay exponents of the
+    eigenfunction amplitude at both ends, and the iteration history.
     """
     zero = zero or zero_data(family)
-    a, b = float(bracket[0]), float(bracket[1])
+    carried = isinstance(bracket, Bracket)
+    a, b = (bracket.lam_lo, bracket.lam_hi) if carried \
+        else (float(bracket[0]), float(bracket[1]))
     if not a < b:
         raise BracketError("bracket must be an increasing interval")
     target = k * math.pi
@@ -327,8 +365,8 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket: tuple,
         history.append((lam, f, cur_rtol))
         return f, info
 
-    fa, info_a = g(a)
-    fb, info_b = g(b)
+    fa, info_a = (bracket.value_lo - target, None) if carried else g(a)
+    fb, info_b = (bracket.value_hi - target, None) if carried else g(b)
     # an end may sit on the level: at a constant-phase eigenfunction (the
     # Coulomb ground state) the matched value is k*pi to rounding, and the
     # scan brackets a level on a grid end with the end cell
@@ -337,15 +375,20 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket: tuple,
         raise BracketError(
             f"nu_star - {k}*pi has the same sign at both bracket ends "
             f"({fa:.3g}, {fb:.3g})")
+    if info is None and abs(f) < tol:
+        f, info = g(lam)            # a carried end on the level
 
     tightened = False
     for _ in range(max_iter):
         if abs(f) < tol:
             break
-        slope = _nu_star_slope(family, zero, window, info)
-        lam_new = 0.5 * (a + b)
-        if math.isfinite(slope) and slope > 0.0 and a < lam - f / slope < b:
-            lam_new = lam - f / slope
+        if info is None:            # secant step on the carried end values
+            step = a - fa * (b - a) / (fb - fa)
+        else:
+            slope = _nu_star_slope(family, zero, window, info)
+            step = lam - f / slope if math.isfinite(slope) and slope > 0.0 \
+                else math.nan
+        lam_new = step if a < step < b else 0.5 * (a + b)
         lam, (f, info) = lam_new, g(lam_new)
         if f < 0.0:
             a = lam
@@ -537,7 +580,7 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     zero = zero or zero_data(family)
     info = _matched(family, record.lam, window, zero, rtol, atol)
     fwd, bwd, x_mid = info.fwd, info.bwd, info.x_mid
-    th_f, th_b = info.theta_fwd_mid, info.theta_bwd_mid
+    th_f, th_b = fwd.theta_end, bwd.theta_end
     mism = (th_f - th_b + math.pi / 2.0) % math.pi - math.pi / 2.0
     if abs(mism) > angle_tol:
         raise AngleMismatchError(

@@ -131,6 +131,7 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("old, new, line", [
     ("x_zero = 1e-3", "x_zero = 0.0", 12),
     ("x_zero = 1e-3", "x_zero = 300.0", 13),
+    ("x_zero = 1e-3\nx_inf = 250.0", "x_inf = 1e-5", 12),
 ])
 def test_bad_window_override_is_usage_error(tmp_path, capsys, old, new, line):
     path = write(tmp_path, COULOMB_BASE.replace(old, new))

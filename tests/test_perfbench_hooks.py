@@ -10,9 +10,10 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from diracgap import cli
+from diracgap import cli, spectrum
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,9 +46,20 @@ def test_cli_spectrum_is_counted_and_traced(tracing, tmp_path):
                    "[numerics]\nlambda_min = 0.5\nlambda_max = 0.93\n"
                    "lambda_points = 4\nx_zero = 1e-3\nx_inf = 60.0\n")
     counter, tracer = tracing.CoeffCounter(), tracing.Tracer()
+    lams_in_scan = []
     with tracing.counting_cli(counter), tracer.install():
-        code = cli.main(["spectrum", "--config", str(cfg),
-                         "--out", str(tmp_path), "--quiet"])
+        traced_nu_star = spectrum.nu_star
+
+        def nu_star(family, lam, *args, **kwargs):
+            # one vector call evaluates many lam values: count the values
+            if any(tracer.spans[i].name == "spectrum.scan_spectrum"
+                   for i in tracer._stack):
+                lams_in_scan.append(np.size(lam))
+            return traced_nu_star(family, lam, *args, **kwargs)
+
+        with tracing.patched([(spectrum, "nu_star", nu_star)]):
+            code = cli.main(["spectrum", "--config", str(cfg),
+                             "--out", str(tmp_path), "--quiet"])
     assert code == 0
     assert counter.n > 0
     names = {s.name for s in tracer.spans}
@@ -56,7 +68,8 @@ def test_cli_spectrum_is_counted_and_traced(tracing, tmp_path):
     # the scan must reach the traced nu_star, or spectrum.scan_evals reads 0
     scan_span = next(i for i, s in enumerate(tracer.spans)
                      if s.name == "spectrum.scan_spectrum")
-    assert tracing.count_below(tracer.spans, scan_span, "spectrum.nu_star") >= 4
+    assert tracing.count_below(tracer.spans, scan_span, "spectrum.nu_star") >= 1
+    assert sum(lams_in_scan) >= 4
 
 
 def test_cli_branch_shots_are_traced(tracing, tmp_path):

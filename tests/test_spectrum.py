@@ -113,6 +113,33 @@ def test_grid_end_on_or_beside_level_is_solved(gamma, j, end, fast_window):
     assert abs(rec.lam - level) / level < 1e-8
 
 
+@settings(max_examples=10, deadline=None)
+@given(gamma=st.floats(-0.7, -0.3), k=st.sampled_from([1, -1, 2, -2]),
+       grid=st.lists(st.floats(-0.95, 0.98), min_size=2, max_size=30,
+                     unique=True))
+@example(gamma=-0.6219494004819421, k=2, grid=[0.5, 0.909360512093109])
+def test_lane_values_match_scalar_and_other_batches(gamma, k, grid,
+                                                    fast_window):
+    # one vector run per half must give every lane the scalar matched value,
+    # and a lane's value must not depend on which lanes share its run.  The
+    # scalar reference runs at the solver's tightened tolerances: at the
+    # default ones it is itself up to 3.5e-9 off for k = 2 (gamma near
+    # -0.62), where runs of two or more lanes stay within 1e-11
+    fam = dg.build_dirac_family(
+        dg.DiracRadialParams(k=k, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    lams = np.array(grid)
+    lanes = dg.nu_star(fam, lams, fast_window, zd)
+    assert lanes.shape == lams.shape
+    for lam, value in zip(lams, lanes):
+        scalar = spectrum._matched(fam, lam, fast_window, zd,
+                                   DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2,
+                                   dense=False).nu_star_hat
+        assert abs(value - scalar) < 1e-9
+    other = dg.nu_star(fam, np.append(lams[::2], 0.0), fast_window, zd)
+    assert np.all(np.abs(other[:-1] - lanes[::2]) < 1e-9)
+
+
 def test_scan_first_quadrant_channel_brackets(coulomb_minus, zero_minus):
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=2000.0, delta=2e-4, eps=1e-3)
     out = dg.scan_spectrum(coulomb_minus, np.linspace(0.9, 0.993, 20),
