@@ -14,11 +14,10 @@ from .bifurcation import (Branch, BranchPoint, CorrectorError, ShootResult,
                           continue_branch, linear_amplitude_ratio,
                           shoot_nonlinear, solve_point)
 from .model import (CheckResult, CoefficientFamily, CouplingRejectedError,
-                    DiracRadialParams, GridTooCoarseError, HypothesisReport,
-                    MissingDerivativeError, NonlinearCoupling, PotentialSpec,
-                    SampleGrid, ZeroClassification, build_dirac_family,
-                    build_soler_coupling, classify_zero_endpoint,
-                    coulomb_potential, coulomb_with_remainder, mirror_family,
+                    DiracRadialParams, HypothesisReport, MissingDerivativeError,
+                    NonlinearCoupling, PotentialSpec, ZeroClassification,
+                    build_dirac_family, build_soler_coupling,
+                    classify_zero_endpoint, coulomb_potential, mirror_family,
                     tabulated_potential, tabulated_potential_from_csv,
                     validate_hypotheses, zero_coupling)
 from .prufer import (CartesianTrajectory, IntegrationError, OverflowAbort,

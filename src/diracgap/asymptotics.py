@@ -149,23 +149,20 @@ def select_truncation(
     delta: Optional[float] = None,
     eps: float = 1e-3,
     *,
-    x_bounds: tuple = (1e-8, 1e8),
-    per_decade: int = 16,
-    cone_points: int = 32,
     zero: Optional[ZeroData] = None,
 ) -> TruncationWindow:
     """Choose cutoffs by coefficient closeness, then confirm by the cone test.
 
     x_zero is the largest grid point below which |x^beta P(x) - limit| < delta
     at every sample; x_inf the smallest point beyond which |P(x) - limit| <
-    delta at every sample (with the tail beyond the grid extrapolated from the
-    fitted decay exponent).  The cone test then samples the angular field at
-    the boundary angles +- eps over ``cone_points`` log-spaced points past each
-    cutoff, for lam at both ends and the middle of lam_range, and requires the
-    outward sign pattern that pins trajectories near the boundary angle; if it
-    fails, the cutoff is pushed further out.  The origin cone test needs
-    boundary data, so it is skipped (coefficient closeness only) when the
-    family has no admissible origin and no ``zero`` data is passed in.
+    delta at every sample, on a grid of 16 points per decade over [1e-8, 1e8].
+    The cone test then samples the angular field at the boundary angles +- eps
+    over 32 log-spaced points in the decade past each cutoff, for lam at both
+    ends and the middle of lam_range, and requires the outward sign pattern
+    that pins trajectories near the boundary angle; if it fails, the cutoff is
+    pushed further out.  The origin cone test needs boundary data, so it is
+    skipped (coefficient closeness only) when the family has no admissible
+    origin and no ``zero`` data is passed in.
     """
     lo, hi = lam_range
     if not (family.mu_minus < lo <= hi < family.mu_plus):
@@ -173,9 +170,7 @@ def select_truncation(
     if delta is None:
         delta = 1e-4 * (family.mu_plus - family.mu_minus)
 
-    lg_lo, lg_hi = math.log10(x_bounds[0]), math.log10(x_bounds[1])
-    n = int(round((lg_hi - lg_lo) * per_decade)) + 1
-    xs = np.logspace(lg_lo, lg_hi, n)
+    xs = np.logspace(-8.0, 8.0, 257)
 
     left = xs[xs <= 1.0]
     r0 = np.array([family.remainder_zero_norm(x) for x in left])
@@ -184,7 +179,7 @@ def select_truncation(
     run = np.cumprod(ok0).astype(bool)
     if not run[0]:
         raise NoWindowError(
-            f"origin closeness {delta:g} unattainable above x = {x_bounds[0]:g}")
+            f"origin closeness {delta:g} unattainable above x = {xs[0]:g}")
     i0 = int(np.max(np.nonzero(run)))
 
     right = xs[xs >= 1.0]
@@ -193,7 +188,7 @@ def select_truncation(
     run_inf = np.cumprod(okinf[::-1]).astype(bool)[::-1]
     if not run_inf[-1]:
         raise NoWindowError(
-            f"infinity closeness {delta:g} unattainable below x = {x_bounds[1]:g}")
+            f"infinity closeness {delta:g} unattainable below x = {xs[-1]:g}")
     j0 = int(np.min(np.nonzero(run_inf)))
 
     if zero is None:
@@ -206,7 +201,7 @@ def select_truncation(
         return polar_rates(*family.coeffs(x), lam, theta)[0]
 
     def cone_ok_inf(x_cut: float) -> bool:
-        pts = np.logspace(math.log10(x_cut), math.log10(x_cut) + 1.0, cone_points)
+        pts = np.logspace(math.log10(x_cut), math.log10(x_cut) + 1.0, 32)
         for lam in lam_samples:
             th = math.pi - gap_angle(family.mu_minus, family.mu_plus, lam)
             if th - eps <= math.pi / 2.0:
@@ -218,7 +213,7 @@ def select_truncation(
         return True
 
     def cone_ok_zero(x_cut: float) -> bool:
-        pts = np.logspace(math.log10(x_cut) - 1.0, math.log10(x_cut), cone_points)
+        pts = np.logspace(math.log10(x_cut) - 1.0, math.log10(x_cut), 32)
         th = zero.theta_zero
         for lam in lam_samples:
             for x in pts:

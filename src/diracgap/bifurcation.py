@@ -43,29 +43,32 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
                            zero: Optional[ZeroData] = None,
                            rtol: float = DEFAULT_RTOL,
                            atol: float = DEFAULT_ATOL) -> tuple:
-    """(ratio, sign) of backward to forward shooting amplitude for the linear
-    flow at lam: matching midpoint magnitudes requires b = sign * ratio * a,
-    with sign -1 when the matched angles differ by an odd multiple of pi.
+    """(log ratio, sign) of backward to forward shooting amplitude for the
+    linear flow at lam: matching midpoint magnitudes requires
+    b = sign * exp(log_ratio) * a, with sign -1 when the matched angles differ
+    by an odd multiple of pi.  On a wide window the ratio itself lies below
+    the float range (e^-788 on [1e-3, 1600]).
     """
     zero = zero or zero_data(family)
     info = _matched(family, lam, window, zero, rtol, atol)
-    ratio = math.exp(info.fwd.logrho_end - info.bwd.logrho_end)
     parity = round((info.fwd.theta_end - info.bwd.theta_end) / math.pi)
-    return ratio, (-1.0 if parity % 2 else 1.0)
+    return (info.fwd.logrho_end - info.bwd.logrho_end,
+            -1.0 if parity % 2 else 1.0)
 
 
 @dataclass
 class ShootResult:
     """Midpoint mismatch of one forward/backward nonlinear shot.
 
-    mismatch is z_fwd(x_mid) - z_bwd(x_mid) in true amplitude.  rotation is
-    the angle sweep of the composite solution across the window divided by pi
-    (None when a side is identically zero).
+    mismatch is z_fwd(x_mid) - z_bwd(x_mid) in true amplitude, and log_b is
+    log |b|.  rotation is the angle sweep of the composite solution across
+    the window divided by pi (None when a side is identically zero).
     """
 
     lam: float
     a: float
     b: float
+    log_b: float
     x_mid: float
     mismatch: np.ndarray
     fwd: object = field(repr=False, default=None)
@@ -86,45 +89,40 @@ class ShootResult:
 def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
                     lam: float, a: float, b: float,
                     window: TruncationWindow, *,
+                    log_b: Optional[float] = None,
                     zero: Optional[ZeroData] = None,
                     rtol: float = DEFAULT_RTOL,
                     atol: float = DEFAULT_ATOL) -> ShootResult:
     """Integrate the full nonlinear system from both ends to the midpoint.
 
-    The true amplitude is meaningful here; if it overflows the representable
-    range the run aborts with OverflowAbort naming the last x reached.
-    a = b = 0 returns the exact zero mismatch of the trivial solution.
+    a and b are the signed shooting amplitudes; log_b, if given, is log |b|,
+    which stays exact where b underflows (wide windows).  The true amplitude
+    is meaningful here; if it overflows the representable range the run
+    aborts with OverflowAbort naming the last x reached.  a = b = 0 returns
+    the exact zero mismatch of the trivial solution.
     """
     zero = zero or zero_data(family)
     idata = infinity_data(family.mu_minus, family.mu_plus, lam)
     x_mid = window.x_mid
-    th0, thi = zero.theta_zero, idata.theta_inf
 
-    def endpoint_value(traj):
+    def side(amp, log_amp, theta, direction):
+        # (trajectory, log |amp|, value at x_mid); zero amp is the zero side
+        if amp == 0.0 and log_amp is None:
+            return None, -math.inf, np.zeros(2)
+        sgn = math.copysign(1.0, amp)
+        log_amp = math.log(abs(amp)) if log_amp is None else log_amp
+        traj = integrate_cartesian(
+            family, lam, window, (sgn * math.cos(theta), sgn * math.sin(theta)),
+            direction, coupling=coupling, rtol=rtol, atol=atol, x_stop=x_mid,
+            log_scale_init=log_amp)
         u, v, ls = traj.state(x_mid)
-        return np.array([u, v]) * math.exp(ls)
+        return traj, log_amp, np.array([u, v]) * math.exp(ls)
 
-    fwd = bwd = None
-    if a != 0.0:
-        sgn = 1.0 if a > 0.0 else -1.0
-        fwd = integrate_cartesian(
-            family, lam, window, (sgn * math.cos(th0), sgn * math.sin(th0)),
-            "forward", coupling=coupling,
-            rtol=rtol, atol=atol, x_stop=x_mid, log_scale_init=math.log(abs(a)))
-        zf = endpoint_value(fwd)
-    else:
-        zf = np.zeros(2)
-    if b != 0.0:
-        sgn = 1.0 if b > 0.0 else -1.0
-        bwd = integrate_cartesian(
-            family, lam, window, (sgn * math.cos(thi), sgn * math.sin(thi)),
-            "backward", coupling=coupling,
-            rtol=rtol, atol=atol, x_stop=x_mid, log_scale_init=math.log(abs(b)))
-        zb = endpoint_value(bwd)
-    else:
-        zb = np.zeros(2)
-    return ShootResult(lam=lam, a=a, b=b, x_mid=x_mid, mismatch=zf - zb,
-                       fwd=fwd, bwd=bwd, theta_zero=th0, theta_inf=thi)
+    fwd, _, zf = side(a, None, zero.theta_zero, "forward")
+    bwd, log_b, zb = side(b, log_b, idata.theta_inf, "backward")
+    return ShootResult(lam=lam, a=a, b=b, log_b=log_b, x_mid=x_mid,
+                       mismatch=zf - zb, fwd=fwd, bwd=bwd,
+                       theta_zero=zero.theta_zero, theta_inf=idata.theta_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +134,7 @@ class BranchPoint:
     lam: float
     a: float                    # left shooting amplitude
     b: float                    # right shooting amplitude (signed)
+    log_b: float                # log |b|, kept where b underflows
     x: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
@@ -165,7 +164,8 @@ def _point_from_shot(family, zero, shot: ShootResult, n_samples=257) -> BranchPo
 
     rot = shot.rotation
     idx = _nodal_index(rot, zero.quadrant)[0]
-    return BranchPoint(lam=shot.lam, a=shot.a, b=shot.b, x=xs, u=us, v=vs,
+    return BranchPoint(lam=shot.lam, a=shot.a, b=shot.b, log_b=shot.log_b,
+                       x=xs, u=us, v=vs,
                        l2_norm=l2, rotation=rot, index=idx,
                        residual=float(np.linalg.norm(shot.mismatch)))
 
@@ -173,49 +173,57 @@ def _point_from_shot(family, zero, shot: ShootResult, n_samples=257) -> BranchPo
 def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                 lam_guess: float, a_target: float,
                 b_guess: Optional[float] = None, *,
+                log_b: Optional[float] = None,
                 window: TruncationWindow,
                 zero: Optional[ZeroData] = None,
-                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                max_iter: int = 25) -> BranchPoint:
+                rtol: float = DEFAULT_RTOL,
+                atol: float = DEFAULT_ATOL) -> BranchPoint:
     """Newton-correct one nonlinear solution near the supplied guess.
 
-    The unknowns are (lam, b) at fixed left amplitude a_target.  The mismatch
-    is driven below 1e-9 * max(1, a); the Jacobian is formed by forward
-    differences.  b may be negative (the backward direction flips sign for
-    odd rotation offsets); its sign is frozen from the guess.
+    The unknowns are (lam, log |b|) at fixed left amplitude a_target; b_guess
+    and log_b are the start, as b and log_b in shoot_nonlinear.  Without
+    either the linear amplitude ratio supplies it.  The mismatch is driven
+    below 1e-9 * max(1, a) in at most 25 steps; the Jacobian is formed by
+    forward differences.  b may be negative (the backward direction flips
+    sign for odd rotation offsets); its sign is frozen from the guess.
     """
     zero = zero or zero_data(family)
     if a_target <= 0.0:
         raise ValueError("amplitude target must be positive")
-    if b_guess is None or b_guess == 0.0:
+    if log_b is None and not b_guess:
         # the linear eigenfunction fixes both the scale and the sign of the
         # backward amplitude; anything else is hopeless as a Newton start
-        ratio, sign = linear_amplitude_ratio(family, lam_guess, window,
-                                             zero=zero, rtol=rtol, atol=atol)
-        b_guess = sign * ratio * a_target
-    b_sign = 1.0 if b_guess > 0.0 else -1.0
+        log_ratio, sign = linear_amplitude_ratio(
+            family, lam_guess, window, zero=zero, rtol=rtol, atol=atol)
+        b_guess = sign * math.exp(log_ratio) * a_target
+        log_b = log_ratio + math.log(a_target)
+    elif log_b is None:
+        log_b = math.log(abs(b_guess))
+    b_sign = math.copysign(1.0, b_guess)
     tol = 1e-9 * max(1.0, a_target)
     gap_margin = 1e-9 * (family.mu_plus - family.mu_minus)
 
     def residual(p):
-        if float(np.max(np.abs(p))) > 700.0:
+        # b may underflow, but not exceed e^700 or move that far from its guess
+        if p[1] > 700.0 or abs(p[1] - log_b) > 700.0:
             raise CorrectorError("corrector step left the representable "
                                  "amplitude range")
-        lam, b = p[0], b_sign * math.exp(p[1])
+        lam = p[0]
         if not (family.mu_minus + gap_margin < lam < family.mu_plus - gap_margin):
             raise CorrectorError(f"lam = {lam:.6g} left the spectral gap")
-        shot = shoot_nonlinear(family, coupling, lam, a_target, b, window,
+        shot = shoot_nonlinear(family, coupling, lam, a_target,
+                               b_sign * math.exp(p[1]), window, log_b=p[1],
                                zero=zero, rtol=rtol, atol=atol)
         return shot.mismatch, shot
 
-    p = np.array([lam_guess, math.log(abs(b_guess))])
+    p = np.array([lam_guess, log_b])
     steps = np.array([1e-7 * max(1.0, abs(lam_guess)), 1e-7])
 
     try:
         r, shot = residual(p)
     except (OverflowAbort, IntegrationError) as exc:
         raise CorrectorError(f"initial shot failed: {exc}") from exc
-    for _ in range(max_iter):
+    for _ in range(25):
         if float(np.max(np.abs(r))) < tol:
             return _point_from_shot(family, zero, shot)
         jac = np.empty((2, 2))
@@ -253,7 +261,7 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
     if float(np.max(np.abs(r))) < tol:
         return _point_from_shot(family, zero, shot)
     raise CorrectorError(
-        f"no convergence in {max_iter} iterations "
+        "no convergence in 25 iterations "
         f"(final mismatch {float(np.max(np.abs(r))):.3g}, tolerance {tol:.3g})")
 
 
@@ -295,33 +303,41 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
 
     # backward/forward amplitude ratio of the linear eigenfunction fixes the
     # initial guess for b, including its sign (odd rotation offsets flip it)
-    ratio, sign = linear_amplitude_ratio(family, seed.lam, window, zero=zero,
-                                         rtol=rtol, atol=atol)
+    log_ratio, sign = linear_amplitude_ratio(family, seed.lam, window,
+                                             zero=zero, rtol=rtol, atol=atol)
 
     points = []
     audit_failures = []
     termination = "max-steps"
     edge_tol = 1e-6
     a = 0.0
-    lam_pred, b_pred = seed.lam, None
     while len(points) < max_steps:
         ds_local = ds
         accepted = None
         for _ in range(5):          # initial try plus four halvings
             a_try = a + ds_local
+            # b is predicted with its log, which stays exact where b
+            # underflows; a zero prediction falls back to the linear ratio
             if len(points) >= 2:
                 p1, p2 = points[-2], points[-1]
                 w = (a_try - p2.a) / (p2.a - p1.a)
                 lam_pred = p2.lam + w * (p2.lam - p1.lam)
-                b_pred = p2.b + w * (p2.b - p1.b)
+                # b2 + w (b2 - b1) = b2 f; b1 * b2 keeps its sign in underflow
+                f = 1.0 + w * (1.0 - math.copysign(
+                    math.exp(p1.log_b - p2.log_b), p1.b * p2.b))
+                b_pred = p2.b * f
+                log_b = p2.log_b + math.log(abs(f)) if f else None
             elif points:
-                lam_pred, b_pred = points[-1].lam, points[-1].b * a_try / points[-1].a
+                p2 = points[-1]
+                lam_pred, b_pred = p2.lam, p2.b * a_try / p2.a
+                log_b = p2.log_b + math.log(a_try / p2.a)
             else:
-                lam_pred, b_pred = seed.lam, sign * ratio * a_try
+                lam_pred, b_pred = seed.lam, sign * math.exp(log_ratio) * a_try
+                log_b = log_ratio + math.log(a_try)
             try:
                 accepted = solve_point(family, coupling, lam_pred, a_try,
-                                       b_pred, window=window, zero=zero,
-                                       rtol=rtol, atol=atol)
+                                       b_pred, log_b=log_b, window=window,
+                                       zero=zero, rtol=rtol, atol=atol)
                 break
             except CorrectorError:
                 ds_local *= 0.5
@@ -338,7 +354,6 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
             termination = "gap-edge-reached"
             break
         if a >= a_max:
-            termination = "max-steps"
             break
 
     return Branch(seed=seed, points=tuple(points), termination=termination,

@@ -178,8 +178,10 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
     for name in sections:
         if name not in _KNOWN_SECTIONS:
             errors.append(f"unknown section [{name}]")
+    read = set()
 
     def get(section, key, default=None, required=False, kind=None):
+        read.add((section, key))
         entry = sections.get(section, {}).get(key)
         if entry is None:
             if required:
@@ -287,6 +289,10 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
     if out_override:
         out_dir = out_override
 
+    # a key the schema does not read must not leave its default silently
+    errors += [f"line {line}: [{name}] {key}: unknown key"
+               for name, entries in sections.items() if name in _KNOWN_SECTIONS
+               for key, (_, line) in entries.items() if (name, key) not in read]
     if errors:
         raise ConfigError(errors)
 

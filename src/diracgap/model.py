@@ -2,10 +2,11 @@
 
 The linear operator acts as tau z = J z' + P(x) z on (0, infinity), with J the
 standard symplectic matrix and P(x) a continuous symmetric 2x2 matrix.  This
-module builds P for the radial Dirac operator (electrostatic potential V,
-angular number k, anomalous moment mu_a), classifies the singularity at the
-origin, verifies the admissibility hypotheses numerically, and constructs the
-nonlinear self-couplings S(x, z) used by the bifurcation solver.
+module builds P for the radial Dirac operator (angular number k, anomalous
+moment mu_a, and an electrostatic potential given as V and V' with declared
+endpoint powers), classifies the singularity at the origin, verifies the
+admissibility hypotheses numerically, and constructs the nonlinear
+self-couplings S(x, z) used by the bifurcation solver.
 
 Admissibility in short: P(x) tends to diag(mu_minus, mu_plus) at infinity with
 an integrable remainder, x^beta P(x) tends to a limit matrix at the origin with
@@ -28,10 +29,6 @@ class MissingDerivativeError(ValueError):
     """The potential cannot supply V' but the construction needs it."""
 
 
-class GridTooCoarseError(ValueError):
-    """Sampling grid has fewer points per decade than the checks require."""
-
-
 class CouplingRejectedError(ValueError):
     """Nonlinear coupling fails the envelope boundedness/decay conditions."""
 
@@ -42,104 +39,42 @@ class CouplingRejectedError(ValueError):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Electrostatic potential with declared endpoint behaviour.
+    """Electrostatic potential V, V' and its declared endpoint powers.
 
-    The potential is described by its leading power terms at the two
-    endpoints, V ~ gamma_zero / x^alpha_zero near 0 and
-    V ~ gamma_inf / x^alpha_inf near infinity, plus optional remainder
-    evaluators.  ``kind`` is one of "pure-coulomb", "coulomb-with-remainder"
-    or "tabulated".
+    ``v`` evaluates V and ``dv``, when supplied, V'.  The admissibility
+    hypotheses are stated in the leading terms V ~ gamma_zero / x^alpha_zero
+    near 0 and V ~ gamma_inf / x^alpha_inf near infinity, and in the
+    remainder of V beyond its leading term at the origin.
     """
 
-    kind: str
     gamma_zero: float
     alpha_zero: float
     gamma_inf: float
     alpha_inf: float
-    remainder_zero: Optional[Callable[[float], float]] = None   # on (0, 1]
-    remainder_inf: Optional[Callable[[float], float]] = None    # on [1, inf)
-    d_remainder_zero: Optional[Callable[[float], float]] = None
-    d_remainder_inf: Optional[Callable[[float], float]] = None
+    v: Callable[[float], float]
+    dv: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if self.alpha_zero <= 0 or self.alpha_inf <= 0:
             raise ValueError("endpoint exponents must be positive")
-        if self.kind not in ("pure-coulomb", "coulomb-with-remainder", "tabulated"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-
-    # -- evaluation ---------------------------------------------------------
-
-    def v(self, x: float) -> float:
-        """Potential value, assembled from the side-appropriate decomposition."""
-        if x <= 1.0:
-            lead = self.gamma_zero * x ** (-self.alpha_zero)
-            return lead + (self.remainder_zero(x) if self.remainder_zero else 0.0)
-        lead = self.gamma_inf * x ** (-self.alpha_inf)
-        return lead + (self.remainder_inf(x) if self.remainder_inf else 0.0)
 
     @property
     def has_derivative(self) -> bool:
-        if self.kind == "pure-coulomb":
-            return True
-        left = self.remainder_zero is None or self.d_remainder_zero is not None
-        right = self.remainder_inf is None or self.d_remainder_inf is not None
-        return left and right
-
-    def dv(self, x: float) -> float:
-        if not self.has_derivative:
-            raise MissingDerivativeError(
-                "potential remainder derivative not supplied")
-        if x <= 1.0:
-            lead = -self.alpha_zero * self.gamma_zero * x ** (-self.alpha_zero - 1.0)
-            return lead + (self.d_remainder_zero(x) if self.d_remainder_zero else 0.0)
-        lead = -self.alpha_inf * self.gamma_inf * x ** (-self.alpha_inf - 1.0)
-        return lead + (self.d_remainder_inf(x) if self.d_remainder_inf else 0.0)
+        return self.dv is not None
 
     def remainder_at_zero(self, x: float) -> float:
         """V(x) - gamma_zero * x**(-alpha_zero), the remainder near the origin."""
-        if self.remainder_zero is not None:
-            return self.remainder_zero(x)
-        if self.kind == "pure-coulomb":
-            return 0.0
         return self.v(x) - self.gamma_zero * x ** (-self.alpha_zero)
 
     def d_remainder_at_zero(self, x: float) -> float:
-        if self.d_remainder_zero is not None:
-            return self.d_remainder_zero(x)
-        if self.kind == "pure-coulomb":
-            return 0.0
         return self.dv(x) + self.alpha_zero * self.gamma_zero * x ** (-self.alpha_zero - 1.0)
 
 
 def coulomb_potential(gamma: float) -> PotentialSpec:
-    """V(x) = gamma / x with no remainder on either side."""
-    return PotentialSpec("pure-coulomb", gamma, 1.0, gamma, 1.0)
-
-
-def coulomb_with_remainder(
-    gamma_zero: float,
-    alpha_zero: float,
-    gamma_inf: float,
-    alpha_inf: float,
-    remainder_zero: Callable[[float], float],
-    remainder_inf: Callable[[float], float],
-    d_remainder_zero: Optional[Callable[[float], float]] = None,
-    d_remainder_inf: Optional[Callable[[float], float]] = None,
-) -> PotentialSpec:
-    """Leading power terms plus user-supplied remainder evaluators.
-
-    The two decompositions must describe the same potential; the mismatch at
-    the seam x = 1 is checked and rejected beyond 1e-9.
-    """
-    spec = PotentialSpec("coulomb-with-remainder", gamma_zero, alpha_zero,
-                         gamma_inf, alpha_inf, remainder_zero, remainder_inf,
-                         d_remainder_zero, d_remainder_inf)
-    left = spec.gamma_zero + remainder_zero(1.0)
-    right = spec.gamma_inf + remainder_inf(1.0)
-    if abs(left - right) > 1e-9 * (1.0 + abs(left)):
-        raise ValueError(
-            f"potential decompositions disagree at x=1: {left} vs {right}")
-    return spec
+    """V(x) = gamma / x, with no remainder at either end."""
+    return PotentialSpec(gamma, 1.0, gamma, 1.0,
+                         v=lambda x: gamma * x ** (-1.0),
+                         dv=lambda x: -1.0 * gamma * x ** (-2.0))
 
 
 def tabulated_potential(
@@ -180,20 +115,8 @@ def tabulated_potential(
             return -alpha_inf * gamma_inf * t ** (-alpha_inf - 1.0)
         return float(dspline(math.log(t))) / t
 
-    def r_zero(t: float) -> float:
-        return v_eval(t) - gamma_zero * t ** (-alpha_zero)
-
-    def r_inf(t: float) -> float:
-        return v_eval(t) - gamma_inf * t ** (-alpha_inf)
-
-    def dr_zero(t: float) -> float:
-        return dv_eval(t) + alpha_zero * gamma_zero * t ** (-alpha_zero - 1.0)
-
-    def dr_inf(t: float) -> float:
-        return dv_eval(t) + alpha_inf * gamma_inf * t ** (-alpha_inf - 1.0)
-
-    return PotentialSpec("tabulated", gamma_zero, alpha_zero, gamma_inf,
-                         alpha_inf, r_zero, r_inf, dr_zero, dr_inf)
+    return PotentialSpec(gamma_zero, alpha_zero, gamma_inf, alpha_inf,
+                         v_eval, dv_eval)
 
 
 def tabulated_potential_from_csv(path, gamma_zero, alpha_zero, gamma_inf, alpha_inf):
@@ -404,21 +327,6 @@ def classify_zero_endpoint(family: CoefficientFamily) -> ZeroClassification:
 
 
 @dataclass(frozen=True)
-class SampleGrid:
-    """Log-uniform sampling grid covering both endpoint regions."""
-
-    x_min: float = 1e-6
-    x_max: float = 1e6
-    per_decade: int = 24
-
-    def points(self) -> np.ndarray:
-        lo = math.log10(self.x_min)
-        hi = math.log10(self.x_max)
-        n = int(round((hi - lo) * self.per_decade)) + 1
-        return np.logspace(lo, hi, n)
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -456,8 +364,7 @@ def _fit_log_slope(xs: np.ndarray, vals: np.ndarray) -> tuple:
     return float(s), float(c)
 
 
-def validate_hypotheses(family: CoefficientFamily,
-                        grid: Optional[SampleGrid] = None) -> HypothesisReport:
+def validate_hypotheses(family: CoefficientFamily) -> HypothesisReport:
     """Numerically verify the admissibility hypotheses on a sampling grid.
 
     Checks, each reported with the measured quantity: convergence of
@@ -468,14 +375,7 @@ def validate_hypotheses(family: CoefficientFamily,
     radial Dirac input, the potential endpoint conditions.  These are sampled
     surrogates for hypotheses the theory assumes rather than proves.
     """
-    grid = grid or SampleGrid()
-    if grid.per_decade < 16:
-        raise GridTooCoarseError(
-            f"need >= 16 points per decade, got {grid.per_decade}")
-    if not grid.x_min < 1.0 < grid.x_max:
-        raise ValueError("sampling grid must cover both endpoint regions "
-                         "(x_min < 1 < x_max)")
-    xs = grid.points()
+    xs = np.logspace(-6.0, 6.0, 289)        # 24 points per decade
     left = xs[xs <= 1.0]
     right = xs[xs >= 1.0]
     checks = []
@@ -550,6 +450,7 @@ def validate_hypotheses(family: CoefficientFamily,
 def _potential_checks(params: DiracRadialParams, left: np.ndarray) -> list:
     pot = params.potential
     k2 = float(params.k) ** 2
+    thr = max(1e-6, 1e-3 * (1.0 + abs(pot.gamma_zero)))
     out = []
     if params.mu_a == 0.0:
         out.append(CheckResult("potential-origin-exponent",
@@ -559,9 +460,8 @@ def _potential_checks(params: DiracRadialParams, left: np.ndarray) -> list:
         rv = np.array([abs(left[i] * pot.remainder_at_zero(left[i]))
                        for i in range(left.size)])
         dec = _decade_maxima(left, rv)
-        ok = dec[0] < max(1e-6, 1e-3 * (1.0 + abs(pot.gamma_zero)))
-        out.append(CheckResult("potential-origin-remainder", ok, dec[0],
-                               max(1e-6, 1e-3 * (1.0 + abs(pot.gamma_zero))),
+        out.append(CheckResult("potential-origin-remainder", dec[0] < thr,
+                               dec[0], thr,
                                "x * remainder must vanish at the origin"))
         bound = k2 - 0.25
         out.append(CheckResult("potential-coupling-bound",
@@ -575,7 +475,6 @@ def _potential_checks(params: DiracRadialParams, left: np.ndarray) -> list:
         rv = np.array([abs(left[i] ** pot.alpha_zero * pot.remainder_at_zero(left[i]))
                        for i in range(left.size)])
         dec = _decade_maxima(left, rv)
-        thr = max(1e-6, 1e-3 * (1.0 + abs(pot.gamma_zero)))
         out.append(CheckResult("potential-origin-remainder", dec[0] < thr,
                                dec[0], thr,
                                "x^alpha0 * remainder must vanish at the origin"))

@@ -181,11 +181,10 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
 class PruferTrajectory:
     """Continuously unwrapped angle trajectory over (part of) a window.
 
-    ``x_end``/``theta_end``/``logrho_end`` give the solver's final state.  A
-    dense trajectory also answers ``theta`` and ``logrho`` at arbitrary x in
-    the integrated span; an endpoint-only one (``dense=False``) raises
-    ValueError there.  Immutable after construction (fields are never
-    reassigned), so instances can be shared across threads.
+    ``x_end``/``theta_end``/``logrho_end`` give the solver's final state, and
+    ``theta`` and ``logrho`` answer at arbitrary x in the integrated span.
+    Immutable after construction (fields are never reassigned), so instances
+    can be shared across threads.
     """
 
     lam: float
@@ -194,14 +193,10 @@ class PruferTrajectory:
     x_start: float
     x_end: float
     stats: IntegratorStats
-    dense: bool
     _y_end: tuple = field(repr=False)
     _pieces: list = field(repr=False)
 
     def _eval(self, x: float) -> tuple:
-        if not self.dense:
-            raise ValueError("trajectory was integrated without dense output; "
-                             "only theta_end and logrho_end are available")
         y = _state_at(self._pieces, x)
         return float(y[0]), float(y[1])
 
@@ -229,17 +224,13 @@ def integrate_prufer(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    logrho_init: float = 0.0,
     x_stop: Optional[float] = None,
-    dense: bool = True,
 ) -> PruferTrajectory:
     """Integrate (theta, logrho) across the window with adaptive embedded RK.
 
-    ``direction`` chooses the starting end; ``x_stop`` truncates the run at an
-    interior point (used by the midpoint-matching solver).  With ``dense`` the
-    returned trajectory supports queries anywhere in the integrated span;
-    without it only the end values are kept, which saves the interpolation
-    stages of every step.
+    ``direction`` chooses the starting end, where log rho is 0; ``x_stop``
+    truncates the run at an interior point (used by the midpoint-matching
+    solver).  The returned trajectory keeps DOP853's dense output.
     """
     if not math.isfinite(theta_init):
         raise ValueError("theta_init must be finite")
@@ -251,10 +242,10 @@ def integrate_prufer(
 
     segs = _segments(window, family.beta, direction, x_stop)
     pieces, stats, _, y_end = _run_segments(
-        rhs_in_x, (theta_init, logrho_init), segs, rtol, atol, dense=dense)
+        rhs_in_x, (theta_init, 0.0), segs, rtol, atol)
     return PruferTrajectory(lam=lam, direction=direction, window=window,
                             x_start=segs[0][1], x_end=segs[-1][2], stats=stats,
-                            dense=dense, _y_end=tuple(map(float, y_end)),
+                            _y_end=tuple(map(float, y_end)),
                             _pieces=pieces)
 
 

@@ -86,13 +86,13 @@ class _MatchInfo:
     x_mid: float
 
 
-def _matched(family, lam, window, zero, rtol, atol, dense=True) -> _MatchInfo:
+def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
     x_mid = window.x_mid
     idata = infinity_data(family.mu_minus, family.mu_plus, lam)
     fwd = integrate_prufer(family, lam, window, zero.theta_zero, "forward",
-                           rtol=rtol, atol=atol, x_stop=x_mid, dense=dense)
+                           rtol=rtol, atol=atol, x_stop=x_mid)
     bwd = integrate_prufer(family, lam, window, idata.theta_inf, "backward",
-                           rtol=rtol, atol=atol, x_stop=x_mid, dense=dense)
+                           rtol=rtol, atol=atol, x_stop=x_mid)
     th_f = fwd.theta_end
     th_b = bwd.theta_end
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
@@ -291,25 +291,20 @@ class EigenvalueRecord:
     history: tuple = ()
 
 
-def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    s, _ = np.polyfit(xs, ys, 1)
-    return float(s)
-
-
 def _decay_fit(family, zero, info: _MatchInfo, window) -> DecayFit:
     # amplitude slope at infinity over the last decade of the window
     xs = np.geomspace(window.x_inf / 10.0, window.x_inf, 48)
     lr = np.array([info.bwd.logrho(x) for x in xs])
-    slope_inf = _fit_slope(xs, lr)
+    slope_inf = float(np.polyfit(xs, lr, 1)[0])
     expected_inf = -info.inf.decay_rate
     # amplitude slope at the origin over the first decade
     x0 = np.geomspace(window.x_zero, window.x_zero * 10.0, 48)
     lr0 = np.array([info.fwd.logrho(x) for x in x0])
     if family.beta == 1.0:
-        slope_zero = _fit_slope(np.log(x0), lr0)
+        slope_zero = float(np.polyfit(np.log(x0), lr0, 1)[0])
         expected_zero = math.sqrt(zero.delta_star)
     else:
-        slope_zero = _fit_slope(x0 ** (1.0 - family.beta), lr0)
+        slope_zero = float(np.polyfit(x0 ** (1.0 - family.beta), lr0, 1)[0])
         expected_zero = -zero.rate
     return DecayFit(
         exponent_inf=slope_inf, expected_inf=expected_inf,
@@ -331,8 +326,8 @@ def _nodal_index(rot: float, quadrant: str) -> tuple:
 def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
                     tol: float = 1e-9, *, window: TruncationWindow,
                     zero: Optional[ZeroData] = None,
-                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                    max_iter: int = 80) -> EigenvalueRecord:
+                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
+                    ) -> EigenvalueRecord:
     """Solve nu_star(lam) = k*pi inside a bracket by safeguarded Newton.
 
     ``bracket`` is a scan Bracket, whose carried end values give the sign
@@ -345,9 +340,10 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     a slope that is not finite and positive, is replaced by bisection, and
     every evaluation shrinks the bracket by the sign of its residual.
     Integrator tolerances are tightened once the lam interval shrinks below
-    1e-9.  Returns the full record: rotation number, quadrant-dependent
-    nodal index, residual, the least-squares decay exponents of the
-    eigenfunction amplitude at both ends, and the iteration history.
+    1e-9, and 80 steps above tol raise ConvergenceError.  Returns the full
+    record: rotation number, quadrant-dependent nodal index, residual, the
+    least-squares decay exponents of the eigenfunction amplitude at both
+    ends, and the iteration history.
     """
     zero = zero or zero_data(family)
     carried = isinstance(bracket, Bracket)
@@ -379,7 +375,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
         f, info = g(lam)            # a carried end on the level
 
     tightened = False
-    for _ in range(max_iter):
+    for _ in range(80):
         if abs(f) < tol:
             break
         if info is None:            # secant step on the carried end values
@@ -401,7 +397,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
         if abs(f) >= tol:
             raise ConvergenceError(
                 f"residual {abs(f):.3g} above tolerance {tol:g} "
-                f"after {max_iter} iterations")
+                "after 80 iterations")
 
     rot = (info.nu_hat - zero.theta_zero) / math.pi
     nodal, flags = _nodal_index(rot, zero.quadrant)
@@ -432,7 +428,7 @@ class AccumulationVerdict:
 
 def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
                         x_schedule: Optional[Sequence[float]] = None, *,
-                        settle_eps: float = 1e-2, rtol: float = DEFAULT_RTOL,
+                        rtol: float = DEFAULT_RTOL,
                         atol: float = DEFAULT_ATOL,
                         x_zero: Optional[float] = None) -> AccumulationVerdict:
     """Probe eigenvalue accumulation at a gap edge from the edge-angle growth.
@@ -441,18 +437,17 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     to each X in the schedule.  Unbounded angle growth (at least 2*pi between
     consecutive schedule points) combined with p11 < mu_minus beyond the first
     X yields "accumulating"; an angle that settles (per-decade variation below
-    settle_eps over the last two decades) yields "finite"; anything else is
+    1e-2 over the last two decades) yields "finite"; anything else is
     "inconclusive".  The two regimes are orders of magnitude apart (creep to a
-    limit vs. at least a full turn per decade), which is what the settle_eps
-    default reflects.  The lower edge is handled by the mirror substitution
+    limit vs. at least a full turn per decade), so the settling bound needs no
+    tuning.  The lower edge is handled by the mirror substitution
     that swaps the components and negates the spectrum.
     """
     if endpoint not in ("upper", "lower"):
         raise ValueError("endpoint must be 'upper' or 'lower'")
     if endpoint == "lower":
         out = detect_accumulation(mirror_family(family), "upper", x_schedule,
-                                  settle_eps=settle_eps, rtol=rtol, atol=atol,
-                                  x_zero=x_zero)
+                                  rtol=rtol, atol=atol, x_zero=x_zero)
         return replace(out, endpoint="lower")
 
     schedule = sorted(x_schedule) if x_schedule else [1e2, 1e3, 1e4, 1e5]
@@ -463,7 +458,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
         probe = select_truncation(family, (mid - span, mid + span), zero=zero)
         x_zero = probe.x_zero
     window = TruncationWindow(x_zero=x_zero, x_inf=schedule[-1],
-                              delta=math.nan, eps=settle_eps)
+                              delta=math.nan, eps=1e-2)
     lam_edge = family.mu_plus
     traj = integrate_prufer(family, lam_edge, window, zero.theta_zero,
                             "forward", rtol=rtol, atol=atol)
@@ -484,7 +479,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     if growth and all(gv >= 2.0 * math.pi for gv in growth) and mono_ok:
         verdict = "accumulating"
         detail = "angle grows by >= 2*pi per schedule step and p11 stays below mu_minus"
-    elif variation < settle_eps:
+    elif variation < 1e-2:
         verdict = "finite"
         detail = f"angle varies by {variation:.3g} over the last two decades"
     else:
@@ -565,13 +560,13 @@ def _l2_mass(family: CoefficientFamily, zero: ZeroData,
 
 def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
                   n_samples: int = 512, *, zero: Optional[ZeroData] = None,
-                  angle_tol: float = 1e-6, rtol: float = DEFAULT_RTOL,
+                  rtol: float = DEFAULT_RTOL,
                   atol: float = DEFAULT_ATOL) -> Eigenfunction:
     """Reconstruct and L2-normalize the eigenfunction by two-sided integration.
 
     Angle trajectories are run forward from x_zero and backward from x_inf and
-    matched at the geometric-mean midpoint; a mismatch (mod pi) beyond
-    angle_tol means lam is not an eigenvalue to tolerance.  Amplitudes are
+    matched at the geometric-mean midpoint; a mismatch (mod pi) beyond 1e-6
+    means lam is not an eigenvalue to tolerance.  Amplitudes are
     spliced by matching the log-amplitude at the midpoint, normalized by
     quadrature over the window plus closed-form tail and head corrections from
     the known decay exponents, and sampled on a log grid.
@@ -582,7 +577,7 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     fwd, bwd, x_mid = info.fwd, info.bwd, info.x_mid
     th_f, th_b = fwd.theta_end, bwd.theta_end
     mism = (th_f - th_b + math.pi / 2.0) % math.pi - math.pi / 2.0
-    if abs(mism) > angle_tol:
+    if abs(mism) > 1e-6:
         raise AngleMismatchError(
             f"angle mismatch {mism:.3g} at x_mid = {x_mid:.3g}; "
             "lam is not an eigenvalue to tolerance")

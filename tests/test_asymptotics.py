@@ -151,8 +151,7 @@ def test_window_unattainable_delta():
     fam = dg.build_dirac_family(
         dg.DiracRadialParams(k=-1, mu_a=0.0, potential=dg.coulomb_potential(-0.5)))
     with pytest.raises(dg.NoWindowError):
-        dg.select_truncation(fam, (0.0, 0.5), delta=1e-12,
-                             x_bounds=(1e-4, 1e4))
+        dg.select_truncation(fam, (0.0, 0.5), delta=1e-12)
 
 
 def test_window_requires_range_inside_gap(coulomb_minus):

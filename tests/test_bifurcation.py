@@ -1,5 +1,7 @@
 """Nonlinear shooting, Newton correction, branch continuation and indices."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,9 @@ def test_linear_eigenpair_small_mismatch(coulomb_plus, zero_plus, seed_branch,
     # midpoint mismatch is set by the eigenvalue accuracy, uniformly in a
     zc = dg.zero_coupling()
     lam = seed_branch.lam
-    ratio, sign = dg.linear_amplitude_ratio(coulomb_plus, lam, branch_window,
-                                            zero=zero_plus)
+    log_ratio, sign = dg.linear_amplitude_ratio(coulomb_plus, lam,
+                                                branch_window, zero=zero_plus)
+    ratio = math.exp(log_ratio)
     for a in (1e-3, 1e-2, 1e-1):
         shot = dg.shoot_nonlinear(coulomb_plus, zc, lam, a, sign * ratio * a,
                                   branch_window, zero=zero_plus)
@@ -40,8 +43,9 @@ def test_linear_eigenpair_small_mismatch(coulomb_plus, zero_plus, seed_branch,
 def test_soler_mismatch_cubic_scaling(coulomb_plus, zero_plus, seed_branch,
                                       branch_window, soler_coupling):
     lam = seed_branch.lam
-    ratio, sign = dg.linear_amplitude_ratio(coulomb_plus, lam, branch_window,
-                                            zero=zero_plus)
+    log_ratio, sign = dg.linear_amplitude_ratio(coulomb_plus, lam,
+                                                branch_window, zero=zero_plus)
+    ratio = math.exp(log_ratio)
     amps = np.array([1e-3, 3e-3, 1e-2])
     norms = []
     for a in amps:
@@ -58,9 +62,9 @@ def test_shot_sign_symmetry(coulomb_plus, zero_plus, seed_branch,
     # the coupling is even in z, so negating both shooting amplitudes negates
     # the solution and the mismatch, and leaves the rotation unchanged
     lam = seed_branch.lam
-    ratio, sign = dg.linear_amplitude_ratio(coulomb_plus, lam, branch_window,
-                                            zero=zero_plus)
-    a, b = 5e-3, sign * ratio * 5e-3
+    log_ratio, sign = dg.linear_amplitude_ratio(coulomb_plus, lam,
+                                                branch_window, zero=zero_plus)
+    a, b = 5e-3, sign * math.exp(log_ratio) * 5e-3
     s1 = dg.shoot_nonlinear(coulomb_plus, soler_coupling, lam, a, b,
                             branch_window, zero=zero_plus)
     s2 = dg.shoot_nonlinear(coulomb_plus, soler_coupling, lam, -a, -b,
@@ -172,3 +176,24 @@ def test_linear_point_l2_norm_matches_eigenfunction(coulomb_plus, zero_plus,
     i = int(np.argmax(np.hypot(pt.u, pt.v)))
     c = pt.u[i] / ef.u[i] if abs(ef.u[i]) > abs(ef.v[i]) else pt.v[i] / ef.v[i]
     assert abs(pt.l2_norm - abs(c)) < 1e-7 * abs(c)
+
+
+def test_branch_continues_where_the_backward_amplitude_underflows(
+        coulomb_plus, zero_plus, soler_coupling):
+    # on [1e-3, 1600] the linear amplitude ratio is about e^-788, below the
+    # float range, so b only exists as its log; the continuation used to stop
+    # with a math domain error here
+    win = dg.TruncationWindow(x_zero=1e-3, x_inf=1600.0, delta=2e-4, eps=1e-3)
+    scan = dg.scan_spectrum(coulomb_plus, np.linspace(0.5, 0.93, 9), win,
+                            zero_plus)
+    bracket = next(b for b in scan.brackets if b.k == 1)
+    seed = dg.find_eigenvalue(coulomb_plus, 1, bracket, 1e-9, window=win,
+                              zero=zero_plus)
+    log_ratio, _ = dg.linear_amplitude_ratio(coulomb_plus, seed.lam, win,
+                                             zero=zero_plus)
+    assert log_ratio < -745.0           # exp(log_ratio) underflows to 0
+    branch = dg.continue_branch(coulomb_plus, soler_coupling, seed, ds=1e-3,
+                                max_steps=2, window=win, zero=zero_plus)
+    assert len(branch.points) == 2
+    assert branch.index_audit_ok
+    assert all(p.residual < 1e-8 for p in branch.points)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from diracgap import cli
@@ -141,6 +142,15 @@ def test_bad_window_override_is_usage_error(tmp_path, capsys, old, new, line):
     assert f"line {line}" in capsys.readouterr().err
 
 
+def test_unknown_key_is_usage_error(tmp_path, capsys):
+    # a misspelt key used to leave the default lambda_max = 0.999 in force
+    path = write(tmp_path, COULOMB_BASE.replace("lambda_max", "lamda_max"))
+    code = cli.main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 1
+    assert "line 10: [numerics] lamda_max: unknown key" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     code = cli.main(["check", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
@@ -192,6 +202,27 @@ def test_outputs_reproducible_byte_for_byte(tmp_path):
     b2 = (out2 / "spectrum.csv").read_bytes()
     assert b1 == b2
     assert b"config_hash=" in b1
+
+
+def test_spectrum_on_tabulated_coulomb(tmp_path):
+    # V is the spline through the table itself, so a table of -0.5/x must
+    # give the Coulomb ground state
+    table = tmp_path / "coulomb.csv"
+    xs = np.geomspace(1e-7, 1e7, 600)
+    table.write_text("x,V\n" + "".join(f"{x!r},{-0.5 / x!r}\n"
+                                       for x in xs.tolist()))
+    cfg = COULOMB_BASE.replace("kind = pure-coulomb\ngamma = -0.5",
+                               f"kind = tabulated\ntable = {table}\n"
+                               "gamma0 = -0.5\nalpha0 = 1.0\n"
+                               "gamma_inf = -0.5\nalpha_inf = 1.0")
+    path = write(tmp_path, cfg)
+    assert cli.main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"]) == 0
+    lines = [l for l in (tmp_path / "spectrum.csv").read_text().splitlines()
+             if l and not l.startswith("#")]
+    row = lines[1].split(",")
+    assert int(row[0]) == 1
+    assert abs(float(row[1]) - math.sqrt(3.0) / 2.0) < 1e-6
 
 
 # -- the other commands -------------------------------------------------------------

@@ -56,8 +56,7 @@ def test_k_zero_rejected():
 
 
 def test_missing_derivative_rejected():
-    pot = dg.coulomb_with_remainder(-0.5, 1.0, -0.5, 1.0,
-                                    lambda x: 0.0, lambda x: 0.0)
+    pot = dg.PotentialSpec(-0.5, 1.0, -0.5, 1.0, v=lambda x: -0.5 / x)
     dg.build_dirac_family(dg.DiracRadialParams(k=1, mu_a=0.0, potential=pot))
     with pytest.raises(dg.MissingDerivativeError):
         dg.build_dirac_family(dg.DiracRadialParams(k=1, mu_a=1.0, potential=pot))
@@ -137,13 +136,6 @@ def test_validate_anomalous_family_passes():
         dg.DiracRadialParams(k=-1, mu_a=1.0, potential=dg.coulomb_potential(-2.0)))
     report = dg.validate_hypotheses(fam)
     assert report.passed, report.failed_names()
-
-
-def test_validate_coarse_grid_rejected():
-    fam = dg.build_dirac_family(
-        dg.DiracRadialParams(k=-1, mu_a=0.0, potential=dg.coulomb_potential(-0.5)))
-    with pytest.raises(dg.GridTooCoarseError):
-        dg.validate_hypotheses(fam, dg.SampleGrid(per_decade=8))
 
 
 # -- tabulated potentials ----------------------------------------------------

@@ -7,6 +7,7 @@ benchmark or zero its counts.  These checks import the tracer as it is.
 """
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,24 @@ def test_traced_attributes_resolve(tracing):
     for module, attr in tracing.TRACED:
         name = f"{module.__name__}.{attr}"
         assert callable(getattr(module, attr, None)), name
+
+
+def test_benchmark_and_readme_configs_load(tracing, tmp_path):
+    # load_config rejects keys it does not read, so the configs the benchmark
+    # writes (survey problems and refusal reproducers, with and without tol)
+    # and the README's example must stay inside the schema
+    workloads = importlib.import_module("workloads")
+    refusals = importlib.import_module("refusals")
+    cases = workloads.make_inputs("survey", 11) + list(refusals.SPECTRUM)
+    for i, inp in enumerate(cases):
+        for tol in (None, workloads.SURVEY_TOL):
+            path = tmp_path / f"survey-{i}.cfg"
+            path.write_text(workloads.survey_config(inp, tol))
+            assert cli.load_config(path).x_inf_override == inp["x_inf"]
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "readme.cfg"
+    path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    assert cli.load_config(path).coupling_spec is not None
 
 
 def test_tracer_installs_and_restores(tracing):

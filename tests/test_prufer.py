@@ -101,23 +101,6 @@ def test_dense_output_queryable_between_nodes(coulomb_minus, zero_minus,
     assert np.max(np.abs(np.diff(th))) < 1.0
 
 
-def test_endpoint_only_run_has_the_dense_end_values(coulomb_minus, zero_minus,
-                                                    fast_window):
-    # the scan reads end values without dense output and the root solve with
-    # it; both must see the same numbers at the same lam
-    kw = dict(x_stop=fast_window.x_mid)
-    dense = dg.integrate_prufer(coulomb_minus, 0.3, fast_window,
-                                zero_minus.theta_zero, **kw)
-    bare = dg.integrate_prufer(coulomb_minus, 0.3, fast_window,
-                               zero_minus.theta_zero, dense=False, **kw)
-    assert (bare.theta_end, bare.logrho_end) == (dense.theta_end,
-                                                 dense.logrho_end)
-    assert bare.stats.steps == dense.stats.steps
-    assert bare.stats.nfev < dense.stats.nfev
-    with pytest.raises(ValueError, match="without dense output"):
-        bare.theta(fast_window.x_zero * 2.0)
-
-
 def test_invalid_direction_rejected(coulomb_minus, fast_window):
     with pytest.raises(ValueError):
         dg.integrate_prufer(coulomb_minus, 0.1, fast_window, 0.3, "sideways")

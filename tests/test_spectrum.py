@@ -133,8 +133,8 @@ def test_lane_values_match_scalar_and_other_batches(gamma, k, grid,
     assert lanes.shape == lams.shape
     for lam, value in zip(lams, lanes):
         scalar = spectrum._matched(fam, lam, fast_window, zd,
-                                   DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2,
-                                   dense=False).nu_star_hat
+                                   DEFAULT_RTOL * 1e-2,
+                                   DEFAULT_ATOL * 1e-2).nu_star_hat
         assert abs(value - scalar) < 1e-9
     other = dg.nu_star(fam, np.append(lams[::2], 0.0), fast_window, zd)
     assert np.all(np.abs(other[:-1] - lanes[::2]) < 1e-9)
