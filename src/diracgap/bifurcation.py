@@ -11,10 +11,13 @@ the approximation.
 
 Branches are continued in the left amplitude a (near bifurcation from a simple
 eigenvalue the branch is a graph over the amplitude), with a secant predictor
-and step halving on corrector failure.  Every accepted point carries the
-rotation number j of the solution's own angle sweep, the integer index i
-obtained from j by the quadrant floor rule, and the solver audits that i stays
-equal to the seed eigenvalue's index along the branch.
+for lam and log(|b|/a) and step halving on corrector failure.  The backward
+amplitude is carried in one form, log |b| with the branch's sign: the sign is
+fixed by the linear eigenfunction and never predicted, so no extrapolation
+can flip it.  Every accepted point carries the rotation number j of the
+solution's own angle sweep, the integer index i obtained from j by the
+quadrant floor rule, and the solver audits that i stays equal to the seed
+eigenvalue's index along the branch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .asymptotics import TruncationWindow, ZeroData, infinity_data, zero_data
 from .model import CoefficientFamily, NonlinearCoupling
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError,
-                     OverflowAbort, integrate_cartesian)
+                     integrate_cartesian)
 # unused here, kept because perfbench/tracing.py traces this module attribute
 from .prufer import integrate_prufer  # noqa: F401
 from .spectrum import EigenvalueRecord, _l2_mass, _matched, _nodal_index
@@ -180,12 +183,15 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                 atol: float = DEFAULT_ATOL) -> BranchPoint:
     """Newton-correct one nonlinear solution near the supplied guess.
 
-    The unknowns are (lam, log |b|) at fixed left amplitude a_target; b_guess
-    and log_b are the start, as b and log_b in shoot_nonlinear.  Without
-    either the linear amplitude ratio supplies it.  The mismatch is driven
-    below 1e-9 * max(1, a) in at most 25 steps; the Jacobian is formed by
-    forward differences.  b may be negative (the backward direction flips
-    sign for odd rotation offsets); its sign is frozen from the guess.
+    The unknowns are (lam, log |b|) at fixed left amplitude a_target.  log_b
+    (log |b_guess| when omitted) is the start for log |b|, and b_guess gives
+    the sign of b, which is frozen (the backward direction flips sign for
+    odd rotation offsets); with neither, the linear amplitude ratio at
+    lam_guess supplies both.  The mismatch is driven below 1e-9 * max(1, a)
+    in at most 25 steps; the Jacobian is formed by forward differences.  A
+    damped step is halved until it lowers max |mismatch|, at most four
+    times.  A failed shot, a step out of the gap or the amplitude range, a
+    singular Jacobian or a step that cannot be damped raises CorrectorError.
     """
     zero = zero or zero_data(family)
     if a_target <= 0.0:
@@ -211,48 +217,42 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         lam = p[0]
         if not (family.mu_minus + gap_margin < lam < family.mu_plus - gap_margin):
             raise CorrectorError(f"lam = {lam:.6g} left the spectral gap")
-        shot = shoot_nonlinear(family, coupling, lam, a_target,
-                               b_sign * math.exp(p[1]), window, log_b=p[1],
-                               zero=zero, rtol=rtol, atol=atol)
+        try:
+            shot = shoot_nonlinear(family, coupling, lam, a_target,
+                                   b_sign * math.exp(p[1]), window, log_b=p[1],
+                                   zero=zero, rtol=rtol, atol=atol)
+        except IntegrationError as exc:      # OverflowAbort included
+            raise CorrectorError(f"shot failed: {exc}") from exc
         return shot.mismatch, shot
 
     p = np.array([lam_guess, log_b])
     steps = np.array([1e-7 * max(1.0, abs(lam_guess)), 1e-7])
 
-    try:
-        r, shot = residual(p)
-    except (OverflowAbort, IntegrationError) as exc:
-        raise CorrectorError(f"initial shot failed: {exc}") from exc
+    r, shot = residual(p)
     for _ in range(25):
-        if float(np.max(np.abs(r))) < tol:
+        base = float(np.max(np.abs(r)))
+        if base < tol:
             return _point_from_shot(family, zero, shot)
         jac = np.empty((2, 2))
         for col in range(2):
             q = p.copy()
             q[col] += steps[col]
-            try:
-                rq, _ = residual(q)
-            except (OverflowAbort, IntegrationError) as exc:
-                raise CorrectorError(
-                    f"Jacobian evaluation failed: {exc}") from exc
-            jac[:, col] = (rq - r) / steps[col]
+            jac[:, col] = (residual(q)[0] - r) / steps[col]
         try:
             dp = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise CorrectorError(
                 f"singular corrector Jacobian (cond ~ {np.linalg.cond(jac):.3g})"
             ) from exc
-        # damped update
+        # damped update: accepted only where it lowers the mismatch
         scale = 1.0
-        base = float(np.max(np.abs(r)))
         for _ in range(5):
             try:
                 r_new, shot_new = residual(p + scale * dp)
-            except (CorrectorError, OverflowAbort, IntegrationError):
-                scale *= 0.5
-                continue
-            if float(np.max(np.abs(r_new))) < base or scale <= 0.0625:
-                break
+                if float(np.max(np.abs(r_new))) < base:
+                    break
+            except CorrectorError:
+                pass
             scale *= 0.5
         else:
             raise CorrectorError("corrector step could not reduce the mismatch")
@@ -288,11 +288,14 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
     """March a solution branch away from a linear eigenvalue in amplitude.
 
     Starts at left amplitude ds and grows it by ds per accepted step, with a
-    secant predictor for (lam, b) and up to four step halvings on corrector
-    failure.  Terminates when lam comes within 1e-6 of a gap edge, when the
-    amplitude budget or step count is exhausted, or on persistent corrector
-    failure.  Each accepted point's index i is audited against the seed's
-    nodal index; disagreements are recorded, not silently accepted.
+    secant predictor for (lam, log(b/a)) and up to four step halvings on
+    corrector failure.  The first step starts from the linear amplitude
+    ratio (solve_point), one accepted point holds lam and log(b/a), and two
+    extrapolate both along the secant through the last two points; b keeps
+    the seed's sign.  Terminates when lam comes within 1e-6 of a gap edge,
+    when the amplitude budget or step count is exhausted, or on persistent
+    corrector failure.  Each accepted point's index i is audited against the
+    seed's nodal index; disagreements are recorded, not silently accepted.
     """
     if ds <= 0.0:
         raise ValueError("continuation step ds must be positive")
@@ -300,11 +303,6 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
         raise ValueError("seed eigenvalue residual too large for continuation")
     window = window or seed.window
     zero = zero or zero_data(family)
-
-    # backward/forward amplitude ratio of the linear eigenfunction fixes the
-    # initial guess for b, including its sign (odd rotation offsets flip it)
-    log_ratio, sign = linear_amplitude_ratio(family, seed.lam, window,
-                                             zero=zero, rtol=rtol, atol=atol)
 
     points = []
     audit_failures = []
@@ -316,27 +314,21 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
         accepted = None
         for _ in range(5):          # initial try plus four halvings
             a_try = a + ds_local
-            # b is predicted with its log, which stays exact where b
-            # underflows; a zero prediction falls back to the linear ratio
-            if len(points) >= 2:
-                p1, p2 = points[-2], points[-1]
-                w = (a_try - p2.a) / (p2.a - p1.a)
-                lam_pred = p2.lam + w * (p2.lam - p1.lam)
-                # b2 + w (b2 - b1) = b2 f; b1 * b2 keeps its sign in underflow
-                f = 1.0 + w * (1.0 - math.copysign(
-                    math.exp(p1.log_b - p2.log_b), p1.b * p2.b))
-                b_pred = p2.b * f
-                log_b = p2.log_b + math.log(abs(f)) if f else None
-            elif points:
+            lam_pred, b_guess, log_b = seed.lam, None, None
+            if points:
+                # r = log(|b|/a) is smooth in a where b itself falls fast
                 p2 = points[-1]
-                lam_pred, b_pred = p2.lam, p2.b * a_try / p2.a
-                log_b = p2.log_b + math.log(a_try / p2.a)
-            else:
-                lam_pred, b_pred = seed.lam, sign * math.exp(log_ratio) * a_try
-                log_b = log_ratio + math.log(a_try)
+                r2 = p2.log_b - math.log(p2.a)
+                lam_pred, b_guess, r_pred = p2.lam, p2.b, r2
+                if len(points) >= 2:
+                    p1 = points[-2]
+                    w = (a_try - p2.a) / (p2.a - p1.a)
+                    lam_pred += w * (p2.lam - p1.lam)
+                    r_pred += w * (r2 - (p1.log_b - math.log(p1.a)))
+                log_b = math.log(a_try) + r_pred
             try:
                 accepted = solve_point(family, coupling, lam_pred, a_try,
-                                       b_pred, log_b=log_b, window=window,
+                                       b_guess, log_b=log_b, window=window,
                                        zero=zero, rtol=rtol, atol=atol)
                 break
             except CorrectorError:

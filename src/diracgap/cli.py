@@ -7,10 +7,12 @@ comment header carrying the config hash, window and tolerances, and contains
 no wall-clock data, so re-running an identical config reproduces the files
 byte for byte.
 
-Exit codes: 0 success, 1 usage or config error, 2 mathematical rejection or
-non-convergence.
+Exit codes: 0 success, 1 usage or config error (also an output directory
+that cannot be written), 2 mathematical rejection or non-convergence.
 
-Config schema (sections and keys, defaults in brackets):
+Config schema (sections and keys, defaults in brackets).  Every number must
+be finite; values marked (> 0) must be positive, counts at least 1, and a
+bad value exits 1 naming its line:
 
     [problem]
     kind        pure-coulomb | tabulated            (required)
@@ -21,32 +23,32 @@ Config schema (sections and keys, defaults in brackets):
     mu_a        anomalous moment                    [0.0]
 
     [numerics]
-    rtol [1e-10]  atol [1e-12]  delta [1e-4 * gap width]  eps [1e-3]
+    rtol [1e-10]  atol [1e-12]  delta [1e-4 * gap width]  eps [1e-3]  (> 0)
     lambda_min lambda_max lambda_points   scan grid       [-0.9, 0.999, 50]
-    x_zero x_inf                          window overrides (optional; positive,
+    x_zero x_inf                          window overrides (optional; > 0,
                                           x_zero below x_inf)
-    tol [1e-9]                            eigenvalue residual tolerance
+    tol [1e-9]                            eigenvalue residual tolerance (> 0)
 
     [output]
     dir         output directory          [.]  (env DIRACGAP_OUT overrides,
                                                flag --out overrides both)
 
     [spectrum]
-    k           explicit level indices, space separated   (optional)
+    k           explicit level indices, space separated integers (optional)
 
     [eigenfunction]
     k           level index               (required by the command)
-    samples     [512]
+    samples     count                     [512]
 
     [accumulation]
     endpoint    upper | lower             [upper]
-    schedule    space separated X values  [1e2 1e3 1e4 1e5]
+    schedule    space separated X values (> 0)  [1e2 1e3 1e4 1e5]
 
     [branch]
     seed_k      level index of the seed   (required by the command)
-    ds          amplitude step            [0.05]
-    max_steps   [25]
-    a_max       [10.0]
+    ds          amplitude step (> 0)      [0.05]
+    max_steps   count                     [25]
+    a_max       (> 0)                     [10.0]
 
     [coupling]
     kind        soler                     (required by branch)
@@ -54,7 +56,7 @@ Config schema (sections and keys, defaults in brackets):
     f_scale     [1.0]
     gamma_scale gamma_power               gamma(r) = scale * r^2 / (1 + r^power)
                                           [1.0, 5.0]
-    constant    angular constant          [4*pi]
+    constant    angular constant (> 0)    [4*pi]
 """
 
 from __future__ import annotations
@@ -71,13 +73,13 @@ from typing import Optional
 import numpy as np
 
 from . import bifurcation, model, spectrum
-from .asymptotics import TruncationWindow, select_truncation, zero_data
-from .model import (CouplingRejectedError, MissingDerivativeError,
-                    build_dirac_family, build_soler_coupling,
-                    classify_zero_endpoint, validate_hypotheses)
+from .asymptotics import (NoWindowError, TruncationWindow, select_truncation,
+                          zero_data)
+from .model import (CouplingRejectedError, build_dirac_family,
+                    build_soler_coupling, classify_zero_endpoint,
+                    validate_hypotheses)
 from .prufer import IntegrationError
-from .spectrum import (AngleMismatchError, BracketError, ConvergenceError,
-                       MonotonicityError)
+from .spectrum import AngleMismatchError, ConvergenceError, MonotonicityError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,6 +92,12 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+# every other error the package raises is a rejection (exit 2); ValueError
+# covers BracketError, MissingDerivativeError and CouplingRejectedError
+REJECTIONS = (ValueError, NoWindowError, ConvergenceError, MonotonicityError,
+              AngleMismatchError, IntegrationError, bifurcation.CorrectorError)
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +188,41 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
             errors.append(f"unknown section [{name}]")
     read = set()
 
-    def get(section, key, default=None, required=False, kind=None):
+    def bad(section, key, message):
+        entry = sections.get(section, {}).get(key)
+        errors.append((f"line {entry[1]}: " if entry else "")
+                      + f"[{section}] {key}: {message}")
+
+    def get(section, key, default=None, required=False, kind=str,
+            positive=False):
+        # kind is str, int, float, or [int] / [float] for a list of them
         read.add((section, key))
         entry = sections.get(section, {}).get(key)
         if entry is None:
             if required:
-                errors.append(f"[{section}] {key}: missing required key")
+                bad(section, key, "missing required key")
             return default
-        value, lineno = entry
-        if kind is not None:
-            try:
-                if kind is float:
-                    value = float(value)
-                elif kind is int:
-                    if isinstance(value, float) and not value.is_integer():
-                        raise ValueError
-                    value = int(value)
-                elif kind is list:
-                    value = [float(v) for v in (value if isinstance(value, list) else [value])]
-                elif kind is str and not isinstance(value, str):
+        value = entry[0]
+        many = isinstance(kind, list)
+        item = kind[0] if many else kind
+        try:
+            if item is str:
+                if not isinstance(value, str):
                     raise ValueError
-            except (TypeError, ValueError):
-                errors.append(f"line {lineno}: [{section}] {key}: expected {kind.__name__}")
-                return default
-        return value
+                return value
+            values = value if many and isinstance(value, list) else [value]
+            numbers = [float(v) for v in values]
+            if not all(math.isfinite(v) and (v > 0.0 or not positive)
+                       and (item is float or v.is_integer()) for v in numbers):
+                raise ValueError
+            numbers = [item(v) for v in numbers]
+            return numbers if many else numbers[0]
+        except (TypeError, ValueError):
+            bad(section, key, "expected " + ("positive " if positive else "")
+                + item.__name__ + (" values" if many else ""))
+            return default
 
-    kind = get("problem", "kind", required=True, kind=str)
+    kind = get("problem", "kind", required=True)
     k = get("problem", "k", required=True, kind=int)
     mu_a = get("problem", "mu_a", 0.0, kind=float)
     pot = None
@@ -214,7 +231,7 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
         if gamma is not None:
             pot = model.coulomb_potential(gamma)
     elif kind == "tabulated":
-        table = get("problem", "table", required=True, kind=str)
+        table = get("problem", "table", required=True)
         g0 = get("problem", "gamma0", required=True, kind=float)
         a0 = get("problem", "alpha0", required=True, kind=float)
         gi = get("problem", "gamma_inf", required=True, kind=float)
@@ -223,68 +240,66 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
             try:
                 pot = model.tabulated_potential_from_csv(table, g0, a0, gi, ai)
             except (OSError, ValueError) as exc:
-                errors.append(f"[problem] table: {exc}")
+                bad("problem", "table", exc)
     elif kind is not None:
-        errors.append(f"[problem] kind: unknown kind {kind!r} "
-                      "(config supports pure-coulomb and tabulated)")
+        bad("problem", "kind", f"unknown kind {kind!r} "
+            "(config supports pure-coulomb and tabulated)")
 
     if k == 0:
-        errors.append("[problem] k: must be nonzero")
+        bad("problem", "k", "must be nonzero")
 
-    rtol = get("numerics", "rtol", 1e-10, kind=float)
-    atol = get("numerics", "atol", 1e-12, kind=float)
-    delta = get("numerics", "delta", None, kind=float)
-    eps = get("numerics", "eps", 1e-3, kind=float)
-    tol = get("numerics", "tol", 1e-9, kind=float)
+    rtol = get("numerics", "rtol", 1e-10, kind=float, positive=True)
+    atol = get("numerics", "atol", 1e-12, kind=float, positive=True)
+    delta = get("numerics", "delta", None, kind=float, positive=True)
+    eps = get("numerics", "eps", 1e-3, kind=float, positive=True)
+    tol = get("numerics", "tol", 1e-9, kind=float, positive=True)
     lam_min = get("numerics", "lambda_min", -0.9, kind=float)
     lam_max = get("numerics", "lambda_max", 0.999, kind=float)
     lam_pts = get("numerics", "lambda_points", 50, kind=int)
-    xz = get("numerics", "x_zero", None, kind=float)
-    xi = get("numerics", "x_inf", None, kind=float)
+    xz = get("numerics", "x_zero", None, kind=float, positive=True)
+    xi = get("numerics", "x_inf", None, kind=float, positive=True)
     if lam_min >= lam_max:
-        errors.append("[numerics] lambda_min must be below lambda_max")
+        bad("numerics", "lambda_max", "must exceed lambda_min")
     if not (-1.0 < lam_min and lam_max < 1.0):
-        errors.append("[numerics] scan grid must lie inside the gap (-1, 1)")
+        bad("numerics", "lambda_min" if lam_min <= -1.0 else "lambda_max",
+            "scan grid must lie inside the gap (-1, 1)")
     if lam_pts < 2:
-        errors.append("[numerics] lambda_points must be at least 2")
-    for key, value in (("x_zero", xz), ("x_inf", xi)):
-        if value is not None and not value > 0.0:
-            errors.append(f"line {sections['numerics'][key][1]}: [numerics] "
-                          f"{key}: window override must be positive")
+        bad("numerics", "lambda_points", "must be at least 2")
     if xz is not None and xi is not None and xz >= xi:
-        errors.append(f"line {sections['numerics']['x_inf'][1]}: [numerics] "
-                      "x_inf: window override must exceed x_zero")
+        bad("numerics", "x_inf", "window override must exceed x_zero")
 
     task = {
-        "spectrum_k": get("spectrum", "k", None),
+        "spectrum_k": get("spectrum", "k", None, kind=[int]),
         "eigenfunction_k": get("eigenfunction", "k", None, kind=int),
-        "samples": get("eigenfunction", "samples", 512, kind=int),
-        "endpoint": get("accumulation", "endpoint", "upper", kind=str),
-        "schedule": get("accumulation", "schedule", [1e2, 1e3, 1e4, 1e5], kind=list),
+        "samples": get("eigenfunction", "samples", 512, kind=int, positive=True),
+        "endpoint": get("accumulation", "endpoint", "upper"),
+        "schedule": get("accumulation", "schedule", [1e2, 1e3, 1e4, 1e5],
+                        kind=[float], positive=True),
         "seed_k": get("branch", "seed_k", None, kind=int),
-        "ds": get("branch", "ds", 0.05, kind=float),
-        "max_steps": get("branch", "max_steps", 25, kind=int),
-        "a_max": get("branch", "a_max", 10.0, kind=float),
+        "ds": get("branch", "ds", 0.05, kind=float, positive=True),
+        "max_steps": get("branch", "max_steps", 25, kind=int, positive=True),
+        "a_max": get("branch", "a_max", 10.0, kind=float, positive=True),
     }
     if task["endpoint"] not in ("upper", "lower"):
-        errors.append("[accumulation] endpoint must be 'upper' or 'lower'")
+        bad("accumulation", "endpoint", "must be 'upper' or 'lower'")
 
     coupling_spec = None
     if "coupling" in sections:
-        ckind = get("coupling", "kind", required=True, kind=str)
-        if ckind != "soler":
-            errors.append(f"[coupling] kind: unsupported kind {ckind!r}")
-        fname = get("coupling", "f", "linear", kind=str)
+        ckind = get("coupling", "kind", required=True)
+        if ckind not in (None, "soler"):
+            bad("coupling", "kind", f"unsupported kind {ckind!r}")
+        fname = get("coupling", "f", "linear")
         if fname != "linear":
-            errors.append(f"[coupling] f: unsupported nonlinearity {fname!r}")
+            bad("coupling", "f", f"unsupported nonlinearity {fname!r}")
         coupling_spec = {
             "f_scale": get("coupling", "f_scale", 1.0, kind=float),
             "gamma_scale": get("coupling", "gamma_scale", 1.0, kind=float),
             "gamma_power": get("coupling", "gamma_power", 5.0, kind=float),
-            "constant": get("coupling", "constant", 4.0 * math.pi, kind=float),
+            "constant": get("coupling", "constant", 4.0 * math.pi, kind=float,
+                            positive=True),
         }
 
-    out_dir = get("output", "dir", ".", kind=str)
+    out_dir = get("output", "dir", ".")
     out_dir = os.environ.get("DIRACGAP_OUT", out_dir)
     if out_override:
         out_dir = out_override
@@ -441,9 +456,7 @@ def _solve_levels(cfg: RunConfig, quiet: bool, wanted=None, level=None):
 def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
     """Scan the gap, solve every bracketed level, persist the records."""
     wanted = cfg.task.get("spectrum_k")
-    if wanted is not None:
-        wanted = {int(v) for v in (wanted if isinstance(wanted, list) else [wanted])}
-    solved = _solve_levels(cfg, quiet, wanted)
+    solved = _solve_levels(cfg, quiet, None if wanted is None else set(wanted))
     if solved is None:
         return EXIT_REJECTED
     _, _, window, records = solved
@@ -571,24 +584,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, args.out)
+        return _COMMANDS[args.command](load_config(args.config, args.out),
+                                       args.quiet)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except OSError as exc:              # reading the config, writing outputs
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        return _COMMANDS[args.command](cfg, args.quiet)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MissingDerivativeError, CouplingRejectedError, BracketError,
-            ConvergenceError, MonotonicityError, AngleMismatchError,
-            IntegrationError, bifurcation.CorrectorError, ValueError) as exc:
+    except REJECTIONS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

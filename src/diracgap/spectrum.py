@@ -331,24 +331,26 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     """Solve nu_star(lam) = k*pi inside a bracket by safeguarded Newton.
 
     ``bracket`` is a scan Bracket, whose carried end values give the sign
-    test and a first secant step, or a (lo, hi) pair, whose ends are
-    evaluated and Newton starts from the one with the smaller residual.  An
-    end with residual below tol is solved where it is; otherwise the bracket
-    must straddle the level (monotonicity makes the root unique).  Iterates
-    are scalar dense matched runs, which also give the lam-derivative
-    (module docstring).  A step not strictly inside the current bracket, or
-    a slope that is not finite and positive, is replaced by bisection, and
-    every evaluation shrinks the bracket by the sign of its residual.
-    Integrator tolerances are tightened once the lam interval shrinks below
-    1e-9, and 80 steps above tol raise ConvergenceError.  Returns the full
-    record: rotation number, quadrant-dependent nodal index, residual, the
-    least-squares decay exponents of the eigenfunction amplitude at both
-    ends, and the iteration history.
+    test and a first secant step, or a (lo, hi) pair, which one two-lane
+    nu_star run turns into such a Bracket.  An end with residual below tol
+    is solved where it is; otherwise the bracket must straddle the level
+    (monotonicity makes the root unique).  Iterates are scalar dense matched
+    runs, which also give the lam-derivative (module docstring).  A step not
+    strictly inside the current bracket, or a slope that is not finite and
+    positive, is replaced by bisection, and every evaluation shrinks the
+    bracket by the sign of its residual.  Integrator tolerances are
+    tightened once the lam interval shrinks below 1e-9, and 80 steps above
+    tol raise ConvergenceError.  Returns the full record: rotation number,
+    quadrant-dependent nodal index, residual, the least-squares decay
+    exponents of the eigenfunction amplitude at both ends, and the iteration
+    history.
     """
     zero = zero or zero_data(family)
-    carried = isinstance(bracket, Bracket)
-    a, b = (bracket.lam_lo, bracket.lam_hi) if carried \
-        else (float(bracket[0]), float(bracket[1]))
+    if not isinstance(bracket, Bracket):
+        ends = np.array(bracket, dtype=float)
+        bracket = Bracket(k, *ends.tolist(), *nu_star(
+            family, ends, window, zero, rtol=rtol, atol=atol).tolist())
+    a, b = bracket.lam_lo, bracket.lam_hi
     if not a < b:
         raise BracketError("bracket must be an increasing interval")
     target = k * math.pi
@@ -361,24 +363,22 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
         history.append((lam, f, cur_rtol))
         return f, info
 
-    fa, info_a = (bracket.value_lo - target, None) if carried else g(a)
-    fb, info_b = (bracket.value_hi - target, None) if carried else g(b)
+    fa, fb = bracket.value_lo - target, bracket.value_hi - target
     # an end may sit on the level: at a constant-phase eigenfunction (the
     # Coulomb ground state) the matched value is k*pi to rounding, and the
     # scan brackets a level on a grid end with the end cell
-    lam, f, info = (a, fa, info_a) if abs(fa) <= abs(fb) else (b, fb, info_b)
+    lam, f = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     if abs(f) >= tol and not (fa <= 0.0 <= fb):
         raise BracketError(
             f"nu_star - {k}*pi has the same sign at both bracket ends "
             f"({fa:.3g}, {fb:.3g})")
-    if info is None and abs(f) < tol:
-        f, info = g(lam)            # a carried end on the level
+    f, info = g(lam) if abs(f) < tol else (f, None)     # an end on the level
 
     tightened = False
     for _ in range(80):
         if abs(f) < tol:
             break
-        if info is None:            # secant step on the carried end values
+        if info is None:            # secant step on the bracket's end values
             step = a - fa * (b - a) / (fb - fa)
         else:
             slope = _nu_star_slope(family, zero, window, info)

@@ -17,6 +17,52 @@ def branch_short(coulomb_plus, zero_plus, seed_branch, branch_window,
                               zero=zero_plus)
 
 
+@pytest.fixture(scope="module")
+def branch_a8(coulomb_plus, zero_plus, seed_branch, branch_window,
+              soler_coupling):
+    """The A8 branch (22 steps of 1e-3), with every solve_point call's
+    b guess and outcome recorded."""
+    calls = []
+    solve = dg.bifurcation.solve_point
+
+    def recording(*args, **kwargs):
+        calls.append({"b_guess": args[4] if len(args) > 4 else None})
+        try:
+            return solve(*args, **kwargs)
+        except Exception as exc:
+            calls[-1]["error"] = exc
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg.bifurcation, "solve_point", recording)
+        branch = dg.continue_branch(coulomb_plus, soler_coupling, seed_branch,
+                                    ds=1e-3, max_steps=22,
+                                    window=branch_window, zero=zero_plus)
+    return branch, calls
+
+
+def test_branch_takes_only_full_steps(branch_a8):
+    # the log(b/a) predictor keeps every corrector call converging; the
+    # float-b predictor failed 12 full steps here and halved them
+    branch, calls = branch_a8
+    assert len(branch.points) == 22
+    for i, pt in enumerate(branch.points):
+        assert abs(pt.a - 1e-3 * (i + 1)) < 1e-12
+    assert [c.get("error") for c in calls] == [None] * 22
+
+
+def test_branch_never_guesses_the_other_b_sign(branch_a8, coulomb_plus,
+                                               zero_plus, seed_branch,
+                                               branch_window):
+    # the sign of b is the linear eigenfunction's; a float extrapolation of
+    # b used to flip it, and the corrector freezes the sign of its guess
+    _, sign = dg.linear_amplitude_ratio(coulomb_plus, seed_branch.lam,
+                                        branch_window, zero=zero_plus)
+    guesses = [c["b_guess"] for c in branch_a8[1] if c["b_guess"] is not None]
+    assert guesses
+    assert [math.copysign(1.0, b) for b in guesses] == [sign] * len(guesses)
+
+
 def test_trivial_shot_zero_mismatch(coulomb_plus, zero_plus, branch_window,
                                     soler_coupling):
     shot = dg.shoot_nonlinear(coulomb_plus, soler_coupling, 0.5, 0.0, 0.0,

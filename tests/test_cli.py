@@ -156,6 +156,83 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert code == 1
 
 
+SOLER = "\n[coupling]\nkind = soler\n"
+
+
+@pytest.mark.parametrize("command, extra, bad", [
+    ("spectrum", "\n[spectrum]\nk = abc\n", "k = abc"),
+    ("spectrum", "\n[spectrum]\nk = 1.5\n", "k = 1.5"),
+    ("spectrum", "\n[spectrum]\nk = 1 2.7\n", "k = 1 2.7"),
+    ("spectrum", "rtol = -1e-10\n", "rtol = -1e-10"),
+    ("spectrum", "tol = 0\n", "tol = 0"),
+    ("spectrum", "delta = inf\n", "delta = inf"),
+    ("spectrum", "lambda_points = 1\n", "lambda_points = 1"),
+    ("eigenfunction", "\n[eigenfunction]\nk = 1\nsamples = 0\n", "samples = 0"),
+    ("accumulation", "\n[accumulation]\nschedule = -5 10\n", "schedule = -5 10"),
+    ("branch", "\n[branch]\nseed_k = 1\nds = -0.001\n" + SOLER, "ds = -0.001"),
+    ("branch", "\n[branch]\nseed_k = 1\nmax_steps = 0\n" + SOLER,
+     "max_steps = 0"),
+    ("branch", "\n[branch]\nseed_k = 1\n" + SOLER + "constant = 0\n",
+     "constant = 0"),
+])
+def test_bad_value_is_usage_error_naming_its_line(tmp_path, capsys, command,
+                                                  extra, bad):
+    # these used to run (k = 1.5 solved level 1, rtol = -1e-10 ran at scipy's
+    # clamped tolerance) or end in a rejection (exit 2) after the work
+    text = COULOMB_BASE + extra
+    path = write(tmp_path, text)
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"])
+    assert code == 1
+    line = text.splitlines().index(bad) + 1
+    assert f"line {line}: " in capsys.readouterr().err
+
+
+def test_coupling_without_kind_is_one_error(tmp_path):
+    path = write(tmp_path, COULOMB_BASE + "\n[coupling]\nf_scale = 1.0\n")
+    with pytest.raises(cli.ConfigError) as err:
+        cli.load_config(path)
+    assert err.value.errors == ["[coupling] kind: missing required key"]
+
+
+def test_unattainable_window_is_rejection(tmp_path, capsys):
+    cfg = COULOMB_BASE.replace("x_zero = 1e-3\nx_inf = 250.0\n",
+                               "delta = 1e-30\n")
+    path = write(tmp_path, cfg)
+    code = cli.main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 2
+    assert "rejected" in capsys.readouterr().err
+
+
+def test_unwritable_output_directory_is_usage_error(tmp_path, capsys):
+    path = write(tmp_path, COULOMB_BASE)
+    (tmp_path / "plainfile").write_text("x")
+    code = cli.main(["check", "--config", str(path), "--out",
+                     str(tmp_path / "plainfile" / "sub"), "--quiet"])
+    assert code == 1
+    assert "plainfile" in capsys.readouterr().err
+
+
+def test_every_error_class_maps_to_an_exit_code():
+    # ConfigError exits 1 and every other error class of the package is a
+    # rejection (exit 2), so none of them reaches the user as a traceback
+    import importlib
+    import inspect
+    import pkgutil
+
+    import diracgap
+    classes = set()
+    for info in pkgutil.iter_modules(diracgap.__path__):
+        module = importlib.import_module(f"diracgap.{info.name}")
+        classes |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__}
+    assert cli.ConfigError in classes and len(classes) > 1
+    for cls in classes - {cli.ConfigError}:
+        assert issubclass(cls, cli.REJECTIONS), cls.__name__
+
+
 # -- spectrum command --------------------------------------------------------------
 
 def test_spectrum_finds_ground_state(tmp_path, capsys):

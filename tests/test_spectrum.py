@@ -183,6 +183,13 @@ def test_a1_levels_take_at_most_six_matched_evaluations(records_plus):
                                            for lam, f, _ in rec.history]
 
 
+def test_a1_levels_from_pairs_take_at_most_four_matched_evaluations(
+        records_plus):
+    # a (lo, hi) pair is bracketed by one two-lane run, so the dense matched
+    # runs are the Newton iterates alone, as from a scan bracket
+    assert [len(rec.history) <= 4 for rec in records_plus] == [True] * 3
+
+
 @pytest.mark.parametrize("lam", [0.0, sommerfeld(0) + 1e-4,
                                  sommerfeld(1) - 1e-4])
 def test_nu_star_slope_matches_central_difference(coulomb_plus, zero_plus,
