@@ -21,8 +21,8 @@ from .model import (CheckResult, CoefficientFamily, CouplingRejectedError,
                     tabulated_potential, tabulated_potential_from_csv,
                     validate_hypotheses, zero_coupling)
 from .prufer import (CartesianTrajectory, IntegrationError, OverflowAbort,
-                     PruferTrajectory, export_trajectory, integrate_cartesian,
-                     integrate_prufer, ode_residual)
+                     PruferTrajectory, integrate_cartesian, integrate_prufer,
+                     ode_residual)
 from .spectrum import (AccumulationVerdict, AngleMismatchError, Bracket,
                        BracketError, ConvergenceError, DecayFit,
                        EigenvalueRecord, Eigenfunction, MonotonicityError,

@@ -43,9 +43,6 @@ class InfinityData:
     pi minus the gap angle.
     """
 
-    lam: float
-    mu_minus: float
-    mu_plus: float
     decay_rate: float
     decay_direction: np.ndarray
     theta_inf: float
@@ -60,8 +57,7 @@ def infinity_data(mu_minus: float, mu_plus: float, lam: float) -> InfinityData:
     b1 = np.array([lam - mu_plus, rate])
     b1 /= np.linalg.norm(b1)
     theta = math.pi - gap_angle(mu_minus, mu_plus, lam)
-    return InfinityData(lam=lam, mu_minus=mu_minus, mu_plus=mu_plus,
-                        decay_rate=rate, decay_direction=b1, theta_inf=theta)
+    return InfinityData(decay_rate=rate, decay_direction=b1, theta_inf=theta)
 
 
 @dataclass(frozen=True)
@@ -196,42 +192,39 @@ def select_truncation(
         zero = zero_data(family) if cls.admissible else None
 
     lam_samples = (lo, 0.5 * (lo + hi), hi)
+    inf_angles = [math.pi - gap_angle(family.mu_minus, family.mu_plus, lam)
+                  for lam in lam_samples]
+    # a cone at infinity that reaches down to pi/2 fails at every cutoff
+    if min(inf_angles) - eps <= math.pi / 2.0:
+        raise NoWindowError("cone test at infinity fails up to the grid end")
 
     def angle_field(lam: float, x: float, theta: float) -> float:
         return polar_rates(*family.coeffs(x), lam, theta)[0]
 
-    def cone_ok_inf(x_cut: float) -> bool:
-        pts = np.logspace(math.log10(x_cut), math.log10(x_cut) + 1.0, 32)
-        for lam in lam_samples:
-            th = math.pi - gap_angle(family.mu_minus, family.mu_plus, lam)
-            if th - eps <= math.pi / 2.0:
-                return False
-            for x in pts:
-                if not (angle_field(lam, x, th - eps) < 0.0
-                        < angle_field(lam, x, th + eps)):
-                    return False
-        return True
+    def cone_ok(points, angles, sign: float) -> bool:
+        # sign * theta' < 0 at angle - eps and > 0 at angle + eps, for every
+        # lam sample (with its boundary angle) and point
+        return all(sign * angle_field(lam, x, th - eps) < 0.0
+                   < sign * angle_field(lam, x, th + eps)
+                   for lam, th in zip(lam_samples, angles) for x in points)
 
-    def cone_ok_zero(x_cut: float) -> bool:
-        pts = np.logspace(math.log10(x_cut) - 1.0, math.log10(x_cut), 32)
-        th = zero.theta_zero
-        for lam in lam_samples:
-            for x in pts:
-                if not (angle_field(lam, x, th - eps) > 0.0
-                        > angle_field(lam, x, th + eps)):
-                    return False
-        return True
-
-    while j0 < right.size and not cone_ok_inf(right[j0]):
+    while j0 < right.size:
+        t = math.log10(right[j0])
+        if cone_ok(np.logspace(t, t + 1.0, 32), inf_angles, 1.0):
+            break
         j0 += 1
-    if j0 >= right.size:
+    else:
         raise NoWindowError("cone test at infinity fails up to the grid end")
     x_inf = float(right[j0])
 
     if zero is not None:
-        while i0 >= 0 and not cone_ok_zero(left[i0]):
+        while i0 >= 0:
+            t = math.log10(left[i0])
+            if cone_ok(np.logspace(t - 1.0, t, 32),
+                       [zero.theta_zero] * len(lam_samples), -1.0):
+                break
             i0 -= 1
-        if i0 < 0:
+        else:
             raise NoWindowError("cone test at the origin fails down to the grid end")
     x_zero = float(left[i0])
 

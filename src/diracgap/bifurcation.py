@@ -54,9 +54,7 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
     """
     zero = zero or zero_data(family)
     info = _matched(family, lam, window, zero, rtol, atol)
-    parity = round((info.fwd.theta_end - info.bwd.theta_end) / math.pi)
-    return (info.fwd.logrho_end - info.bwd.logrho_end,
-            -1.0 if parity % 2 else 1.0)
+    return info.offset, -1.0 if info.turns % 2 else 1.0
 
 
 @dataclass
@@ -145,7 +143,6 @@ class BranchPoint:
     rotation: float             # j, the solution's own rotation number
     index: int                  # i, conserved along the branch
     residual: float
-    flags: tuple = ()
 
 
 def _point_from_shot(family, zero, shot: ShootResult, n_samples=257) -> BranchPoint:
@@ -184,28 +181,26 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
     """Newton-correct one nonlinear solution near the supplied guess.
 
     The unknowns are (lam, log |b|) at fixed left amplitude a_target.  log_b
-    (log |b_guess| when omitted) is the start for log |b|, and b_guess gives
-    the sign of b, which is frozen (the backward direction flips sign for
-    odd rotation offsets); with neither, the linear amplitude ratio at
-    lam_guess supplies both.  The mismatch is driven below 1e-9 * max(1, a)
-    in at most 25 steps; the Jacobian is formed by forward differences.  A
-    damped step is halved until it lowers max |mismatch|, at most four
-    times.  A failed shot, a step out of the gap or the amplitude range, a
-    singular Jacobian or a step that cannot be damped raises CorrectorError.
+    is the start for log |b|, and b_guess gives the sign of b, which is
+    frozen (the backward direction flips sign for odd rotation offsets);
+    without log_b, the linear amplitude ratio at lam_guess supplies both.
+    The mismatch is driven below 1e-9 * max(1, a) in at most 25 steps; the
+    Jacobian is formed by forward differences.  A damped step is halved
+    until it lowers max |mismatch|, at most four times.  A failed shot, a
+    step out of the gap or the amplitude range, a singular Jacobian or a
+    step that cannot be damped raises CorrectorError.
     """
     zero = zero or zero_data(family)
     if a_target <= 0.0:
         raise ValueError("amplitude target must be positive")
-    if log_b is None and not b_guess:
+    if log_b is None:
         # the linear eigenfunction fixes both the scale and the sign of the
         # backward amplitude; anything else is hopeless as a Newton start
-        log_ratio, sign = linear_amplitude_ratio(
+        log_ratio, b_sign = linear_amplitude_ratio(
             family, lam_guess, window, zero=zero, rtol=rtol, atol=atol)
-        b_guess = sign * math.exp(log_ratio) * a_target
         log_b = log_ratio + math.log(a_target)
-    elif log_b is None:
-        log_b = math.log(abs(b_guess))
-    b_sign = math.copysign(1.0, b_guess)
+    else:
+        b_sign = math.copysign(1.0, b_guess)
     tol = 1e-9 * max(1.0, a_target)
     gap_margin = 1e-9 * (family.mu_plus - family.mu_minus)
 

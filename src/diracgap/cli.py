@@ -8,11 +8,15 @@ no wall-clock data, so re-running an identical config reproduces the files
 byte for byte.
 
 Exit codes: 0 success, 1 usage or config error (also an output directory
-that cannot be written), 2 mathematical rejection or non-convergence.
+that cannot be written), 2 mathematical rejection or non-convergence (an
+inadmissible origin, a level missing from the scan grid, ...).  Errors and
+rejections are reported on stderr, also under --quiet.
 
-Config schema (sections and keys, defaults in brackets).  Every number must
-be finite; values marked (> 0) must be positive, counts at least 1, and a
-bad value exits 1 naming its line:
+Config schema (sections and keys, defaults in brackets).  A `#` starts a
+comment.  A string value (a kind, a path) is the text after `=`, taken
+verbatim, inner spaces included.  Every number must be finite; integers are
+written as integers; values marked (> 0) must be positive, counts at least
+1, and a bad value exits 1 naming its line:
 
     [problem]
     kind        pure-coulomb | tabulated            (required)
@@ -104,19 +108,11 @@ REJECTIONS = (ValueError, NoWindowError, ConvergenceError, MonotonicityError,
 # Config file parsing
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse section/key-value text into {section: {key: (value, line)}}."""
+    """Parse section/key-value text into {section: {key: (text, line)}}.
+
+    Values are kept as their stripped text; load_config types them.
+    """
     sections: dict = {}
     current = None
     errors = []
@@ -144,9 +140,7 @@ def parse_config_text(text: str) -> dict:
         if not key or not val:
             errors.append(f"line {lineno}: empty key or value")
             continue
-        parts = val.split()
-        parsed = [_parse_scalar(p) for p in parts]
-        sections[current][key] = (parsed[0] if len(parsed) == 1 else parsed, lineno)
+        sections[current][key] = (val, lineno)
     if errors:
         raise ConfigError(errors)
     return sections
@@ -195,32 +189,30 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
 
     def get(section, key, default=None, required=False, kind=str,
             positive=False):
-        # kind is str, int, float, or [int] / [float] for a list of them
+        # kind is str (the text verbatim), int, float, or [int] / [float] for
+        # a space separated list of them
         read.add((section, key))
         entry = sections.get(section, {}).get(key)
         if entry is None:
             if required:
                 bad(section, key, "missing required key")
             return default
-        value = entry[0]
+        text = entry[0]
+        if kind is str:
+            return text
         many = isinstance(kind, list)
         item = kind[0] if many else kind
         try:
-            if item is str:
-                if not isinstance(value, str):
-                    raise ValueError
-                return value
-            values = value if many and isinstance(value, list) else [value]
-            numbers = [float(v) for v in values]
-            if not all(math.isfinite(v) and (v > 0.0 or not positive)
-                       and (item is float or v.is_integer()) for v in numbers):
-                raise ValueError
-            numbers = [item(v) for v in numbers]
-            return numbers if many else numbers[0]
-        except (TypeError, ValueError):
-            bad(section, key, "expected " + ("positive " if positive else "")
-                + item.__name__ + (" values" if many else ""))
-            return default
+            values = [item(t) for t in (text.split() if many else [text])]
+            ok = all(math.isfinite(v) and (v > 0 or not positive)
+                     for v in values)
+        except (ValueError, OverflowError):     # not a number, or a huge int
+            ok = False
+        if ok:
+            return values if many else values[0]
+        bad(section, key, "expected " + ("positive " if positive else "")
+            + item.__name__ + (" values" if many else ""))
+        return default
 
     kind = get("problem", "kind", required=True)
     k = get("problem", "k", required=True, kind=int)
@@ -422,19 +414,15 @@ def cmd_check(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_OK if ok else EXIT_REJECTED
 
 
-def _solve_levels(cfg: RunConfig, quiet: bool, wanted=None, level=None):
+def _solve_levels(cfg: RunConfig, wanted=None, level=None):
     """Build the family, window and scan it, and solve the bracketed levels.
 
     ``wanted`` restricts the solve to a set of level indices.  ``level`` asks
-    for one level: its first bracket is solved, and a missing one is rejected.
-    Returns (family, zero, window, records), or None after reporting why the
-    family or the level was rejected.
+    for one level: its first bracket is solved, and a missing one is rejected
+    (BracketError).  Returns (family, zero, window, records).
     """
     family = build_dirac_family(cfg.params)
-    if not classify_zero_endpoint(family).admissible:
-        _say(quiet, "family rejected: origin endpoint not admissible")
-        return None
-    zero = zero_data(family)
+    zero = zero_data(family)        # rejects an inadmissible origin
     window = _make_window(cfg, family, zero)
     scan = spectrum.scan_spectrum(family, cfg.lam_grid, window, zero,
                                   rtol=cfg.rtol, atol=cfg.atol)
@@ -442,8 +430,8 @@ def _solve_levels(cfg: RunConfig, quiet: bool, wanted=None, level=None):
     if level is not None:
         brackets = [b for b in brackets if b.k == level][:1]
         if not brackets:
-            _say(quiet, f"no level k={level} bracketed on the scan grid")
-            return None
+            raise spectrum.BracketError(
+                f"no level k={level} bracketed on the scan grid")
     elif wanted is not None:
         brackets = [b for b in brackets if b.k in wanted]
     records = [spectrum.find_eigenvalue(family, br.k, br, cfg.tol,
@@ -456,10 +444,8 @@ def _solve_levels(cfg: RunConfig, quiet: bool, wanted=None, level=None):
 def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
     """Scan the gap, solve every bracketed level, persist the records."""
     wanted = cfg.task.get("spectrum_k")
-    solved = _solve_levels(cfg, quiet, None if wanted is None else set(wanted))
-    if solved is None:
-        return EXIT_REJECTED
-    _, _, window, records = solved
+    _, _, window, records = _solve_levels(
+        cfg, None if wanted is None else set(wanted))
     rows = [(r.k, r.lam, r.rot, r.nodal_index, r.residual,
              r.decay.exponent_inf, r.decay.exponent_zero) for r in records]
     _write_csv(cfg.out_dir / "spectrum.csv", cfg, "spectrum",
@@ -479,10 +465,7 @@ def cmd_eigenfunction(cfg: RunConfig, quiet: bool = False) -> int:
     want = cfg.task.get("eigenfunction_k")
     if want is None:
         raise ConfigError(["[eigenfunction] k: required for this command"])
-    solved = _solve_levels(cfg, quiet, level=want)
-    if solved is None:
-        return EXIT_REJECTED
-    family, zero, window, (rec,) = solved
+    family, zero, window, (rec,) = _solve_levels(cfg, level=want)
     ef = spectrum.eigenfunction(family, rec, cfg.task["samples"], zero=zero,
                                 rtol=cfg.rtol, atol=cfg.atol)
     rows = list(zip(ef.x, ef.u, ef.v))
@@ -504,9 +487,6 @@ def cmd_eigenfunction(cfg: RunConfig, quiet: bool = False) -> int:
 def cmd_accumulation(cfg: RunConfig, quiet: bool = False) -> int:
     """Probe eigenvalue accumulation at a gap edge, persist (X, theta)."""
     family = build_dirac_family(cfg.params)
-    if not classify_zero_endpoint(family).admissible:
-        _say(quiet, "family rejected: origin endpoint not admissible")
-        return EXIT_REJECTED
     verdict = spectrum.detect_accumulation(
         family, cfg.task["endpoint"], cfg.task["schedule"],
         rtol=cfg.rtol, atol=cfg.atol, x_zero=cfg.x_zero_override)
@@ -527,10 +507,7 @@ def cmd_branch(cfg: RunConfig, quiet: bool = False) -> int:
     if seed_k is None:
         raise ConfigError(["[branch] seed_k: required for this command"])
     coupling = _build_coupling(cfg)
-    solved = _solve_levels(cfg, quiet, level=seed_k)
-    if solved is None:
-        return EXIT_REJECTED
-    family, zero, window, (seed,) = solved
+    family, zero, window, (seed,) = _solve_levels(cfg, level=seed_k)
     branch = bifurcation.continue_branch(
         family, coupling, seed, cfg.task["ds"], cfg.task["max_steps"],
         a_max=cfg.task["a_max"], window=window, zero=zero,

@@ -58,10 +58,6 @@ class PotentialSpec:
         if self.alpha_zero <= 0 or self.alpha_inf <= 0:
             raise ValueError("endpoint exponents must be positive")
 
-    @property
-    def has_derivative(self) -> bool:
-        return self.dv is not None
-
     def remainder_at_zero(self, x: float) -> float:
         """V(x) - gamma_zero * x**(-alpha_zero), the remainder near the origin."""
         return self.v(x) - self.gamma_zero * x ** (-self.alpha_zero)
@@ -232,7 +228,7 @@ def build_dirac_family(params: DiracRadialParams) -> CoefficientFamily:
     pot = params.potential
     k = float(params.k)
     mu_a = params.mu_a
-    if mu_a != 0.0 and not pot.has_derivative:
+    if mu_a != 0.0 and pot.dv is None:
         raise MissingDerivativeError(
             "anomalous moment coupling needs the potential derivative")
 

@@ -187,9 +187,6 @@ class PruferTrajectory:
     can be shared across threads.
     """
 
-    lam: float
-    direction: str
-    window: TruncationWindow
     x_start: float
     x_end: float
     stats: IntegratorStats
@@ -243,9 +240,8 @@ def integrate_prufer(
     segs = _segments(window, family.beta, direction, x_stop)
     pieces, stats, _, y_end = _run_segments(
         rhs_in_x, (theta_init, 0.0), segs, rtol, atol)
-    return PruferTrajectory(lam=lam, direction=direction, window=window,
-                            x_start=segs[0][1], x_end=segs[-1][2], stats=stats,
-                            _y_end=tuple(map(float, y_end)),
+    return PruferTrajectory(x_start=segs[0][1], x_end=segs[-1][2],
+                            stats=stats, _y_end=tuple(map(float, y_end)),
                             _pieces=pieces)
 
 
@@ -295,11 +291,7 @@ class CartesianTrajectory:
     can be shared across threads.
     """
 
-    lam: float
-    direction: str
     window: TruncationWindow
-    x_start: float
-    x_end: float
     stats: IntegratorStats
     _pieces: list = field(repr=False)
 
@@ -389,22 +381,7 @@ def integrate_cartesian(
         raise OverflowAbort(
             "amplitude exceeded the representable range; shrink the "
             "window or the shooting scales", x_event)
-    return CartesianTrajectory(lam=lam, direction=direction, window=window,
-                               x_start=segs[0][1], x_end=segs[-1][2],
-                               stats=stats, _pieces=pieces)
-
-
-def export_trajectory(trajectory: PruferTrajectory, path,
-                      n_samples: int = 400) -> None:
-    """Write the trajectory as CSV columns x, theta, logrho (for plotting)."""
-    lo = min(trajectory.x_start, trajectory.x_end)
-    hi = max(trajectory.x_start, trajectory.x_end)
-    xs = np.geomspace(lo, hi, n_samples)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,theta,logrho\n")
-        for x in xs:
-            th, lr = trajectory._eval(x)
-            fh.write(f"{float(x)!r},{th!r},{lr!r}\n")
+    return CartesianTrajectory(window=window, stats=stats, _pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,13 @@ class AngleMismatchError(RuntimeError):
 
 @dataclass
 class _MatchInfo:
+    """The two halves at lam, spliced at x_mid.
+
+    turns = round((theta_f - theta_b) / pi) and offset = log rho_f - log rho_b
+    at x_mid; ``theta`` and ``logrho`` answer on the whole window, the
+    backward half shifted by them to meet the forward one.
+    """
+
     lam: float
     nu_hat: float               # two-sided value of nu
     nu_star_hat: float          # two-sided value of nu_star
@@ -84,6 +91,18 @@ class _MatchInfo:
     fwd: PruferTrajectory
     bwd: PruferTrajectory
     x_mid: float
+    turns: int
+    offset: float
+
+    def theta(self, x: float) -> float:
+        if x <= self.x_mid:
+            return self.fwd.theta(x)
+        return self.bwd.theta(x) + self.turns * math.pi
+
+    def logrho(self, x: float) -> float:
+        if x <= self.x_mid:
+            return self.fwd.logrho(x)
+        return self.bwd.logrho(x) + self.offset
 
 
 def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
@@ -98,7 +117,9 @@ def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
     return _MatchInfo(lam=lam, nu_hat=idata.theta_inf + th_f - th_b,
                       nu_star_hat=math.pi + th_f - th_b, inf=idata,
-                      fwd=fwd, bwd=bwd, x_mid=x_mid)
+                      fwd=fwd, bwd=bwd, x_mid=x_mid,
+                      turns=round((th_f - th_b) / math.pi),
+                      offset=fwd.logrho_end - bwd.logrho_end)
 
 
 @dataclass(frozen=True)
@@ -138,23 +159,10 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
     return float(values) if values.ndim == 0 else values
 
 
-def _spliced_logrho(info: _MatchInfo):
-    """log rho of the two halves, the backward one shifted to meet at x_mid."""
-    fwd, bwd, x_mid = info.fwd, info.bwd, info.x_mid
-    offset = fwd.logrho_end - bwd.logrho_end
-
-    def logrho_at(x):
-        if x <= x_mid:
-            return fwd.logrho(x)
-        return bwd.logrho(x) + offset
-
-    return logrho_at
-
-
 def _nu_star_slope(family, zero, window, info: _MatchInfo) -> float:
     """d nu_star / d lam at info.lam from the spliced amplitude (see above)."""
     peak, inside, tail, _ = _l2_mass(family, zero, window, info.lam,
-                                     _spliced_logrho(info))
+                                     info.logrho)
     return math.exp(2.0 * (peak - info.fwd.logrho_end)) * (inside + tail)
 
 
@@ -574,24 +582,16 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     window = record.window
     zero = zero or zero_data(family)
     info = _matched(family, record.lam, window, zero, rtol, atol)
-    fwd, bwd, x_mid = info.fwd, info.bwd, info.x_mid
-    th_f, th_b = fwd.theta_end, bwd.theta_end
-    mism = (th_f - th_b + math.pi / 2.0) % math.pi - math.pi / 2.0
+    # theta_fwd - theta_bwd - turns * pi at x_mid
+    mism = info.nu_star_hat - math.pi * (info.turns + 1)
     if abs(mism) > 1e-6:
         raise AngleMismatchError(
-            f"angle mismatch {mism:.3g} at x_mid = {x_mid:.3g}; "
+            f"angle mismatch {mism:.3g} at x_mid = {info.x_mid:.3g}; "
             "lam is not an eigenvalue to tolerance")
-    shift_pi = round((th_f - th_b) / math.pi)       # branch alignment
-    logrho_at = _spliced_logrho(info)
-
-    def theta_at(x):
-        if x <= x_mid:
-            return fwd.theta(x)
-        return bwd.theta(x) + shift_pi * math.pi
 
     # normalization, overflow-safe relative to the amplitude peak
     lr_max, mass_window, tail, head = _l2_mass(family, zero, window,
-                                               record.lam, logrho_at)
+                                               record.lam, info.logrho)
     total = mass_window + tail + head
     lr_shift = -(lr_max + 0.5 * math.log(total))
 
@@ -599,14 +599,14 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     us = np.empty(n_samples)
     vs = np.empty(n_samples)
     for i, x in enumerate(xs):
-        th = theta_at(x)
-        r = math.exp(logrho_at(x) + lr_shift)
+        th = info.theta(x)
+        r = math.exp(info.logrho(x) + lr_shift)
         us[i] = r * math.cos(th)
         vs[i] = r * math.sin(th)
 
     # independent re-check of the normalization with adaptive quadrature
     def density(x):
-        return math.exp(2.0 * (logrho_at(x) + lr_shift))
+        return math.exp(2.0 * (info.logrho(x) + lr_shift))
 
     check = 0.0
     seams = [window.x_zero, min(1.0, window.x_inf)] if window.x_zero < 1.0 else [window.x_zero]

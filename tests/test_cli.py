@@ -1,6 +1,7 @@
 """Config ingestion, command dispatch, persistence and exit codes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ def test_out_dir_precedence(tmp_path, monkeypatch):
     assert cfg.out_dir.name == "envdir"
     cfg = cli.load_config(path, out_override="flagdir")
     assert cfg.out_dir.name == "flagdir"
+
+
+def test_string_values_keep_inner_spaces(tmp_path, monkeypatch):
+    # a path value is the text after '=', not a list of words
+    monkeypatch.delenv("DIRACGAP_OUT", raising=False)
+    folder = tmp_path / "my tables"
+    folder.mkdir()
+    table = folder / "coulomb v.csv"
+    xs = np.geomspace(1e-7, 1e7, 60)
+    table.write_text("".join(f"{x!r},{-0.5 / x!r}\n" for x in xs.tolist()))
+    cfg = COULOMB_BASE.replace("kind = pure-coulomb\ngamma = -0.5",
+                               f"kind = tabulated\ntable = {table}\n"
+                               "gamma0 = -0.5\nalpha0 = 1.0\n"
+                               "gamma_inf = -0.5\nalpha_inf = 1.0")
+    loaded = cli.load_config(write(tmp_path, cfg + "\n[output]\n"
+                                   "dir = my out  # comment\n"))
+    assert loaded.out_dir == Path("my out")
+    x = xs[20]                  # a table node: the spline reproduces it
+    assert math.isclose(loaded.params.potential.v(x), -0.5 / x, rel_tol=1e-9)
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -265,6 +285,31 @@ def test_spectrum_rejects_inadmissible_family(tmp_path):
     code = cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path),
                      "--quiet"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("spectrum", ""),
+    ("eigenfunction", "\n[eigenfunction]\nk = 1\n"),
+    ("accumulation", ""),
+])
+def test_inadmissible_family_is_reported_on_stderr(tmp_path, capsys, command,
+                                                   extra):
+    # det of the origin limit is 0 >= -1/4; this used to exit 2 in silence
+    cfg = COULOMB_BASE.replace("gamma = -0.5", "gamma = -1.0")
+    path = write(tmp_path, cfg.replace("k = 1", "k = -1") + extra)
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not admissible" in err and "det 0 >= -1/4" in err
+
+
+def test_missing_level_is_reported_on_stderr(tmp_path, capsys):
+    path = write(tmp_path, COULOMB_BASE + "\n[eigenfunction]\nk = 9\n")
+    code = cli.main(["eigenfunction", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 2
+    assert "no level k=9" in capsys.readouterr().err
 
 
 def test_outputs_reproducible_byte_for_byte(tmp_path):

@@ -176,20 +176,6 @@ def test_cartesian_rejects_zero_init(coulomb_minus, fast_window):
         dg.integrate_cartesian(coulomb_minus, 0.1, fast_window, (0.0, 0.0))
 
 
-def test_export_trajectory_csv(tmp_path, coulomb_minus, zero_minus,
-                               fast_window):
-    traj = dg.integrate_prufer(coulomb_minus, 0.2, fast_window,
-                               zero_minus.theta_zero)
-    path = tmp_path / "traj.csv"
-    dg.export_trajectory(traj, path, 50)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,theta,logrho"
-    assert len(lines) == 51
-    x, th, lr = (float(v) for v in lines[1].split(","))
-    assert math.isclose(x, fast_window.x_zero, rel_tol=1e-9)
-    assert math.isclose(th, traj.theta(x), rel_tol=1e-12)
-
-
 # -- residual check ------------------------------------------------------------
 
 def test_residual_constant_family():
