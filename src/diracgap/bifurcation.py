@@ -59,38 +59,35 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
 
 @dataclass
 class ShootResult:
-    """Midpoint mismatch of one forward/backward nonlinear shot.
+    """Midpoint values of one forward/backward nonlinear shot.
 
-    mismatch is z_fwd(x_mid) - z_bwd(x_mid) in true amplitude, and log_b is
-    log |b|.  rotation is the angle sweep of the composite solution across
-    the window divided by pi (None when a side is identically zero).
+    z_fwd and z_bwd are the two sides' values at x_mid in true amplitude,
+    mismatch is z_fwd - z_bwd, and log_b is log |b|.  rotation is the angle
+    sweep of the composite solution across the window divided by pi (None
+    when a side is identically zero).  A lane shot holds one row per lane in
+    lam, log_b, z_fwd, z_bwd and rotation.
     """
 
-    lam: float
+    lam: object
     a: float
     b: float
-    log_b: float
+    log_b: object
     x_mid: float
-    mismatch: np.ndarray
+    z_fwd: np.ndarray
+    z_bwd: np.ndarray
+    rotation: object
     fwd: object = field(repr=False, default=None)
     bwd: object = field(repr=False, default=None)
-    theta_zero: float = math.nan
-    theta_inf: float = math.nan
 
     @property
-    def rotation(self) -> Optional[float]:
-        if self.fwd is None or self.bwd is None:
-            return None
-        # forward piece plus the backward piece's increment from the
-        # midpoint out to x_inf
-        return (self.theta_inf - self.theta_zero + self.fwd.angle(self.x_mid)
-                - self.bwd.angle(self.x_mid)) / math.pi
+    def mismatch(self) -> np.ndarray:
+        return self.z_fwd - self.z_bwd
 
 
 def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
-                    lam: float, a: float, b: float,
+                    lam, a: float, b: float,
                     window: TruncationWindow, *,
-                    log_b: Optional[float] = None,
+                    log_b=None,
                     zero: Optional[ZeroData] = None,
                     rtol: float = DEFAULT_RTOL,
                     atol: float = DEFAULT_ATOL) -> ShootResult:
@@ -101,29 +98,52 @@ def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
     is meaningful here; if it overflows the representable range the run
     aborts with OverflowAbort naming the last x reached.  a = b = 0 returns
     the exact zero mismatch of the trivial solution.
+
+    lam and log_b may be arrays, one entry per lane, that share a and the
+    sign of b: each half is then one endpoint-only lane run of
+    integrate_cartesian, and the forward half integrates each distinct lam
+    once, since its start does not depend on b.  A scalar lam is one dense
+    lane, whose trajectories answer anywhere in their half.
     """
     zero = zero or zero_data(family)
-    idata = infinity_data(family.mu_minus, family.mu_plus, lam)
     x_mid = window.x_mid
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    theta_inf = np.array([infinity_data(family.mu_minus, family.mu_plus,
+                                        lane).theta_inf
+                          for lane in lams.tolist()])
+    lam_fwd, fwd_lane = np.unique(lams, return_inverse=True)
 
-    def side(amp, log_amp, theta, direction):
-        # (trajectory, log |amp|, value at x_mid); zero amp is the zero side
+    def side(side_lams, amp, log_amp, thetas, direction):
+        # (trajectory, log |amp|, value at x_mid, angle at x_mid), one row of
+        # the last two per lane; zero amp is the zero side
         if amp == 0.0 and log_amp is None:
-            return None, -math.inf, np.zeros(2)
+            return None, -math.inf, np.zeros((side_lams.size, 2)), None
         sgn = math.copysign(1.0, amp)
         log_amp = math.log(abs(amp)) if log_amp is None else log_amp
         traj = integrate_cartesian(
-            family, lam, window, (sgn * math.cos(theta), sgn * math.sin(theta)),
+            family, side_lams, window,
+            [(sgn * math.cos(t), sgn * math.sin(t)) for t in thetas],
             direction, coupling=coupling, rtol=rtol, atol=atol, x_stop=x_mid,
             log_scale_init=log_amp)
-        u, v, ls = traj.state(x_mid)
-        return traj, log_amp, np.array([u, v]) * math.exp(ls)
+        u, v, ls, angle = traj.end.T
+        return traj, log_amp, np.stack((u, v), axis=1) * np.exp(ls)[:, None], \
+            angle
 
-    fwd, _, zf = side(a, None, zero.theta_zero, "forward")
-    bwd, log_b, zb = side(b, log_b, idata.theta_inf, "backward")
+    fwd, _, zf, th_f = side(lam_fwd, a, None, [zero.theta_zero], "forward")
+    bwd, log_b, zb, th_b = side(lams, b, log_b, theta_inf.tolist(), "backward")
+    zf = zf[fwd_lane]
+    rotation = None
+    if fwd is not None and bwd is not None:
+        # forward piece plus the backward piece's increment from the
+        # midpoint out to x_inf
+        rotation = (theta_inf - zero.theta_zero + th_f[fwd_lane] - th_b) \
+            / math.pi
+    if np.ndim(lam) == 0:
+        zf, zb = zf[0], zb[0]
+        rotation = None if rotation is None else float(rotation[0])
     return ShootResult(lam=lam, a=a, b=b, log_b=log_b, x_mid=x_mid,
-                       mismatch=zf - zb, fwd=fwd, bwd=bwd,
-                       theta_zero=zero.theta_zero, theta_inf=idata.theta_inf)
+                       z_fwd=zf, z_bwd=zb, rotation=rotation, fwd=fwd,
+                       bwd=bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +190,16 @@ def _point_from_shot(family, zero, shot: ShootResult, n_samples=257) -> BranchPo
                        residual=float(np.linalg.norm(shot.mismatch)))
 
 
+def _corrector_lanes(p: np.ndarray) -> tuple:
+    """Rows (lam, log |b|) of the corrector's lane shot at p, and the steps:
+    p, p + dlam e_1 and p + dlog|b| e_2 give the mismatch and its two
+    forward-difference columns.  The steps are sqrt(machine epsilon) in
+    size, the usual choice where noise is roundoff alone: the lanes share
+    their integrator steps, so the truncation noise is common to them."""
+    steps = 1e-8 * np.array([max(1.0, abs(p[0])), 1.0])
+    return p + np.vstack((np.zeros(2), np.diag(steps))), steps
+
+
 def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                 lam_guess: float, a_target: float,
                 b_guess: Optional[float] = None, *,
@@ -180,15 +210,25 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                 atol: float = DEFAULT_ATOL) -> BranchPoint:
     """Newton-correct one nonlinear solution near the supplied guess.
 
-    The unknowns are (lam, log |b|) at fixed left amplitude a_target.  log_b
-    is the start for log |b|, and b_guess gives the sign of b, which is
+    The unknowns are p = (lam, log |b|) at fixed left amplitude a_target.
+    log_b is the start for log |b|, and b_guess gives the sign of b, which is
     frozen (the backward direction flips sign for odd rotation offsets);
     without log_b, the linear amplitude ratio at lam_guess supplies both.
-    The mismatch is driven below 1e-9 * max(1, a) in at most 25 steps; the
-    Jacobian is formed by forward differences.  A damped step is halved
-    until it lowers max |mismatch|, at most four times.  A failed shot, a
-    step out of the gap or the amplitude range, a singular Jacobian or a
-    step that cannot be damped raises CorrectorError.
+    The mismatch is driven below 1e-9 * max(1, a) in at most 25 steps.
+
+    Each evaluation at p is one lane shot (shoot_nonlinear) of p, p + dlam
+    and p + dlog|b|, with dlam = 1e-8 * max(1, |lam|) and dlog|b| = 1e-8:
+    the forward half runs two lanes on one step sequence, the backward half
+    three, and the lanes' differences are the Jacobian's forward-difference
+    columns.  The lanes share their steps, so the integrator's truncation
+    noise is common to them and drops out of the differences; their
+    tolerances are scaled so that no lane gets a looser bound than a
+    one-lane shot.  A damped step is halved until it lowers max |mismatch|,
+    at most four times, and an accepted trial brings its own Jacobian.  The
+    converged p is shot once more as one dense lane, which gives the
+    point's samples, norm, rotation and residual.  A failed shot, a step out
+    of the gap or the amplitude range, a singular Jacobian or a step that
+    cannot be damped raises CorrectorError.
     """
     zero = zero or zero_data(family)
     if a_target <= 0.0:
@@ -204,35 +244,36 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
     tol = 1e-9 * max(1.0, a_target)
     gap_margin = 1e-9 * (family.mu_plus - family.mu_minus)
 
-    def residual(p):
-        # b may underflow, but not exceed e^700 or move that far from its guess
-        if p[1] > 700.0 or abs(p[1] - log_b) > 700.0:
-            raise CorrectorError("corrector step left the representable "
-                                 "amplitude range")
-        lam = p[0]
-        if not (family.mu_minus + gap_margin < lam < family.mu_plus - gap_margin):
-            raise CorrectorError(f"lam = {lam:.6g} left the spectral gap")
+    def shoot(lam, log_abs_b):
+        # scalars shoot one dense lane, arrays shoot lanes; b is lane 0's
         try:
-            shot = shoot_nonlinear(family, coupling, lam, a_target,
-                                   b_sign * math.exp(p[1]), window, log_b=p[1],
-                                   zero=zero, rtol=rtol, atol=atol)
+            return shoot_nonlinear(
+                family, coupling, lam, a_target,
+                b_sign * math.exp(np.ravel(log_abs_b)[0]), window,
+                log_b=log_abs_b, zero=zero, rtol=rtol, atol=atol)
         except IntegrationError as exc:      # OverflowAbort included
             raise CorrectorError(f"shot failed: {exc}") from exc
-        return shot.mismatch, shot
+
+    def evaluate(p):
+        # the mismatch at p and its Jacobian, from one lane shot
+        lanes, steps = _corrector_lanes(p)
+        # b may underflow, but not exceed e^700 or move that far from its guess
+        if lanes[:, 1].max() > 700.0 or abs(p[1] - log_b) > 700.0:
+            raise CorrectorError("corrector step left the representable "
+                                 "amplitude range")
+        for lam in lanes[:, 0].tolist():
+            if not (family.mu_minus + gap_margin < lam
+                    < family.mu_plus - gap_margin):
+                raise CorrectorError(f"lam = {lam:.6g} left the spectral gap")
+        m = shoot(lanes[:, 0], lanes[:, 1]).mismatch
+        return m[0], (m[1:] - m[0]).T / steps
 
     p = np.array([lam_guess, log_b])
-    steps = np.array([1e-7 * max(1.0, abs(lam_guess)), 1e-7])
-
-    r, shot = residual(p)
+    r, jac = evaluate(p)
     for _ in range(25):
         base = float(np.max(np.abs(r)))
         if base < tol:
-            return _point_from_shot(family, zero, shot)
-        jac = np.empty((2, 2))
-        for col in range(2):
-            q = p.copy()
-            q[col] += steps[col]
-            jac[:, col] = (residual(q)[0] - r) / steps[col]
+            break
         try:
             dp = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -243,7 +284,7 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         scale = 1.0
         for _ in range(5):
             try:
-                r_new, shot_new = residual(p + scale * dp)
+                r_new, jac_new = evaluate(p + scale * dp)
                 if float(np.max(np.abs(r_new))) < base:
                     break
             except CorrectorError:
@@ -252,12 +293,12 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         else:
             raise CorrectorError("corrector step could not reduce the mismatch")
         p = p + scale * dp
-        r, shot = r_new, shot_new
-    if float(np.max(np.abs(r))) < tol:
-        return _point_from_shot(family, zero, shot)
-    raise CorrectorError(
-        "no convergence in 25 iterations "
-        f"(final mismatch {float(np.max(np.abs(r))):.3g}, tolerance {tol:.3g})")
+        r, jac = r_new, jac_new
+    if float(np.max(np.abs(r))) >= tol:
+        raise CorrectorError(
+            "no convergence in 25 iterations "
+            f"(final mismatch {float(np.max(np.abs(r))):.3g}, tolerance {tol:.3g})")
+    return _point_from_shot(family, zero, shoot(p[0], p[1]))
 
 
 # ---------------------------------------------------------------------------

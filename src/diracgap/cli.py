@@ -13,10 +13,12 @@ inadmissible origin, a level missing from the scan grid, ...).  Errors and
 rejections are reported on stderr, also under --quiet.
 
 Config schema (sections and keys, defaults in brackets).  A `#` starts a
-comment.  A string value (a kind, a path) is the text after `=`, taken
-verbatim, inner spaces included.  Every number must be finite; integers are
-written as integers; values marked (> 0) must be positive, counts at least
-1, and a bad value exits 1 naming its line:
+comment at the start of a line or after whitespace, so `dir = runs#2` is
+the path `runs#2` and `dir = my out  # note` the path `my out`.  A string
+value (a kind, a path) is the text after `=`, taken verbatim, inner spaces
+included.  Every number must be finite; integers are written as integers;
+values marked (> 0) must be positive, counts at least 1, and a bad value
+exits 1 naming its line:
 
     [problem]
     kind        pure-coulomb | tabulated            (required)
@@ -69,6 +71,7 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,6 +111,9 @@ REJECTIONS = (ValueError, NoWindowError, ConvergenceError, MonotonicityError,
 # Config file parsing
 # ---------------------------------------------------------------------------
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")     # a '#' inside a word is text
+
+
 def parse_config_text(text: str) -> dict:
     """Parse section/key-value text into {section: {key: (text, line)}}.
 
@@ -117,7 +123,7 @@ def parse_config_text(text: str) -> dict:
     current = None
     errors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

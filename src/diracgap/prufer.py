@@ -283,16 +283,19 @@ def integrate_angle_lanes(family: CoefficientFamily, lams, window: TruncationWin
 class CartesianTrajectory:
     """Cartesian trajectory z = e^mu w with its integrated polar angle.
 
-    ``state(x)`` returns (u, v, mu): the solution value is e^mu * (u, v), with
-    (u, v) = w of unit size.  ``angle(x)`` is the polar angle of w, integrated
-    as the fourth state component from the initial direction, so its winding
-    is exact.  ``log_norm(x)`` is the log of the true solution norm.
-    Immutable after construction (fields are never reassigned), so instances
-    can be shared across threads.
+    ``end`` holds the solver's final state (u, v, mu, theta), one row per
+    lane.  A one-lane run keeps DOP853's dense output: ``state(x)`` returns
+    (u, v, mu), the solution value being e^mu * (u, v) with (u, v) = w of
+    unit size; ``angle(x)`` is the polar angle of w, integrated as the fourth
+    state component from the initial direction, so its winding is exact; and
+    ``log_norm(x)`` is the log of the true solution norm.  A run of two or
+    more lanes is endpoint-only.  Immutable after construction (fields are
+    never reassigned), so instances can be shared across threads.
     """
 
     window: TruncationWindow
     stats: IntegratorStats
+    end: np.ndarray = field(repr=False)
     _pieces: list = field(repr=False)
 
     def state(self, x: float) -> tuple:
@@ -309,7 +312,7 @@ class CartesianTrajectory:
 
 def integrate_cartesian(
     family: CoefficientFamily,
-    lam: float,
+    lam,
     window: TruncationWindow,
     z_init,
     direction: str = "forward",
@@ -318,7 +321,7 @@ def integrate_cartesian(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     x_stop: Optional[float] = None,
-    log_scale_init: float = 0.0,
+    log_scale_init=0.0,
 ) -> CartesianTrajectory:
     """Integrate z' = J^{-1}(lam Id - P + S) z as z = e^mu w, where
 
@@ -330,12 +333,26 @@ def integrate_cartesian(
     theta' = (u (Aw)_2 - v (Aw)_1) / <w, w> (the rho terms cancel), from the
     angle of z_init.  S is zero without a ``coupling``; with one it is
     evaluated at the true z, and the run aborts with OverflowAbort when the
-    true amplitude leaves the representable range.  A run that exhausts the
-    evaluation budget (a near-blowup trajectory) raises IntegrationError.
+    true amplitude of any lane leaves the representable range.  A run that
+    exhausts the evaluation budget (a near-blowup trajectory) raises
+    IntegrationError.
+
+    lam may be an array of L lanes, against which z_init (shape (2,) or
+    (L, 2)) and log_scale_init broadcast; the lanes are integrated as one
+    vector ODE on one step sequence: one ``coeffs(x)`` call per RHS
+    evaluation serves every lane, ``coupling.entries`` is called once per
+    lane, and each lane's arithmetic is that of a one-lane run.  DOP853's
+    error norm is an RMS over components, so rtol and atol are scaled by
+    sqrt(1/L): no lane gets a looser bound than in a one-lane run.  Only a
+    one-lane run keeps dense output.
     """
-    z0 = np.array(z_init, dtype=float)
-    if not np.any(z0):
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    z0 = np.broadcast_to(np.asarray(z_init, dtype=float), lams.shape + (2,))
+    logs = np.broadcast_to(np.asarray(log_scale_init, dtype=float), lams.shape)
+    if not np.all(np.any(z0, axis=1)):
         raise ValueError("z_init must be nonzero")
+    lanes = lams.size
+    lam_list = lams.tolist()
     coeffs = family.coeffs
     entries = coupling.entries if coupling is not None else None
     used = [0]
@@ -348,40 +365,48 @@ def integrate_cartesian(
             raise IntegrationError("integration work budget exceeded "
                                    "(near-blowup trajectory)", x)
         p11, p12, p22 = coeffs(x)
-        m11, m12, m22 = lam - p11, -p12, lam - p22
-        if entries is not None:
-            # clamped so that trial stages overshooting the overflow bound
-            # cannot push the coupling argument into inf/nan territory
-            mu = y[2]
-            scale = 0.0 if mu <= -700.0 else math.exp(min(mu, 150.0))
-            s11, s12, s22 = entries(x, scale * y[0], scale * y[1])
-            m11, m12, m22 = m11 + s11, m12 + s12, m22 + s22
-        a1 = -m12 * y[0] - m22 * y[1]
-        a2 = m11 * y[0] + m12 * y[1]
-        n2 = y[0] * y[0] + y[1] * y[1]
-        rho = (y[0] * a1 + y[1] * a2) / n2
-        return (a1 - rho * y[0], a2 - rho * y[1], rho,
-                (y[0] * a2 - y[1] * a1) / n2)
+        ys = y.tolist()
+        dy = []
+        for i, lam in enumerate(lam_list):
+            u, v, mu = ys[4 * i:4 * i + 3]
+            m11, m12, m22 = lam - p11, -p12, lam - p22
+            if entries is not None:
+                # clamped so that trial stages overshooting the overflow
+                # bound cannot push the coupling argument into inf/nan
+                scale = 0.0 if mu <= -700.0 else math.exp(min(mu, 150.0))
+                s11, s12, s22 = entries(x, scale * u, scale * v)
+                m11, m12, m22 = m11 + s11, m12 + s12, m22 + s22
+            a1 = -m12 * u - m22 * v
+            a2 = m11 * u + m12 * v
+            n2 = u * u + v * v
+            rho = (u * a1 + v * a2) / n2
+            dy += (a1 - rho * u, a2 - rho * v, rho, (u * a2 - v * a1) / n2)
+        return dy
 
     events = None
     if coupling is not None:
         def overflow(s, y):
-            return y[2] + 0.5 * math.log(y[0] * y[0] + y[1] * y[1]) \
+            ys = y.tolist()
+            return max(mu + 0.5 * math.log(u * u + v * v)
+                       for u, v, mu in zip(ys[0::4], ys[1::4], ys[2::4])) \
                 - _OVERFLOW_LOG
         overflow.terminal = True
         events = [overflow]
 
-    segs = _segments(window, family.beta, direction, x_stop)
-    n0 = math.hypot(z0[0], z0[1])
-    y0 = (z0[0] / n0, z0[1] / n0, log_scale_init + math.log(n0),
-          math.atan2(z0[1], z0[0]))
-    pieces, stats, x_event, _ = _run_segments(rhs_in_x, y0, segs, rtol,
-                                              atol, events)
+    y0 = []
+    for (z1, z2), ls in zip(z0.tolist(), logs.tolist()):
+        n0 = math.hypot(z1, z2)
+        y0 += (z1 / n0, z2 / n0, ls + math.log(n0), math.atan2(z2, z1))
+    scale = math.sqrt(1.0 / lanes)
+    pieces, stats, x_event, y_end = _run_segments(
+        rhs_in_x, y0, _segments(window, family.beta, direction, x_stop),
+        rtol * scale, atol * scale, events, dense=lanes == 1)
     if x_event is not None:
         raise OverflowAbort(
             "amplitude exceeded the representable range; shrink the "
             "window or the shooting scales", x_event)
-    return CartesianTrajectory(window=window, stats=stats, _pieces=pieces)
+    return CartesianTrajectory(window=window, stats=stats,
+                               end=y_end.reshape(lanes, 4), _pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

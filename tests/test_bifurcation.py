@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diracgap as dg
+from diracgap.bifurcation import _corrector_lanes
 from diracgap.spectrum import _nodal_index
 
 
@@ -21,20 +24,27 @@ def branch_short(coulomb_plus, zero_plus, seed_branch, branch_window,
 def branch_a8(coulomb_plus, zero_plus, seed_branch, branch_window,
               soler_coupling):
     """The A8 branch (22 steps of 1e-3), with every solve_point call's
-    b guess and outcome recorded."""
+    b guess, outcome and shoot_nonlinear calls recorded."""
     calls = []
     solve = dg.bifurcation.solve_point
+    shoot = dg.bifurcation.shoot_nonlinear
 
     def recording(*args, **kwargs):
-        calls.append({"b_guess": args[4] if len(args) > 4 else None})
+        calls.append({"b_guess": args[4] if len(args) > 4 else None,
+                      "shots": 0})
         try:
             return solve(*args, **kwargs)
         except Exception as exc:
             calls[-1]["error"] = exc
             raise
 
+    def counting(*args, **kwargs):
+        calls[-1]["shots"] += 1
+        return shoot(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg.bifurcation, "solve_point", recording)
+        mp.setattr(dg.bifurcation, "shoot_nonlinear", counting)
         branch = dg.continue_branch(coulomb_plus, soler_coupling, seed_branch,
                                     ds=1e-3, max_steps=22,
                                     window=branch_window, zero=zero_plus)
@@ -49,6 +59,74 @@ def test_branch_takes_only_full_steps(branch_a8):
     for i, pt in enumerate(branch.points):
         assert abs(pt.a - 1e-3 * (i + 1)) < 1e-12
     assert [c.get("error") for c in calls] == [None] * 22
+
+
+def test_branch_keeps_the_shot_budget(branch_a8):
+    # one lane shot per Newton evaluation and one dense re-shot per point
+    # keep the corrector within 6 shoot_nonlinear calls per accepted point
+    branch, calls = branch_a8
+    assert sum(c["shots"] for c in calls) <= 6 * len(branch.points)
+    assert all("error" not in c for c in calls)
+
+
+def test_branch_residual_is_that_of_a_one_lane_shot(
+        branch_a8, coulomb_plus, zero_plus, branch_window, soler_coupling):
+    # the reported residual comes from the dense re-shot, not from a lane
+    for pt in branch_a8[0].points:
+        shot = dg.shoot_nonlinear(coulomb_plus, soler_coupling, pt.lam, pt.a,
+                                  pt.b, branch_window, log_b=pt.log_b,
+                                  zero=zero_plus)
+        assert pt.residual == float(np.linalg.norm(shot.mismatch))
+
+
+# ground state on the branch window, its linear log(|b|/a) (b > 0), and the
+# branch's lam ~ LAM0 - 480 F'(0) a^2 at small a
+LAM0, LOG_RATIO0 = 0.865634525837297, -20.52901059794487
+
+
+@st.composite
+def near_branch(draw):
+    # shots near the branch; further off, the forward or backward side
+    # blows up before the midpoint
+    a = draw(st.floats(1e-3, 5e-3))
+    f_sign = draw(st.sampled_from([1.0, -1.0]))
+    lam = LAM0 - f_sign * 480.0 * a * a + draw(st.floats(-1e-3, 1e-3))
+    log_b = LOG_RATIO0 + math.log(a) + draw(st.floats(-0.2, 0.2))
+    return lam, a, log_b, f_sign
+
+
+@settings(max_examples=4, deadline=None)
+@given(case=near_branch())
+@example(case=(0.8131457239748687, 0.011, -30.506299220974903, 1.0))  # A8
+def test_lane_shot_matches_one_lane_shots(case, coulomb_plus, zero_plus,
+                                          branch_window):
+    # the corrector's lane shot: every lane's midpoint values are those of
+    # a one-lane shot, and its lane differences are the Jacobian
+    lam, a, log_b, f_sign = case
+    coupling = dg.build_soler_coupling(lambda r: r * r / (1.0 + r ** 5),
+                                       lambda s: f_sign * s, 1.0)
+
+    def shot(lams, log_bs):
+        return dg.shoot_nonlinear(coulomb_plus, coupling, lams, a,
+                                  math.exp(log_b), branch_window,
+                                  log_b=log_bs, zero=zero_plus)
+
+    p = np.array([lam, log_b])
+    lanes, steps = _corrector_lanes(p)
+    lane_shot = shot(lanes[:, 0], lanes[:, 1])
+    for i, (lam_i, log_b_i) in enumerate(lanes.tolist()):
+        one = shot(lam_i, log_b_i)
+        for z_lane, z_one in ((lane_shot.z_fwd[i], one.z_fwd),
+                              (lane_shot.z_bwd[i], one.z_bwd)):
+            assert np.linalg.norm(z_lane - z_one) < 1e-8 * np.linalg.norm(z_one)
+    m = lane_shot.mismatch
+    jac = (m[1:] - m[0]).T / steps
+    h = 1e-6
+    for col in range(2):
+        e = np.eye(2)[col] * h
+        central = (shot(*(p + e)).mismatch - shot(*(p - e)).mismatch) / (2 * h)
+        assert np.linalg.norm(jac[:, col] - central) \
+            < 1e-5 * np.linalg.norm(central)
 
 
 def test_branch_never_guesses_the_other_b_sign(branch_a8, coulomb_plus,

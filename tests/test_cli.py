@@ -117,6 +117,20 @@ def test_string_values_keep_inner_spaces(tmp_path, monkeypatch):
     assert math.isclose(loaded.params.potential.v(x), -0.5 / x, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("line, out_dir", [
+    ("dir = runs#2", "runs#2"),
+    ("dir = my out  # comment", "my out"),
+    ("dir = tabbed\t# comment", "tabbed"),
+])
+def test_hash_starts_a_comment_only_after_whitespace(tmp_path, monkeypatch,
+                                                     line, out_dir):
+    # a '#' inside a word is part of the value; cutting every line at its
+    # first '#' loaded runs#2 as runs, and output went elsewhere
+    monkeypatch.delenv("DIRACGAP_OUT", raising=False)
+    cfg = COULOMB_BASE + "\n# a whole-line comment\n[output]\n" + line + "\n"
+    assert cli.load_config(write(tmp_path, cfg)).out_dir == Path(out_dir)
+
+
 # -- exit codes -------------------------------------------------------------------
 
 def test_check_accepts_coulomb(tmp_path, capsys):
