@@ -17,26 +17,30 @@ Numerically nu_star is evaluated in its matched form
     nu_star(lam) = pi + theta_fwd(x_mid) - theta_bwd(x_mid),
 
 with the forward trajectory started at theta_zero on x_zero and the backward
-one started on the decaying direction theta_inf at x_inf (theta_inf plus the
-gap angle is pi).  It has the roots and monotonicity of the limit functional
+one started on the decaying direction theta_inf (theta_inf plus the gap
+angle is pi).  It has the roots and monotonicity of the limit functional
 and stays well conditioned at a root, where shooting from one end only would
 turn into a numerical staircase.  The scan evaluates it in lanes (one vector
 ODE per half), where a value moves slightly with the other lanes of its run,
 so a scan bracket carries the end values it was bracketed on; the root solve
 takes its sign test and first (secant) step from them and so accepts it.
 
-The lam-derivative of the matched value needs no further integration.  With
-psi = d theta / d lam the angle equation gives psi' = 1 - 2 (log rho)' psi,
-that is (rho^2 psi)' = rho^2.  The forward half starts at psi = 0 (theta_zero
-does not depend on lam), the backward half at psi = d theta_inf / d lam =
--1 / (2 kappa), kappa the decay rate at infinity.  With rho the amplitude of
-the two halves spliced to agree at x_mid and the integral taken over the
-window,
+The backward half need not start at x_inf.  At a fixed point of the angle
+flow the linearized rate is 2 kappa, kappa^2 = p12^2 - (lam - p11)(lam - p22)
+the local decay rate, so backward from x_c to x_mid a start error shrinks
+by e^(-2 int kappa dx).  nu_star starts the backward half on theta_inf at
+the first x_c past the lanes' last turning point with int kappa dx >= 18
+(asymptotics.contraction_start): a start error of O(0.1) reaches x_mid below
+1e-16, under the integrator's own error.  Only the scalar dense evaluation
+behind the eigenfunction and the decay fit covers the whole window.
 
-    d nu_star / d lam = (int rho^2 dx + rho(x_inf)^2 / (2 kappa)) / rho(x_mid)^2,
-
-the window mass and tail term of the L2 normalization.  find_eigenvalue uses
-it for Newton steps.
+find_eigenvalue runs nu_star on two lanes, lam and lam + delta with
+delta = 1e-7 max(1, |lam|).  Both lanes share one step sequence, so their
+forward difference is the Newton slope, free of the step-control noise that
+differencing two separate runs would carry.  At the default tolerances a
+value can be off by more than the residual tolerance where the slope is
+large (3.5e-9 at a slope of 8.6e3), so a residual ends the solve only when
+read at tolerances tightened a hundredfold.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .asymptotics import (InfinityData, TruncationWindow, ZeroData,
-                          infinity_data, select_truncation, zero_data)
+                          contraction_start, infinity_data, select_truncation,
+                          zero_data)
 from .model import CoefficientFamily, mirror_family
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory,
                      integrate_angle_lanes, integrate_prufer)
@@ -139,17 +144,20 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
     """Matched value of nu_star, strictly increasing across the gap.
 
     ``lam`` is a float or an array, integrated as one lane per value; the
-    result has its shape.  A ``work`` list receives the run's LaneWork.
+    result has its shape.  The backward half starts at the contraction start
+    of the lanes (module docstring).  A ``work`` list receives the run's
+    LaneWork.
     """
     zero = zero or zero_data(family)
     lams = np.asarray(lam, dtype=float)
     theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
                  for l in lams.flat]
+    bwd_span = replace(window, x_inf=contraction_start(family, lams, window))
     (th_f, fwd), (th_b, bwd) = (
-        integrate_angle_lanes(family, lams, window, th0, direction, rtol=rtol,
+        integrate_angle_lanes(family, lams, span, th0, direction, rtol=rtol,
                               atol=atol, x_stop=window.x_mid)
-        for th0, direction in ((zero.theta_zero, "forward"),
-                               (theta_inf, "backward")))
+        for span, th0, direction in ((window, zero.theta_zero, "forward"),
+                                     (bwd_span, theta_inf, "backward")))
     if work is not None:
         calls = fwd.nfev + bwd.nfev
         work.append(LaneWork(calls, fwd.steps + bwd.steps, lams.size,
@@ -157,13 +165,6 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
     # theta_inf plus the gap angle is pi, as in _matched
     values = (math.pi + th_f - th_b).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
-
-
-def _nu_star_slope(family, zero, window, info: _MatchInfo) -> float:
-    """d nu_star / d lam at info.lam from the spliced amplitude (see above)."""
-    peak, inside, tail, _ = _l2_mass(family, zero, window, info.lam,
-                                     info.logrho)
-    return math.exp(2.0 * (peak - info.fwd.logrho_end)) * (inside + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ class EigenvalueRecord:
     quadrant: str
     decay: DecayFit
     flags: tuple = ()
-    # (lam, nu_star(lam) - k*pi, rtol in force), one per matched evaluation
+    # (lam, nu_star(lam) - k*pi, rtol in force), one per two-lane iterate
     history: tuple = ()
 
 
@@ -342,16 +343,20 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     test and a first secant step, or a (lo, hi) pair, which one two-lane
     nu_star run turns into such a Bracket.  An end with residual below tol
     is solved where it is; otherwise the bracket must straddle the level
-    (monotonicity makes the root unique).  Iterates are scalar dense matched
-    runs, which also give the lam-derivative (module docstring).  A step not
-    strictly inside the current bracket, or a slope that is not finite and
-    positive, is replaced by bisection, and every evaluation shrinks the
-    bracket by the sign of its residual.  Integrator tolerances are
-    tightened once the lam interval shrinks below 1e-9, and 80 steps above
-    tol raise ConvergenceError.  Returns the full record: rotation number,
-    quadrant-dependent nodal index, residual, the least-squares decay
-    exponents of the eigenfunction amplitude at both ends, and the iteration
-    history.
+    (monotonicity makes the root unique).  Each iterate is one two-lane
+    nu_star run, at lam and a sibling lane whose forward difference is the
+    slope (module docstring).  A step not strictly inside the current
+    bracket, or a slope that is not finite and positive, is replaced by
+    bisection, and every evaluation shrinks the bracket by the sign of its
+    residual.  Integrator tolerances are tightened a hundredfold for the
+    iterate after a step below 1e-6 or in a lam interval below 1e-9
+    (relative to max(1, |lam|)), and a residual below tol read before that
+    is read again at them; a residual below tol ends the solve only at the
+    tightened tolerances, and 80 steps above tol raise ConvergenceError.  One
+    dense matched run at the accepted lam gives the rotation number, the
+    quadrant-dependent nodal index and the least-squares decay exponents of
+    the eigenfunction amplitude at both ends; the residual and the iteration
+    history come from the iterates.
     """
     zero = zero or zero_data(family)
     if not isinstance(bracket, Bracket):
@@ -362,14 +367,20 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     if not a < b:
         raise BracketError("bracket must be an increasing interval")
     target = k * math.pi
-    cur_rtol, cur_atol = rtol, atol
     history = []
+    tight = False
 
     def g(lam):
-        info = _matched(family, lam, window, zero, cur_rtol, cur_atol)
-        f = info.nu_star_hat - target
-        history.append((lam, f, cur_rtol))
-        return f, info
+        scale = 1e-2 if tight else 1.0
+        delta = 1e-7 * max(1.0, abs(lam))
+        if lam + delta >= family.mu_plus:
+            delta = -delta
+        value, sibling = nu_star(family, np.array([lam, lam + delta]), window,
+                                 zero, rtol=rtol * scale,
+                                 atol=atol * scale).tolist()
+        f = value - target
+        history.append((lam, f, rtol * scale))
+        return f, (sibling - value) / delta
 
     fa, fb = bracket.value_lo - target, bracket.value_hi - target
     # an end may sit on the level: at a constant-phase eigenfunction (the
@@ -380,33 +391,38 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
         raise BracketError(
             f"nu_star - {k}*pi has the same sign at both bracket ends "
             f"({fa:.3g}, {fb:.3g})")
-    f, info = g(lam) if abs(f) < tol else (f, None)     # an end on the level
 
-    tightened = False
+    slope = None
     for _ in range(80):
         if abs(f) < tol:
-            break
-        if info is None:            # secant step on the bracket's end values
+            if tight:
+                break
+            # read at the caller's tolerances, a residual below tol may be
+            # integration error: confirm it at the tightened ones
+            tight = True
+            f, slope = g(lam)
+            continue
+        if slope is None:           # secant step on the bracket's end values
             step = a - fa * (b - a) / (fb - fa)
         else:
-            slope = _nu_star_slope(family, zero, window, info)
             step = lam - f / slope if math.isfinite(slope) and slope > 0.0 \
                 else math.nan
         lam_new = step if a < step < b else 0.5 * (a + b)
-        lam, (f, info) = lam_new, g(lam_new)
+        # after a step this short the next iterate is next to the root
+        tight = tight or abs(lam_new - lam) < 1e-6 * max(1.0, abs(lam)) \
+            or b - a < 1e-9 * max(1.0, abs(b))
+        lam, (f, slope) = lam_new, g(lam_new)
         if f < 0.0:
             a = lam
         else:
             b = lam
-        if not tightened and b - a < 1e-9 * max(1.0, abs(b)):
-            cur_rtol, cur_atol = rtol * 1e-2, atol * 1e-2
-            tightened = True
     else:
         if abs(f) >= tol:
             raise ConvergenceError(
                 f"residual {abs(f):.3g} above tolerance {tol:g} "
                 "after 80 iterations")
 
+    info = _matched(family, lam, window, zero, rtol, atol)
     rot = (info.nu_hat - zero.theta_zero) / math.pi
     nodal, flags = _nodal_index(rot, zero.quadrant)
     if zero.degenerate:

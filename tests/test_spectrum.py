@@ -192,15 +192,58 @@ def test_a1_levels_from_pairs_take_at_most_four_matched_evaluations(
 
 @pytest.mark.parametrize("lam", [0.0, sommerfeld(0) + 1e-4,
                                  sommerfeld(1) - 1e-4])
-def test_nu_star_slope_matches_central_difference(coulomb_plus, zero_plus,
-                                                  fast_window, lam):
-    info = spectrum._matched(coulomb_plus, lam, fast_window, zero_plus,
-                             DEFAULT_RTOL, DEFAULT_ATOL)
-    slope = spectrum._nu_star_slope(coulomb_plus, zero_plus, fast_window, info)
+def test_sibling_lane_slope_matches_central_difference(coulomb_plus, zero_plus,
+                                                       fast_window, lam):
+    # the Newton slope: lam and a sibling lane 1e-7 above it on one run
+    delta = 1e-7 * max(1.0, abs(lam))
+    value, sibling = dg.nu_star(coulomb_plus, np.array([lam, lam + delta]),
+                                fast_window, zero_plus)
+    slope = (sibling - value) / delta
     h = 1e-6
-    diff = (dg.nu_star(coulomb_plus, lam + h, fast_window, zero_plus)
-            - dg.nu_star(coulomb_plus, lam - h, fast_window, zero_plus)) / (2 * h)
+    lo, hi = dg.nu_star(coulomb_plus, np.array([lam - h, lam + h]),
+                        fast_window, zero_plus)
+    diff = (hi - lo) / (2 * h)
     assert abs(slope - diff) / diff < 1e-5
+
+
+@settings(max_examples=8, deadline=None)
+@given(gamma=st.floats(-0.8, -0.2), k=st.sampled_from([1, -1, 2, -2]),
+       lam=st.floats(-0.9, 0.995), x_inf=st.floats(300.0, 1.5e4),
+       mu_a=st.just(0.0))
+@example(gamma=-0.5, k=1, lam=0.9, x_inf=2000.0, mu_a=0.2)
+def test_contraction_start_matches_full_window(gamma, k, lam, x_inf, mu_a):
+    # the backward half started at x_c instead of x_inf: its start error
+    # reaches x_mid damped by e^-36, far below the integrator's error
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=k, mu_a=mu_a, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    win = dg.TruncationWindow(x_zero=1e-3, x_inf=x_inf, delta=2e-4, eps=1e-3)
+    x_c = dg.asymptotics.contraction_start(fam, lam, win)
+    assert win.x_mid < x_c <= win.x_inf
+    value = dg.nu_star(fam, lam, win, zd, rtol=1e-13, atol=1e-15)
+    full = spectrum._matched(fam, lam, win, zd, 1e-13, 1e-15).nu_star_hat
+    assert abs(value - full) < 1e-11
+
+
+def test_contraction_start_past_the_window(coulomb_plus):
+    # at lam = 0.999 the turning point lies near x = 500, beyond x_inf
+    win = dg.TruncationWindow(x_zero=1e-3, x_inf=60.0, delta=2e-4, eps=1e-3)
+    assert dg.asymptotics.contraction_start(coulomb_plus, 0.999, win) == 60.0
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_returned_level_meets_tol_at_tight_tolerances(level):
+    # the residual is read at tightened tolerances: at the caller's ones the
+    # value at the second level here is about 3.5e-9 off (slope ~ 8.6e3)
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=2, mu_a=0.0, potential=dg.coulomb_potential(-0.6219494004819421)))
+    zd = dg.zero_data(fam)
+    win = dg.TruncationWindow(x_zero=1e-3, x_inf=250.0, delta=2e-4, eps=1e-3)
+    scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 12), win, zd)
+    br = scan.brackets[level - 1]
+    rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=win, zero=zd)
+    ref = spectrum._matched(fam, rec.lam, win, zd, 1e-13, 1e-15).nu_star_hat
+    assert abs(ref - br.k * math.pi) <= 1e-9
 
 
 # inputs on which the secant/bisection root solve ran into its noise floor
