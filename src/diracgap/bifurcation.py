@@ -121,7 +121,7 @@ def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
         sgn = math.copysign(1.0, amp)
         log_amp = math.log(abs(amp)) if log_amp is None else log_amp
         traj = integrate_cartesian(
-            family, side_lams, window,
+            family, side_lams if np.ndim(lam) else float(side_lams[0]), window,
             [(sgn * math.cos(t), sgn * math.sin(t)) for t in thetas],
             direction, coupling=coupling, rtol=rtol, atol=atol, x_stop=x_mid,
             log_scale_init=log_amp)
@@ -165,11 +165,11 @@ class BranchPoint:
     residual: float
 
 
-def _point_from_shot(family, zero, shot: ShootResult, n_samples=257) -> BranchPoint:
+def _point_from_shot(family, zero, shot: ShootResult) -> BranchPoint:
     window = shot.fwd.window
-    xs = np.geomspace(window.x_zero, window.x_inf, n_samples)
-    us = np.empty(n_samples)
-    vs = np.empty(n_samples)
+    xs = np.geomspace(window.x_zero, window.x_inf, 257)
+    us = np.empty(xs.size)
+    vs = np.empty(xs.size)
     for i, x in enumerate(xs):
         traj = shot.fwd if x <= shot.x_mid else shot.bwd
         u, v, ls = traj.state(x)

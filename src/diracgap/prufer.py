@@ -18,7 +18,9 @@ scaled variables z = e^mu w, with w kept at unit size and mu carrying the log
 of the true amplitude, and carries the polar angle of w as a fourth
 component; it serves as an independent cross-check of the polar formulation
 (w is integrated in components, and its angle rate is formed from them) and
-as the engine for the nonlinear shooting solver.
+as the engine for the nonlinear shooting solver.  Each path has one entry
+point, and both follow one lane rule (_lanes): a float lam is one dense run,
+an array of lam is endpoint-only lanes, one vector ODE on one step sequence.
 """
 
 from __future__ import annotations
@@ -123,7 +125,23 @@ def _locate(pieces: list, x: float) -> _Piece:
 
 def _state_at(pieces: list, x: float) -> np.ndarray:
     p = _locate(pieces, x)
+    if p.sol is None:
+        raise ValueError("an endpoint-only lane run has no interior values; "
+                         "integrate a float lam for dense output")
     return p.sol(p.chart.to_s(min(max(x, p.x_lo), p.x_hi)))
+
+
+def _lanes(lam, n_one: int) -> tuple:
+    """The lane rule of both integrators: (lams, dense, tolerance scale).
+
+    A float lam is one dense run; an array of N (one included) is N
+    endpoint-only lanes.  DOP853's error norm is an RMS over components, so
+    lanes scale rtol and atol by sqrt(n_one/N), where a dense run has as
+    many components as n_one lanes: no lane gets a looser bound than it.
+    """
+    dense = np.ndim(lam) == 0
+    lams = np.atleast_1d(np.asarray(lam, dtype=float)).reshape(-1)
+    return lams, dense, 1.0 if dense else math.sqrt(n_one / lams.size)
 
 
 @dataclass
@@ -181,16 +199,17 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
 class PruferTrajectory:
     """Continuously unwrapped angle trajectory over (part of) a window.
 
-    ``x_end``/``theta_end``/``logrho_end`` give the solver's final state, and
-    ``theta`` and ``logrho`` answer at arbitrary x in the integrated span.
-    Immutable after construction (fields are never reassigned), so instances
-    can be shared across threads.
+    ``end`` holds the solver's final state, one row per lane: (theta,
+    log rho) for a float lam, theta for an array.  A float lam's ``theta``
+    and ``logrho`` answer at any x in the integrated span.  Immutable after
+    construction (fields are never reassigned), so instances can be shared
+    across threads.
     """
 
     x_start: float
     x_end: float
     stats: IntegratorStats
-    _y_end: tuple = field(repr=False)
+    end: np.ndarray = field(repr=False)
     _pieces: list = field(repr=False)
 
     def _eval(self, x: float) -> tuple:
@@ -203,76 +222,52 @@ class PruferTrajectory:
     def logrho(self, x: float) -> float:
         return self._eval(x)[1]
 
-    @property
-    def theta_end(self) -> float:
-        return self._y_end[0]
-
-    @property
-    def logrho_end(self) -> float:
-        return self._y_end[1]
-
 
 def integrate_prufer(
     family: CoefficientFamily,
-    lam: float,
+    lam,
     window: TruncationWindow,
-    theta_init: float,
+    theta_init,
     direction: str = "forward",
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     x_stop: Optional[float] = None,
 ) -> PruferTrajectory:
-    """Integrate (theta, logrho) across the window with adaptive embedded RK.
+    """Integrate the angle across the window with adaptive embedded RK.
 
-    ``direction`` chooses the starting end, where log rho is 0; ``x_stop``
-    truncates the run at an interior point (used by the midpoint-matching
-    solver).  The returned trajectory keeps DOP853's dense output.
+    ``direction`` chooses the starting end and ``x_stop`` truncates the run
+    at an interior point (the matched halves).  A float lam integrates
+    (theta, log rho), log rho starting at 0, and keeps DOP853's dense output.
+    An array of N lam integrates theta alone from theta_init (shared, or one
+    per lane) as N endpoint-only lanes (_lanes: rtol and atol scaled by
+    sqrt(2/N)); one ``coeffs(x)`` call per RHS evaluation serves every lane.
     """
-    if not math.isfinite(theta_init):
+    if not np.all(np.isfinite(theta_init)):
         raise ValueError("theta_init must be finite")
+    lams, dense, scale = _lanes(lam, 2)
     coeffs = family.coeffs
 
-    def rhs_in_x(x, y):
-        p11, p12, p22 = coeffs(x)
-        return polar_rates(p11, p12, p22, lam, y[0])
-
+    if dense:
+        def rhs_in_x(x, y):
+            p11, p12, p22 = coeffs(x)
+            return polar_rates(p11, p12, p22, lam, y[0])
+        y0 = (theta_init, 0.0)
+    else:
+        def rhs_in_x(x, th):
+            # the theta' of polar_rates, per lane
+            p11, p12, p22 = coeffs(x)
+            ct = np.cos(th)
+            st = np.sin(th)
+            return (lams - p11) * ct * ct - 2.0 * p12 * ct * st \
+                + (lams - p22) * st * st
+        y0 = np.broadcast_to(theta_init, lams.shape)
     segs = _segments(window, family.beta, direction, x_stop)
     pieces, stats, _, y_end = _run_segments(
-        rhs_in_x, (theta_init, 0.0), segs, rtol, atol)
+        rhs_in_x, y0, segs, rtol * scale, atol * scale, dense=dense)
     return PruferTrajectory(x_start=segs[0][1], x_end=segs[-1][2],
-                            stats=stats, _y_end=tuple(map(float, y_end)),
+                            stats=stats, end=y_end.reshape(lams.size, -1),
                             _pieces=pieces)
-
-
-def integrate_angle_lanes(family: CoefficientFamily, lams, window: TruncationWindow,
-                          theta_init, direction: str, *, rtol: float,
-                          atol: float, x_stop: Optional[float]) -> tuple:
-    """Endpoint-only angle runs for an array of lam, as one vector ODE.
-
-    Lane i integrates theta' at lams[i] from theta_init (shared, or one per
-    lane) over integrate_prufer's chart segments; one ``coeffs(x)`` call per
-    RHS evaluation serves every lane.  DOP853's error norm is an RMS over
-    components, so rtol and atol are scaled by sqrt(2/N) for N lanes: no lane
-    gets a looser bound than theta in the two-component scalar run.  Returns
-    (theta_end array, IntegratorStats).
-    """
-    lam = np.asarray(lams, dtype=float).reshape(-1)
-    coeffs = family.coeffs
-
-    def rhs_in_x(x, th):
-        # the theta' of polar_rates, per lane
-        p11, p12, p22 = coeffs(x)
-        ct = np.cos(th)
-        st = np.sin(th)
-        return (lam - p11) * ct * ct - 2.0 * p12 * ct * st + (lam - p22) * st * st
-
-    scale = math.sqrt(2.0 / lam.size)
-    _, stats, _, y_end = _run_segments(
-        rhs_in_x, np.broadcast_to(theta_init, lam.shape),
-        _segments(window, family.beta, direction, x_stop),
-        rtol * scale, atol * scale, dense=False)
-    return y_end, stats
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +279,13 @@ class CartesianTrajectory:
     """Cartesian trajectory z = e^mu w with its integrated polar angle.
 
     ``end`` holds the solver's final state (u, v, mu, theta), one row per
-    lane.  A one-lane run keeps DOP853's dense output: ``state(x)`` returns
-    (u, v, mu), the solution value being e^mu * (u, v) with (u, v) = w of
-    unit size; ``angle(x)`` is the polar angle of w, integrated as the fourth
-    state component from the initial direction, so its winding is exact; and
-    ``log_norm(x)`` is the log of the true solution norm.  A run of two or
-    more lanes is endpoint-only.  Immutable after construction (fields are
-    never reassigned), so instances can be shared across threads.
+    lane.  A float lam's run keeps DOP853's dense output: ``state(x)``
+    returns (u, v, mu), the solution value being e^mu * (u, v) with
+    (u, v) = w of unit size; ``angle(x)`` is the polar angle of w,
+    integrated as the fourth state component from the initial direction, so
+    its winding is exact; and ``log_norm(x)`` is the log of the true
+    solution norm.  Immutable after construction (fields are never
+    reassigned), so instances can be shared across threads.
     """
 
     window: TruncationWindow
@@ -337,21 +332,18 @@ def integrate_cartesian(
     exhausts the evaluation budget (a near-blowup trajectory) raises
     IntegrationError.
 
-    lam may be an array of L lanes, against which z_init (shape (2,) or
-    (L, 2)) and log_scale_init broadcast; the lanes are integrated as one
-    vector ODE on one step sequence: one ``coeffs(x)`` call per RHS
-    evaluation serves every lane, ``coupling.entries`` is called once per
-    lane, and each lane's arithmetic is that of a one-lane run.  DOP853's
-    error norm is an RMS over components, so rtol and atol are scaled by
-    sqrt(1/L): no lane gets a looser bound than in a one-lane run.  Only a
-    one-lane run keeps dense output.
+    A float lam is one dense run.  An array of L lam is L endpoint-only
+    lanes (_lanes: rtol and atol scaled by sqrt(1/L)), against which z_init
+    (shape (2,) or (L, 2)) and log_scale_init broadcast: one ``coeffs(x)``
+    call per RHS evaluation serves every lane, ``coupling.entries`` is
+    called once per lane, and each lane's arithmetic is that of a float
+    run.
     """
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    lams, dense, scale = _lanes(lam, 1)
     z0 = np.broadcast_to(np.asarray(z_init, dtype=float), lams.shape + (2,))
     logs = np.broadcast_to(np.asarray(log_scale_init, dtype=float), lams.shape)
     if not np.all(np.any(z0, axis=1)):
         raise ValueError("z_init must be nonzero")
-    lanes = lams.size
     lam_list = lams.tolist()
     coeffs = family.coeffs
     entries = coupling.entries if coupling is not None else None
@@ -397,16 +389,16 @@ def integrate_cartesian(
     for (z1, z2), ls in zip(z0.tolist(), logs.tolist()):
         n0 = math.hypot(z1, z2)
         y0 += (z1 / n0, z2 / n0, ls + math.log(n0), math.atan2(z2, z1))
-    scale = math.sqrt(1.0 / lanes)
     pieces, stats, x_event, y_end = _run_segments(
         rhs_in_x, y0, _segments(window, family.beta, direction, x_stop),
-        rtol * scale, atol * scale, events, dense=lanes == 1)
+        rtol * scale, atol * scale, events, dense=dense)
     if x_event is not None:
         raise OverflowAbort(
             "amplitude exceeded the representable range; shrink the "
             "window or the shooting scales", x_event)
     return CartesianTrajectory(window=window, stats=stats,
-                               end=y_end.reshape(lanes, 4), _pieces=pieces)
+                               end=y_end.reshape(lams.size, 4),
+                               _pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ with the forward trajectory started at theta_zero on x_zero and the backward
 one started on the decaying direction theta_inf (theta_inf plus the gap
 angle is pi).  It has the roots and monotonicity of the limit functional
 and stays well conditioned at a root, where shooting from one end only would
-turn into a numerical staircase.  The scan evaluates it in lanes (one vector
-ODE per half), where a value moves slightly with the other lanes of its run,
-so a scan bracket carries the end values it was bracketed on; the root solve
-takes its sign test and first (secant) step from them and so accepts it.
+turn into a numerical staircase.  One routine (_halves) integrates the two
+halves: on lanes of lam for nu_star, on a float for the dense _matched.  In
+lanes a value moves slightly with the other lanes of its run, so a scan
+bracket carries the end values it was bracketed on; the root solve takes its
+sign test and first (secant) step from them and so accepts it.
 
 The backward half need not start at x_inf.  At a fixed point of the angle
 flow the linearized rate is 2 kappa, kappa^2 = p12^2 - (lam - p11)(lam - p22)
@@ -31,8 +32,8 @@ the local decay rate, so backward from x_c to x_mid a start error shrinks
 by e^(-2 int kappa dx).  nu_star starts the backward half on theta_inf at
 the first x_c past the lanes' last turning point with int kappa dx >= 18
 (asymptotics.contraction_start): a start error of O(0.1) reaches x_mid below
-1e-16, under the integrator's own error.  Only the scalar dense evaluation
-behind the eigenfunction and the decay fit covers the whole window.
+1e-16, under the integrator's own error.  _matched starts it at x_inf: the
+eigenfunction and the decay fit read it on the whole window.
 
 find_eigenvalue runs nu_star on two lanes, lam and lam + delta with
 delta = 1e-7 max(1, |lam|).  Both lanes share one step sequence, so their
@@ -57,7 +58,7 @@ from .asymptotics import (InfinityData, TruncationWindow, ZeroData,
                           zero_data)
 from .model import CoefficientFamily, mirror_family
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory,
-                     integrate_angle_lanes, integrate_prufer)
+                     integrate_prufer)
 
 
 class BracketError(ValueError):
@@ -110,21 +111,28 @@ class _MatchInfo:
         return self.bwd.logrho(x) + self.offset
 
 
+def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol):
+    """theta_zero forward from x_zero and theta_inf backward from x_start, both
+    to x_mid: dense for a float lam, endpoint-only lanes for an array."""
+    fwd = integrate_prufer(family, lam, window, theta_zero, "forward",
+                           rtol=rtol, atol=atol, x_stop=window.x_mid)
+    bwd = integrate_prufer(family, lam, replace(window, x_inf=x_start),
+                           theta_inf, "backward", rtol=rtol, atol=atol,
+                           x_stop=window.x_mid)
+    return fwd, bwd
+
+
 def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
-    x_mid = window.x_mid
     idata = infinity_data(family.mu_minus, family.mu_plus, lam)
-    fwd = integrate_prufer(family, lam, window, zero.theta_zero, "forward",
-                           rtol=rtol, atol=atol, x_stop=x_mid)
-    bwd = integrate_prufer(family, lam, window, idata.theta_inf, "backward",
-                           rtol=rtol, atol=atol, x_stop=x_mid)
-    th_f = fwd.theta_end
-    th_b = bwd.theta_end
+    fwd, bwd = _halves(family, lam, window, zero.theta_zero, idata.theta_inf,
+                       window.x_inf, rtol, atol)
+    (th_f, lr_f), (th_b, lr_b) = fwd.end[0].tolist(), bwd.end[0].tolist()
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
     return _MatchInfo(lam=lam, nu_hat=idata.theta_inf + th_f - th_b,
                       nu_star_hat=math.pi + th_f - th_b, inf=idata,
-                      fwd=fwd, bwd=bwd, x_mid=x_mid,
+                      fwd=fwd, bwd=bwd, x_mid=window.x_mid,
                       turns=round((th_f - th_b) / math.pi),
-                      offset=fwd.logrho_end - bwd.logrho_end)
+                      offset=lr_f - lr_b)
 
 
 @dataclass(frozen=True)
@@ -143,27 +151,24 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
             atol: float = DEFAULT_ATOL, work: Optional[list] = None):
     """Matched value of nu_star, strictly increasing across the gap.
 
-    ``lam`` is a float or an array, integrated as one lane per value; the
-    result has its shape.  The backward half starts at the contraction start
-    of the lanes (module docstring).  A ``work`` list receives the run's
-    LaneWork.
+    ``lam`` is a float or an array, integrated as one endpoint-only lane per
+    value (a float too); the result has its shape.  The backward half starts
+    at the contraction start of the lanes (module docstring).  A ``work``
+    list receives the run's LaneWork.
     """
     zero = zero or zero_data(family)
     lams = np.asarray(lam, dtype=float)
     theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
                  for l in lams.flat]
-    bwd_span = replace(window, x_inf=contraction_start(family, lams, window))
-    (th_f, fwd), (th_b, bwd) = (
-        integrate_angle_lanes(family, lams, span, th0, direction, rtol=rtol,
-                              atol=atol, x_stop=window.x_mid)
-        for span, th0, direction in ((window, zero.theta_zero, "forward"),
-                                     (bwd_span, theta_inf, "backward")))
+    fwd, bwd = _halves(family, lams.reshape(-1), window, zero.theta_zero,
+                       theta_inf, contraction_start(family, lams, window),
+                       rtol, atol)
     if work is not None:
-        calls = fwd.nfev + bwd.nfev
-        work.append(LaneWork(calls, fwd.steps + bwd.steps, lams.size,
-                             calls * lams.size))
+        calls = fwd.stats.nfev + bwd.stats.nfev
+        work.append(LaneWork(calls, fwd.stats.steps + bwd.stats.steps,
+                             lams.size, calls * lams.size))
     # theta_inf plus the gap angle is pi, as in _matched
-    values = (math.pi + th_f - th_b).reshape(lams.shape)
+    values = (math.pi + fwd.end[:, 0] - bwd.end[:, 0]).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
 
 
@@ -192,14 +197,14 @@ class ScanResult:
 def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
                   window: Optional[TruncationWindow] = None,
                   zero: Optional[ZeroData] = None, *,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                  angle_tol: float = 1e-8) -> ScanResult:
+                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
+                  ) -> ScanResult:
     """Evaluate nu_star on a grid and bracket every crossing of k*pi.
 
     The grid is one lane run, and so is each subdivision depth (breadth
     first); every Bracket carries the end values it was bracketed on.  The
     values must be non-decreasing up to integration noise; a decrease beyond
-    10 * angle_tol raises MonotonicityError (it signals that the window is
+    1e-7 raises MonotonicityError (it signals that the window is
     too small for the requested lam range).  Cells containing more than one
     crossing are subdivided until each bracket isolates a single level.  The
     grid is closed at both ends: a level whose value at a grid end is k*pi to
@@ -224,7 +229,7 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
     values = val(lams)
     diffs = np.diff(values)
     max_dec = float(-diffs.min()) if diffs.size and diffs.min() < 0 else 0.0
-    if max_dec > 10.0 * angle_tol:
+    if max_dec > 1e-7:
         raise MonotonicityError(
             f"nu_star decreased by {max_dec:.3g} on the scan grid; "
             "enlarge the truncation window")
@@ -533,11 +538,11 @@ class Eigenfunction:
     decay: DecayFit
 
 
-def _gauss_log_segments(x_lo: float, x_hi: float, nodes_per_decade: int = 48):
-    """Gauss-Legendre nodes/weights for integration in log x, decade by decade."""
+def _gauss_log_segments(x_lo: float, x_hi: float):
+    """Gauss-Legendre nodes/weights in log x, 48 per decade."""
     t_lo, t_hi = math.log(x_lo), math.log(x_hi)
     n_seg = max(1, int(math.ceil((t_hi - t_lo) / math.log(10.0))))
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_decade)
+    base_x, base_w = np.polynomial.legendre.leggauss(48)
     xs, ws = [], []
     edges = np.linspace(t_lo, t_hi, n_seg + 1)
     for i in range(n_seg):

@@ -85,8 +85,7 @@ def test_a2_ground_rotation_half(records_plus):
 def test_a3_monotonicity(coulomb_plus, zero_plus):
     window = dg.select_truncation(coulomb_plus, (-0.9, 0.999), zero=zero_plus)
     grid = np.linspace(-0.9, 0.999, 50)
-    out = dg.scan_spectrum(coulomb_plus, grid, window, zero_plus,
-                           angle_tol=1e-8)
+    out = dg.scan_spectrum(coulomb_plus, grid, window, zero_plus)
     ok = out.max_decrease <= 10.0 * 1e-8
     assert report("A3", ok,
                   f"shifted angle functional on a 50-point grid: largest "

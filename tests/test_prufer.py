@@ -70,7 +70,7 @@ def test_trajectory_monotone_x_and_finite_angle(coulomb_minus, zero_minus,
                                zero_minus.theta_zero)
     assert traj.x_start == fast_window.x_zero
     assert traj.x_end == fast_window.x_inf
-    assert math.isfinite(traj.theta_end)
+    assert traj.end.shape == (1, 2) and np.all(np.isfinite(traj.end))
     assert traj.stats.steps > 10
     assert traj.stats.rtol == 1e-10
 
@@ -86,7 +86,7 @@ def test_backward_matches_forward_at_midpoint(coulomb_plus, zero_plus,
                             zero_plus.theta_zero, "forward", x_stop=x_mid)
     b = dg.integrate_prufer(coulomb_plus, lam, fast_window,
                             idata.theta_inf, "backward", x_stop=x_mid)
-    mismatch = (f.theta_end - b.theta_end + math.pi / 2.0) % math.pi - math.pi / 2.0
+    mismatch = (f.end[0, 0] - b.end[0, 0] + math.pi / 2.0) % math.pi - math.pi / 2.0
     assert abs(mismatch) < 1e-7
 
 
@@ -104,6 +104,62 @@ def test_dense_output_queryable_between_nodes(coulomb_minus, zero_minus,
 def test_invalid_direction_rejected(coulomb_minus, fast_window):
     with pytest.raises(ValueError):
         dg.integrate_prufer(coulomb_minus, 0.1, fast_window, 0.3, "sideways")
+
+
+# -- the lane rule, on both integrators ------------------------------------------
+
+# lanes whose components match one float run: theta lanes against (theta,
+# log rho), Cartesian lanes against one (u, v, mu, theta) run
+ONE_RUN_LANES = {"prufer": 2, "cartesian": 1}
+
+
+def integrate(integrator, family, lam, window):
+    """Either integrator from the start angle 0.3; returns (trajectory, the
+    column of ``end`` that holds the angle, the angle at x)."""
+    if integrator == "prufer":
+        traj = dg.integrate_prufer(family, lam, window, 0.3)
+        return traj, 0, traj.theta
+    traj = dg.integrate_cartesian(family, lam, window,
+                                  (math.cos(0.3), math.sin(0.3)))
+    return traj, 3, traj.angle
+
+
+@pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
+def test_float_lam_is_one_dense_run(integrator, coulomb_minus, fast_window):
+    traj, col, angle = integrate(integrator, coulomb_minus, 0.2, fast_window)
+    assert traj.end.shape[0] == 1
+    assert traj.stats.rtol == 1e-10 and traj.stats.atol == 1e-12
+    assert angle(fast_window.x_inf) == pytest.approx(traj.end[0, col],
+                                                     abs=1e-12)
+    assert math.isfinite(angle(fast_window.x_mid))
+
+
+@pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_array_lam_is_endpoint_only_lanes(integrator, n, coulomb_minus,
+                                          fast_window):
+    lams = np.linspace(0.2, 0.6, n)
+    traj, col, _ = integrate(integrator, coulomb_minus, lams, fast_window)
+    assert traj.end.shape[0] == n
+    scale = math.sqrt(ONE_RUN_LANES[integrator] / n)
+    assert traj.stats.rtol == pytest.approx(1e-10 * scale, rel=1e-15)
+    assert traj.stats.atol == pytest.approx(1e-12 * scale, rel=1e-15)
+    # each lane ends where a float run of its lam ends, to tolerance
+    for lam, lane_end in zip(lams.tolist(), traj.end[:, col].tolist()):
+        one, _, _ = integrate(integrator, coulomb_minus, lam, fast_window)
+        assert abs(lane_end - one.end[0, col]) < 1e-7
+
+
+@pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
+def test_lane_run_refuses_interior_values(integrator, coulomb_minus,
+                                          fast_window):
+    traj, _, angle = integrate(integrator, coulomb_minus,
+                               np.array([0.5, 0.6]), fast_window)
+    with pytest.raises(ValueError, match="endpoint-only"):
+        angle(1.0)
+    if integrator == "cartesian":
+        with pytest.raises(ValueError, match="endpoint-only"):
+            traj.state(1.0)
 
 
 # -- Cartesian cross-check -----------------------------------------------------
