@@ -41,25 +41,21 @@ class InfinityData:
 
     decay_rate is sqrt((mu_plus - lam)(lam - mu_minus)); the decaying
     direction is the eigenvector of J^{-1}(lam Id - diag(mu-, mu+)) for
-    -decay_rate.  theta_inf, its polar angle, lies in (pi/2, pi) and equals
-    pi minus the gap angle.
+    -decay_rate, and theta_inf, its polar angle, lies in (pi/2, pi) and
+    equals pi minus the gap angle.
     """
 
     decay_rate: float
-    decay_direction: np.ndarray
     theta_inf: float
 
 
 def infinity_data(mu_minus: float, mu_plus: float, lam: float) -> InfinityData:
-    """Decaying direction and boundary angle at infinity."""
+    """Decay rate and boundary angle at infinity."""
     if not (mu_minus < lam < mu_plus):
         raise ValueError(f"lam = {lam} outside the open gap ({mu_minus}, {mu_plus})")
-    delta = (mu_plus - lam) * (lam - mu_minus)
-    rate = math.sqrt(delta)
-    b1 = np.array([lam - mu_plus, rate])
-    b1 /= np.linalg.norm(b1)
-    theta = math.pi - gap_angle(mu_minus, mu_plus, lam)
-    return InfinityData(decay_rate=rate, decay_direction=b1, theta_inf=theta)
+    return InfinityData(
+        decay_rate=math.sqrt((mu_plus - lam) * (lam - mu_minus)),
+        theta_inf=math.pi - gap_angle(mu_minus, mu_plus, lam))
 
 
 @dataclass(frozen=True)
@@ -67,21 +63,17 @@ class ZeroData:
     """Eigen-structure of the origin flow matrix; independent of lam.
 
     flow_matrix is J^{-1} * limit_zero, scaled by 1/(beta - 1) when beta > 1.
-    decay_direction is the eigenvector for the negative eigenvalue (the
-    direction along which solutions vanish into the origin), sign-fixed so its
-    polar angle theta_zero lies in [0, pi).  quadrant records which index
-    convention applies downstream; theta_zero in {0, pi/2} (within 1e-9) is
-    flagged degenerate and handled with the first-quadrant convention.
+    theta_zero, in [0, pi), is the polar angle of its eigenvector for the
+    negative eigenvalue -rate (the direction along which solutions vanish
+    into the origin).  quadrant records which index convention applies
+    downstream; theta_zero in {0, pi/2} (within 1e-9) is "degenerate" and
+    handled with the first-quadrant convention.
     """
 
-    beta: float
-    delta_star: float
     rate: float                 # positive eigenvalue of flow_matrix
     flow_matrix: np.ndarray
-    decay_direction: np.ndarray
     theta_zero: float
     quadrant: str               # "first" | "second" | "degenerate"
-    degenerate: bool
 
 
 def _eigvec_tracefree(c: np.ndarray, sigma: float) -> np.ndarray:
@@ -96,31 +88,28 @@ def _eigvec_tracefree(c: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def zero_data(family: CoefficientFamily) -> ZeroData:
-    """Boundary direction and angle at the origin for an admissible family."""
+    """Flow matrix, rate and boundary angle at an admissible origin."""
     cls = classify_zero_endpoint(family)
     if not cls.admissible:
         raise ValueError("origin endpoint is not admissible: " + cls.note)
     l = family.limit_zero
     c = np.array([[-l[1, 0], -l[1, 1]], [l[0, 0], l[0, 1]]])   # J^{-1} @ limit
+    rate = math.sqrt(-cls.det_limit)
     if family.beta > 1.0:
         c = c / (family.beta - 1.0)
-    delta_star = cls.delta_star
-    rate = math.sqrt(delta_star) if family.beta == 1.0 \
-        else math.sqrt(delta_star) / (family.beta - 1.0)
+        rate = rate / (family.beta - 1.0)
     w1 = _eigvec_tracefree(c, -rate)
     # sign-fix the direction into the closed upper half plane
     if w1[1] < 0.0 or (w1[1] == 0.0 and w1[0] < 0.0):
         w1 = -w1
     theta = math.atan2(w1[1], w1[0]) % math.pi
-    degenerate = min(abs(theta), abs(theta - math.pi / 2.0),
-                     abs(theta - math.pi)) < 1e-9
-    if degenerate:
+    if min(abs(theta), abs(theta - math.pi / 2.0),
+           abs(theta - math.pi)) < 1e-9:
         quadrant = "degenerate"
     else:
         quadrant = "first" if theta < math.pi / 2.0 else "second"
-    return ZeroData(beta=family.beta, delta_star=delta_star, rate=rate,
-                    flow_matrix=c, decay_direction=w1, theta_zero=theta,
-                    quadrant=quadrant, degenerate=degenerate)
+    return ZeroData(rate=rate, flow_matrix=c, theta_zero=theta,
+                    quadrant=quadrant)
 
 
 @dataclass(frozen=True)

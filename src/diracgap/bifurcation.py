@@ -310,8 +310,11 @@ class Branch:
     seed: EigenvalueRecord
     points: tuple
     termination: str            # "max-steps" | "gap-edge-reached" | "step-failure"
-    index_audit_ok: bool
-    audit_failures: tuple = ()
+
+    @property
+    def index_audit_ok(self) -> bool:
+        """Every point's index i is the seed's nodal index."""
+        return all(p.index == self.seed.nodal_index for p in self.points)
 
 
 def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
@@ -330,8 +333,8 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
     extrapolate both along the secant through the last two points; b keeps
     the seed's sign.  Terminates when lam comes within 1e-6 of a gap edge,
     when the amplitude budget or step count is exhausted, or on persistent
-    corrector failure.  Each accepted point's index i is audited against the
-    seed's nodal index; disagreements are recorded, not silently accepted.
+    corrector failure.  Branch.index_audit_ok audits each point's index i
+    against the seed's nodal index.
     """
     if ds <= 0.0:
         raise ValueError("continuation step ds must be positive")
@@ -341,7 +344,6 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
     zero = zero or zero_data(family)
 
     points = []
-    audit_failures = []
     termination = "max-steps"
     edge_tol = 1e-6
     a = 0.0
@@ -374,9 +376,6 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
             break
         points.append(accepted)
         a = accepted.a
-        if accepted.index != seed.nodal_index:
-            audit_failures.append(
-                (len(points) - 1, accepted.index, seed.nodal_index))
         if accepted.lam >= family.mu_plus - edge_tol \
                 or accepted.lam <= family.mu_minus + edge_tol:
             termination = "gap-edge-reached"
@@ -384,6 +383,4 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
         if a >= a_max:
             break
 
-    return Branch(seed=seed, points=tuple(points), termination=termination,
-                  index_audit_ok=not audit_failures,
-                  audit_failures=tuple(audit_failures))
+    return Branch(seed=seed, points=tuple(points), termination=termination)

@@ -479,14 +479,14 @@ def cmd_eigenfunction(cfg: RunConfig, quiet: bool = False) -> int:
                ("x", "u", "v"), rows,
                extra_header=(_window_line(window),
                              f"k={rec.k} lambda={_fmt(rec.lam)} rot={_fmt(rec.rot)}",
-                             f"decay_inf={_fmt(ef.decay.exponent_inf)} "
-                             f"decay_zero={_fmt(ef.decay.exponent_zero)}",
+                             f"decay_inf={_fmt(rec.decay.exponent_inf)} "
+                             f"decay_zero={_fmt(rec.decay.exponent_zero)}",
                              f"norm_check={_fmt(ef.norm_check)}"))
     _say(quiet, f"k={rec.k}  lambda={rec.lam:.10f}")
-    _say(quiet, f"decay exponent at infinity {ef.decay.exponent_inf:.6f} "
-                f"(expected {ef.decay.expected_inf:.6f})")
-    _say(quiet, f"decay exponent at origin   {ef.decay.exponent_zero:.6f} "
-                f"(expected {ef.decay.expected_zero:.6f})")
+    _say(quiet, f"decay exponent at infinity {rec.decay.exponent_inf:.6f} "
+                f"(expected {rec.decay.expected_inf:.6f})")
+    _say(quiet, f"decay exponent at origin   {rec.decay.exponent_zero:.6f} "
+                f"(expected {rec.decay.expected_zero:.6f})")
     return EXIT_OK
 
 

@@ -287,10 +287,7 @@ def mirror_family(family: CoefficientFamily) -> CoefficientFamily:
 class ZeroClassification:
     """Origin singularity data and the admissibility verdict."""
 
-    beta: float
-    limit_zero: np.ndarray
     det_limit: float
-    delta_star: float           # -det of the limit matrix
     admissible: bool
     note: str
 
@@ -317,9 +314,7 @@ def classify_zero_endpoint(family: CoefficientFamily) -> ZeroClassification:
     else:
         note = (f"det {det:.6g} >= {bound}: origin classification fails, "
                 "boundary data at zero would not be unique")
-    return ZeroClassification(beta=family.beta, limit_zero=family.limit_zero,
-                              det_limit=det, delta_star=-det,
-                              admissible=admissible, note=note)
+    return ZeroClassification(det_limit=det, admissible=admissible, note=note)
 
 
 @dataclass(frozen=True)
@@ -520,8 +515,8 @@ def build_soler_coupling(
     the origin (gamma = O(r^2)) and decay at infinity, and r^2 gamma(r) must
     vanish at infinity.  Violations raise CouplingRejectedError.
     """
-    if lipschitz_bound <= 0.0:
-        raise ValueError("lipschitz_bound must be positive")
+    if lipschitz_bound < 0.0:
+        raise ValueError("lipschitz_bound must not be negative")
     c = angular_constant
 
     def alpha(r: float) -> float:

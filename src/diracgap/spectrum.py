@@ -47,7 +47,7 @@ read at tolerances tightened a hundredfold.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -135,26 +135,14 @@ def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
                       offset=lr_f - lr_b)
 
 
-@dataclass(frozen=True)
-class LaneWork:
-    """Lane-run work: vector RHS calls and steps of both halves, lam values,
-    and lane-RHS evaluations (each call counted once per lane it served)."""
-
-    rhs_calls: int = 0
-    steps: int = 0
-    lanes: int = 0
-    lane_evals: int = 0
-
-
 def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
             zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
-            atol: float = DEFAULT_ATOL, work: Optional[list] = None):
+            atol: float = DEFAULT_ATOL):
     """Matched value of nu_star, strictly increasing across the gap.
 
     ``lam`` is a float or an array, integrated as one endpoint-only lane per
     value (a float too); the result has its shape.  The backward half starts
-    at the contraction start of the lanes (module docstring).  A ``work``
-    list receives the run's LaneWork.
+    at the contraction start of the lanes (module docstring).
     """
     zero = zero or zero_data(family)
     lams = np.asarray(lam, dtype=float)
@@ -163,10 +151,6 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
     fwd, bwd = _halves(family, lams.reshape(-1), window, zero.theta_zero,
                        theta_inf, contraction_start(family, lams, window),
                        rtol, atol)
-    if work is not None:
-        calls = fwd.stats.nfev + bwd.stats.nfev
-        work.append(LaneWork(calls, fwd.stats.steps + bwd.stats.steps,
-                             lams.size, calls * lams.size))
     # theta_inf plus the gap angle is pi, as in _matched
     values = (math.pi + fwd.end[:, 0] - bwd.end[:, 0]).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
@@ -191,7 +175,6 @@ class ScanResult:
     values: np.ndarray
     brackets: tuple
     max_decrease: float          # largest observed monotonicity defect
-    work: LaneWork = LaneWork()  # summed over the grid and subdivision runs
 
 
 def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
@@ -220,11 +203,9 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
     zero = zero or zero_data(family)
     if window is None:
         window = select_truncation(family, (lams[0], lams[-1]), zero=zero)
-    runs = []
 
     def val(lam):
-        return nu_star(family, lam, window, zero, rtol=rtol, atol=atol,
-                       work=runs)
+        return nu_star(family, lam, window, zero, rtol=rtol, atol=atol)
 
     values = val(lams)
     diffs = np.diff(values)
@@ -271,9 +252,8 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
             cells += [(llo, lmid, vlo, vmid, c_lo, False),
                       (lmid, lhi, vmid, vhi, False, c_hi)]
     brackets.sort(key=lambda b: (b.lam_lo, b.k))
-    work = LaneWork(*(sum(col) for col in zip(*(astuple(r) for r in runs))))
     return ScanResult(lambdas=lams, values=values, brackets=tuple(brackets),
-                      max_decrease=max_dec, work=work)
+                      max_decrease=max_dec)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +296,7 @@ def _decay_fit(family, zero, info: _MatchInfo, window) -> DecayFit:
     lr0 = np.array([info.fwd.logrho(x) for x in x0])
     if family.beta == 1.0:
         slope_zero = float(np.polyfit(np.log(x0), lr0, 1)[0])
-        expected_zero = math.sqrt(zero.delta_star)
+        expected_zero = zero.rate
     else:
         slope_zero = float(np.polyfit(x0 ** (1.0 - family.beta), lr0, 1)[0])
         expected_zero = -zero.rate
@@ -430,7 +410,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     info = _matched(family, lam, window, zero, rtol, atol)
     rot = (info.nu_hat - zero.theta_zero) / math.pi
     nodal, flags = _nodal_index(rot, zero.quadrant)
-    if zero.degenerate:
+    if zero.quadrant == "degenerate":
         flags = flags + ("degenerate-origin-angle",)
     decay = _decay_fit(family, zero, info, window)
     return EigenvalueRecord(k=k, lam=lam, rot=rot, nodal_index=nodal,
@@ -535,7 +515,6 @@ class Eigenfunction:
     v: np.ndarray
     norm_window: float          # L2 mass inside the window after normalization
     norm_check: float           # independent quadrature of the total L2 mass
-    decay: DecayFit
 
 
 def _gauss_log_segments(x_lo: float, x_hi: float):
@@ -573,12 +552,10 @@ def _l2_mass(family: CoefficientFamily, zero: ZeroData,
     tail = math.exp(2.0 * (log_amp(window.x_inf) - peak)) \
         / (2.0 * idata.decay_rate)
     x0 = window.x_zero
-    lr_start = log_amp(x0)
+    lr_start, rate = log_amp(x0), zero.rate
     if family.beta == 1.0:
-        head = math.exp(2.0 * (lr_start - peak)) * x0 \
-            / (2.0 * math.sqrt(zero.delta_star) + 1.0)
+        head = math.exp(2.0 * (lr_start - peak)) * x0 / (2.0 * rate + 1.0)
     else:
-        rate = zero.rate
         head_int, _ = quad(
             lambda x: math.exp(-2.0 * rate * (x ** (1.0 - family.beta)
                                               - x0 ** (1.0 - family.beta))),
@@ -598,7 +575,8 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     means lam is not an eigenvalue to tolerance.  Amplitudes are
     spliced by matching the log-amplitude at the midpoint, normalized by
     quadrature over the window plus closed-form tail and head corrections from
-    the known decay exponents, and sampled on a log grid.
+    the known decay exponents, and sampled on a log grid.  The fitted decay
+    exponents are the record's, fitted by find_eigenvalue at its lam and window.
     """
     window = record.window
     zero = zero or zero_data(family)
@@ -639,7 +617,6 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
         check += val
     check += (tail + head) * math.exp(2.0 * lr_max + 2.0 * lr_shift)
 
-    decay = _decay_fit(family, zero, info, window)
     return Eigenfunction(record=record, x=xs, u=us, v=vs,
                          norm_window=mass_window * math.exp(2.0 * lr_max + 2.0 * lr_shift),
-                         norm_check=check, decay=decay)
+                         norm_check=check)

@@ -122,14 +122,15 @@ def test_a5_decay_exponents_and_normalization(coulomb_plus, zero_plus,
                                               records_plus):
     ground = records_plus[0]
     ef = dg.eigenfunction(coulomb_plus, ground, 400, zero=zero_plus)
-    err_inf = abs(ef.decay.exponent_inf - (-0.5)) / 0.5
-    err_zero = abs(ef.decay.exponent_zero - 0.8660254) / 0.8660254
+    decay = ef.record.decay
+    err_inf = abs(decay.exponent_inf - (-0.5)) / 0.5
+    err_zero = abs(decay.exponent_zero - 0.8660254) / 0.8660254
     norm_err = abs(ef.norm_check - 1.0)
     ok = err_inf < 0.02 and err_zero < 0.02 and norm_err < 1e-6
     assert report("A5", ok,
-                  f"ground-state decay slopes {ef.decay.exponent_inf:.5f} "
+                  f"ground-state decay slopes {decay.exponent_inf:.5f} "
                   f"(expect -0.5, rel err {err_inf:.1e}) and "
-                  f"{ef.decay.exponent_zero:.5f} (expect +0.8660254, rel err "
+                  f"{decay.exponent_zero:.5f} (expect +0.8660254, rel err "
                   f"{err_zero:.1e}); independent normalization check off by "
                   f"{norm_err:.1e}")
 

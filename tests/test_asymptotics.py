@@ -39,9 +39,11 @@ def test_infinity_rejects_lambda_outside_gap():
 def test_infinity_eigenvector_residuals():
     for lam in np.linspace(-0.95, 0.95, 25):
         d = dg.infinity_data(-1.0, 1.0, lam)
-        # J^{-1}(lam Id - diag(mu-, mu+))
+        # J^{-1}(lam Id - diag(mu-, mu+)) has the unit vector at theta_inf as
+        # its eigenvector for -decay_rate
         b = np.array([[0.0, 1.0 - lam], [lam + 1.0, 0.0]])
-        r1 = np.linalg.norm(b @ d.decay_direction + d.decay_rate * d.decay_direction)
+        e = np.array([math.cos(d.theta_inf), math.sin(d.theta_inf)])
+        r1 = np.linalg.norm(b @ e + d.decay_rate * e)
         assert r1 < 1e-12
 
 
@@ -61,7 +63,6 @@ def test_zero_data_first_quadrant(coulomb_minus):
     assert math.isclose(zd.theta_zero, math.atan(2.0 - math.sqrt(3.0)), rel_tol=1e-12)
     assert math.isclose(zd.theta_zero, math.pi / 12.0, rel_tol=1e-12)
     assert zd.quadrant == "first"
-    assert not zd.degenerate
 
 
 def test_zero_data_second_quadrant(coulomb_plus):
@@ -78,15 +79,16 @@ def test_zero_data_degenerate_angle():
     zd = dg.zero_data(fam)
     # purely off-diagonal limit with negative entry: flow matrix diag(2, -2)
     assert math.isclose(zd.theta_zero, math.pi / 2.0, abs_tol=1e-12)
-    assert zd.degenerate
     assert zd.quadrant == "degenerate"
-    np.testing.assert_allclose(zd.decay_direction, [0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose([math.cos(zd.theta_zero), math.sin(zd.theta_zero)],
+                               [0.0, 1.0], atol=1e-15)
 
 
 def test_zero_data_eigen_residual(coulomb_minus):
     zd = dg.zero_data(coulomb_minus)
-    r = np.linalg.norm(zd.flow_matrix @ zd.decay_direction
-                       + zd.rate * zd.decay_direction)
+    # the unit vector at theta_zero is the eigenvector for -rate
+    e = np.array([math.cos(zd.theta_zero), math.sin(zd.theta_zero)])
+    r = np.linalg.norm(zd.flow_matrix @ e + zd.rate * e)
     assert r < 1e-12
 
 
@@ -94,7 +96,7 @@ def test_zero_data_deterministic(coulomb_minus):
     a = dg.zero_data(coulomb_minus)
     b = dg.zero_data(coulomb_minus)
     assert a.theta_zero == b.theta_zero
-    assert np.array_equal(a.decay_direction, b.decay_direction)
+    assert np.array_equal(a.flow_matrix, b.flow_matrix)
 
 
 def test_zero_data_rejects_inadmissible():
@@ -117,7 +119,6 @@ def test_zero_direction_invariant_under_beta_scaling():
     fam3 = dg.CoefficientFamily(coeffs=coeffs, mu_minus=-1.0, mu_plus=1.0,
                                 beta=3.0, limit_zero=limit)
     a, b = dg.zero_data(fam2), dg.zero_data(fam3)
-    np.testing.assert_allclose(a.decay_direction, b.decay_direction, atol=1e-15)
     assert a.theta_zero == b.theta_zero
     assert not math.isclose(a.rate, b.rate)
 

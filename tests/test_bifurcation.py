@@ -1,6 +1,7 @@
 """Nonlinear shooting, Newton correction, branch continuation and indices."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,14 @@ def test_branch_points_well_formed(branch_short, seed_branch):
 def test_branch_index_constant(branch_short, seed_branch):
     assert branch_short.index_audit_ok
     assert all(p.index == seed_branch.nodal_index for p in branch_short.points)
+
+
+def test_index_audit_reads_every_point(branch_short, seed_branch):
+    # one point off the seed's index fails the audit, whatever its neighbours
+    odd = replace(branch_short.points[3], index=seed_branch.nodal_index + 1)
+    points = branch_short.points[:3] + (odd,) + branch_short.points[4:]
+    assert not replace(branch_short, points=points).index_audit_ok
+    assert branch_short.index_audit_ok
 
 
 def test_branch_rotation_continuous_at_zero_amplitude(branch_short,

@@ -147,6 +147,17 @@ def test_check_rejects_supercritical_coupling(tmp_path):
     assert code == 2
 
 
+def test_check_accepts_zero_coupling(tmp_path):
+    # f_scale = 0 is F = 0, the linear problem, and its envelope is admissible
+    cfg = COULOMB_BASE + "\n[coupling]\nkind = soler\nf_scale = 0.0\n"
+    path = write(tmp_path, cfg)
+    code = cli.main(["check", "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"])
+    assert code == 0
+    text = (tmp_path / "check_report.csv").read_text()
+    assert "coupling-envelope,True" in text
+
+
 def test_check_accepts_anomalous_strong_coupling(tmp_path):
     cfg = COULOMB_BASE.replace("gamma = -0.5", "gamma = -2.0")
     cfg = cfg.replace("mu_a = 0.0", "mu_a = 1.0").replace("k = 1", "k = -1")
@@ -410,6 +421,23 @@ def test_branch_command(tmp_path):
     assert lines[0] == "step,lambda,amplitude,l2norm,j,i,residual"
     assert len(lines) == 5
     assert (tmp_path / "branch_solution.csv").exists()
+
+
+def test_branch_zero_coupling_stays_at_seed(tmp_path):
+    # with F = 0 every branch point solves the linear problem at the seed lam
+    cfg = COULOMB_BASE.replace("x_inf = 250.0", "x_inf = 60.0")
+    cfg += ("\n[branch]\nseed_k = 1\nds = 0.001\nmax_steps = 2\n"
+            "\n[coupling]\nkind = soler\nf_scale = 0.0\n")
+    path = write(tmp_path, cfg)
+    code = cli.main(["branch", "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"])
+    assert code == 0
+    text = (tmp_path / "branch.csv").read_text()
+    seed = float(text.split("seed_lambda=")[1].split()[0])
+    rows = [l.split(",") for l in text.splitlines()
+            if l and not l.startswith("#")][1:]
+    assert len(rows) == 2
+    assert all(abs(float(r[1]) - seed) < 1e-9 for r in rows)
 
 
 def test_branch_requires_coupling(tmp_path):

@@ -21,12 +21,8 @@ def test_nu_stationary_synthetic():
                                mu_minus=-1.0, mu_plus=1.0, beta=1.0,
                                limit_zero=np.zeros((2, 2)))
     win = dg.TruncationWindow(x_zero=0.5, x_inf=10.0, delta=1e-3, eps=1e-3)
-    zd = dg.ZeroData(beta=1.0, delta_star=1.0, rate=1.0,
-                     flow_matrix=np.diag([-1.0, 1.0]),
-                     decay_direction=np.array([math.cos(3 * math.pi / 4),
-                                               math.sin(3 * math.pi / 4)]),
-                     theta_zero=3.0 * math.pi / 4.0, quadrant="second",
-                     degenerate=False)
+    zd = dg.ZeroData(rate=1.0, flow_matrix=np.diag([-1.0, 1.0]),
+                     theta_zero=3.0 * math.pi / 4.0, quadrant="second")
     val = dg.nu_star(fam, 0.0, win, zd)
     assert abs(val - math.pi) < 1e-6
 
@@ -364,7 +360,7 @@ def test_eigenfunction_samples_continuous(ground_eigenfunction):
 
 
 def test_eigenfunction_decay_exponents(ground_eigenfunction):
-    d = ground_eigenfunction.decay
+    d = ground_eigenfunction.record.decay
     # moderate window: the Coulomb tail correction to the slope is ~2 percent
     assert abs(d.exponent_inf - (-0.5)) / 0.5 < 0.03
     assert abs(d.exponent_zero - math.sqrt(0.75)) / math.sqrt(0.75) < 0.03
