@@ -17,8 +17,9 @@ lets a backward run start there instead of at x_inf.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -156,12 +157,13 @@ def select_truncation(
         raise ValueError("lam_range must lie strictly inside the gap")
     if delta is None:
         delta = 1e-4 * (family.mu_plus - family.mu_minus)
+    # P once per distinct x (x = 1 and the cone decades' ends recur)
+    family = replace(family, coeffs=functools.cache(family.coeffs))
 
     xs = np.logspace(-8.0, 8.0, 257)
 
     left = xs[xs <= 1.0]
-    r0 = np.array([family.remainder_zero_norm(x) for x in left])
-    ok0 = r0 < delta
+    ok0 = np.array([family.remainder_zero_norm(x) for x in left]) < delta
     # largest index i such that all samples up to i pass
     run = np.cumprod(ok0).astype(bool)
     if not run[0]:
@@ -170,17 +172,15 @@ def select_truncation(
     i0 = int(np.max(np.nonzero(run)))
 
     right = xs[xs >= 1.0]
-    rinf = np.array([family.remainder_inf_norm(x) for x in right])
-    okinf = rinf < delta
+    okinf = np.array([family.remainder_inf_norm(x) for x in right]) < delta
     run_inf = np.cumprod(okinf[::-1]).astype(bool)[::-1]
     if not run_inf[-1]:
         raise NoWindowError(
             f"infinity closeness {delta:g} unattainable below x = {xs[-1]:g}")
     j0 = int(np.min(np.nonzero(run_inf)))
 
-    if zero is None:
-        cls = classify_zero_endpoint(family)
-        zero = zero_data(family) if cls.admissible else None
+    if zero is None and classify_zero_endpoint(family).admissible:
+        zero = zero_data(family)
 
     lam_samples = (lo, 0.5 * (lo + hi), hi)
     inf_angles = [math.pi - gap_angle(family.mu_minus, family.mu_plus, lam)
@@ -189,15 +189,13 @@ def select_truncation(
     if min(inf_angles) - eps <= math.pi / 2.0:
         raise NoWindowError("cone test at infinity fails up to the grid end")
 
-    def angle_field(lam: float, x: float, theta: float) -> float:
-        return polar_rates(*family.coeffs(x), lam, theta)[0]
-
     def cone_ok(points, angles, sign: float) -> bool:
-        # sign * theta' < 0 at angle - eps and > 0 at angle + eps, for every
-        # lam sample (with its boundary angle) and point
-        return all(sign * angle_field(lam, x, th - eps) < 0.0
-                   < sign * angle_field(lam, x, th + eps)
-                   for lam, th in zip(lam_samples, angles) for x in points)
+        # sign * theta' < 0 at angle - eps and > 0 at angle + eps at every
+        # point (the outer loop) for every lam sample and its boundary angle
+        return all(sign * polar_rates(*p, lam, th - eps)[0] < 0.0
+                   < sign * polar_rates(*p, lam, th + eps)[0]
+                   for p in map(family.coeffs, points)
+                   for lam, th in zip(lam_samples, angles))
 
     while j0 < right.size:
         t = math.log10(right[j0])
@@ -222,36 +220,41 @@ def select_truncation(
     return TruncationWindow(x_zero=x_zero, x_inf=x_inf, delta=delta, eps=eps)
 
 
-def contraction_start(family: CoefficientFamily, lams,
-                      window: TruncationWindow) -> float:
+def contraction_samples(family: CoefficientFamily,
+                        window: TruncationWindow) -> np.ndarray:
+    """Rows x, p11, p12, p22 at 32 points per decade on [x_mid, x_inf]."""
+    x_mid, x_inf = window.x_mid, window.x_inf
+    xs = np.geomspace(x_mid, x_inf,
+                      int(math.ceil(32.0 * math.log10(x_inf / x_mid))) + 1)
+    return np.vstack((xs, np.array([family.coeffs(x) for x in xs]).T))
+
+
+def contraction_start(samples: np.ndarray, lams) -> float:
     """Where a backward angle run from theta_inf may start instead of x_inf.
 
     At a fixed point of the angle flow theta' the linearized rate is
     -+2 kappa, with kappa^2 = p12^2 - (lam - p11)(lam - p22) the local decay
     rate; past a point with int kappa dx >= 18 a backward run from a start
     error of O(0.1) reaches the points below damped by e^-36.  kappa is
-    sampled at 32 points per decade on [x_mid, x_inf] and integrated by the
+    computed on the contraction_samples of the window and integrated by the
     trapezoid rule from each lane's last turning point (kappa^2 <= 0), or
     from x_mid; the result is the largest first point that reaches 18 over
     the lanes, and x_inf when a lane does not reach it.
     """
-    x_mid, x_inf = window.x_mid, window.x_inf
-    xs = np.geomspace(x_mid, x_inf,
-                      int(math.ceil(32.0 * math.log10(x_inf / x_mid))) + 1)
-    p11, p12, p22 = np.array([family.coeffs(x) for x in xs]).T
+    xs, p11, p12, p22 = samples
     lam = np.reshape(lams, (-1, 1))
     kappa2 = p12 * p12 - (lam - p11) * (lam - p22)
     kappa = np.sqrt(np.maximum(kappa2, 0.0))
     integral = np.cumsum(np.concatenate(
         (np.zeros((lam.shape[0], 1)),
          0.5 * (kappa[:, 1:] + kappa[:, :-1]) * np.diff(xs)), axis=1), axis=1)
-    x_c = x_mid
+    x_c = float(xs[0])
     for lane_kappa2, lane_integral in zip(kappa2, integral):
         turning = np.flatnonzero(lane_kappa2 <= 0.0)
         start = turning[-1] if turning.size else 0
         reached = np.flatnonzero(lane_integral[start:]
                                  >= lane_integral[start] + 18.0)
         if not reached.size:
-            return x_inf
+            return float(xs[-1])
         x_c = max(x_c, float(xs[start + reached[0]]))
     return x_c

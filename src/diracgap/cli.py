@@ -452,11 +452,9 @@ def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
     wanted = cfg.task.get("spectrum_k")
     _, _, window, records = _solve_levels(
         cfg, None if wanted is None else set(wanted))
-    rows = [(r.k, r.lam, r.rot, r.nodal_index, r.residual,
-             r.decay.exponent_inf, r.decay.exponent_zero) for r in records]
+    rows = [(r.k, r.lam, r.rot, r.nodal_index, r.residual) for r in records]
     _write_csv(cfg.out_dir / "spectrum.csv", cfg, "spectrum",
-               ("k", "lambda", "rot", "nodal_index", "residual",
-                "decay_inf", "decay_zero"),
+               ("k", "lambda", "rot", "nodal_index", "residual"),
                rows, extra_header=(_window_line(window),))
     for r in records:
         _say(quiet, f"k={r.k}  lambda={r.lam:.10f}  rot={r.rot:.6f}  "
@@ -479,14 +477,14 @@ def cmd_eigenfunction(cfg: RunConfig, quiet: bool = False) -> int:
                ("x", "u", "v"), rows,
                extra_header=(_window_line(window),
                              f"k={rec.k} lambda={_fmt(rec.lam)} rot={_fmt(rec.rot)}",
-                             f"decay_inf={_fmt(rec.decay.exponent_inf)} "
-                             f"decay_zero={_fmt(rec.decay.exponent_zero)}",
+                             f"decay_inf={_fmt(ef.decay.exponent_inf)} "
+                             f"decay_zero={_fmt(ef.decay.exponent_zero)}",
                              f"norm_check={_fmt(ef.norm_check)}"))
     _say(quiet, f"k={rec.k}  lambda={rec.lam:.10f}")
-    _say(quiet, f"decay exponent at infinity {rec.decay.exponent_inf:.6f} "
-                f"(expected {rec.decay.expected_inf:.6f})")
-    _say(quiet, f"decay exponent at origin   {rec.decay.exponent_zero:.6f} "
-                f"(expected {rec.decay.expected_zero:.6f})")
+    _say(quiet, f"decay exponent at infinity {ef.decay.exponent_inf:.6f} "
+                f"(expected {ef.decay.expected_inf:.6f})")
+    _say(quiet, f"decay exponent at origin   {ef.decay.exponent_zero:.6f} "
+                f"(expected {ef.decay.expected_zero:.6f})")
     return EXIT_OK
 
 

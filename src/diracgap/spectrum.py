@@ -21,10 +21,11 @@ one started on the decaying direction theta_inf (theta_inf plus the gap
 angle is pi).  It has the roots and monotonicity of the limit functional
 and stays well conditioned at a root, where shooting from one end only would
 turn into a numerical staircase.  One routine (_halves) integrates the two
-halves: on lanes of lam for nu_star, on a float for the dense _matched.  In
-lanes a value moves slightly with the other lanes of its run, so a scan
-bracket carries the end values it was bracketed on; the root solve takes its
-sign test and first (secant) step from them and so accepts it.
+halves: on lanes of lam for nu_star, on a float for the dense _matched of the
+eigenfunction and the linear amplitude ratio.  In lanes a value moves
+slightly with the other lanes of its run, so a scan bracket carries the end
+values it was bracketed on; the root solve takes its sign test and first
+(secant) step from them and so accepts it.
 
 The backward half need not start at x_inf.  At a fixed point of the angle
 flow the linearized rate is 2 kappa, kappa^2 = p12^2 - (lam - p11)(lam - p22)
@@ -32,8 +33,8 @@ the local decay rate, so backward from x_c to x_mid a start error shrinks
 by e^(-2 int kappa dx).  nu_star starts the backward half on theta_inf at
 the first x_c past the lanes' last turning point with int kappa dx >= 18
 (asymptotics.contraction_start): a start error of O(0.1) reaches x_mid below
-1e-16, under the integrator's own error.  _matched starts it at x_inf: the
-eigenfunction and the decay fit read it on the whole window.
+1e-16, under the integrator's own error; a scan or a root solve samples P for
+it once.  _matched starts it at x_inf, as the eigenfunction reads it all.
 
 find_eigenvalue runs nu_star on two lanes, lam and lam + delta with
 delta = 1e-7 max(1, |lam|).  Both lanes share one step sequence, so their
@@ -41,7 +42,8 @@ forward difference is the Newton slope, free of the step-control noise that
 differencing two separate runs would carry.  At the default tolerances a
 value can be off by more than the residual tolerance where the slope is
 large (3.5e-9 at a slope of 8.6e3), so a residual ends the solve only when
-read at tolerances tightened a hundredfold.
+read at tolerances tightened a hundredfold.  That read also gives the
+rotation number, as nu = nu_star - pi + theta_inf, with no further run.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .asymptotics import (InfinityData, TruncationWindow, ZeroData,
+from .asymptotics import (TruncationWindow, ZeroData, contraction_samples,
                           contraction_start, infinity_data, select_truncation,
                           zero_data)
 from .model import CoefficientFamily, mirror_family
@@ -91,9 +93,7 @@ class _MatchInfo:
     """
 
     lam: float
-    nu_hat: float               # two-sided value of nu
     nu_star_hat: float          # two-sided value of nu_star
-    inf: InfinityData
     fwd: PruferTrajectory
     bwd: PruferTrajectory
     x_mid: float
@@ -123,13 +123,12 @@ def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol):
 
 
 def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
-    idata = infinity_data(family.mu_minus, family.mu_plus, lam)
-    fwd, bwd = _halves(family, lam, window, zero.theta_zero, idata.theta_inf,
+    theta_inf = infinity_data(family.mu_minus, family.mu_plus, lam).theta_inf
+    fwd, bwd = _halves(family, lam, window, zero.theta_zero, theta_inf,
                        window.x_inf, rtol, atol)
     (th_f, lr_f), (th_b, lr_b) = fwd.end[0].tolist(), bwd.end[0].tolist()
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
-    return _MatchInfo(lam=lam, nu_hat=idata.theta_inf + th_f - th_b,
-                      nu_star_hat=math.pi + th_f - th_b, inf=idata,
+    return _MatchInfo(lam=lam, nu_star_hat=math.pi + th_f - th_b,
                       fwd=fwd, bwd=bwd, x_mid=window.x_mid,
                       turns=round((th_f - th_b) / math.pi),
                       offset=lr_f - lr_b)
@@ -137,20 +136,22 @@ def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
 
 def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
             zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
-            atol: float = DEFAULT_ATOL):
+            atol: float = DEFAULT_ATOL, samples: Optional[np.ndarray] = None):
     """Matched value of nu_star, strictly increasing across the gap.
 
     ``lam`` is a float or an array, integrated as one endpoint-only lane per
     value (a float too); the result has its shape.  The backward half starts
-    at the contraction start of the lanes (module docstring).
+    at the contraction start of the lanes (module docstring), on ``samples``,
+    the window's contraction_samples (taken here when None).
     """
     zero = zero or zero_data(family)
+    if samples is None:
+        samples = contraction_samples(family, window)
     lams = np.asarray(lam, dtype=float)
     theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
                  for l in lams.flat]
     fwd, bwd = _halves(family, lams.reshape(-1), window, zero.theta_zero,
-                       theta_inf, contraction_start(family, lams, window),
-                       rtol, atol)
+                       theta_inf, contraction_start(samples, lams), rtol, atol)
     # theta_inf plus the gap angle is pi, as in _matched
     values = (math.pi + fwd.end[:, 0] - bwd.end[:, 0]).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
@@ -203,9 +204,11 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
     zero = zero or zero_data(family)
     if window is None:
         window = select_truncation(family, (lams[0], lams[-1]), zero=zero)
+    samples = contraction_samples(family, window)
 
     def val(lam):
-        return nu_star(family, lam, window, zero, rtol=rtol, atol=atol)
+        return nu_star(family, lam, window, zero, rtol=rtol, atol=atol,
+                       samples=samples)
 
     values = val(lams)
     diffs = np.diff(values)
@@ -261,16 +264,6 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DecayFit:
-    exponent_inf: float
-    expected_inf: float
-    rel_err_inf: float
-    exponent_zero: float
-    expected_zero: float
-    rel_err_zero: float
-
-
-@dataclass(frozen=True)
 class EigenvalueRecord:
     k: int                      # level index: nu_star(lam) = k*pi
     lam: float
@@ -279,32 +272,9 @@ class EigenvalueRecord:
     residual: float             # |nu_star(lam) - k*pi| at the returned lam
     window: TruncationWindow
     quadrant: str
-    decay: DecayFit
     flags: tuple = ()
     # (lam, nu_star(lam) - k*pi, rtol in force), one per two-lane iterate
     history: tuple = ()
-
-
-def _decay_fit(family, zero, info: _MatchInfo, window) -> DecayFit:
-    # amplitude slope at infinity over the last decade of the window
-    xs = np.geomspace(window.x_inf / 10.0, window.x_inf, 48)
-    lr = np.array([info.bwd.logrho(x) for x in xs])
-    slope_inf = float(np.polyfit(xs, lr, 1)[0])
-    expected_inf = -info.inf.decay_rate
-    # amplitude slope at the origin over the first decade
-    x0 = np.geomspace(window.x_zero, window.x_zero * 10.0, 48)
-    lr0 = np.array([info.fwd.logrho(x) for x in x0])
-    if family.beta == 1.0:
-        slope_zero = float(np.polyfit(np.log(x0), lr0, 1)[0])
-        expected_zero = zero.rate
-    else:
-        slope_zero = float(np.polyfit(x0 ** (1.0 - family.beta), lr0, 1)[0])
-        expected_zero = -zero.rate
-    return DecayFit(
-        exponent_inf=slope_inf, expected_inf=expected_inf,
-        rel_err_inf=abs(slope_inf - expected_inf) / abs(expected_inf),
-        exponent_zero=slope_zero, expected_zero=expected_zero,
-        rel_err_zero=abs(slope_zero - expected_zero) / abs(expected_zero))
 
 
 def _nodal_index(rot: float, quadrant: str) -> tuple:
@@ -337,17 +307,18 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     iterate after a step below 1e-6 or in a lam interval below 1e-9
     (relative to max(1, |lam|)), and a residual below tol read before that
     is read again at them; a residual below tol ends the solve only at the
-    tightened tolerances, and 80 steps above tol raise ConvergenceError.  One
-    dense matched run at the accepted lam gives the rotation number, the
-    quadrant-dependent nodal index and the least-squares decay exponents of
-    the eigenfunction amplitude at both ends; the residual and the iteration
-    history come from the iterates.
+    tightened tolerances, and 80 steps above tol raise ConvergenceError.
+    The record comes from the iterates alone, which share one
+    contraction_samples of the window: rot = (theta_inf(lam) - pi + k*pi +
+    f - theta_zero)/pi, f the last signed residual, gives the nodal index.
     """
     zero = zero or zero_data(family)
+    samples = contraction_samples(family, window)
     if not isinstance(bracket, Bracket):
         ends = np.array(bracket, dtype=float)
         bracket = Bracket(k, *ends.tolist(), *nu_star(
-            family, ends, window, zero, rtol=rtol, atol=atol).tolist())
+            family, ends, window, zero, rtol=rtol, atol=atol,
+            samples=samples).tolist())
     a, b = bracket.lam_lo, bracket.lam_hi
     if not a < b:
         raise BracketError("bracket must be an increasing interval")
@@ -361,8 +332,8 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
         if lam + delta >= family.mu_plus:
             delta = -delta
         value, sibling = nu_star(family, np.array([lam, lam + delta]), window,
-                                 zero, rtol=rtol * scale,
-                                 atol=atol * scale).tolist()
+                                 zero, rtol=rtol * scale, atol=atol * scale,
+                                 samples=samples).tolist()
         f = value - target
         history.append((lam, f, rtol * scale))
         return f, (sibling - value) / delta
@@ -407,15 +378,14 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
                 f"residual {abs(f):.3g} above tolerance {tol:g} "
                 "after 80 iterations")
 
-    info = _matched(family, lam, window, zero, rtol, atol)
-    rot = (info.nu_hat - zero.theta_zero) / math.pi
+    theta_inf = infinity_data(family.mu_minus, family.mu_plus, lam).theta_inf
+    rot = (theta_inf - math.pi + target + f - zero.theta_zero) / math.pi
     nodal, flags = _nodal_index(rot, zero.quadrant)
     if zero.quadrant == "degenerate":
         flags = flags + ("degenerate-origin-angle",)
-    decay = _decay_fit(family, zero, info, window)
     return EigenvalueRecord(k=k, lam=lam, rot=rot, nodal_index=nodal,
                             residual=abs(f), window=window,
-                            quadrant=zero.quadrant, decay=decay, flags=flags,
+                            quadrant=zero.quadrant, flags=flags,
                             history=tuple(history))
 
 
@@ -508,6 +478,34 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class DecayFit:
+    exponent_inf: float
+    expected_inf: float
+    rel_err_inf: float
+    exponent_zero: float
+    expected_zero: float
+    rel_err_zero: float
+
+
+def _decay_fit(family, zero, info: _MatchInfo, window) -> DecayFit:
+    # amplitude slope at infinity over the last decade of the window
+    xs = np.geomspace(window.x_inf / 10.0, window.x_inf, 48)
+    slope_inf = float(np.polyfit(xs, [info.bwd.logrho(x) for x in xs], 1)[0])
+    expected_inf = -infinity_data(family.mu_minus, family.mu_plus,
+                                  info.lam).decay_rate
+    # amplitude slope at the origin over the first decade, in the left chart
+    x0 = np.geomspace(window.x_zero, window.x_zero * 10.0, 48)
+    s0 = np.log(x0) if family.beta == 1.0 else x0 ** (1.0 - family.beta)
+    slope_zero = float(np.polyfit(s0, [info.fwd.logrho(x) for x in x0], 1)[0])
+    expected_zero = zero.rate if family.beta == 1.0 else -zero.rate
+    return DecayFit(
+        exponent_inf=slope_inf, expected_inf=expected_inf,
+        rel_err_inf=abs(slope_inf - expected_inf) / abs(expected_inf),
+        exponent_zero=slope_zero, expected_zero=expected_zero,
+        rel_err_zero=abs(slope_zero - expected_zero) / abs(expected_zero))
+
+
+@dataclass(frozen=True)
 class Eigenfunction:
     record: EigenvalueRecord
     x: np.ndarray
@@ -515,6 +513,7 @@ class Eigenfunction:
     v: np.ndarray
     norm_window: float          # L2 mass inside the window after normalization
     norm_check: float           # independent quadrature of the total L2 mass
+    decay: DecayFit
 
 
 def _gauss_log_segments(x_lo: float, x_hi: float):
@@ -575,8 +574,9 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     means lam is not an eigenvalue to tolerance.  Amplitudes are
     spliced by matching the log-amplitude at the midpoint, normalized by
     quadrature over the window plus closed-form tail and head corrections from
-    the known decay exponents, and sampled on a log grid.  The fitted decay
-    exponents are the record's, fitted by find_eigenvalue at its lam and window.
+    the known decay exponents, and sampled on a log grid.  The same run gives
+    the least-squares decay exponents of the amplitude over the last decade of
+    the window and the first.
     """
     window = record.window
     zero = zero or zero_data(family)
@@ -607,16 +607,14 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     def density(x):
         return math.exp(2.0 * (info.logrho(x) + lr_shift))
 
-    check = 0.0
     seams = [window.x_zero, min(1.0, window.x_inf)] if window.x_zero < 1.0 else [window.x_zero]
     seams += list(np.geomspace(max(1.0, window.x_zero), window.x_inf, 6)[1:]) \
         if window.x_inf > 1.0 else []
     seams = sorted(set(seams))
-    for aa, bb in zip(seams[:-1], seams[1:]):
-        val, _ = quad(density, aa, bb, limit=200)
-        check += val
+    check = sum(quad(density, aa, bb, limit=200)[0]
+                for aa, bb in zip(seams[:-1], seams[1:]))
     check += (tail + head) * math.exp(2.0 * lr_max + 2.0 * lr_shift)
 
     return Eigenfunction(record=record, x=xs, u=us, v=vs,
                          norm_window=mass_window * math.exp(2.0 * lr_max + 2.0 * lr_shift),
-                         norm_check=check)
+                         norm_check=check, decay=_decay_fit(family, zero, info, window))

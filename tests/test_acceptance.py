@@ -122,7 +122,7 @@ def test_a5_decay_exponents_and_normalization(coulomb_plus, zero_plus,
                                               records_plus):
     ground = records_plus[0]
     ef = dg.eigenfunction(coulomb_plus, ground, 400, zero=zero_plus)
-    decay = ef.record.decay
+    decay = ef.decay
     err_inf = abs(decay.exponent_inf - (-0.5)) / 0.5
     err_zero = abs(decay.exponent_zero - 0.8660254) / 0.8660254
     norm_err = abs(ef.norm_check - 1.0)

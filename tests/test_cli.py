@@ -286,7 +286,7 @@ def test_spectrum_finds_ground_state(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "spectrum.csv").read_text()
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    assert lines[0] == "k,lambda,rot,nodal_index,residual,decay_inf,decay_zero"
+    assert lines[0] == "k,lambda,rot,nodal_index,residual"
     row = lines[1].split(",")
     assert abs(float(row[1]) - math.sqrt(3.0) / 2.0) < 1e-8
     assert int(row[3]) == 0

@@ -94,9 +94,9 @@ def test_cli_spectrum_is_counted_and_traced(tracing, tmp_path):
 def test_root_solve_integrations_are_traced(tracing, coulomb_plus,
                                             zero_plus, fast_window):
     # every integration passes through spectrum.integrate_prufer: a solve
-    # from a scan Bracket makes two halves per two-lane iterate and two for
-    # the dense run at the accepted lam, or the prufer.* metrics and
-    # spectrum.matched_evals_per_level miss the root solve
+    # from a scan Bracket makes two halves per two-lane iterate and no other
+    # run, or the prufer.* metrics and spectrum.matched_evals_per_level miss
+    # the root solve
     scan = spectrum.scan_spectrum(coulomb_plus, np.linspace(0.5, 0.93, 4),
                                   fast_window, zero_plus)
     bracket = scan.brackets[0]
@@ -105,7 +105,7 @@ def test_root_solve_integrations_are_traced(tracing, coulomb_plus,
         record = spectrum.find_eigenvalue(coulomb_plus, bracket.k, bracket,
                                           window=fast_window, zero=zero_plus)
     assert tracing.count_below(tracer.spans, 0, "spectrum.integrate_prufer") \
-        == 2 * (len(record.history) + 1)
+        == 2 * len(record.history)
 
 
 def test_cli_branch_shots_are_traced(tracing, tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import diracgap as dg
@@ -214,7 +214,8 @@ def test_contraction_start_matches_full_window(gamma, k, lam, x_inf, mu_a):
         k=k, mu_a=mu_a, potential=dg.coulomb_potential(gamma)))
     zd = dg.zero_data(fam)
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=x_inf, delta=2e-4, eps=1e-3)
-    x_c = dg.asymptotics.contraction_start(fam, lam, win)
+    x_c = dg.asymptotics.contraction_start(
+        dg.asymptotics.contraction_samples(fam, win), lam)
     assert win.x_mid < x_c <= win.x_inf
     value = dg.nu_star(fam, lam, win, zd, rtol=1e-13, atol=1e-15)
     full = spectrum._matched(fam, lam, win, zd, 1e-13, 1e-15).nu_star_hat
@@ -224,7 +225,8 @@ def test_contraction_start_matches_full_window(gamma, k, lam, x_inf, mu_a):
 def test_contraction_start_past_the_window(coulomb_plus):
     # at lam = 0.999 the turning point lies near x = 500, beyond x_inf
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=60.0, delta=2e-4, eps=1e-3)
-    assert dg.asymptotics.contraction_start(coulomb_plus, 0.999, win) == 60.0
+    samples = dg.asymptotics.contraction_samples(coulomb_plus, win)
+    assert dg.asymptotics.contraction_start(samples, 0.999) == 60.0
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -278,6 +280,95 @@ def test_rotation_numbers_derived_values(records_plus, zero_plus):
         assert abs(rec.rot - expected) < 1e-6
 
 
+@settings(max_examples=5, deadline=None)
+@given(gamma=st.floats(-0.8, -0.2), k=st.sampled_from([1, -1, 2, -2]),
+       mu_a=st.just(0.0), tabulated=st.just(False))
+@example(gamma=-0.5, k=1, mu_a=0.2, tabulated=False)
+@example(gamma=-0.5, k=1, mu_a=0.0, tabulated=True)
+def test_closed_form_rot_matches_a_dense_run(gamma, k, mu_a, tabulated,
+                                             fast_window):
+    # the record's rot comes from the last iterate alone; a dense matched
+    # run at the tightened tolerances must read the same rotation number.
+    # Levels up to 0.98, where valid levels solve (perfbench/README.md):
+    # above it a k = -2 level's tightened reads differ by up to 8e-9 in rot
+    if tabulated:
+        xs = np.geomspace(1e-7, 1e7, 600)
+        pot = dg.tabulated_potential(xs, gamma / xs, gamma, 1.0, gamma, 1.0)
+    else:
+        pot = dg.coulomb_potential(gamma)
+    fam = dg.build_dirac_family(dg.DiracRadialParams(k=k, mu_a=mu_a,
+                                                     potential=pot))
+    zd = dg.zero_data(fam)
+    scan = dg.scan_spectrum(fam, np.linspace(0.3, 0.98, 8), fast_window, zd)
+    assume(scan.brackets)
+    for br in scan.brackets[:2]:
+        rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=fast_window,
+                                 zero=zd)
+        info = spectrum._matched(fam, rec.lam, fast_window, zd,
+                                 DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2)
+        theta_inf = dg.infinity_data(fam.mu_minus, fam.mu_plus,
+                                     rec.lam).theta_inf
+        dense = (info.nu_star_hat - math.pi + theta_inf
+                 - zd.theta_zero) / math.pi
+        assert abs(rec.rot - dense) < 1e-9
+        if mu_a == 0.0:     # the level is the ladder's rec.k-th
+            n_r = rec.k - 1 if k > 0 else rec.k
+            assert abs(rec.lam - sommerfeld(n_r, gamma, k)) < 1e-6
+        assert rec.nodal_index == rec.k - 1
+        # a nonzero mu_a makes the origin degenerate (theta_zero = pi/2):
+        # rot = k - 1/2 - gap_angle/pi then nears k - 1 as the level nears
+        # the gap edge, 0.04 away at lam = 0.969
+        shifted = rec.rot + 0.5 if rec.quadrant == "second" else rec.rot
+        margin = 0.02 if rec.quadrant == "degenerate" else 0.1
+        assert abs(shifted - round(shifted)) >= margin
+
+
+# -- work counts: P(x) evaluated through a counting family ---------------------
+
+def _counting(family):
+    """The family with a coeffs that records every x, as the benchmark's
+    coefficient counter wraps it."""
+    seen = []
+
+    def coeffs(x, inner=family.coeffs):
+        seen.append(float(x))
+        return inner(x)
+
+    return replace(family, coeffs=coeffs), seen
+
+
+def test_select_truncation_evaluates_p_once_per_point(coulomb_plus, zero_plus):
+    # the README config: the cone tests evaluate P once per point for every
+    # lam sample and angle, and no point twice
+    fam, seen = _counting(coulomb_plus)
+    win = dg.select_truncation(fam, (0.5, 0.995), zero=zero_plus)
+    assert (repr(win.x_zero), repr(win.x_inf)) == ("0.00017782794100389227",
+                                                   "8659.643233600653")
+    assert len(seen) == len(set(seen))
+
+
+def test_root_solve_samples_the_contraction_grid_once(
+        coulomb_plus, zero_plus, fast_window, monkeypatch):
+    # every P(x) of a solve from a scan Bracket is an integrator RHS call,
+    # but for one contraction_samples grid shared by all its iterates
+    fam, seen = _counting(coulomb_plus)
+    scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.93, 4), fast_window,
+                            zero_plus)
+    runs, inner = [], spectrum.integrate_prufer
+
+    def integrate_prufer(*args, **kwargs):
+        runs.append(inner(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(spectrum, "integrate_prufer", integrate_prufer)
+    del seen[:]
+    rec = dg.find_eigenvalue(fam, scan.brackets[0].k, scan.brackets[0],
+                             window=fast_window, zero=zero_plus)
+    grid = dg.asymptotics.contraction_samples(coulomb_plus, fast_window)
+    assert len(runs) == 2 * len(rec.history)
+    assert len(seen) == sum(r.stats.nfev for r in runs) + grid.shape[1]
+
+
 def test_bracket_invalid_raises(coulomb_plus, zero_plus, fast_window):
     with pytest.raises(dg.BracketError):
         dg.find_eigenvalue(coulomb_plus, 1, (0.2, 0.5), 1e-9,
@@ -304,8 +395,8 @@ def test_window_robustness(coulomb_plus, zero_plus, ground_fast, fast_window):
     assert abs(rec.lam - lam) < 1e-8
 
 
-def test_decay_fit_fields(ground_fast):
-    d = ground_fast.decay
+def test_decay_fit_fields(ground_eigenfunction):
+    d = ground_eigenfunction.decay
     assert math.isclose(d.expected_inf, -0.5, abs_tol=1e-12)
     assert math.isclose(d.expected_zero, math.sqrt(0.75), abs_tol=1e-12)
     assert d.rel_err_inf < 0.02
@@ -360,7 +451,7 @@ def test_eigenfunction_samples_continuous(ground_eigenfunction):
 
 
 def test_eigenfunction_decay_exponents(ground_eigenfunction):
-    d = ground_eigenfunction.record.decay
+    d = ground_eigenfunction.decay
     # moderate window: the Coulomb tail correction to the slope is ~2 percent
     assert abs(d.exponent_inf - (-0.5)) / 0.5 < 0.03
     assert abs(d.exponent_zero - math.sqrt(0.75)) / math.sqrt(0.75) < 0.03
