@@ -7,9 +7,9 @@ continues branches of nontrivial solutions of the nonlinear system
 J z' + P(x) z = lam z + S(x, z) z from the linear eigenvalues.
 """
 
-from .asymptotics import (InfinityData, NoWindowError, TruncationWindow,
-                          ZeroData, infinity_data, select_truncation,
-                          zero_data)
+from .asymptotics import (CrossedCutoffError, InfinityData, NoWindowError,
+                          TruncationWindow, ZeroData, infinity_data,
+                          select_truncation, zero_data)
 from .bifurcation import (Branch, BranchPoint, CorrectorError, ShootResult,
                           continue_branch, linear_amplitude_ratio,
                           shoot_nonlinear, solve_point)

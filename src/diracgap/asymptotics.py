@@ -31,6 +31,10 @@ class NoWindowError(RuntimeError):
     """No truncation window satisfies the requested closeness bound."""
 
 
+class CrossedCutoffError(ValueError):
+    """A given cutoff lies on the far side of the other cutoff."""
+
+
 def gap_angle(mu_minus: float, mu_plus: float, lam: float) -> float:
     """arctan sqrt((lam - mu_minus) / (mu_plus - lam)), in (0, pi/2)."""
     return math.atan(math.sqrt((lam - mu_minus) / (mu_plus - lam)))
@@ -138,19 +142,23 @@ def select_truncation(
     eps: float = 1e-3,
     *,
     zero: Optional[ZeroData] = None,
+    x_zero: Optional[float] = None,
+    x_inf: Optional[float] = None,
 ) -> TruncationWindow:
     """Choose cutoffs by coefficient closeness, then confirm by the cone test.
 
-    x_zero is the largest grid point below which |x^beta P(x) - limit| < delta
-    at every sample; x_inf the smallest point beyond which |P(x) - limit| <
-    delta at every sample, on a grid of 16 points per decade over [1e-8, 1e8].
-    The cone test then samples the angular field at the boundary angles +- eps
-    over 32 log-spaced points in the decade past each cutoff, for lam at both
-    ends and the middle of lam_range, and requires the outward sign pattern
-    that pins trajectories near the boundary angle; if it fails, the cutoff is
-    pushed further out.  The origin cone test needs boundary data, so it is
-    skipped (coefficient closeness only) when the family has no admissible
-    origin and no ``zero`` data is passed in.
+    One rule serves both ends.  It walks 16 points per decade outward from
+    x = 1 (to 1e-8 and to 1e8) and takes the innermost point past which
+    every sample has |x^beta P(x) - limit| (origin) or |P(x) - limit|
+    (infinity) below delta.  The cone test then samples the angular field at
+    the boundary angles +- eps over 32 log-spaced points in the decade past
+    the cutoff, for lam at both ends and the middle of lam_range, and
+    requires the outward sign pattern that pins trajectories near the
+    boundary angle; while it fails, the cutoff moves one point outward.  The
+    origin cone test needs boundary data, so it is skipped (closeness only)
+    when the family has no admissible origin and no ``zero`` data is passed
+    in.  A given ``x_zero`` or ``x_inf`` is taken as it is and its end is not
+    examined; one that crosses the other cutoff raises CrossedCutoffError.
     """
     lo, hi = lam_range
     if not (family.mu_minus < lo <= hi < family.mu_plus):
@@ -159,64 +167,47 @@ def select_truncation(
         delta = 1e-4 * (family.mu_plus - family.mu_minus)
     # P once per distinct x (x = 1 and the cone decades' ends recur)
     family = replace(family, coeffs=functools.cache(family.coeffs))
-
-    xs = np.logspace(-8.0, 8.0, 257)
-
-    left = xs[xs <= 1.0]
-    ok0 = np.array([family.remainder_zero_norm(x) for x in left]) < delta
-    # largest index i such that all samples up to i pass
-    run = np.cumprod(ok0).astype(bool)
-    if not run[0]:
-        raise NoWindowError(
-            f"origin closeness {delta:g} unattainable above x = {xs[0]:g}")
-    i0 = int(np.max(np.nonzero(run)))
-
-    right = xs[xs >= 1.0]
-    okinf = np.array([family.remainder_inf_norm(x) for x in right]) < delta
-    run_inf = np.cumprod(okinf[::-1]).astype(bool)[::-1]
-    if not run_inf[-1]:
-        raise NoWindowError(
-            f"infinity closeness {delta:g} unattainable below x = {xs[-1]:g}")
-    j0 = int(np.min(np.nonzero(run_inf)))
-
-    if zero is None and classify_zero_endpoint(family).admissible:
-        zero = zero_data(family)
-
     lam_samples = (lo, 0.5 * (lo + hi), hi)
-    inf_angles = [math.pi - gap_angle(family.mu_minus, family.mu_plus, lam)
-                  for lam in lam_samples]
-    # a cone at infinity that reaches down to pi/2 fails at every cutoff
-    if min(inf_angles) - eps <= math.pi / 2.0:
-        raise NoWindowError("cone test at infinity fails up to the grid end")
+    given = (x_zero, x_inf) != (None, None)
 
-    def cone_ok(points, angles, sign: float) -> bool:
-        # sign * theta' < 0 at angle - eps and > 0 at angle + eps at every
-        # point (the outer loop) for every lam sample and its boundary angle
-        return all(sign * polar_rates(*p, lam, th - eps)[0] < 0.0
+    def cutoff(sign: int, remainder_norm, angles) -> float:
+        # sign is +1 at infinity and -1 at the origin; no angles, no cone test
+        name, at, inward, outward = (
+            ("infinity", "infinity", "below", "up") if sign > 0
+            else ("origin", "the origin", "above", "down"))
+        grid = np.logspace(-8.0, 8.0, 257)[128::sign]    # x = 1 outward
+        far = np.flatnonzero([not remainder_norm(x) < delta for x in grid])
+        i = far[-1] + 1 if far.size else 0
+        if i == grid.size:
+            raise NoWindowError(f"{name} closeness {delta:g} unattainable "
+                                f"{inward} x = {grid[-1]:g}")
+        if angles is None:
+            return float(grid[i])
+        # a cone at infinity that reaches down to pi/2 fails at every cutoff
+        walk = grid[i:] if sign < 0 or min(angles) - eps > math.pi / 2.0 else ()
+        for x in walk:
+            t = math.log10(x)
+            # sign * theta' < 0 at angle - eps and > 0 at angle + eps at
+            # every point (the outer loop) for every lam sample and its angle
+            if all(sign * polar_rates(*p, lam, th - eps)[0] < 0.0
                    < sign * polar_rates(*p, lam, th + eps)[0]
-                   for p in map(family.coeffs, points)
-                   for lam, th in zip(lam_samples, angles))
+                   for p in map(family.coeffs,
+                                np.logspace(*sorted((t, t + sign)), 32))
+                   for lam, th in zip(lam_samples, angles)):
+                return float(x)
+        raise NoWindowError(f"cone test at {at} fails {outward} to the grid end")
 
-    while j0 < right.size:
-        t = math.log10(right[j0])
-        if cone_ok(np.logspace(t, t + 1.0, 32), inf_angles, 1.0):
-            break
-        j0 += 1
-    else:
-        raise NoWindowError("cone test at infinity fails up to the grid end")
-    x_inf = float(right[j0])
-
-    if zero is not None:
-        while i0 >= 0:
-            t = math.log10(left[i0])
-            if cone_ok(np.logspace(t - 1.0, t, 32),
-                       [zero.theta_zero] * len(lam_samples), -1.0):
-                break
-            i0 -= 1
-        else:
-            raise NoWindowError("cone test at the origin fails down to the grid end")
-    x_zero = float(left[i0])
-
+    if x_zero is None:
+        if zero is None and classify_zero_endpoint(family).admissible:
+            zero = zero_data(family)
+        x_zero = cutoff(-1, family.remainder_zero_norm,
+                        None if zero is None else [zero.theta_zero] * 3)
+    if x_inf is None:
+        x_inf = cutoff(1, family.remainder_inf_norm,
+                       [math.pi - gap_angle(family.mu_minus, family.mu_plus,
+                                            lam) for lam in lam_samples])
+    if given and not x_zero < x_inf:
+        raise CrossedCutoffError(f"window {x_zero!r} .. {x_inf!r}")
     return TruncationWindow(x_zero=x_zero, x_inf=x_inf, delta=delta, eps=eps)
 
 

@@ -309,7 +309,7 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
 class Branch:
     seed: EigenvalueRecord
     points: tuple
-    termination: str            # "max-steps" | "gap-edge-reached" | "step-failure"
+    termination: str            # why continue_branch stopped (its docstring)
 
     @property
     def index_audit_ok(self) -> bool:
@@ -331,9 +331,10 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
     corrector failure.  The first step starts from the linear amplitude
     ratio (solve_point), one accepted point holds lam and log(b/a), and two
     extrapolate both along the secant through the last two points; b keeps
-    the seed's sign.  Terminates when lam comes within 1e-6 of a gap edge,
-    when the amplitude budget or step count is exhausted, or on persistent
-    corrector failure.  Branch.index_audit_ok audits each point's index i
+    the seed's sign.  Terminates when lam comes within 1e-6 of a gap edge
+    ("gap-edge-reached"), when a reaches a_max ("amplitude-budget"), after
+    max_steps points ("max-steps"), or on persistent corrector failure
+    ("step-failure").  Branch.index_audit_ok audits each point's index i
     against the seed's nodal index.
     """
     if ds <= 0.0:
@@ -381,6 +382,7 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
             termination = "gap-edge-reached"
             break
         if a >= a_max:
+            termination = "amplitude-budget"
             break
 
     return Branch(seed=seed, points=tuple(points), termination=termination)

@@ -32,7 +32,9 @@ exits 1 naming its line:
     rtol [1e-10]  atol [1e-12]  delta [1e-4 * gap width]  eps [1e-3]  (> 0)
     lambda_min lambda_max lambda_points   scan grid       [-0.9, 0.999, 50]
     x_zero x_inf                          window overrides (optional; > 0,
-                                          x_zero below x_inf)
+                                          x_zero below x_inf); a given end is
+                                          not examined, the other is still
+                                          selected, a crossing exits 1
     tol [1e-9]                            eigenvalue residual tolerance (> 0)
 
     [output]
@@ -80,8 +82,8 @@ from typing import Optional
 import numpy as np
 
 from . import bifurcation, model, spectrum
-from .asymptotics import (NoWindowError, TruncationWindow, select_truncation,
-                          zero_data)
+from .asymptotics import (CrossedCutoffError, NoWindowError, TruncationWindow,
+                          select_truncation, zero_data)
 from .model import (CouplingRejectedError, build_dirac_family,
                     build_soler_coupling, classify_zero_endpoint,
                     validate_hypotheses)
@@ -366,22 +368,15 @@ def _window_line(window: TruncationWindow) -> str:
 
 
 def _make_window(cfg: RunConfig, family, zero) -> TruncationWindow:
-    lam_range = (float(cfg.lam_grid[0]), float(cfg.lam_grid[-1]))
     xz, xi = cfg.x_zero_override, cfg.x_inf_override
-    if xz is not None and xi is not None:
-        delta = cfg.delta if cfg.delta is not None \
-            else 1e-4 * (family.mu_plus - family.mu_minus)
-        return TruncationWindow(x_zero=xz, x_inf=xi, delta=delta, eps=cfg.eps)
-    win = select_truncation(family, lam_range, cfg.delta, cfg.eps, zero=zero)
-    x_zero = win.x_zero if xz is None else xz
-    x_inf = win.x_inf if xi is None else xi
-    if not x_zero < x_inf:          # one override beyond the selected cutoff
+    try:
+        return select_truncation(
+            family, (float(cfg.lam_grid[0]), float(cfg.lam_grid[-1])),
+            cfg.delta, cfg.eps, zero=zero, x_zero=xz, x_inf=xi)
+    except CrossedCutoffError as exc:   # an override past the selected cutoff
         key = "x_zero" if xz is not None else "x_inf"
         raise ConfigError([f"line {cfg.override_lines[key]}: [numerics] {key}: "
-                           "window override crosses the selected cutoff "
-                           f"(window {_fmt(x_zero)} .. {_fmt(x_inf)})"])
-    return TruncationWindow(x_zero=x_zero, x_inf=x_inf, delta=win.delta,
-                            eps=win.eps)
+                           f"window override crosses the selected cutoff ({exc})"])
 
 
 def _say(quiet: bool, *args):

@@ -182,10 +182,6 @@ class CoefficientFamily:
         object.__setattr__(self, "limit_zero",
                            np.array(self.limit_zero, dtype=float))
 
-    @property
-    def limit_inf(self) -> np.ndarray:
-        return np.diag([self.mu_minus, self.mu_plus])
-
     def remainder_zero(self, x: float) -> np.ndarray:
         """x**beta * P(x) - limit_zero."""
         w = x ** self.beta

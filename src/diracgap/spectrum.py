@@ -179,7 +179,7 @@ class ScanResult:
 
 
 def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
-                  window: Optional[TruncationWindow] = None,
+                  window: TruncationWindow,
                   zero: Optional[ZeroData] = None, *,
                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
                   ) -> ScanResult:
@@ -202,8 +202,6 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
     if not (family.mu_minus < lams[0] and lams[-1] < family.mu_plus):
         raise ValueError("scan grid must lie inside the open gap")
     zero = zero or zero_data(family)
-    if window is None:
-        window = select_truncation(family, (lams[0], lams[-1]), zero=zero)
     samples = contraction_samples(family, window)
 
     def val(lam):
@@ -401,7 +399,7 @@ class AccumulationVerdict:
     growth: tuple                       # angle increments between schedule points
     monotonicity_ok: bool               # p11 < mu_minus beyond the first X
     variation_last_decades: float
-    x_zero: float = math.nan            # left cutoff used (reproducibility)
+    x_zero: float                       # left cutoff used (reproducibility)
     detail: str = ""
 
 
@@ -431,13 +429,10 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
 
     schedule = sorted(x_schedule) if x_schedule else [1e2, 1e3, 1e4, 1e5]
     zero = zero_data(family)
-    if x_zero is None:
-        mid = 0.5 * (family.mu_minus + family.mu_plus)
-        span = 0.1 * (family.mu_plus - family.mu_minus)
-        probe = select_truncation(family, (mid - span, mid + span), zero=zero)
-        x_zero = probe.x_zero
-    window = TruncationWindow(x_zero=x_zero, x_inf=schedule[-1],
-                              delta=math.nan, eps=1e-2)
+    mid = 0.5 * (family.mu_minus + family.mu_plus)
+    span = 0.1 * (family.mu_plus - family.mu_minus)
+    window = select_truncation(family, (mid - span, mid + span), zero=zero,
+                               x_zero=x_zero, x_inf=schedule[-1])
     lam_edge = family.mu_plus
     traj = integrate_prufer(family, lam_edge, window, zero.theta_zero,
                             "forward", rtol=rtol, atol=atol)
@@ -470,7 +465,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
                                samples=tuple(zip(schedule, thetas)),
                                growth=growth, monotonicity_ok=mono_ok,
                                variation_last_decades=variation,
-                               x_zero=x_zero, detail=detail)
+                               x_zero=window.x_zero, detail=detail)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,16 @@ def test_branch_points_well_formed(branch_short, seed_branch):
     assert all(b > a for a, b in zip(amps, amps[1:]))
 
 
+def test_branch_stops_at_the_amplitude_budget(coulomb_plus, zero_plus,
+                                              seed_branch, branch_window,
+                                              soler_coupling):
+    br = dg.continue_branch(coulomb_plus, soler_coupling, seed_branch,
+                            ds=0.001, max_steps=22, a_max=0.002,
+                            window=branch_window, zero=zero_plus)
+    assert [p.a for p in br.points] == [0.001, 0.002]
+    assert br.termination == "amplitude-budget"
+
+
 def test_branch_index_constant(branch_short, seed_branch):
     assert branch_short.index_audit_ok
     assert all(p.index == seed_branch.nodal_index for p in branch_short.points)

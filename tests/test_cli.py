@@ -250,6 +250,18 @@ def test_unattainable_window_is_rejection(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+def test_given_x_inf_skips_the_cone_test_at_infinity(tmp_path):
+    # at lambda_max = 0.999999 the cone at infinity reaches pi/2, so a
+    # selected x_inf is rejected; a given one replaces that end's tests
+    cfg = COULOMB_BASE.replace("lambda_max = 0.93", "lambda_max = 0.999999")
+    path = write(tmp_path, cfg.replace("x_zero = 1e-3\n", "")
+                 + "\n[spectrum]\nk = 1\n")
+    code = cli.main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 0
+    assert "x_inf=250.0 " in (tmp_path / "spectrum.csv").read_text()
+
+
 def test_unwritable_output_directory_is_usage_error(tmp_path, capsys):
     path = write(tmp_path, COULOMB_BASE)
     (tmp_path / "plainfile").write_text("x")

@@ -21,7 +21,6 @@ def test_matrix_tends_to_gap_diagonal():
     fam = dg.build_dirac_family(
         dg.DiracRadialParams(k=3, mu_a=0.0, potential=dg.coulomb_potential(-0.4)))
     np.testing.assert_allclose(fam.coeffs(1e9), (-1.0, 0.0, 1.0), atol=1e-8)
-    np.testing.assert_allclose(fam.limit_inf, np.diag([-1.0, 1.0]))
 
 
 def test_anomalous_moment_origin_limit():

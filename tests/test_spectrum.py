@@ -43,8 +43,8 @@ def test_nu_star_shift_arithmetic(coulomb_plus, zero_plus, fast_window):
 
 # -- scanning ------------------------------------------------------------------
 
-def test_scan_empty_grid(coulomb_minus):
-    out = dg.scan_spectrum(coulomb_minus, [])
+def test_scan_empty_grid(coulomb_minus, fast_window):
+    out = dg.scan_spectrum(coulomb_minus, [], fast_window)
     assert out.brackets == ()
 
 
@@ -345,6 +345,29 @@ def test_select_truncation_evaluates_p_once_per_point(coulomb_plus, zero_plus):
     assert (repr(win.x_zero), repr(win.x_inf)) == ("0.00017782794100389227",
                                                    "8659.643233600653")
     assert len(seen) == len(set(seen))
+
+
+def test_select_truncation_leaves_a_given_end_unexamined(coulomb_plus,
+                                                        zero_plus):
+    # a given x_inf is taken as it is: no closeness run or cone walk past
+    # x = 1, and the origin is selected as without it
+    fam, seen = _counting(coulomb_plus)
+    win = dg.select_truncation(fam, (0.5, 0.995), zero=zero_plus, x_inf=250.0)
+    assert (win.x_zero, win.x_inf) == (0.00017782794100389227, 250.0)
+    assert seen and max(seen) <= 1.0
+    # the cone at infinity reaches pi/2 at lam = 0.999999: with x_inf given
+    # that end is not tested and cannot reject the window
+    dg.select_truncation(fam, (0.5, 0.999999), zero=zero_plus, x_inf=250.0)
+    assert max(seen) <= 1.0
+    with pytest.raises(dg.CrossedCutoffError):
+        dg.select_truncation(fam, (0.5, 0.995), zero=zero_plus, x_inf=1e-5)
+
+
+def test_select_truncation_with_both_cutoffs_evaluates_nothing(coulomb_plus):
+    fam, seen = _counting(coulomb_plus)
+    win = dg.select_truncation(fam, (0.5, 0.995), x_zero=1e-3, x_inf=250.0)
+    assert (win.x_zero, win.x_inf, win.delta) == (1e-3, 250.0, 2e-4)
+    assert seen == []
 
 
 def test_root_solve_samples_the_contraction_grid_once(
