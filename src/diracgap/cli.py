@@ -51,6 +51,7 @@ exits 1 naming its line:
     [accumulation]
     endpoint    upper | lower             [upper]
     schedule    space separated X values (> 0)  [1e2 1e3 1e4 1e5]
+                above the origin cutoff x_zero (else exit 1)
 
     [branch]
     seed_k      level index of the seed   (required by the command)
@@ -169,7 +170,7 @@ class RunConfig:
     x_inf_override: Optional[float]
     out_dir: Path
     task: dict = field(default_factory=dict)
-    override_lines: dict = field(default_factory=dict)   # [numerics] key -> line
+    lines: dict = field(default_factory=dict)   # (section, key) -> line
     config_hash: str = ""
     coupling_spec: Optional[dict] = None
 
@@ -316,8 +317,8 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
                      lam_grid=np.linspace(lam_min, lam_max, lam_pts), tol=tol,
                      x_zero_override=xz, x_inf_override=xi,
                      out_dir=Path(out_dir), task=task, config_hash=digest,
-                     override_lines={key: line for key, (_, line)
-                                     in sections.get("numerics", {}).items()},
+                     lines={(name, key): line for name, keys in sections.items()
+                            for key, (_, line) in keys.items()},
                      coupling_spec=coupling_spec)
 
 
@@ -367,16 +368,22 @@ def _window_line(window: TruncationWindow) -> str:
             f"delta={_fmt(window.delta)} eps={_fmt(window.eps)}")
 
 
+def _crossing(cfg: RunConfig, exc: CrossedCutoffError, far: tuple) -> ConfigError:
+    # a crossing names a given x_zero, else far, the key giving the far end
+    given = cfg.x_zero_override is not None
+    section, key = ("numerics", "x_zero") if given else far
+    return ConfigError([f"line {cfg.lines[section, key]}: [{section}] {key}: "
+                        f"crosses the window's other cutoff ({exc})"])
+
+
 def _make_window(cfg: RunConfig, family, zero) -> TruncationWindow:
-    xz, xi = cfg.x_zero_override, cfg.x_inf_override
     try:
         return select_truncation(
             family, (float(cfg.lam_grid[0]), float(cfg.lam_grid[-1])),
-            cfg.delta, cfg.eps, zero=zero, x_zero=xz, x_inf=xi)
-    except CrossedCutoffError as exc:   # an override past the selected cutoff
-        key = "x_zero" if xz is not None else "x_inf"
-        raise ConfigError([f"line {cfg.override_lines[key]}: [numerics] {key}: "
-                           f"window override crosses the selected cutoff ({exc})"])
+            cfg.delta, cfg.eps, zero=zero, x_zero=cfg.x_zero_override,
+            x_inf=cfg.x_inf_override)
+    except CrossedCutoffError as exc:
+        raise _crossing(cfg, exc, ("numerics", "x_inf"))
 
 
 def _say(quiet: bool, *args):
@@ -486,9 +493,12 @@ def cmd_eigenfunction(cfg: RunConfig, quiet: bool = False) -> int:
 def cmd_accumulation(cfg: RunConfig, quiet: bool = False) -> int:
     """Probe eigenvalue accumulation at a gap edge, persist (X, theta)."""
     family = build_dirac_family(cfg.params)
-    verdict = spectrum.detect_accumulation(
-        family, cfg.task["endpoint"], cfg.task["schedule"],
-        rtol=cfg.rtol, atol=cfg.atol, x_zero=cfg.x_zero_override)
+    try:
+        verdict = spectrum.detect_accumulation(
+            family, cfg.task["endpoint"], cfg.task["schedule"],
+            rtol=cfg.rtol, atol=cfg.atol, x_zero=cfg.x_zero_override)
+    except CrossedCutoffError as exc:   # the schedule gives the far end
+        raise _crossing(cfg, exc, ("accumulation", "schedule"))
     rows = [(x, th) for x, th in verdict.samples]
     _write_csv(cfg.out_dir / "accumulation.csv", cfg, "accumulation",
                ("X", "theta"), rows,

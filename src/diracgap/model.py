@@ -116,19 +116,17 @@ def tabulated_potential(
 
 
 def tabulated_potential_from_csv(path, gamma_zero, alpha_zero, gamma_inf, alpha_inf):
-    """Read a two-column CSV (x, V(x)); an optional single header row is skipped."""
-    rows = []
+    """Read a two-column CSV (x, V(x)), skipping blank and '#' lines; only the
+    first remaining line may be a header, a later malformed one raises."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p for p in line.replace(",", " ").split() if p]
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except (ValueError, IndexError):
-                if not rows:
-                    continue    # header row
+        lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    rows = []
+    for i, line in enumerate(lines):
+        parts = line.replace(",", " ").split()
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except (ValueError, IndexError):
+            if i:           # only line 0 may be a header
                 raise ValueError(f"malformed table row: {line!r}")
     if len(rows) < 4:
         raise ValueError("potential table needs at least 4 rows")
@@ -284,6 +282,7 @@ class ZeroClassification:
     """Origin singularity data and the admissibility verdict."""
 
     det_limit: float
+    bound: float
     admissible: bool
     note: str
 
@@ -298,19 +297,16 @@ def classify_zero_endpoint(family: CoefficientFamily) -> ZeroClassification:
     is a reported outcome, not an error.
     """
     det = float(np.linalg.det(family.limit_zero))
-    if family.beta == 1.0:
-        admissible = det < -0.25
-        bound = "-1/4"
-    else:
-        admissible = det < 0.0
-        bound = "0"
+    bound, text = (-0.25, "-1/4") if family.beta == 1.0 else (0.0, "0")
+    admissible = det < bound
     if admissible:
-        note = (f"det {det:.6g} < {bound}: origin is limit point, boundary "
+        note = (f"det {det:.6g} < {text}: origin is limit point, boundary "
                 "direction there is unique")
     else:
-        note = (f"det {det:.6g} >= {bound}: origin classification fails, "
+        note = (f"det {det:.6g} >= {text}: origin classification fails, "
                 "boundary data at zero would not be unique")
-    return ZeroClassification(det_limit=det, admissible=admissible, note=note)
+    return ZeroClassification(det_limit=det, bound=bound,
+                              admissible=admissible, note=note)
 
 
 @dataclass(frozen=True)
@@ -354,124 +350,101 @@ def _fit_log_slope(xs: np.ndarray, vals: np.ndarray) -> tuple:
 def validate_hypotheses(family: CoefficientFamily) -> HypothesisReport:
     """Numerically verify the admissibility hypotheses on a sampling grid.
 
-    Checks, each reported with the measured quantity: convergence of
-    x**beta P(x) to its origin limit, convergence of P(x) to the gap-edge
-    diagonal at infinity, finiteness of the two weighted remainder integrals
-    (finite quadrature plus a tail/head bound extrapolated from the fitted
-    leading exponents), the determinant condition at the origin, and, for
-    radial Dirac input, the potential endpoint conditions.  These are sampled
-    surrogates for hypotheses the theory assumes rather than proves.
+    One rule checks each end, with the measured quantity reported.  The
+    remainder there (|x**beta P(x) - limit_zero| at the origin,
+    |P(x) - diag(mu_minus, mu_plus)| at infinity) must be small over the
+    outermost decade and no larger than two decades inward; and the integral
+    of x**weight * remainder**q must be finite: a trapezoid sum plus a
+    power-law piece beyond the outermost sample, fitted on the outermost
+    decade (weight -beta, q = q_zero at the origin; weight 0, q = q_inf at
+    infinity).  The determinant condition at the origin and, for radial
+    Dirac input, the potential endpoint conditions follow.  These are
+    sampled surrogates for hypotheses the theory assumes rather than proves.
     """
     xs = np.logspace(-6.0, 6.0, 289)        # 24 points per decade
+
+    def end(sign, grid, remainder_norm, scale, q, weight) -> tuple:
+        # sign is -1 at the origin and +1 at infinity; returns the limit and
+        # the integral check of that end
+        at, what, decade, piece, trend = (
+            ("infinity", "P - diag(mu-, mu+)", "largest", "tail", "decay")
+            if sign > 0 else
+            ("origin", "x^beta P - limit", "smallest", "head", "growth"))
+        r = np.array([remainder_norm(x) for x in grid])
+        dec = _decade_maxima(grid, r)[::sign]       # outermost decade last
+        limit = CheckResult(
+            f"{at}-limit",
+            dec[-1] < 1e-2 * scale and dec[-1] <= dec[max(-3, -len(dec))] + 1e-300,
+            dec[-1], 1e-2 * scale, f"max |{what}| over the {decade} decade")
+        partial = float(np.trapezoid(grid ** weight * r ** q * grid, np.log(grid)))
+        outer = grid[-1] if sign > 0 else grid[0]
+        near = (grid / outer) ** sign >= 0.1        # the outermost decade
+        s, c = _fit_log_slope(grid[near], r[near])
+        e = weight + s * q          # the integrand grows like x^e out there
+        g = -sign * (e + 1.0)       # the piece beyond is finite iff g > 0
+        if dec[-1] < 1e-13:
+            rest, ok = 0.0, True
+        elif g > 0.0:
+            rest, ok = math.exp(c * q) * outer ** (e + 1.0) / g, True
+        else:
+            rest, ok = math.inf, False
+        integral = CheckResult(
+            f"{at}-integral", ok and math.isfinite(partial + rest),
+            partial + rest, math.inf,
+            f"quadrature {partial:.3g} + extrapolated {piece} {rest:.3g}, "
+            f"fitted {trend} exponent {-sign * s:.3g}")
+        return limit, integral
+
     left = xs[xs <= 1.0]
-    right = xs[xs >= 1.0]
-    checks = []
-
-    # convergence of x^beta P(x) at the origin
-    r0 = np.array([family.remainder_zero_norm(x) for x in left])
-    scale0 = 1.0 + float(np.linalg.norm(family.limit_zero, 2))
-    dec0 = _decade_maxima(left, r0)
-    conv0 = dec0[0] < 1e-2 * scale0 and dec0[0] <= dec0[min(2, len(dec0) - 1)] + 1e-300
-    checks.append(CheckResult("origin-limit", conv0, dec0[0], 1e-2 * scale0,
-                              "max |x^beta P - limit| over the smallest decade"))
-
-    # convergence of P(x) at infinity
-    rinf = np.array([family.remainder_inf_norm(x) for x in right])
-    decinf = _decade_maxima(right, rinf)
-    scale_inf = 1.0 + max(abs(family.mu_minus), abs(family.mu_plus))
-    convinf = decinf[-1] < 1e-2 * scale_inf and decinf[-1] <= decinf[max(-3, -len(decinf))] + 1e-300
-    checks.append(CheckResult("infinity-limit", convinf, decinf[-1], 1e-2 * scale_inf,
-                              "max |P - diag(mu-, mu+)| over the largest decade"))
-
-    # integral of |remainder at infinity|^q_inf over [1, inf)
-    integrand = rinf ** family.q_inf
-    partial = float(np.trapezoid(integrand * right, np.log(right)))
-    s_inf, c_inf = _fit_log_slope(right[right >= right[-1] / 10.0],
-                                  rinf[right >= right[-1] / 10.0])
-    p = -s_inf
-    if decinf[-1] < 1e-13:
-        tail, tail_ok = 0.0, True
-    elif p * family.q_inf > 1.0:
-        tail = math.exp(c_inf * family.q_inf) * right[-1] ** (1.0 - p * family.q_inf) \
-            / (p * family.q_inf - 1.0)
-        tail_ok = True
-    else:
-        tail, tail_ok = math.inf, False
-    checks.append(CheckResult("infinity-integral", tail_ok and math.isfinite(partial + tail),
-                              partial + tail, math.inf,
-                              f"quadrature {partial:.3g} + extrapolated tail {tail:.3g}, "
-                              f"fitted decay exponent {p:.3g}"))
-
-    # integral of x^-beta |remainder at zero|^q_zero over (0, 1]
-    integrand0 = left ** (-family.beta) * r0 ** family.q_zero
-    partial0 = float(np.trapezoid(integrand0 * left, np.log(left)))
-    mask_head = left <= left[0] * 10.0
-    s0, c0 = _fit_log_slope(left[mask_head], r0[mask_head])
-    head_exp = -family.beta + s0 * family.q_zero
-    if dec0[0] < 1e-13:
-        head, head_ok = 0.0, True
-    elif head_exp > -1.0:
-        head = math.exp(c0 * family.q_zero) * left[0] ** (head_exp + 1.0) / (head_exp + 1.0)
-        head_ok = True
-    else:
-        head, head_ok = math.inf, False
-    checks.append(CheckResult("origin-integral", head_ok and math.isfinite(partial0 + head),
-                              partial0 + head, math.inf,
-                              f"quadrature {partial0:.3g} + extrapolated head {head:.3g}, "
-                              f"fitted growth exponent {s0:.3g}"))
-
-    # determinant condition
+    limit0, integral0 = end(-1, left, family.remainder_zero_norm,
+                            1.0 + float(np.linalg.norm(family.limit_zero, 2)),
+                            family.q_zero, -family.beta)
+    limit_inf, integral_inf = end(
+        1, xs[xs >= 1.0], family.remainder_inf_norm,
+        1.0 + max(abs(family.mu_minus), abs(family.mu_plus)), family.q_inf, 0.0)
     cls = classify_zero_endpoint(family)
-    bound = -0.25 if family.beta == 1.0 else 0.0
-    checks.append(CheckResult("origin-determinant", cls.admissible,
-                              cls.det_limit, bound, cls.note))
-
-    # potential endpoint conditions for radial Dirac input
+    checks = [limit0, limit_inf, integral_inf, integral0,
+              CheckResult("origin-determinant", cls.admissible, cls.det_limit,
+                          cls.bound, cls.note)]
     if family.dirac is not None:
-        checks.extend(_potential_checks(family.dirac, left))
-
+        checks.extend(_potential_checks(family.dirac, left, cls.bound))
     return HypothesisReport(checks=tuple(checks),
                             passed=all(c.passed for c in checks))
 
 
-def _potential_checks(params: DiracRadialParams, left: np.ndarray) -> list:
+def _potential_checks(params: DiracRadialParams, left: np.ndarray,
+                      det_bound: float) -> list:
+    # with mu_a = 0, det(limit_zero) = gamma0^2 - k^2, so the coupling bound
+    # is the determinant bound in the potential's terms
     pot = params.potential
-    k2 = float(params.k) ** 2
     thr = max(1e-6, 1e-3 * (1.0 + abs(pot.gamma_zero)))
-    out = []
+
+    def vanishes(name, p, f, label) -> CheckResult:
+        # max |x^p f(x)| over the smallest decade of left
+        small = _decade_maxima(left, np.array([abs(x ** p * f(x)) for x in left]))[0]
+        return CheckResult(name, small < thr, small, thr,
+                           f"{label} must vanish at the origin")
+
     if params.mu_a == 0.0:
-        out.append(CheckResult("potential-origin-exponent",
-                               abs(pot.alpha_zero - 1.0) < 1e-12,
-                               pot.alpha_zero, 1.0,
-                               "mu_a = 0 requires a Coulomb-order origin exponent"))
-        rv = np.array([abs(left[i] * pot.remainder_at_zero(left[i]))
-                       for i in range(left.size)])
-        dec = _decade_maxima(left, rv)
-        out.append(CheckResult("potential-origin-remainder", dec[0] < thr,
-                               dec[0], thr,
-                               "x * remainder must vanish at the origin"))
-        bound = k2 - 0.25
-        out.append(CheckResult("potential-coupling-bound",
-                               pot.gamma_zero ** 2 < bound,
-                               pot.gamma_zero ** 2, bound,
-                               "gamma0^2 < k^2 - 1/4"))
-    else:
-        out.append(CheckResult("potential-coupling-nonzero",
-                               pot.gamma_zero != 0.0, pot.gamma_zero, 0.0,
-                               "mu_a != 0 requires gamma0 != 0"))
-        rv = np.array([abs(left[i] ** pot.alpha_zero * pot.remainder_at_zero(left[i]))
-                       for i in range(left.size)])
-        dec = _decade_maxima(left, rv)
-        out.append(CheckResult("potential-origin-remainder", dec[0] < thr,
-                               dec[0], thr,
-                               "x^alpha0 * remainder must vanish at the origin"))
-        drv = np.array([abs(left[i] ** (pot.alpha_zero + 1.0) * pot.d_remainder_at_zero(left[i]))
-                        for i in range(left.size)])
-        decd = _decade_maxima(left, drv)
-        out.append(CheckResult("potential-origin-remainder-derivative",
-                               decd[0] < thr, decd[0], thr,
-                               "x^(alpha0+1) * remainder' must vanish at the origin"))
-    return out
+        bound = float(params.k) ** 2 + det_bound
+        return [CheckResult("potential-origin-exponent",
+                            abs(pot.alpha_zero - 1.0) < 1e-12,
+                            pot.alpha_zero, 1.0,
+                            "mu_a = 0 requires a Coulomb-order origin exponent"),
+                vanishes("potential-origin-remainder", 1.0,
+                         pot.remainder_at_zero, "x * remainder"),
+                CheckResult("potential-coupling-bound",
+                            pot.gamma_zero ** 2 < bound,
+                            pot.gamma_zero ** 2, bound,
+                            "gamma0^2 < k^2 - 1/4")]
+    return [CheckResult("potential-coupling-nonzero",
+                        pot.gamma_zero != 0.0, pot.gamma_zero, 0.0,
+                        "mu_a != 0 requires gamma0 != 0"),
+            vanishes("potential-origin-remainder", pot.alpha_zero,
+                     pot.remainder_at_zero, "x^alpha0 * remainder"),
+            vanishes("potential-origin-remainder-derivative",
+                     pot.alpha_zero + 1.0, pot.d_remainder_at_zero,
+                     "x^(alpha0+1) * remainder'")]
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .asymptotics import (TruncationWindow, ZeroData, contraction_samples,
-                          contraction_start, infinity_data, select_truncation,
-                          zero_data)
+from .asymptotics import (CrossedCutoffError, TruncationWindow, ZeroData,
+                          contraction_samples, contraction_start,
+                          infinity_data, select_truncation, zero_data)
 from .model import CoefficientFamily, mirror_family
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory,
                      integrate_prufer)
@@ -418,7 +418,8 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     "inconclusive".  The two regimes are orders of magnitude apart (creep to a
     limit vs. at least a full turn per decade), so the settling bound needs no
     tuning.  The lower edge is handled by the mirror substitution
-    that swaps the components and negates the spectrum.
+    that swaps the components and negates the spectrum.  A schedule point
+    below the origin cutoff raises CrossedCutoffError before any integration.
     """
     if endpoint not in ("upper", "lower"):
         raise ValueError("endpoint must be 'upper' or 'lower'")
@@ -433,6 +434,9 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     span = 0.1 * (family.mu_plus - family.mu_minus)
     window = select_truncation(family, (mid - span, mid + span), zero=zero,
                                x_zero=x_zero, x_inf=schedule[-1])
+    if schedule[0] < window.x_zero:
+        raise CrossedCutoffError(f"schedule point {schedule[0]!r} below the "
+                                 f"origin cutoff {window.x_zero!r}")
     lam_edge = family.mu_plus
     traj = integrate_prufer(family, lam_edge, window, zero.theta_zero,
                             "forward", rtol=rtol, atol=atol)

@@ -419,6 +419,32 @@ def test_accumulation_command(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_accumulation_crossing_names_the_x_zero_line(tmp_path, capsys):
+    # x_zero above the schedule's end crosses it, as it would cross x_inf
+    path = write(tmp_path, COULOMB_BASE.replace("x_zero = 1e-3\nx_inf = 250.0",
+                                                "x_zero = 1e6"))
+    code = cli.main(["accumulation", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: line 12: [numerics] x_zero: " in err
+    assert "window 1000000.0 .. 100000.0" in err
+
+
+def test_accumulation_schedule_below_x_zero_names_its_line(tmp_path, capsys):
+    text = (COULOMB_BASE.replace("x_zero = 1e-3\n", "")
+            + "\n[accumulation]\nschedule = 1e-6 1e2 1e3\n")
+    path = write(tmp_path, text)
+    code = cli.main(["accumulation", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    line = text.splitlines().index("schedule = 1e-6 1e2 1e3") + 1
+    assert f"config error: line {line}: [accumulation] schedule: " in err
+    assert "schedule point 1e-06 below the origin cutoff 0.0" in err
+    assert not (tmp_path / "accumulation.csv").exists()
+
+
 def test_branch_command(tmp_path):
     cfg = COULOMB_BASE.replace("x_inf = 250.0", "x_inf = 60.0")
     cfg += ("\n[branch]\nseed_k = 1\nds = 0.001\nmax_steps = 4\n"

@@ -135,6 +135,53 @@ def test_validate_anomalous_family_passes():
     assert report.passed, report.failed_names()
 
 
+def _readme_origin(e):
+    # the README origin (gamma = -0.5, k = 1) with e(x) added off the diagonal
+    return dg.CoefficientFamily(
+        coeffs=lambda x: (-1.0 - 0.5 / x, -1.0 / x + e(x), 1.0 - 0.5 / x),
+        mu_minus=-1.0, mu_plus=1.0, beta=1.0,
+        limit_zero=[[-0.5, -1.0], [-1.0, -0.5]])
+
+
+def test_validate_slow_decay_fails_only_infinity_integral():
+    # |e|^2 ~ 0.09/x is not integrable at infinity, but e -> 0
+    report = dg.validate_hypotheses(_readme_origin(lambda x: 0.3 * x ** -0.5))
+    assert report.failed_names() == ["infinity-integral"]
+    check = {c.name: c for c in report.checks}["infinity-integral"]
+    assert check.measured == math.inf
+    assert "extrapolated tail inf" in check.detail
+
+
+def test_validate_offset_at_infinity_fails_limit_and_integral():
+    report = dg.validate_hypotheses(_readme_origin(lambda x: 0.1))
+    assert report.failed_names() == ["infinity-limit", "infinity-integral"]
+    check = {c.name: c for c in report.checks}["infinity-limit"]
+    assert math.isclose(check.measured, 0.0999995, rel_tol=1e-6)
+    assert check.threshold == 0.02
+
+
+def test_validate_readme_origin_passes_every_check():
+    report = dg.validate_hypotheses(_readme_origin(lambda x: 0.0))
+    assert report.passed, report.failed_names()
+
+
+ENDS = ["origin-limit", "infinity-limit", "infinity-integral",
+        "origin-integral", "origin-determinant"]
+
+
+@pytest.mark.parametrize("mu_a, gamma, potential_checks", [
+    (0.0, -0.5, ["potential-origin-exponent", "potential-origin-remainder",
+                 "potential-coupling-bound"]),
+    (1.0, -2.0, ["potential-coupling-nonzero", "potential-origin-remainder",
+                 "potential-origin-remainder-derivative"]),
+])
+def test_report_row_order(mu_a, gamma, potential_checks):
+    fam = dg.build_dirac_family(
+        dg.DiracRadialParams(k=-1, mu_a=mu_a, potential=dg.coulomb_potential(gamma)))
+    names = [c.name for c in dg.validate_hypotheses(fam).checks]
+    assert names == ENDS + potential_checks
+
+
 # -- tabulated potentials ----------------------------------------------------
 
 def test_tabulated_matches_coulomb():
@@ -157,6 +204,15 @@ def test_tabulated_csv_roundtrip(tmp_path):
     assert math.isclose(pot.v(2.0), -0.125, rel_tol=1e-5)
     fam = dg.build_dirac_family(dg.DiracRadialParams(k=1, mu_a=0.0, potential=pot))
     assert dg.classify_zero_endpoint(fam).admissible
+
+
+def test_tabulated_csv_takes_one_header_row_only(tmp_path):
+    # a second non-numeric line is a malformed row, not another header
+    path = tmp_path / "pot.csv"
+    rows = "".join(f"{x!r},{-0.25 / x!r}\n" for x in (0.01, 0.1, 1.0, 10.0, 100.0))
+    path.write_text("x,V\nunits,hartree\n" + rows)
+    with pytest.raises(ValueError, match="malformed table row: 'units,hartree'"):
+        dg.tabulated_potential_from_csv(path, -0.25, 1.0, -0.25, 1.0)
 
 
 def test_tabulated_rejects_unsorted():
