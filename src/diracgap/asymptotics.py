@@ -220,7 +220,7 @@ def contraction_samples(family: CoefficientFamily,
     return np.vstack((xs, np.array([family.coeffs(x) for x in xs]).T))
 
 
-def contraction_start(samples: np.ndarray, lams) -> float:
+def contraction_start(samples: np.ndarray, lams, x_from=None) -> float:
     """Where a backward angle run from theta_inf may start instead of x_inf.
 
     At a fixed point of the angle flow theta' the linearized rate is
@@ -228,9 +228,10 @@ def contraction_start(samples: np.ndarray, lams) -> float:
     rate; past a point with int kappa dx >= 18 a backward run from a start
     error of O(0.1) reaches the points below damped by e^-36.  kappa is
     computed on the contraction_samples of the window and integrated by the
-    trapezoid rule from each lane's last turning point (kappa^2 <= 0), or
-    from x_mid; the result is the largest first point that reaches 18 over
-    the lanes, and x_inf when a lane does not reach it.
+    trapezoid rule from each lane's last turning point (kappa^2 <= 0) or
+    from x_from (x_mid when None), whichever is further out; the result is
+    the largest first point that reaches 18 over the lanes, and x_inf when
+    a lane does not reach it.
     """
     xs, p11, p12, p22 = samples
     lam = np.reshape(lams, (-1, 1))
@@ -239,13 +240,24 @@ def contraction_start(samples: np.ndarray, lams) -> float:
     integral = np.cumsum(np.concatenate(
         (np.zeros((lam.shape[0], 1)),
          0.5 * (kappa[:, 1:] + kappa[:, :-1]) * np.diff(xs)), axis=1), axis=1)
-    x_c = float(xs[0])
+    x_c, first = float(xs[0]), np.searchsorted(xs, x_from or xs[0])
     for lane_kappa2, lane_integral in zip(kappa2, integral):
         turning = np.flatnonzero(lane_kappa2 <= 0.0)
-        start = turning[-1] if turning.size else 0
+        start = max(turning[-1] if turning.size else 0, first)
         reached = np.flatnonzero(lane_integral[start:]
                                  >= lane_integral[start] + 18.0)
         if not reached.size:
             return float(xs[-1])
         x_c = max(x_c, float(xs[start + reached[0]]))
     return x_c
+
+
+def match_point(samples: np.ndarray, lam: float) -> float:
+    """Where the matched halves at lam meet: the sample below lam's
+    contraction_start where kappa^2 is least, the bottom of the classically
+    allowed well (kappa^2 < 0) or its nearest approach when there is none.
+    An eigenfunction at lam is large there, and exponentially small at x_mid
+    near the gap edge.  A backward half stopped here starts at
+    contraction_start(samples, lams, x_from=this point)."""
+    xs, p11, p12, p22 = samples[:, samples[0] < contraction_start(samples, lam)]
+    return float(xs[np.argmin(p12 * p12 - (lam - p11) * (lam - p22))])

@@ -86,8 +86,7 @@ from . import bifurcation, model, spectrum
 from .asymptotics import (CrossedCutoffError, NoWindowError, TruncationWindow,
                           select_truncation, zero_data)
 from .model import (CouplingRejectedError, build_dirac_family,
-                    build_soler_coupling, classify_zero_endpoint,
-                    validate_hypotheses)
+                    build_soler_coupling, validate_hypotheses)
 from .prufer import IntegrationError
 from .spectrum import AngleMismatchError, ConvergenceError, MonotonicityError
 
@@ -399,7 +398,7 @@ def cmd_check(cfg: RunConfig, quiet: bool = False) -> int:
     """Hypothesis gate: admissibility checks, coupling checks if configured."""
     family = build_dirac_family(cfg.params)
     report = validate_hypotheses(family)
-    cls = classify_zero_endpoint(family)
+    origin = next(c for c in report.checks if c.name == "origin-determinant")
     rows = [(c.name, c.passed, c.measured, c.threshold, c.detail.replace(",", ";"))
             for c in report.checks]
     coupling_ok = True
@@ -413,11 +412,11 @@ def cmd_check(cfg: RunConfig, quiet: bool = False) -> int:
                          str(exc).replace(",", ";")))
     _write_csv(cfg.out_dir / "check_report.csv", cfg, "check",
                ("check", "passed", "measured", "threshold", "detail"), rows,
-               extra_header=(f"admissible={cls.admissible}",))
+               extra_header=(f"admissible={origin.passed}",))
     for name, passed, measured, _, _ in rows:
         _say(quiet, f"{'PASS' if passed else 'FAIL'}  {name}  measured={measured:.6g}")
-    _say(quiet, cls.note)
-    ok = report.passed and cls.admissible and coupling_ok
+    _say(quiet, origin.detail)
+    ok = report.passed and coupling_ok
     _say(quiet, "hypotheses " + ("accepted" if ok else "rejected"))
     return EXIT_OK if ok else EXIT_REJECTED
 

@@ -14,27 +14,35 @@ quadrant-dependent floor rule.
 
 Numerically nu_star is evaluated in its matched form
 
-    nu_star(lam) = pi + theta_fwd(x_mid) - theta_bwd(x_mid),
+    nu_star(lam) = pi + theta_fwd(x) - theta_bwd(x),
 
 with the forward trajectory started at theta_zero on x_zero and the backward
 one started on the decaying direction theta_inf (theta_inf plus the gap
-angle is pi).  It has the roots and monotonicity of the limit functional
-and stays well conditioned at a root, where shooting from one end only would
-turn into a numerical staircase.  One routine (_halves) integrates the two
-halves: on lanes of lam for nu_star, on a float for the dense _matched of the
-eigenfunction and the linear amplitude ratio.  In lanes a value moves
-slightly with the other lanes of its run, so a scan bracket carries the end
-values it was bracketed on; the root solve takes its sign test and first
-(secant) step from them and so accepts it.
+angle is pi), spliced at x.  It has the roots and monotonicity of the limit
+functional and stays well conditioned at a root, where shooting from one end
+only would turn into a numerical staircase.  One routine (_halves)
+integrates the two halves: on lanes of lam for nu_star, on a float for the
+dense _matched of the eigenfunction and the linear amplitude ratio.  In
+lanes a value moves slightly with the other lanes of its run, so a scan
+bracket carries the end values it was bracketed on; the root solve takes
+its sign test and first (secant) step from them and so accepts it.
+
+theta_fwd - theta_bwd meets a multiple of pi only at an eigenvalue, so
+neither floor(nu_star/pi) off a level nor the root depends on x; the
+conditioning does.  Where the eigenfunction is exponentially small (x_mid,
+near the gap edge) nu_star is a step of height pi in lam and a root solve
+bisects, so the scan splices at x_mid but the root solve, and then the
+eigenfunction, at match_point, the bottom of the well (Pryce 1993).
 
 The backward half need not start at x_inf.  At a fixed point of the angle
 flow the linearized rate is 2 kappa, kappa^2 = p12^2 - (lam - p11)(lam - p22)
-the local decay rate, so backward from x_c to x_mid a start error shrinks
+the local decay rate, so backward from x_c to x a start error shrinks
 by e^(-2 int kappa dx).  nu_star starts the backward half on theta_inf at
-the first x_c past the lanes' last turning point with int kappa dx >= 18
-(asymptotics.contraction_start): a start error of O(0.1) reaches x_mid below
-1e-16, under the integrator's own error; a scan or a root solve samples P for
-it once.  _matched starts it at x_inf, as the eigenfunction reads it all.
+the first x_c with int kappa dx >= 18 from the lanes' last turning point or
+the splice point, whichever is further out (asymptotics.contraction_start):
+a start error of O(0.1) reaches the splice point below 1e-16, under the
+integrator's error.  A scan or a root solve samples P for it once, and
+_matched starts it at x_inf.
 
 find_eigenvalue runs nu_star on two lanes, lam and lam + delta with
 delta = 1e-7 max(1, |lam|).  Both lanes share one step sequence, so their
@@ -57,7 +65,8 @@ from scipy.integrate import quad
 
 from .asymptotics import (CrossedCutoffError, TruncationWindow, ZeroData,
                           contraction_samples, contraction_start,
-                          infinity_data, select_truncation, zero_data)
+                          infinity_data, match_point, select_truncation,
+                          zero_data)
 from .model import CoefficientFamily, mirror_family
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory,
                      integrate_prufer)
@@ -85,10 +94,10 @@ class AngleMismatchError(RuntimeError):
 
 @dataclass
 class _MatchInfo:
-    """The two halves at lam, spliced at x_mid.
+    """The two halves at lam, spliced where the forward half ends.
 
     turns = round((theta_f - theta_b) / pi) and offset = log rho_f - log rho_b
-    at x_mid; ``theta`` and ``logrho`` answer on the whole window, the
+    there; ``theta`` and ``logrho`` answer on the whole window, the
     backward half shifted by them to meet the forward one.
     """
 
@@ -96,53 +105,55 @@ class _MatchInfo:
     nu_star_hat: float          # two-sided value of nu_star
     fwd: PruferTrajectory
     bwd: PruferTrajectory
-    x_mid: float
     turns: int
     offset: float
 
     def theta(self, x: float) -> float:
-        if x <= self.x_mid:
+        if x <= self.fwd.x_end:
             return self.fwd.theta(x)
         return self.bwd.theta(x) + self.turns * math.pi
 
     def logrho(self, x: float) -> float:
-        if x <= self.x_mid:
+        if x <= self.fwd.x_end:
             return self.fwd.logrho(x)
         return self.bwd.logrho(x) + self.offset
 
 
-def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol):
+def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol,
+            x_match=None):
     """theta_zero forward from x_zero and theta_inf backward from x_start, both
-    to x_mid: dense for a float lam, endpoint-only lanes for an array."""
+    to x_match (x_mid when None): dense for a float lam, lanes for an array."""
+    x_stop = window.x_mid if x_match is None else x_match
     fwd = integrate_prufer(family, lam, window, theta_zero, "forward",
-                           rtol=rtol, atol=atol, x_stop=window.x_mid)
+                           rtol=rtol, atol=atol, x_stop=x_stop)
     bwd = integrate_prufer(family, lam, replace(window, x_inf=x_start),
                            theta_inf, "backward", rtol=rtol, atol=atol,
-                           x_stop=window.x_mid)
+                           x_stop=x_stop)
     return fwd, bwd
 
 
-def _matched(family, lam, window, zero, rtol, atol) -> _MatchInfo:
+def _matched(family, lam, window, zero, rtol, atol, x_match=None):
     theta_inf = infinity_data(family.mu_minus, family.mu_plus, lam).theta_inf
     fwd, bwd = _halves(family, lam, window, zero.theta_zero, theta_inf,
-                       window.x_inf, rtol, atol)
+                       window.x_inf, rtol, atol, x_match)
     (th_f, lr_f), (th_b, lr_b) = fwd.end[0].tolist(), bwd.end[0].tolist()
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
     return _MatchInfo(lam=lam, nu_star_hat=math.pi + th_f - th_b,
-                      fwd=fwd, bwd=bwd, x_mid=window.x_mid,
+                      fwd=fwd, bwd=bwd,
                       turns=round((th_f - th_b) / math.pi),
                       offset=lr_f - lr_b)
 
 
 def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
             zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
-            atol: float = DEFAULT_ATOL, samples: Optional[np.ndarray] = None):
+            atol: float = DEFAULT_ATOL, samples: Optional[np.ndarray] = None,
+            x_match: Optional[float] = None):
     """Matched value of nu_star, strictly increasing across the gap.
 
     ``lam`` is a float or an array, integrated as one endpoint-only lane per
-    value (a float too); the result has its shape.  The backward half starts
-    at the contraction start of the lanes (module docstring), on ``samples``,
-    the window's contraction_samples (taken here when None).
+    value (a float too); the result has its shape.  The halves meet at
+    ``x_match`` (x_mid when None), below the backward half's start, the
+    lanes' contraction start on ``samples`` (contraction_samples if None).
     """
     zero = zero or zero_data(family)
     if samples is None:
@@ -151,7 +162,8 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
     theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
                  for l in lams.flat]
     fwd, bwd = _halves(family, lams.reshape(-1), window, zero.theta_zero,
-                       theta_inf, contraction_start(samples, lams), rtol, atol)
+                       theta_inf, contraction_start(samples, lams, x_match),
+                       rtol, atol, x_match)
     # theta_inf plus the gap angle is pi, as in _matched
     values = (math.pi + fwd.end[:, 0] - bwd.end[:, 0]).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
@@ -269,6 +281,7 @@ class EigenvalueRecord:
     nodal_index: int
     residual: float             # |nu_star(lam) - k*pi| at the returned lam
     window: TruncationWindow
+    x_match: float              # splice point at which residual was read
     quadrant: str
     flags: tuple = ()
     # (lam, nu_star(lam) - k*pi, rtol in force), one per two-lane iterate
@@ -298,10 +311,11 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     is solved where it is; otherwise the bracket must straddle the level
     (monotonicity makes the root unique).  Each iterate is one two-lane
     nu_star run, at lam and a sibling lane whose forward difference is the
-    slope (module docstring).  A step not strictly inside the current
-    bracket, or a slope that is not finite and positive, is replaced by
-    bisection, and every evaluation shrinks the bracket by the sign of its
-    residual.  Integrator tolerances are tightened a hundredfold for the
+    slope (module docstring), spliced at match_point(lam).  A step not
+    strictly inside the current bracket, or a slope that is not finite and
+    positive, is replaced by bisection, and every evaluation shrinks the
+    bracket by the sign of its residual.  Integrator tolerances are
+    tightened a hundredfold, and the bracket reset to the given one, for the
     iterate after a step below 1e-6 or in a lam interval below 1e-9
     (relative to max(1, |lam|)), and a residual below tol read before that
     is read again at them; a residual below tol ends the solve only at the
@@ -331,7 +345,8 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
             delta = -delta
         value, sibling = nu_star(family, np.array([lam, lam + delta]), window,
                                  zero, rtol=rtol * scale, atol=atol * scale,
-                                 samples=samples).tolist()
+                                 samples=samples,
+                                 x_match=match_point(samples, lam)).tolist()
         f = value - target
         history.append((lam, f, rtol * scale))
         return f, (sibling - value) / delta
@@ -353,7 +368,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
                 break
             # read at the caller's tolerances, a residual below tol may be
             # integration error: confirm it at the tightened ones
-            tight = True
+            tight, a, b = True, bracket.lam_lo, bracket.lam_hi
             f, slope = g(lam)
             continue
         if slope is None:           # secant step on the bracket's end values
@@ -362,9 +377,11 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
             step = lam - f / slope if math.isfinite(slope) and slope > 0.0 \
                 else math.nan
         lam_new = step if a < step < b else 0.5 * (a + b)
-        # after a step this short the next iterate is next to the root
-        tight = tight or abs(lam_new - lam) < 1e-6 * max(1.0, abs(lam)) \
-            or b - a < 1e-9 * max(1.0, abs(b))
+        # after a step this short the next iterate is next to the root; an
+        # end read at the caller's tolerances may lie on its wrong side
+        if not tight and (abs(lam_new - lam) < 1e-6 * max(1.0, abs(lam))
+                          or b - a < 1e-9 * max(1.0, abs(b))):
+            tight, a, b = True, bracket.lam_lo, bracket.lam_hi
         lam, (f, slope) = lam_new, g(lam_new)
         if f < 0.0:
             a = lam
@@ -383,6 +400,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
         flags = flags + ("degenerate-origin-angle",)
     return EigenvalueRecord(k=k, lam=lam, rot=rot, nodal_index=nodal,
                             residual=abs(f), window=window,
+                            x_match=match_point(samples, lam),
                             quadrant=zero.quadrant, flags=flags,
                             history=tuple(history))
 
@@ -489,13 +507,13 @@ class DecayFit:
 def _decay_fit(family, zero, info: _MatchInfo, window) -> DecayFit:
     # amplitude slope at infinity over the last decade of the window
     xs = np.geomspace(window.x_inf / 10.0, window.x_inf, 48)
-    slope_inf = float(np.polyfit(xs, [info.bwd.logrho(x) for x in xs], 1)[0])
+    slope_inf = float(np.polyfit(xs, [info.logrho(x) for x in xs], 1)[0])
     expected_inf = -infinity_data(family.mu_minus, family.mu_plus,
                                   info.lam).decay_rate
     # amplitude slope at the origin over the first decade, in the left chart
     x0 = np.geomspace(window.x_zero, window.x_zero * 10.0, 48)
     s0 = np.log(x0) if family.beta == 1.0 else x0 ** (1.0 - family.beta)
-    slope_zero = float(np.polyfit(s0, [info.fwd.logrho(x) for x in x0], 1)[0])
+    slope_zero = float(np.polyfit(s0, [info.logrho(x) for x in x0], 1)[0])
     expected_zero = zero.rate if family.beta == 1.0 else -zero.rate
     return DecayFit(
         exponent_inf=slope_inf, expected_inf=expected_inf,
@@ -569,9 +587,9 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     """Reconstruct and L2-normalize the eigenfunction by two-sided integration.
 
     Angle trajectories are run forward from x_zero and backward from x_inf and
-    matched at the geometric-mean midpoint; a mismatch (mod pi) beyond 1e-6
-    means lam is not an eigenvalue to tolerance.  Amplitudes are
-    spliced by matching the log-amplitude at the midpoint, normalized by
+    matched at record.x_match, where the level was solved; a mismatch (mod
+    pi) beyond 1e-6 there means lam is not an eigenvalue to tolerance.
+    Amplitudes are spliced by matching the log-amplitude there, normalized by
     quadrature over the window plus closed-form tail and head corrections from
     the known decay exponents, and sampled on a log grid.  The same run gives
     the least-squares decay exponents of the amplitude over the last decade of
@@ -579,12 +597,13 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     """
     window = record.window
     zero = zero or zero_data(family)
-    info = _matched(family, record.lam, window, zero, rtol, atol)
-    # theta_fwd - theta_bwd - turns * pi at x_mid
+    info = _matched(family, record.lam, window, zero, rtol, atol,
+                    record.x_match)
+    # theta_fwd - theta_bwd - turns * pi at x_match
     mism = info.nu_star_hat - math.pi * (info.turns + 1)
     if abs(mism) > 1e-6:
         raise AngleMismatchError(
-            f"angle mismatch {mism:.3g} at x_mid = {info.x_mid:.3g}; "
+            f"angle mismatch {mism:.3g} at x = {record.x_match:.3g}; "
             "lam is not an eigenvalue to tolerance")
 
     # normalization, overflow-safe relative to the amplitude peak

@@ -222,6 +222,31 @@ def test_contraction_start_matches_full_window(gamma, k, lam, x_inf, mu_a):
     assert abs(value - full) < 1e-11
 
 
+@settings(max_examples=8, deadline=None)
+@given(gamma=st.floats(-0.8, -0.2), k=st.sampled_from([1, -1, 2, -2]),
+       lam=st.floats(-0.9, 0.995), mu_a=st.just(0.0))
+@example(gamma=-0.5, k=1, lam=0.0, mu_a=0.0)
+@example(gamma=-0.2, k=2, lam=0.2, mu_a=0.3)
+@example(gamma=-0.7683565815631189, k=-2, lam=0.9654, mu_a=0.0)
+def test_match_point_lies_where_the_backward_half_has_contracted(
+        gamma, k, lam, mu_a, fast_window):
+    # spliced at match_point, the backward half from its contraction start
+    # reads what one from x_inf reads.  The first two examples have no well,
+    # and kappa^2 falls up to x_c: the point lies just below x_c, and a run
+    # from there would arrive damped by about e^-2.5 only (1e-3 and 6e-3 in
+    # nu_star), so the start moves out until int kappa dx >= 18 from it
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=k, mu_a=mu_a, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    samples = dg.asymptotics.contraction_samples(fam, fast_window)
+    x = dg.asymptotics.match_point(samples, lam)
+    value = dg.nu_star(fam, lam, fast_window, zd, rtol=1e-13, atol=1e-15,
+                       samples=samples, x_match=x)
+    full = spectrum._matched(fam, lam, fast_window, zd, 1e-13, 1e-15,
+                             x_match=x).nu_star_hat
+    assert abs(value - full) < 1e-11
+
+
 def test_contraction_start_past_the_window(coulomb_plus):
     # at lam = 0.999 the turning point lies near x = 500, beyond x_inf
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=60.0, delta=2e-4, eps=1e-3)
@@ -240,7 +265,8 @@ def test_returned_level_meets_tol_at_tight_tolerances(level):
     scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 12), win, zd)
     br = scan.brackets[level - 1]
     rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=win, zero=zd)
-    ref = spectrum._matched(fam, rec.lam, win, zd, 1e-13, 1e-15).nu_star_hat
+    ref = spectrum._matched(fam, rec.lam, win, zd, 1e-13, 1e-15,
+                            x_match=rec.x_match).nu_star_hat
     assert abs(ref - br.k * math.pi) <= 1e-9
 
 
@@ -263,6 +289,96 @@ def test_noise_floor_refusals_solve(gamma, bracket, x_inf):
     rec = dg.find_eigenvalue(fam, 2, bracket, 1e-9, window=win, zero=zd)
     assert abs(rec.lam - sommerfeld(1, gamma, k=2)) < 1e-8
     assert rec.nodal_index == 1
+
+
+@pytest.mark.parametrize("gamma", [-0.4, -0.3])
+def test_k_minus_two_levels_near_the_gap_edge_solve(gamma, fast_window):
+    # levels above 0.99: spliced at x_mid, nu_star is a step of height pi
+    # too narrow for the tightened reads, and these solves ended in
+    # ConvergenceError; at the bottom of the well the functional is smooth
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=-2, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    scan = dg.scan_spectrum(fam, np.linspace(0.3, 0.996, 10), fast_window, zd)
+    assert scan.brackets
+    for br in scan.brackets:
+        rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=fast_window,
+                                 zero=zd)
+        exact = sommerfeld(rec.k, gamma, k=-2)
+        assert abs(rec.lam - exact) / exact < 1e-10
+        assert rec.nodal_index == rec.k - 1
+
+
+@pytest.mark.parametrize("gamma, k", [(-0.5, 1), (-0.725, -1)])
+def test_tabulated_coulomb_levels_solve(gamma, k, fast_window):
+    # tabulated gamma/x, as in test_closed_form_rot_matches_a_dense_run: an
+    # end of the bracket read at the caller's tolerances lay on the wrong
+    # side of the tightened root, and the solve stalled (residual 5.6e-9 and
+    # 3.0e-8) until ConvergenceError, unless the bracket went back to the
+    # scan's when the tolerances were tightened
+    xs = np.geomspace(1e-7, 1e7, 600)
+    pot = dg.tabulated_potential(xs, gamma / xs, gamma, 1.0, gamma, 1.0)
+    fam = dg.build_dirac_family(dg.DiracRadialParams(k=k, mu_a=0.0,
+                                                     potential=pot))
+    zd = dg.zero_data(fam)
+    scan = dg.scan_spectrum(fam, np.linspace(0.3, 0.98, 8), fast_window, zd)
+    assert scan.brackets
+    for br in scan.brackets[:3]:
+        rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=fast_window,
+                                 zero=zd)
+        assert rec.residual < 1e-9
+        n_r = rec.k - 1 if k > 0 else rec.k
+        assert abs(rec.lam - sommerfeld(n_r, gamma, k)) < 1e-6
+
+
+def test_eigenfunction_matches_where_the_level_was_solved():
+    # survey seed 1, problem 15 (perfbench/workloads.py): at x_mid = 0.455
+    # nu_star rises by 1.25e5 per unit lam and at x_match = 4.46 by 52, so
+    # a level 4e-11 off, inside the survey's residual tolerance 1e-8 at
+    # x_match, read a mismatch of 5.65e-6 at x_mid
+    gamma, lo, hi = -0.7683565815631189, 0.16483477552913628, 0.9718966094716067
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=-2, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    win = dg.select_truncation(fam, (lo, hi), zero=zd,
+                               x_inf=1164.4090068105074)
+    scan = dg.scan_spectrum(fam, np.linspace(lo, hi, 8), win, zd)
+    rec = dg.find_eigenvalue(fam, 1, scan.brackets[0], 1e-8, window=win,
+                             zero=zd)
+    assert abs(rec.lam - sommerfeld(1, gamma, k=-2)) < 1e-10
+    assert win.x_mid < rec.x_match
+    for shift in (0.0, 4e-11, -4e-11):
+        moved = replace(rec, lam=rec.lam + shift)
+        assert abs(dg.nu_star(fam, moved.lam, win, zd, x_match=rec.x_match)
+                   - math.pi) < 1e-8
+        ef = dg.eigenfunction(fam, moved, 64, zero=zd)
+        assert abs(ef.norm_check - 1.0) < 1e-6
+
+
+def _off_the_ladder(gamma, k, lam):
+    return all(abs(lam - sommerfeld(n, gamma, k)) >= 1e-6 for n in range(64))
+
+
+@settings(max_examples=20, deadline=None)
+@given(gamma=st.floats(-0.8, -0.2), k=st.sampled_from([1, -1, 2, -2]),
+       lam=st.floats(0.0, 0.99, exclude_min=True, exclude_max=True))
+@example(gamma=-0.7683565815631189, k=-2, lam=0.9650)
+@example(gamma=-0.7683565815631189, k=-2, lam=0.9655)
+def test_level_count_does_not_depend_on_the_splice_point(gamma, k, lam,
+                                                          fast_window):
+    # theta_fwd - theta_bwd meets a multiple of pi only at an eigenvalue, so
+    # off a level floor(nu_star/pi) is the same at x_mid and at match_point:
+    # the scan's values, spliced at x_mid, stay valid for the root solve
+    assume(_off_the_ladder(gamma, k, lam))
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=k, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    samples = dg.asymptotics.contraction_samples(fam, fast_window)
+    x = dg.asymptotics.match_point(samples, lam)
+    at_mid = dg.nu_star(fam, lam, fast_window, zd, samples=samples)
+    at_match = dg.nu_star(fam, lam, fast_window, zd, samples=samples,
+                          x_match=x)
+    assert math.floor(at_mid / math.pi) == math.floor(at_match / math.pi)
 
 
 def test_second_quadrant_rotation_intervals(records_plus):
@@ -288,9 +404,10 @@ def test_rotation_numbers_derived_values(records_plus, zero_plus):
 def test_closed_form_rot_matches_a_dense_run(gamma, k, mu_a, tabulated,
                                              fast_window):
     # the record's rot comes from the last iterate alone; a dense matched
-    # run at the tightened tolerances must read the same rotation number.
-    # Levels up to 0.98, where valid levels solve (perfbench/README.md):
-    # above it a k = -2 level's tightened reads differ by up to 8e-9 in rot
+    # run at the tightened tolerances, spliced where that iterate was read,
+    # must read the same rotation number.  Levels up to 0.98: spliced at
+    # x_mid, a k = -2 level's tightened reads above it differed by up to
+    # 8e-9 in rot
     if tabulated:
         xs = np.geomspace(1e-7, 1e7, 600)
         pot = dg.tabulated_potential(xs, gamma / xs, gamma, 1.0, gamma, 1.0)
@@ -305,7 +422,8 @@ def test_closed_form_rot_matches_a_dense_run(gamma, k, mu_a, tabulated,
         rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=fast_window,
                                  zero=zd)
         info = spectrum._matched(fam, rec.lam, fast_window, zd,
-                                 DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2)
+                                 DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2,
+                                 x_match=rec.x_match)
         theta_inf = dg.infinity_data(fam.mu_minus, fam.mu_plus,
                                      rec.lam).theta_inf
         dense = (info.nu_star_hat - math.pi + theta_inf
@@ -390,6 +508,34 @@ def test_root_solve_samples_the_contraction_grid_once(
     grid = dg.asymptotics.contraction_samples(coulomb_plus, fast_window)
     assert len(runs) == 2 * len(rec.history)
     assert len(seen) == sum(r.stats.nfev for r in runs) + grid.shape[1]
+
+
+def test_match_point_evaluates_nothing_and_lies_below_the_start(
+        coulomb_plus, zero_plus):
+    # the splice point is read off the contraction samples alone, and lies
+    # in [x_mid, x_c) so that the backward half reaches it
+    win = dg.TruncationWindow(x_zero=1e-3, x_inf=2000.0, delta=2e-4, eps=1e-3)
+    fam, seen = _counting(coulomb_plus)
+    samples = dg.asymptotics.contraction_samples(fam, win)
+    del seen[:]
+    lams = (-0.9, 0.0, 0.5, 0.8, 0.97, 0.99)
+    points = [dg.asymptotics.match_point(samples, lam) for lam in lams]
+    assert seen == []
+    starts = [dg.asymptotics.contraction_start(samples, lam) for lam in lams]
+    for x, x_c in zip(points, starts):
+        assert win.x_mid <= x < x_c
+    # kappa^2 = 1 - (lam + 0.5/x)^2 + 1/x^2 falls all the way to x_c for
+    # lam <= 0, and for lam > 0 is least at x = 1.5/lam (a well, 1 - 4
+    # lam^2/3 < 0, above the ground state sqrt(3)/2); the point lies within
+    # one sample spacing, a factor 10^(1/32), of that
+    for x, x_c in zip(points[:2], starts[:2]):
+        assert x == samples[0][samples[0] < x_c][-1]
+    for lam, x in zip(lams[2:], points[2:]):
+        assert abs(math.log10(x * lam / 1.5)) <= 1.0 / 32.0
+    # with the least below x_mid, the first sample: x_mid itself
+    wide = replace(win, x_zero=1e-2)
+    samples = dg.asymptotics.contraction_samples(coulomb_plus, wide)
+    assert dg.asymptotics.match_point(samples, 0.866) == wide.x_mid
 
 
 def test_bracket_invalid_raises(coulomb_plus, zero_plus, fast_window):
