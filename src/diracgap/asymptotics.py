@@ -63,6 +63,18 @@ def infinity_data(mu_minus: float, mu_plus: float, lam: float) -> InfinityData:
         theta_inf=math.pi - gap_angle(mu_minus, mu_plus, lam))
 
 
+def gap_coordinate(mu_minus: float, mu_plus: float, lam: float) -> float:
+    """u = (lam - c)/decay_rate, c the gap centre; gap_point inverts it."""
+    c = 0.5 * (mu_minus + mu_plus)
+    return (lam - c) / infinity_data(mu_minus, mu_plus, lam).decay_rate
+
+
+def gap_point(mu_minus: float, mu_plus: float, u: float) -> float:
+    """c + h u/hypot(1, u), h the gap's half width: finite for any finite u."""
+    c, h = 0.5 * (mu_minus + mu_plus), 0.5 * (mu_plus - mu_minus)
+    return c + h * u / math.hypot(1.0, u)
+
+
 @dataclass(frozen=True)
 class ZeroData:
     """Eigen-structure of the origin flow matrix; independent of lam.

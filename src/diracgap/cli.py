@@ -33,8 +33,9 @@ exits 1 naming its line:
     lambda_min lambda_max lambda_points   scan grid       [-0.9, 0.999, 50]
     x_zero x_inf                          window overrides (optional; > 0,
                                           x_zero below x_inf); a given end is
-                                          not examined, the other is still
-                                          selected, a crossing exits 1
+                                          not examined (a rejection names
+                                          it), the other is still selected,
+                                          a crossing exits 1
     tol [1e-9]                            eigenvalue residual tolerance (> 0)
 
     [output]
@@ -300,9 +301,7 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
         }
 
     out_dir = get("output", "dir", ".")
-    out_dir = os.environ.get("DIRACGAP_OUT", out_dir)
-    if out_override:
-        out_dir = out_override
+    out_dir = out_override or os.environ.get("DIRACGAP_OUT", out_dir)
 
     # a key the schema does not read must not leave its default silently
     errors += [f"line {line}: [{name}] {key}: unknown key"
@@ -568,9 +567,10 @@ def main(argv=None) -> int:
                         help="suppress the human-readable summary")
     args = parser.parse_args(argv)
 
+    cfg = None
     try:
-        return _COMMANDS[args.command](load_config(args.config, args.out),
-                                       args.quiet)
+        cfg = load_config(args.config, args.out)
+        return _COMMANDS[args.command](cfg, args.quiet)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
@@ -580,6 +580,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except REJECTIONS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
+        given = [f"line {cfg.lines['numerics', key]}: [numerics] {key}"
+                 for key in ("x_zero", "x_inf")
+                 if cfg and getattr(cfg, f"{key}_override") is not None]
+        if given:
+            print(f"note: {' and '.join(given)} given; a given cutoff is not "
+                  "examined", file=sys.stderr)
         return EXIT_REJECTED
 
 

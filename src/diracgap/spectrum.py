@@ -21,11 +21,10 @@ one started on the decaying direction theta_inf (theta_inf plus the gap
 angle is pi), spliced at x.  It has the roots and monotonicity of the limit
 functional and stays well conditioned at a root, where shooting from one end
 only would turn into a numerical staircase.  One routine (_halves)
-integrates the two halves: on lanes of lam for nu_star, on a float for the
-dense _matched of the eigenfunction and the linear amplitude ratio.  In
-lanes a value moves slightly with the other lanes of its run, so a scan
-bracket carries the end values it was bracketed on; the root solve takes
-its sign test and first (secant) step from them and so accepts it.
+integrates the two halves, on lanes of lam for nu_star and on a float for
+the dense _matched.  In lanes a value moves slightly with the other lanes
+of its run, so a scan bracket carries the end values it was bracketed on,
+and the root solve takes its sign test and first step from them.
 
 theta_fwd - theta_bwd meets a multiple of pi only at an eigenvalue, so
 neither floor(nu_star/pi) off a level nor the root depends on x; the
@@ -34,14 +33,10 @@ near the gap edge) nu_star is a step of height pi in lam and a root solve
 bisects, so the scan splices at x_mid but the root solve, and then the
 eigenfunction, at match_point, the bottom of the well (Pryce 1993).
 
-The backward half need not start at x_inf.  At a fixed point of the angle
-flow the linearized rate is 2 kappa, kappa^2 = p12^2 - (lam - p11)(lam - p22)
-the local decay rate, so backward from x_c to x a start error shrinks
-by e^(-2 int kappa dx).  nu_star starts the backward half on theta_inf at
-the first x_c with int kappa dx >= 18 from the lanes' last turning point or
-the splice point, whichever is further out (asymptotics.contraction_start):
-a start error of O(0.1) reaches the splice point below 1e-16, under the
-integrator's error.  A scan or a root solve samples P for it once, and
+The backward half of nu_star need not start at x_inf: on the way in a
+start error shrinks by e^(-2 int kappa dx), kappa the local decay rate, so
+it starts on theta_inf where that factor reaches e^-36
+(asymptotics.contraction_start, on P sampled once per scan or root solve);
 _matched starts it at x_inf.
 
 find_eigenvalue runs nu_star on two lanes, lam and lam + delta with
@@ -52,6 +47,9 @@ value can be off by more than the residual tolerance where the slope is
 large (3.5e-9 at a slope of 8.6e3), so a residual ends the solve only when
 read at tolerances tightened a hundredfold.  That read also gives the
 rotation number, as nu = nu_star - pi + theta_inf, with no further run.
+Its steps are taken in u = (lam - c)/kappa_inf(lam), c the gap centre: the
+Coulomb ladder accumulating at mu_plus is evenly spaced in u, at
+(n_r + s)/|gamma|, and nu_star there is close to linear.
 """
 
 from __future__ import annotations
@@ -65,8 +63,8 @@ from scipy.integrate import quad
 
 from .asymptotics import (CrossedCutoffError, TruncationWindow, ZeroData,
                           contraction_samples, contraction_start,
-                          infinity_data, match_point, select_truncation,
-                          zero_data)
+                          gap_coordinate, gap_point, infinity_data,
+                          match_point, select_truncation, zero_data)
 from .model import CoefficientFamily, mirror_family
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory,
                      integrate_prufer)
@@ -109,14 +107,12 @@ class _MatchInfo:
     offset: float
 
     def theta(self, x: float) -> float:
-        if x <= self.fwd.x_end:
-            return self.fwd.theta(x)
-        return self.bwd.theta(x) + self.turns * math.pi
+        return (self.fwd.theta(x) if x <= self.fwd.x_end
+                else self.bwd.theta(x) + self.turns * math.pi)
 
     def logrho(self, x: float) -> float:
-        if x <= self.fwd.x_end:
-            return self.fwd.logrho(x)
-        return self.bwd.logrho(x) + self.offset
+        return (self.fwd.logrho(x) if x <= self.fwd.x_end
+                else self.bwd.logrho(x) + self.offset)
 
 
 def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol,
@@ -289,13 +285,11 @@ class EigenvalueRecord:
 
 
 def _nodal_index(rot: float, quadrant: str) -> tuple:
-    """Quadrant-dependent floor rule; flags rot at a numerical breakpoint."""
-    shifted = rot if quadrant != "second" else rot + 0.5
-    idx = math.floor(shifted)
-    flags = ()
-    if abs(shifted - round(shifted)) < 1e-9:
-        flags = ("nodal-index-at-breakpoint",)
-    return idx, flags
+    """Floor rule by quadrant; flags rot at a breakpoint, a degenerate origin."""
+    shifted = rot + 0.5 if quadrant == "second" else rot
+    return math.floor(shifted), (
+        ("nodal-index-at-breakpoint",) * (abs(shifted - round(shifted)) < 1e-9)
+        + ("degenerate-origin-angle",) * (quadrant == "degenerate"))
 
 
 def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
@@ -303,26 +297,26 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
                     zero: Optional[ZeroData] = None,
                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
                     ) -> EigenvalueRecord:
-    """Solve nu_star(lam) = k*pi inside a bracket by safeguarded Newton.
+    """Solve nu_star(lam) = k*pi inside a bracket by safeguarded Newton in u.
 
     ``bracket`` is a scan Bracket, whose carried end values give the sign
     test and a first secant step, or a (lo, hi) pair, which one two-lane
     nu_star run turns into such a Bracket.  An end with residual below tol
     is solved where it is; otherwise the bracket must straddle the level
-    (monotonicity makes the root unique).  Each iterate is one two-lane
-    nu_star run, at lam and a sibling lane whose forward difference is the
-    slope (module docstring), spliced at match_point(lam).  A step not
-    strictly inside the current bracket, or a slope that is not finite and
-    positive, is replaced by bisection, and every evaluation shrinks the
-    bracket by the sign of its residual.  Integrator tolerances are
-    tightened a hundredfold, and the bracket reset to the given one, for the
-    iterate after a step below 1e-6 or in a lam interval below 1e-9
-    (relative to max(1, |lam|)), and a residual below tol read before that
-    is read again at them; a residual below tol ends the solve only at the
-    tightened tolerances, and 80 steps above tol raise ConvergenceError.
-    The record comes from the iterates alone, which share one
-    contraction_samples of the window: rot = (theta_inf(lam) - pi + k*pi +
-    f - theta_zero)/pi, f the last signed residual, gives the nodal index.
+    (monotonicity makes the root unique), and its end nearer to the level
+    is read again as an iterate before it is refused.  Each iterate is one
+    two-lane nu_star run spliced at match_point(lam), a sibling lane giving
+    the slope (module docstring).  The secant, Newton and bisection steps
+    are taken in u = gap_coordinate(lam), the Newton slope by the chain rule
+    dnu*/du = dnu*/dlam kappa^3/h^2 (h the gap's half width), and mapped
+    back by gap_point; a step not strictly inside the current lam bracket,
+    or a slope that is not finite and positive, gives way to the midpoint
+    in u, and every evaluation shrinks the bracket by its residual's sign.
+    Integrator tolerances are tightened a hundredfold, and the bracket reset
+    to the given one, for the iterate after a lam step below 1e-6 or in a
+    lam interval below 1e-9 (relative to max(1, |lam|)); a residual below
+    tol ends the solve only when read at them, and 80 steps above tol raise
+    ConvergenceError.  The record, rot included, comes from the iterates.
     """
     zero = zero or zero_data(family)
     samples = contraction_samples(family, window)
@@ -335,8 +329,9 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     if not a < b:
         raise BracketError("bracket must be an increasing interval")
     target = k * math.pi
-    history = []
-    tight = False
+    gap = family.mu_minus, family.mu_plus
+    half = 0.5 * (family.mu_plus - family.mu_minus)
+    history, tight = [], False
 
     def g(lam):
         scale = 1e-2 if tight else 1.0
@@ -356,12 +351,17 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     # Coulomb ground state) the matched value is k*pi to rounding, and the
     # scan brackets a level on a grid end with the end cell
     lam, f = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    if abs(f) >= tol and not (fa <= 0.0 <= fb):
-        raise BracketError(
-            f"nu_star - {k}*pi has the same sign at both bracket ends "
-            f"({fa:.3g}, {fb:.3g})")
-
     slope = None
+    if abs(f) >= tol and not (fa <= 0.0 <= fb):
+        # read at x_mid, an end beside the level may be off by far more than tol
+        tight = True
+        f, slope = g(lam)
+        fa, fb = (f, fb) if lam == a else (fa, f)
+        if abs(f) >= tol and not (fa <= 0.0 <= fb):
+            raise BracketError(
+                f"nu_star - {k}*pi has the same sign at both bracket ends "
+                f"({fa:.3g}, {fb:.3g})")
+
     for _ in range(80):
         if abs(f) < tol:
             if tight:
@@ -371,22 +371,23 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
             tight, a, b = True, bracket.lam_lo, bracket.lam_hi
             f, slope = g(lam)
             continue
+        ua, ub = gap_coordinate(*gap, a), gap_coordinate(*gap, b)
         if slope is None:           # secant step on the bracket's end values
-            step = a - fa * (b - a) / (fb - fa)
-        else:
-            step = lam - f / slope if math.isfinite(slope) and slope > 0.0 \
-                else math.nan
-        lam_new = step if a < step < b else 0.5 * (a + b)
+            step = ua - fa * (ub - ua) / (fb - fa)
+        else:                       # dnu*/du = dnu*/dlam kappa^3 / h^2
+            kappa = infinity_data(*gap, lam).decay_rate
+            step = gap_coordinate(*gap, lam) - f * half ** 2 / (
+                slope * kappa ** 3) if 0.0 < slope < math.inf else math.nan
+        lam_new = gap_point(*gap, step)
+        if not a < lam_new < b:     # bisection in u
+            lam_new = gap_point(*gap, 0.5 * (ua + ub))
         # after a step this short the next iterate is next to the root; an
         # end read at the caller's tolerances may lie on its wrong side
         if not tight and (abs(lam_new - lam) < 1e-6 * max(1.0, abs(lam))
                           or b - a < 1e-9 * max(1.0, abs(b))):
             tight, a, b = True, bracket.lam_lo, bracket.lam_hi
         lam, (f, slope) = lam_new, g(lam_new)
-        if f < 0.0:
-            a = lam
-        else:
-            b = lam
+        a, b = (lam, b) if f < 0.0 else (a, lam)
     else:
         if abs(f) >= tol:
             raise ConvergenceError(
@@ -396,8 +397,6 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     theta_inf = infinity_data(family.mu_minus, family.mu_plus, lam).theta_inf
     rot = (theta_inf - math.pi + target + f - zero.theta_zero) / math.pi
     nodal, flags = _nodal_index(rot, zero.quadrant)
-    if zero.quadrant == "degenerate":
-        flags = flags + ("degenerate-origin-angle",)
     return EigenvalueRecord(k=k, lam=lam, rot=rot, nodal_index=nodal,
                             residual=abs(f), window=window,
                             x_match=match_point(samples, lam),
@@ -466,11 +465,9 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
 
     # settling is judged per decade: a bounded angle may still creep like 1/x,
     # so the two final decades are measured separately
-    variation = 0.0
-    for hi in (schedule[-1] / 10.0, schedule[-1]):
-        dec_xs = np.geomspace(hi / 10.0, hi, 48)
-        dec_th = np.array([traj.theta(x) for x in dec_xs])
-        variation = max(variation, float(dec_th.max() - dec_th.min()))
+    variation = max(float(np.ptp([traj.theta(x)
+                                  for x in np.geomspace(hi / 10.0, hi, 48)]))
+                    for hi in (schedule[-1] / 10.0, schedule[-1]))
 
     if growth and all(gv >= 2.0 * math.pi for gv in growth) and mono_ok:
         verdict = "accumulating"

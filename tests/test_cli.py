@@ -250,6 +250,25 @@ def test_unattainable_window_is_rejection(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, note", [
+    # x_zero = 2 lies above the origin's asymptotic region; the root solve
+    # then runs out of iterations with a message that names no config key
+    ("x_zero = 1e-3", "x_zero = 2.0",
+     "line 12: [numerics] x_zero and line 13: [numerics] x_inf given"),
+    ("x_zero = 1e-3\n", "delta = 1e-30\n", "line 13: [numerics] x_inf given"),
+    ("x_zero = 1e-3\nx_inf = 250.0\n", "delta = 1e-30\n", None),
+])
+def test_rejection_names_the_given_cutoffs(tmp_path, capsys, old, new, note):
+    path = write(tmp_path, COULOMB_BASE.replace(old, new))
+    code = cli.main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("rejected: ")
+    assert err[1:] == ([f"note: {note}; a given cutoff is not examined"]
+                       if note else [])
+
+
 def test_given_x_inf_skips_the_cone_test_at_infinity(tmp_path):
     # at lambda_max = 0.999999 the cone at infinity reaches pi/2, so a
     # selected x_inf is rejected; a given one replaces that end's tests

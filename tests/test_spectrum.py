@@ -331,6 +331,114 @@ def test_tabulated_coulomb_levels_solve(gamma, k, fast_window):
         assert abs(rec.lam - sommerfeld(n_r, gamma, k)) < 1e-6
 
 
+# -- the gap coordinate u = (lam - c)/kappa of the root solve -------------------
+
+# resolves every level drawn below to a residual under 1e-10 at the closed
+# form; fast_window leaves up to 6.8e-8 (|k| = 1, gamma = -0.7, x_zero) and
+# 1.9e-4 (n_r = 3, gamma = -0.3, x_inf), so an end on the closed-form level
+# need not bracket the level of that window
+LADDER_WINDOW = dg.TruncationWindow(x_zero=1e-5, x_inf=1000.0, delta=2e-4,
+                                    eps=1e-3)
+
+
+def _edges_and_interior():
+    edges = [math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0)]
+    return edges + np.linspace(-1.0, 1.0, 2001)[1:-1].tolist()
+
+
+def test_gap_point_inverts_gap_coordinate():
+    for lam in _edges_and_interior():
+        u = dg.asymptotics.gap_coordinate(-1.0, 1.0, lam)
+        back = dg.asymptotics.gap_point(-1.0, 1.0, u)
+        assert abs(back - lam) <= 4.0 * math.ulp(lam), lam
+
+
+def test_gap_coordinate_increases_strictly():
+    lams = np.sort(_edges_and_interior())
+    us = [dg.asymptotics.gap_coordinate(-1.0, 1.0, lam) for lam in lams]
+    assert np.all(np.diff(us) > 0.0)
+
+
+def test_gap_point_stays_in_the_gap_for_huge_u():
+    # hypot keeps u/hypot(1, u) finite where u*u overflows (|u| > 1.3e154,
+    # where sqrt(1 + u*u) would send lam to the centre); beyond |u| ~ 1e8
+    # lam rounds onto an edge, which the root solve's strict bracket test
+    # refuses, and it never leaves the closed gap
+    mags = [1.0, 1e3, 1e7, 1e8, 1e16, 1e154, 1e155, 1e200, 1e300]
+    for sign in (1.0, -1.0):
+        lams = [dg.asymptotics.gap_point(-1.0, 1.0, sign * m) for m in mags]
+        assert all(-1.0 <= lam <= 1.0 for lam in lams)
+        assert all(-1.0 < lam < 1.0 for lam in lams[:3])
+        assert abs(lams[-1]) == 1.0
+        assert np.all(sign * np.diff(lams) >= 0.0)
+
+
+@pytest.mark.parametrize("k", [1, -1])
+def test_coulomb_ladder_is_evenly_spaced_in_u(k):
+    # E = (1 + gamma^2/(n_r + s)^2)^(-1/2) has u = (n_r + s)/|gamma|
+    gamma, s = -0.5, math.sqrt(1.0 - 0.25)
+    n_rs = range(1 if k < 0 else 0, 7)
+    us = [dg.asymptotics.gap_coordinate(-1.0, 1.0, sommerfeld(n, gamma, k))
+          for n in n_rs]
+    assert np.all(np.abs(np.diff(us) - 1.0 / abs(gamma)) < 1e-12)
+    assert abs(us[0] - (n_rs[0] + s) / abs(gamma)) < 1e-12
+
+
+# survey seed 1 (perfbench/workloads.py), problems 1, 10, 14 and 15: wide
+# brackets whose level sits near the gap edge, where Newton steps in lam
+# overshot the bracket or crept in from its steep side (10, 9, 8 and 10
+# iterates); in u the ladder is evenly spaced
+@pytest.mark.parametrize("gamma, k, pair, x_inf, iterates", [
+    (-0.511911481657748, -1, (0.804931, 0.964836), 1893.301448270767, 8),
+    (-0.7603611716139367, 2, (0.813442, 0.958268), 1367.339164303637, 5),
+    (-0.5068417868777676, 2, (0.711018, 0.978709), 1107.5291649472301, 5),
+    (-0.7683565815631189, -2, (0.856602, 0.971897), 1164.4090068105074, 8),
+])
+def test_wide_survey_brackets_solve_in_few_iterates(gamma, k, pair, x_inf,
+                                                    iterates):
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=k, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    win = dg.TruncationWindow(x_zero=1.7782794100389227e-4, x_inf=x_inf,
+                              delta=2e-4, eps=1e-3)
+    rec = dg.find_eigenvalue(fam, 1, pair, 1e-9, window=win, zero=zd)
+    assert abs(rec.lam - sommerfeld(0 if k > 0 else 1, gamma, k)) < 1e-8
+    assert rec.nodal_index == rec.k - 1
+    assert len(rec.history) <= iterates
+
+
+@settings(max_examples=10, deadline=None)
+@given(gamma=st.floats(-0.7, -0.3), k=st.sampled_from([1, -1, 2, -2]),
+       n=st.sampled_from([0, 1, 2, 3]), t_lo=st.floats(0.0, 0.99),
+       t_hi=st.floats(0.0, 0.99), end=st.sampled_from(["lo", "hi", None]),
+       j=st.sampled_from([-1, 0, 1]))
+@example(gamma=-0.5, k=-1, n=0, t_lo=0.99, t_hi=0.99, end=None, j=0)
+@example(gamma=-0.5, k=1, n=1, t_lo=0.5, t_hi=0.5, end="lo", j=0)
+@example(gamma=-0.5, k=2, n=2, t_lo=0.5, t_hi=0.5, end="hi", j=1)
+@example(gamma=-0.7, k=-2, n=0, t_lo=0.3, t_hi=0.5, end="lo", j=-1)
+def test_wide_brackets_solve_to_the_level(gamma, k, n, t_lo, t_hi, end, j):
+    # (lo, hi) anywhere between the level's neighbours (0 below the lowest
+    # one), an end on the closed-form level or one ulp beside it; n_r <= 3.
+    # In the last example lo, one ulp below the level, read 1.9e-5 above
+    # k*pi at x_mid, and the bracket was refused until that end was read
+    # again as an iterate
+    assume(n + (k < 0) <= 3)
+    ladder = [sommerfeld(n_r, gamma, k) for n_r in range(0 if k > 0 else 1, 5)]
+    below, level, above = ([0.0] + ladder)[n:n + 3]
+    lo, hi = level - t_lo * (level - below), level + t_hi * (above - level)
+    if end is not None:
+        on = math.nextafter(level, level + j) if j else level
+        lo, hi = (on, hi) if end == "lo" else (lo, on)
+    assume(lo < hi)
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=k, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    rec = dg.find_eigenvalue(fam, n + 1, (lo, hi), 1e-9, window=LADDER_WINDOW,
+                             zero=zd)
+    assert abs(rec.lam - level) < 1e-8
+    assert rec.nodal_index == n
+
+
 def test_eigenfunction_matches_where_the_level_was_solved():
     # survey seed 1, problem 15 (perfbench/workloads.py): at x_mid = 0.455
     # nu_star rises by 1.25e5 per unit lam and at x_match = 4.46 by 52, so
