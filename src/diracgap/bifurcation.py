@@ -135,9 +135,11 @@ def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
     rotation = None
     if fwd is not None and bwd is not None:
         # forward piece plus the backward piece's increment from the
-        # midpoint out to x_inf
-        rotation = (theta_inf - zero.theta_zero + th_f[fwd_lane] - th_b) \
-            / math.pi
+        # midpoint out to x_inf; a half with a negative amplitude starts at
+        # the angle of -(cos t, sin t), t - pi for its boundary angle t
+        start_b = theta_inf - math.pi * (math.copysign(1.0, b) < 0)
+        start_f = zero.theta_zero - math.pi * (math.copysign(1.0, a) < 0)
+        rotation = (start_b - start_f + th_f[fwd_lane] - th_b) / math.pi
     if np.ndim(lam) == 0:
         zf, zb = zf[0], zb[0]
         rotation = None if rotation is None else float(rotation[0])

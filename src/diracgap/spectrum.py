@@ -193,15 +193,15 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
                   ) -> ScanResult:
     """Evaluate nu_star on a grid and bracket every crossing of k*pi.
 
-    The grid is one lane run, and so is each subdivision depth (breadth
-    first); every Bracket carries the end values it was bracketed on.  The
-    values must be non-decreasing up to integration noise; a decrease beyond
-    1e-7 raises MonotonicityError (it signals that the window is
-    too small for the requested lam range).  Cells containing more than one
-    crossing are subdivided until each bracket isolates a single level.  The
-    grid is closed at both ends: a level whose value at a grid end is k*pi to
-    within 1024 ulp is bracketed by the end cell, on whichever side rounding
-    put it.
+    The grid is one lane run.  nu_star is strictly increasing, so a cell
+    (lam_i, lam_i+1) crosses each level k*pi at most once, and a cell that
+    crosses several is the Bracket of each of them, with the end values read
+    there; find_eigenvalue isolates the level.  Brackets come out sorted by
+    (lam_lo, k).  The values must be non-decreasing up to integration noise;
+    a decrease beyond 1e-7 raises MonotonicityError (the window is too small
+    for the lam range).  The grid is closed at both ends: a level whose
+    value at a grid end is k*pi to within 1024 ulp is bracketed by the end
+    cell, on whichever side rounding put it.
     """
     lams = np.sort(np.asarray(list(lam_grid), dtype=float))
     if lams.size == 0:
@@ -209,14 +209,9 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
                           max_decrease=0.0)
     if not (family.mu_minus < lams[0] and lams[-1] < family.mu_plus):
         raise ValueError("scan grid must lie inside the open gap")
-    zero = zero or zero_data(family)
-    samples = contraction_samples(family, window)
-
-    def val(lam):
-        return nu_star(family, lam, window, zero, rtol=rtol, atol=atol,
-                       samples=samples)
-
-    values = val(lams)
+    values = nu_star(family, lams, window, zero or zero_data(family),
+                     rtol=rtol, atol=atol,
+                     samples=contraction_samples(family, window))
     diffs = np.diff(values)
     max_dec = float(-diffs.min()) if diffs.size and diffs.min() < 0 else 0.0
     if max_dec > 1e-7:
@@ -237,30 +232,12 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
             lo_k = min(lo_k, round(vlo / math.pi))
         if closed_hi and on_level(vhi):
             hi_k = max(hi_k, round(vhi / math.pi))
-        return list(range(lo_k, hi_k + 1))
+        return range(lo_k, hi_k + 1)
 
-    # cells (lam_lo, lam_hi, value_lo, value_hi, closed_lo, closed_hi)
-    ls, vs = lams.tolist(), values.tolist()
-    cells = [(ls[i], ls[i + 1], vs[i], vs[i + 1], i == 0, i == len(ls) - 2)
-             for i in range(len(ls) - 1)]
-    brackets = []
-    for depth in range(13):
-        split = []
-        for cell in cells:
-            ks = crossings(*cell[2:])
-            if len(ks) == 1 or (ks and depth == 12):
-                brackets += [Bracket(k, *cell[:4]) for k in ks]
-            elif ks:
-                split.append(cell)
-        if not split:
-            break
-        mids = [0.5 * (c[0] + c[1]) for c in split]
-        cells = []
-        for (llo, lhi, vlo, vhi, c_lo, c_hi), lmid, vmid in zip(
-                split, mids, val(np.array(mids)).tolist()):
-            cells += [(llo, lmid, vlo, vmid, c_lo, False),
-                      (lmid, lhi, vmid, vhi, False, c_hi)]
-    brackets.sort(key=lambda b: (b.lam_lo, b.k))
+    ls, vs, last = lams.tolist(), values.tolist(), lams.size - 2
+    brackets = [Bracket(k, ls[i], ls[i + 1], vs[i], vs[i + 1])
+                for i in range(last + 1)
+                for k in crossings(vs[i], vs[i + 1], i == 0, i == last)]
     return ScanResult(lambdas=lams, values=values, brackets=tuple(brackets),
                       max_decrease=max_dec)
 
@@ -315,7 +292,8 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     Integrator tolerances are tightened a hundredfold, and the bracket reset
     to the given one, for the iterate after a lam step below 1e-6 or in a
     lam interval below 1e-9 (relative to max(1, |lam|)); a residual below
-    tol ends the solve only when read at them, and 80 steps above tol raise
+    tol ends the solve only when read at them.  An iterate at a lam already
+    read at them (the residual floor), or 80 steps above tol, raise
     ConvergenceError.  The record, rot included, comes from the iterates.
     """
     zero = zero or zero_data(family)
@@ -334,6 +312,12 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     history, tight = [], False
 
     def g(lam):
+        # a tightened read depends on lam alone: a second one cannot move
+        floor = [f for l, f, r in history if l == lam and r < rtol]
+        if tight and floor:
+            raise ConvergenceError(
+                f"residual floor reached at lam = {lam!r}: residual "
+                f"{abs(floor[0]):.3g} above tolerance {tol:g}")
         scale = 1e-2 if tight else 1.0
         delta = 1e-7 * max(1.0, abs(lam))
         if lam + delta >= family.mu_plus:

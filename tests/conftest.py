@@ -62,7 +62,14 @@ def zero_minus(coulomb_minus):
 
 @pytest.fixture(scope="session")
 def fast_window():
-    """Hand-set moderate window; eigenvalue truncation bias ~ e^(-250) here."""
+    """Hand-set moderate window.
+
+    Its truncation bias grows toward the gap edges: at the closed-form level,
+    spliced at match_point and read at rtol 1e-12, nu_star is 1.9e-4 off k*pi
+    for gamma = -0.3, k = 2, n_r = 3 (lam = 0.9982, the x_inf end) and up to
+    6.8e-8 for |k| = 1 at gamma = -0.7 (the x_zero end); on [1e-5, 1000] the
+    same levels read under 1e-10.
+    """
     return dg.TruncationWindow(x_zero=1e-3, x_inf=250.0, delta=2e-4, eps=1e-3)
 
 

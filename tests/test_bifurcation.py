@@ -255,6 +255,27 @@ def test_branch_index_constant(branch_short, seed_branch):
     assert all(p.index == seed_branch.nodal_index for p in branch_short.points)
 
 
+@pytest.mark.parametrize("channel, level, negative_b", [
+    (1, 2, True), (1, 3, False), (-1, 1, False), (-1, 2, True)])
+def test_branch_from_an_excited_level_keeps_the_seed_index(
+        channel, level, negative_b, branch_window, soler_coupling):
+    # a half with a negative amplitude starts at its boundary angle minus
+    # pi; with b < 0, j used to come out exactly 1 too large
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=channel, mu_a=0.0, potential=dg.coulomb_potential(-0.5)))
+    zd = dg.zero_data(fam)
+    scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 9), branch_window, zd)
+    seed = dg.find_eigenvalue(fam, level,
+                              next(b for b in scan.brackets if b.k == level),
+                              1e-9, window=branch_window, zero=zd)
+    branch = dg.continue_branch(fam, soler_coupling, seed, ds=1e-3,
+                                max_steps=3, window=branch_window, zero=zd)
+    assert all((p.b < 0) == negative_b for p in branch.points)
+    assert abs(branch.points[0].rotation - seed.rot) < 1e-3
+    assert all(p.index == seed.nodal_index for p in branch.points)
+    assert branch.index_audit_ok
+
+
 def test_index_audit_reads_every_point(branch_short, seed_branch):
     # one point off the seed's index fails the audit, whatever its neighbours
     odd = replace(branch_short.points[3], index=seed_branch.nodal_index + 1)

@@ -480,6 +480,26 @@ def test_branch_command(tmp_path):
     assert (tmp_path / "branch_solution.csv").exists()
 
 
+def test_branch_from_an_excited_level_passes_the_index_audit(tmp_path):
+    # the README config from the level-2 seed on [1e-3, 120]: its backward
+    # amplitude is negative, and the audit used to fail with i = 2
+    cfg = COULOMB_BASE.replace("lambda_max = 0.93", "lambda_max = 0.995")
+    cfg = cfg.replace("lambda_points = 8", "lambda_points = 12")
+    cfg = cfg.replace("x_inf = 250.0", "x_inf = 120.0")
+    cfg += ("\n[branch]\nseed_k = 2\nds = 0.001\nmax_steps = 3\n"
+            "\n[coupling]\nkind = soler\n")
+    path = write(tmp_path, cfg)
+    code = cli.main(["branch", "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"])
+    assert code == 0
+    text = (tmp_path / "branch.csv").read_text()
+    assert "index_audit_ok=True" in text
+    rows = [l.split(",") for l in text.splitlines()
+            if l and not l.startswith("#")][1:]
+    assert len(rows) == 3
+    assert all(r[5] == "1" for r in rows)
+
+
 def test_branch_zero_coupling_stays_at_seed(tmp_path):
     # with F = 0 every branch point solves the linear problem at the seed lam
     cfg = COULOMB_BASE.replace("x_inf = 250.0", "x_inf = 60.0")

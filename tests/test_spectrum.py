@@ -145,6 +145,54 @@ def test_scan_first_quadrant_channel_brackets(coulomb_minus, zero_minus):
     assert ks == sorted(ks)
 
 
+def _record_nu_star_runs(monkeypatch):
+    """Patch spectrum.nu_star to record the lam argument of every run."""
+    calls, run = [], spectrum.nu_star
+    monkeypatch.setattr(spectrum, "nu_star",
+                        lambda *args, **kw: calls.append(args[1])
+                        or run(*args, **kw))
+    return calls
+
+
+def test_scan_is_one_nu_star_run(oracle_pipeline, coulomb_plus, zero_plus,
+                                 monkeypatch):
+    # the A1 grid: one lane run, whatever the number of levels in a cell
+    calls = _record_nu_star_runs(monkeypatch)
+    grid = np.linspace(-0.9, 0.993, 30)
+    out = dg.scan_spectrum(coulomb_plus, grid, oracle_pipeline["window"],
+                           zero_plus)
+    assert len(calls) == 1 and np.array_equal(calls[0], grid)
+    assert out.brackets == oracle_pipeline["scan"].brackets
+
+
+@settings(max_examples=5, deadline=None)
+@given(gamma=st.floats(-0.7, -0.3), k=st.sampled_from([1, -1, 2, -2]),
+       hi=st.floats(0.98, 0.99), t=st.floats(0.0, 0.999),
+       s=st.one_of(st.none(), st.floats(0.0, 0.999)))
+@example(gamma=-0.5, k=1, hi=0.99, t=0.95, s=0.5)
+def test_cell_across_several_levels_brackets_each(gamma, k, hi, t, s,
+                                                  fast_window):
+    # the top cell reaches from t of the way up to its second-highest level;
+    # a third grid point, when drawn, sits s of the way up to the top cell
+    ladder = [sommerfeld(n_r, gamma, k) for n_r in range(0 if k > 0 else 1, 64)]
+    inside = [lam for lam in ladder if lam < hi]
+    assume(len(inside) >= 2)
+    top_lo = t * inside[-2]
+    grid = [top_lo, hi] if s is None else [s * top_lo, top_lo, hi]
+    assume(len(set(grid)) == len(grid))
+    fam = dg.build_dirac_family(
+        dg.DiracRadialParams(k=k, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
+    zd = dg.zero_data(fam)
+    out = dg.scan_spectrum(fam, grid, fast_window, zd)
+    assert [b.k for b in out.brackets] == [
+        n + 1 for n, lam in enumerate(ladder) if grid[0] < lam < grid[-1]]
+    for br in out.brackets:
+        rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=fast_window,
+                                 zero=zd)
+        assert abs(rec.lam - ladder[br.k - 1]) < 1e-8
+        assert rec.nodal_index == br.k - 1
+
+
 # -- eigenvalues ---------------------------------------------------------------
 
 def test_ground_state_against_closed_form(ground_fast):
@@ -437,6 +485,21 @@ def test_wide_brackets_solve_to_the_level(gamma, k, n, t_lo, t_hi, end, j):
                              zero=zd)
     assert abs(rec.lam - level) < 1e-8
     assert rec.nodal_index == n
+
+
+def test_root_solve_stops_at_the_residual_floor(coulomb_plus, zero_plus,
+                                                monkeypatch):
+    # with x_zero = 2.0, above the origin's asymptotic region, the ground
+    # state's residual cannot get below 1.65e-9; the solve used to read
+    # lam = sqrt(3)/2 again until 80 iterations had run
+    win = dg.TruncationWindow(x_zero=2.0, x_inf=250.0, delta=2e-4, eps=1e-3)
+    br = dg.scan_spectrum(coulomb_plus, np.linspace(0.5, 0.93, 9), win,
+                          zero_plus).brackets[0]
+    calls = _record_nu_star_runs(monkeypatch)
+    with pytest.raises(spectrum.ConvergenceError, match="floor"):
+        dg.find_eigenvalue(coulomb_plus, br.k, br, 1e-9, window=win,
+                           zero=zero_plus)
+    assert len(calls) < 40
 
 
 def test_eigenfunction_matches_where_the_level_was_solved():
