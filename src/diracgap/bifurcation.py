@@ -30,7 +30,7 @@ import numpy as np
 
 from .asymptotics import TruncationWindow, ZeroData, infinity_data, zero_data
 from .model import CoefficientFamily, NonlinearCoupling
-from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError,
+from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, Trajectory,
                      integrate_cartesian)
 # unused here, kept because perfbench/tracing.py traces this module attribute
 from .prufer import integrate_prufer  # noqa: F401
@@ -64,8 +64,10 @@ class ShootResult:
     z_fwd and z_bwd are the two sides' values at x_mid in true amplitude,
     mismatch is z_fwd - z_bwd, and log_b is log |b|.  rotation is the angle
     sweep of the composite solution across the window divided by pi (None
-    when a side is identically zero).  A lane shot holds one row per lane in
-    lam, log_b, z_fwd, z_bwd and rotation.
+    when a side is identically zero).  fwd and bwd are the two halves'
+    Trajectory runs, None for a zero side; a dense shot's state(x) there is
+    (u, v, mu, theta), the true value being e^mu (u, v).  A lane shot holds
+    one row per lane in lam, log_b, z_fwd, z_bwd and rotation.
     """
 
     lam: object
@@ -76,8 +78,8 @@ class ShootResult:
     z_fwd: np.ndarray
     z_bwd: np.ndarray
     rotation: object
-    fwd: object = field(repr=False, default=None)
-    bwd: object = field(repr=False, default=None)
+    fwd: Optional[Trajectory] = field(repr=False, default=None)
+    bwd: Optional[Trajectory] = field(repr=False, default=None)
 
     @property
     def mismatch(self) -> np.ndarray:
@@ -167,19 +169,18 @@ class BranchPoint:
     residual: float
 
 
-def _point_from_shot(family, zero, shot: ShootResult) -> BranchPoint:
-    window = shot.fwd.window
+def _point_from_shot(family, zero, window, shot: ShootResult) -> BranchPoint:
     xs = np.geomspace(window.x_zero, window.x_inf, 257)
     us = np.empty(xs.size)
     vs = np.empty(xs.size)
     for i, x in enumerate(xs):
-        traj = shot.fwd if x <= shot.x_mid else shot.bwd
-        u, v, ls = traj.state(x)
+        u, v, ls, _ = (shot.fwd if x <= shot.x_mid else shot.bwd).state(x)
         s = math.exp(ls)
         us[i], vs[i] = s * u, s * v
 
     def log_norm(x):
-        return (shot.fwd if x <= shot.x_mid else shot.bwd).log_norm(x)
+        u, v, ls, _ = (shot.fwd if x <= shot.x_mid else shot.bwd).state(x)
+        return ls + 0.5 * math.log(u * u + v * v)
 
     lmax, mass, tail, head = _l2_mass(family, zero, window, shot.lam, log_norm)
     l2 = math.exp(lmax) * math.sqrt(mass + tail + head)
@@ -300,7 +301,7 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         raise CorrectorError(
             "no convergence in 25 iterations "
             f"(final mismatch {float(np.max(np.abs(r))):.3g}, tolerance {tol:.3g})")
-    return _point_from_shot(family, zero, shoot(p[0], p[1]))
+    return _point_from_shot(family, zero, window, shoot(p[0], p[1]))
 
 
 # ---------------------------------------------------------------------------

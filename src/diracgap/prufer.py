@@ -21,6 +21,7 @@ component; it serves as an independent cross-check of the polar formulation
 as the engine for the nonlinear shooting solver.  Each path has one entry
 point, and both follow one lane rule (_lanes): a float lam is one dense run,
 an array of lam is endpoint-only lanes, one vector ODE on one step sequence.
+Both return one Trajectory type, whose state(x) reads the dense state row.
 """
 
 from __future__ import annotations
@@ -103,34 +104,6 @@ def _segments(window: TruncationWindow, beta: float, direction: str,
     return pieces
 
 
-@dataclass
-class _Piece:
-    chart: _Chart
-    sol: object                # scipy OdeSolution in the chart variable
-    x_lo: float
-    x_hi: float
-
-
-def _locate(pieces: list, x: float) -> _Piece:
-    for p in pieces:
-        if p.x_lo - 1e-300 <= x <= p.x_hi * (1.0 + 1e-12) + 1e-300:
-            return p
-    # tolerate roundoff just outside the covered span
-    ends = [(min(abs(x - p.x_lo), abs(x - p.x_hi)), p) for p in pieces]
-    dist, p = min(ends, key=lambda t: t[0])
-    if dist <= 1e-9 * max(1.0, abs(x)):
-        return p
-    raise ValueError(f"x = {x:g} outside the integrated span")
-
-
-def _state_at(pieces: list, x: float) -> np.ndarray:
-    p = _locate(pieces, x)
-    if p.sol is None:
-        raise ValueError("an endpoint-only lane run has no interior values; "
-                         "integrate a float lam for dense output")
-    return p.sol(p.chart.to_s(min(max(x, p.x_lo), p.x_hi)))
-
-
 def _lanes(lam, n_one: int) -> tuple:
     """The lane rule of both integrators: (lams, dense, tolerance scale).
 
@@ -150,6 +123,41 @@ class IntegratorStats:
     nfev: int
     rtol: float
     atol: float
+
+
+@dataclass
+class Trajectory:
+    """One run of either integrator over (part of) a window.
+
+    ``end`` holds the solver's final state, one row per lane, and
+    ``state(x)`` the dense state row at any x in the run of a float lam:
+    (theta, log rho) from integrate_prufer, (u, v, mu, theta) from
+    integrate_cartesian.  A lane run has no interior values.  Immutable
+    after construction (fields are never reassigned), so instances can be
+    shared across threads.
+    """
+
+    stats: IntegratorStats
+    end: np.ndarray = field(repr=False)
+    _pieces: list = field(repr=False)     # (chart, dense output, x_lo, x_hi)
+
+    def state(self, x: float) -> tuple:
+        """The state row at x, read in the first piece (in integration
+        order) that holds x with 1e-12 relative slack, or else in the one
+        whose end lies within 1e-9 relative of x, at x clamped into it."""
+        for piece in self._pieces:
+            if piece[2] - 1e-300 <= x <= piece[3] * (1.0 + 1e-12) + 1e-300:
+                break
+        else:
+            dist, piece = min(((min(abs(x - p[2]), abs(x - p[3])), p)
+                               for p in self._pieces), key=lambda t: t[0])
+            if dist > 1e-9 * max(1.0, abs(x)):
+                raise ValueError(f"x = {x:g} outside the integrated span")
+        chart, sol, x_lo, x_hi = piece
+        if sol is None:
+            raise ValueError("an endpoint-only lane run has no interior "
+                             "values; integrate a float lam for dense output")
+        return tuple(sol(chart.to_s(min(max(x, x_lo), x_hi))).tolist())
 
 
 def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
@@ -185,43 +193,14 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
         if res.status == 1:
             x_event = chart.to_x(res.t[-1])
             break
-        pieces.append(_Piece(chart=chart, sol=res.sol,
-                             x_lo=min(x_from, x_to), x_hi=max(x_from, x_to)))
+        pieces.append((chart, res.sol, min(x_from, x_to), max(x_from, x_to)))
     stats = IntegratorStats(steps=steps, nfev=nfev, rtol=rtol, atol=atol)
     return pieces, stats, x_event, y
 
 
 # ---------------------------------------------------------------------------
-# Angle/log-amplitude trajectories
+# Angle/log-amplitude integration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PruferTrajectory:
-    """Continuously unwrapped angle trajectory over (part of) a window.
-
-    ``end`` holds the solver's final state, one row per lane: (theta,
-    log rho) for a float lam, theta for an array.  A float lam's ``theta``
-    and ``logrho`` answer at any x in the integrated span.  Immutable after
-    construction (fields are never reassigned), so instances can be shared
-    across threads.
-    """
-
-    x_start: float
-    x_end: float
-    stats: IntegratorStats
-    end: np.ndarray = field(repr=False)
-    _pieces: list = field(repr=False)
-
-    def _eval(self, x: float) -> tuple:
-        y = _state_at(self._pieces, x)
-        return float(y[0]), float(y[1])
-
-    def theta(self, x: float) -> float:
-        return self._eval(x)[0]
-
-    def logrho(self, x: float) -> float:
-        return self._eval(x)[1]
-
 
 def integrate_prufer(
     family: CoefficientFamily,
@@ -233,7 +212,7 @@ def integrate_prufer(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     x_stop: Optional[float] = None,
-) -> PruferTrajectory:
+) -> Trajectory:
     """Integrate the angle across the window with adaptive embedded RK.
 
     ``direction`` chooses the starting end and ``x_stop`` truncates the run
@@ -262,48 +241,15 @@ def integrate_prufer(
             return (lams - p11) * ct * ct - 2.0 * p12 * ct * st \
                 + (lams - p22) * st * st
         y0 = np.broadcast_to(theta_init, lams.shape)
-    segs = _segments(window, family.beta, direction, x_stop)
     pieces, stats, _, y_end = _run_segments(
-        rhs_in_x, y0, segs, rtol * scale, atol * scale, dense=dense)
-    return PruferTrajectory(x_start=segs[0][1], x_end=segs[-1][2],
-                            stats=stats, end=y_end.reshape(lams.size, -1),
-                            _pieces=pieces)
+        rhs_in_x, y0, _segments(window, family.beta, direction, x_stop),
+        rtol * scale, atol * scale, dense=dense)
+    return Trajectory(stats, y_end.reshape(lams.size, -1), pieces)
 
 
 # ---------------------------------------------------------------------------
-# Cartesian trajectories in scaled variables
+# Cartesian integration in scaled variables
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CartesianTrajectory:
-    """Cartesian trajectory z = e^mu w with its integrated polar angle.
-
-    ``end`` holds the solver's final state (u, v, mu, theta), one row per
-    lane.  A float lam's run keeps DOP853's dense output: ``state(x)``
-    returns (u, v, mu), the solution value being e^mu * (u, v) with
-    (u, v) = w of unit size; ``angle(x)`` is the polar angle of w,
-    integrated as the fourth state component from the initial direction, so
-    its winding is exact; and ``log_norm(x)`` is the log of the true
-    solution norm.  Immutable after construction (fields are never
-    reassigned), so instances can be shared across threads.
-    """
-
-    window: TruncationWindow
-    stats: IntegratorStats
-    end: np.ndarray = field(repr=False)
-    _pieces: list = field(repr=False)
-
-    def state(self, x: float) -> tuple:
-        y = _state_at(self._pieces, x)
-        return float(y[0]), float(y[1]), float(y[2])
-
-    def log_norm(self, x: float) -> float:
-        u, v, ls = self.state(x)
-        return ls + 0.5 * math.log(u * u + v * v)
-
-    def angle(self, x: float) -> float:
-        return float(_state_at(self._pieces, x)[3])
-
 
 def integrate_cartesian(
     family: CoefficientFamily,
@@ -317,7 +263,7 @@ def integrate_cartesian(
     atol: float = DEFAULT_ATOL,
     x_stop: Optional[float] = None,
     log_scale_init=0.0,
-) -> CartesianTrajectory:
+) -> Trajectory:
     """Integrate z' = J^{-1}(lam Id - P + S) z as z = e^mu w, where
 
         w' = A(x, e^mu w) w - rho w,   mu' = rho,   rho = <w, A w> / <w, w>,
@@ -396,49 +342,4 @@ def integrate_cartesian(
         raise OverflowAbort(
             "amplitude exceeded the representable range; shrink the "
             "window or the shooting scales", x_event)
-    return CartesianTrajectory(window=window, stats=stats,
-                               end=y_end.reshape(lams.size, 4),
-                               _pieces=pieces)
-
-
-# ---------------------------------------------------------------------------
-# Residual check
-# ---------------------------------------------------------------------------
-
-def ode_residual(trajectory: PruferTrajectory, family: CoefficientFamily,
-                 lam: float, sample_count: int) -> float:
-    """Max relative defect of the reconstructed solution in the raw system.
-
-    Rebuilds z from the polar data at log-spaced interior samples, forms the
-    derivative by fourth-order central differences of the dense output, and
-    compares against J^{-1}(lam Id - P) z.  Amplitudes are measured relative
-    to the sample point, so the reconstruction never overflows.
-    """
-    if sample_count <= 0:
-        return 0.0
-    lo = min(trajectory.x_start, trajectory.x_end)
-    hi = max(trajectory.x_start, trajectory.x_end)
-    xs = np.logspace(math.log10(lo) + 0.02 * (math.log10(hi) - math.log10(lo)),
-                     math.log10(hi) - 0.02 * (math.log10(hi) - math.log10(lo)),
-                     sample_count)
-    worst = 0.0
-    for x in xs:
-        # relative step near the singular end, absolute cap where the
-        # solution scale is exponential in x
-        h = min(1e-3 * x, 0.05)
-        th0, lr0 = trajectory._eval(x)
-
-        def zval(xx):
-            th, lr = trajectory._eval(xx)
-            r = math.exp(lr - lr0)
-            return np.array([r * math.cos(th), r * math.sin(th)])
-
-        zm2, zm1, zp1, zp2 = zval(x - 2 * h), zval(x - h), zval(x + h), zval(x + 2 * h)
-        dz = (zm2 - 8.0 * zm1 + 8.0 * zp1 - zp2) / (12.0 * h)
-        z = zval(x)
-        p11, p12, p22 = family.coeffs(x)
-        rhs = np.array([p12 * z[0] - (lam - p22) * z[1],
-                        (lam - p11) * z[0] - p12 * z[1]])
-        denom = max(np.linalg.norm(dz), np.linalg.norm(rhs), 1e-300)
-        worst = max(worst, float(np.linalg.norm(dz - rhs)) / denom)
-    return worst
+    return Trajectory(stats, y_end.reshape(lams.size, 4), pieces)

@@ -66,8 +66,7 @@ from .asymptotics import (CrossedCutoffError, TruncationWindow, ZeroData,
                           gap_coordinate, gap_point, infinity_data,
                           match_point, select_truncation, zero_data)
 from .model import CoefficientFamily, mirror_family
-from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, PruferTrajectory,
-                     integrate_prufer)
+from .prufer import DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, integrate_prufer
 
 
 class BracketError(ValueError):
@@ -92,27 +91,29 @@ class AngleMismatchError(RuntimeError):
 
 @dataclass
 class _MatchInfo:
-    """The two halves at lam, spliced where the forward half ends.
+    """The two halves at lam, spliced at x_match, where both end.
 
     turns = round((theta_f - theta_b) / pi) and offset = log rho_f - log rho_b
-    there; ``theta`` and ``logrho`` answer on the whole window, the
-    backward half shifted by them to meet the forward one.
+    there; ``theta`` and ``logrho`` read columns 0 and 1 of the halves'
+    states on the whole window, the forward half up to x_match and the
+    backward half beyond it, shifted by them to meet the forward one.
     """
 
     lam: float
     nu_star_hat: float          # two-sided value of nu_star
-    fwd: PruferTrajectory
-    bwd: PruferTrajectory
+    x_match: float
+    fwd: Trajectory
+    bwd: Trajectory
     turns: int
     offset: float
 
     def theta(self, x: float) -> float:
-        return (self.fwd.theta(x) if x <= self.fwd.x_end
-                else self.bwd.theta(x) + self.turns * math.pi)
+        return (self.fwd.state(x)[0] if x <= self.x_match
+                else self.bwd.state(x)[0] + self.turns * math.pi)
 
     def logrho(self, x: float) -> float:
-        return (self.fwd.logrho(x) if x <= self.fwd.x_end
-                else self.bwd.logrho(x) + self.offset)
+        return (self.fwd.state(x)[1] if x <= self.x_match
+                else self.bwd.state(x)[1] + self.offset)
 
 
 def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol,
@@ -129,13 +130,14 @@ def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol,
 
 
 def _matched(family, lam, window, zero, rtol, atol, x_match=None):
+    x_match = window.x_mid if x_match is None else x_match
     theta_inf = infinity_data(family.mu_minus, family.mu_plus, lam).theta_inf
     fwd, bwd = _halves(family, lam, window, zero.theta_zero, theta_inf,
                        window.x_inf, rtol, atol, x_match)
     (th_f, lr_f), (th_b, lr_b) = fwd.end[0].tolist(), bwd.end[0].tolist()
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
     return _MatchInfo(lam=lam, nu_star_hat=math.pi + th_f - th_b,
-                      fwd=fwd, bwd=bwd,
+                      x_match=x_match, fwd=fwd, bwd=bwd,
                       turns=round((th_f - th_b) / math.pi),
                       offset=lr_f - lr_b)
 
@@ -293,8 +295,10 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     to the given one, for the iterate after a lam step below 1e-6 or in a
     lam interval below 1e-9 (relative to max(1, |lam|)); a residual below
     tol ends the solve only when read at them.  An iterate at a lam already
-    read at them (the residual floor), or 80 steps above tol, raise
-    ConvergenceError.  The record, rot included, comes from the iterates.
+    read at them, or 80 steps above tol, raise ConvergenceError: the
+    message names a residual floor, or, for a residual above 1e4 rtol, a
+    jump of nu_star across the closed bracket that the window does not
+    resolve.  The record, rot included, comes from the iterates.
     """
     zero = zero or zero_data(family)
     samples = contraction_samples(family, window)
@@ -312,12 +316,16 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     history, tight = [], False
 
     def g(lam):
-        # a tightened read depends on lam alone: a second one cannot move
-        floor = [f for l, f, r in history if l == lam and r < rtol]
+        # a tightened read depends on lam alone: a second one cannot move.
+        # Its noise is ~1e3 tightened rtol; 1e6 of them (1e4 rtol) is a jump
+        floor = [abs(f) for l, f, r in history if l == lam and r < rtol]
         if tight and floor:
+            read = f"residual {floor[0]:.3g} at lam = {lam!r}"
             raise ConvergenceError(
-                f"residual floor reached at lam = {lam!r}: residual "
-                f"{abs(floor[0]):.3g} above tolerance {tol:g}")
+                f"nu_star jumps across the closed bracket [{a!r}, {b!r}]: "
+                f"{read}; the window does not resolve the level"
+                if floor[0] > 1e4 * rtol else
+                f"residual floor reached: {read} above tolerance {tol:g}")
         scale = 1e-2 if tight else 1.0
         delta = 1e-7 * max(1.0, abs(lam))
         if lam + delta >= family.mu_plus:
@@ -441,7 +449,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     lam_edge = family.mu_plus
     traj = integrate_prufer(family, lam_edge, window, zero.theta_zero,
                             "forward", rtol=rtol, atol=atol)
-    thetas = [traj.theta(x) for x in schedule]
+    thetas = [traj.state(x)[0] for x in schedule]
     growth = tuple(thetas[i + 1] - thetas[i] for i in range(len(thetas) - 1))
 
     probe_xs = np.geomspace(schedule[0], schedule[-1], 64)
@@ -449,7 +457,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
 
     # settling is judged per decade: a bounded angle may still creep like 1/x,
     # so the two final decades are measured separately
-    variation = max(float(np.ptp([traj.theta(x)
+    variation = max(float(np.ptp([traj.state(x)[0]
                                   for x in np.geomspace(hi / 10.0, hi, 48)]))
                     for hi in (schedule[-1] / 10.0, schedule[-1]))
 

@@ -75,7 +75,13 @@ def fast_window():
 
 @pytest.fixture(scope="session")
 def branch_window():
-    """Short window for nonlinear continuation (bias ~ e^(-60))."""
+    """Short window for nonlinear continuation.
+
+    Its truncation bias, measured at the gamma = -0.5 levels solved to tol
+    1e-9: the ground state is at the closed form (9.9e-13 off), the second
+    level 2.8e-11 off, and the k = 1 level 3 2.4e-6 off (0.98512343 against
+    0.98512105), its tail decaying only like e^(-0.17 x).
+    """
     return dg.TruncationWindow(x_zero=1e-3, x_inf=60.0, delta=2e-4, eps=1e-3)
 
 

@@ -111,7 +111,7 @@ def test_a4_formulation_equivalence():
             fam, lam, win, (math.cos(zd.theta_zero), math.sin(zd.theta_zero)),
             rtol=1e-11, atol=1e-13)
         for x in np.geomspace(win.x_zero, win.x_inf, 64):
-            worst = max(worst, abs(tp.theta(x) - tc.angle(x)))
+            worst = max(worst, abs(tp.state(x)[0] - tc.state(x)[3]))
     ok = worst < 1e-8
     assert report("A4", ok,
                   f"polar vs Cartesian unwrapped angle, 5 random families, "

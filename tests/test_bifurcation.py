@@ -199,6 +199,38 @@ def test_shot_sign_symmetry(coulomb_plus, zero_plus, seed_branch,
     assert abs(s2.rotation - s1.rotation) < 1e-9
 
 
+def angle_sweep(traj, xs):
+    """Angle swept by a Cartesian run along xs, summed from the atan2 steps
+    of its dense components (u, v), each of which must be below pi/2."""
+    angles = [math.atan2(v, u) for u, v, _, _ in map(traj.state, xs)]
+    steps = (np.diff(angles) + math.pi) % (2.0 * math.pi) - math.pi
+    assert np.max(np.abs(steps)) < math.pi / 2.0
+    return float(np.sum(steps))
+
+
+@pytest.mark.parametrize("a_sign, b_sign", [(1, 1), (1, -1), (-1, 1),
+                                            (-1, -1)])
+@settings(max_examples=3, deadline=None)
+@given(lam=st.floats(0.5, 0.97, exclude_min=True, exclude_max=True))
+def test_rotation_is_the_dense_angle_sweep(a_sign, b_sign, lam, coulomb_plus,
+                                           zero_plus, branch_window,
+                                           soler_coupling):
+    # j pi is the forward half's sweep from x_zero to x_mid plus the
+    # backward half's from x_mid out to x_inf; here the sweeps are read
+    # from the dense components, not from the integrated angle.  |a| = 1e-2
+    # and |b| its linear match (at |a| = 0.1 some lam's runs blow up)
+    log_ratio, _ = dg.linear_amplitude_ratio(coulomb_plus, lam, branch_window,
+                                             zero=zero_plus)
+    shot = dg.shoot_nonlinear(coulomb_plus, soler_coupling, lam, a_sign * 1e-2,
+                              b_sign * math.exp(log_ratio) * 1e-2,
+                              branch_window, log_b=log_ratio + math.log(1e-2),
+                              zero=zero_plus)
+    win = branch_window
+    sweep = angle_sweep(shot.fwd, np.geomspace(win.x_zero, win.x_mid, 2001)) \
+        + angle_sweep(shot.bwd, np.geomspace(win.x_mid, win.x_inf, 2001))
+    assert abs(shot.rotation * math.pi - sweep) < 1e-8
+
+
 def test_solve_point_converges_and_shifts_quadratically(
         coulomb_plus, zero_plus, seed_branch, branch_window, soler_coupling):
     lam0 = seed_branch.lam

@@ -269,6 +269,24 @@ def test_rejection_names_the_given_cutoffs(tmp_path, capsys, old, new, note):
                        if note else [])
 
 
+def test_rejection_names_a_jump_the_window_does_not_resolve(tmp_path,
+                                                            capsys):
+    # the README config with x_zero = 2.0: on the selected window nu_star
+    # jumps by pi between two adjacent floats at the ground state, and the
+    # root solve stalls at residual 2.63, which is no residual floor
+    cfg = COULOMB_BASE.replace("lambda_max = 0.93", "lambda_max = 0.995")
+    cfg = cfg.replace("lambda_points = 8", "lambda_points = 12")
+    path = write(tmp_path, cfg.replace("x_zero = 1e-3\nx_inf = 250.0\n",
+                                       "x_zero = 2.0\n"))
+    code = cli.main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()[0]
+    assert err.startswith("rejected: nu_star jumps across the closed bracket")
+    assert err.endswith("the window does not resolve the level")
+    assert "residual 2.63 " in err and "floor" not in err
+
+
 def test_given_x_inf_skips_the_cone_test_at_infinity(tmp_path):
     # at lambda_max = 0.999999 the cone at infinity reaches pi/2, so a
     # selected x_inf is rejected; a given one replaces that end's tests

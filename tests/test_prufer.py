@@ -1,4 +1,4 @@
-"""Angle/amplitude integration, the raw Cartesian cross-check, residuals."""
+"""Angle/amplitude integration and the raw Cartesian cross-check."""
 
 import math
 
@@ -15,6 +15,12 @@ def constant_family():
     return dg.CoefficientFamily(coeffs=lambda x: (-1.0, 0.0, 1.0),
                                 mu_minus=-1.0, mu_plus=1.0, beta=1.0,
                                 limit_zero=np.zeros((2, 2)))
+
+
+def log_norm(traj, x):
+    """log |z| of a Cartesian run at x, z = e^mu (u, v)."""
+    u, v, mu, _ = traj.state(x)
+    return mu + 0.5 * math.log(u * u + v * v)
 
 
 # -- right-hand side -----------------------------------------------------------
@@ -61,15 +67,20 @@ def test_stationary_angle_constant_coefficients():
     win = dg.TruncationWindow(x_zero=0.5, x_inf=10.0, delta=1e-3, eps=1e-3)
     traj = dg.integrate_prufer(fam, 0.0, win, 3.0 * math.pi / 4.0)
     for x in np.geomspace(0.5, 10.0, 17):
-        assert abs(traj.theta(x) - 3.0 * math.pi / 4.0) < 1e-6
+        assert abs(traj.state(x)[0] - 3.0 * math.pi / 4.0) < 1e-6
 
 
 def test_trajectory_monotone_x_and_finite_angle(coulomb_minus, zero_minus,
                                                 fast_window):
     traj = dg.integrate_prufer(coulomb_minus, 0.3, fast_window,
                                zero_minus.theta_zero)
-    assert traj.x_start == fast_window.x_zero
-    assert traj.x_end == fast_window.x_inf
+    # the run covers the window: both ends read, a point beyond x_inf does not
+    assert traj.state(fast_window.x_zero)[0] == pytest.approx(
+        zero_minus.theta_zero, abs=1e-12)
+    assert traj.state(fast_window.x_inf) == pytest.approx(traj.end[0],
+                                                          abs=1e-12)
+    with pytest.raises(ValueError, match="outside the integrated span"):
+        traj.state(1.01 * fast_window.x_inf)
     assert traj.end.shape == (1, 2) and np.all(np.isfinite(traj.end))
     assert traj.stats.steps > 10
     assert traj.stats.rtol == 1e-10
@@ -95,7 +106,7 @@ def test_dense_output_queryable_between_nodes(coulomb_minus, zero_minus,
     traj = dg.integrate_prufer(coulomb_minus, 0.1, fast_window,
                                zero_minus.theta_zero)
     xs = np.geomspace(fast_window.x_zero, fast_window.x_inf, 200)
-    th = np.array([traj.theta(x) for x in xs])
+    th = np.array([traj.state(x)[0] for x in xs])
     assert np.all(np.isfinite(th))
     # continuity: no jumps beyond what the dynamics allows on this grid
     assert np.max(np.abs(np.diff(th))) < 1.0
@@ -115,23 +126,21 @@ ONE_RUN_LANES = {"prufer": 2, "cartesian": 1}
 
 def integrate(integrator, family, lam, window):
     """Either integrator from the start angle 0.3; returns (trajectory, the
-    column of ``end`` that holds the angle, the angle at x)."""
+    column of ``end`` and of ``state(x)`` that holds the angle)."""
     if integrator == "prufer":
-        traj = dg.integrate_prufer(family, lam, window, 0.3)
-        return traj, 0, traj.theta
-    traj = dg.integrate_cartesian(family, lam, window,
-                                  (math.cos(0.3), math.sin(0.3)))
-    return traj, 3, traj.angle
+        return dg.integrate_prufer(family, lam, window, 0.3), 0
+    return dg.integrate_cartesian(family, lam, window,
+                                  (math.cos(0.3), math.sin(0.3))), 3
 
 
 @pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
 def test_float_lam_is_one_dense_run(integrator, coulomb_minus, fast_window):
-    traj, col, angle = integrate(integrator, coulomb_minus, 0.2, fast_window)
+    traj, col = integrate(integrator, coulomb_minus, 0.2, fast_window)
     assert traj.end.shape[0] == 1
     assert traj.stats.rtol == 1e-10 and traj.stats.atol == 1e-12
-    assert angle(fast_window.x_inf) == pytest.approx(traj.end[0, col],
-                                                     abs=1e-12)
-    assert math.isfinite(angle(fast_window.x_mid))
+    assert traj.state(fast_window.x_inf)[col] == pytest.approx(
+        traj.end[0, col], abs=1e-12)
+    assert math.isfinite(traj.state(fast_window.x_mid)[col])
 
 
 @pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
@@ -139,27 +148,24 @@ def test_float_lam_is_one_dense_run(integrator, coulomb_minus, fast_window):
 def test_array_lam_is_endpoint_only_lanes(integrator, n, coulomb_minus,
                                           fast_window):
     lams = np.linspace(0.2, 0.6, n)
-    traj, col, _ = integrate(integrator, coulomb_minus, lams, fast_window)
+    traj, col = integrate(integrator, coulomb_minus, lams, fast_window)
     assert traj.end.shape[0] == n
     scale = math.sqrt(ONE_RUN_LANES[integrator] / n)
     assert traj.stats.rtol == pytest.approx(1e-10 * scale, rel=1e-15)
     assert traj.stats.atol == pytest.approx(1e-12 * scale, rel=1e-15)
     # each lane ends where a float run of its lam ends, to tolerance
     for lam, lane_end in zip(lams.tolist(), traj.end[:, col].tolist()):
-        one, _, _ = integrate(integrator, coulomb_minus, lam, fast_window)
+        one, _ = integrate(integrator, coulomb_minus, lam, fast_window)
         assert abs(lane_end - one.end[0, col]) < 1e-7
 
 
 @pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
 def test_lane_run_refuses_interior_values(integrator, coulomb_minus,
                                           fast_window):
-    traj, _, angle = integrate(integrator, coulomb_minus,
-                               np.array([0.5, 0.6]), fast_window)
+    traj, _ = integrate(integrator, coulomb_minus, np.array([0.5, 0.6]),
+                        fast_window)
     with pytest.raises(ValueError, match="endpoint-only"):
-        angle(1.0)
-    if integrator == "cartesian":
-        with pytest.raises(ValueError, match="endpoint-only"):
-            traj.state(1.0)
+        traj.state(1.0)
 
 
 # -- Cartesian cross-check -----------------------------------------------------
@@ -181,10 +187,10 @@ def test_angle_equivalence_random_families(seed):
         rtol=1e-11, atol=1e-13)
     xs = np.geomspace(win.x_zero, win.x_inf, 64)
     for x in xs:
-        assert abs(tp.theta(x) - tc.angle(x)) < 1e-8
+        assert abs(tp.state(x)[0] - tc.state(x)[3]) < 1e-8
         # the integrated angle stays tied to the integrated components
-        u, v, _ = tc.state(x)
-        d = tc.angle(x) - math.atan2(v, u)
+        u, v, _, angle = tc.state(x)
+        d = angle - math.atan2(v, u)
         assert abs((d + math.pi) % (2.0 * math.pi) - math.pi) < 1e-9
 
 
@@ -195,7 +201,36 @@ def test_amplitude_consistency(coulomb_minus, zero_minus):
         coulomb_minus, 0.3, win,
         (math.cos(zero_minus.theta_zero), math.sin(zero_minus.theta_zero)))
     for x in np.geomspace(win.x_zero, win.x_inf, 64):
-        assert abs(tp.logrho(x) - tc.log_norm(x)) < 1e-8
+        assert abs(tp.state(x)[1] - log_norm(tc, x)) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["constant-family", "ground-state"])
+def test_polar_and_cartesian_agree_on_exact_solutions(case, request):
+    # the stationary angle of the constant diag(-1, 1) family at lam = 0,
+    # and the ground-state eigenfunction on the fast window, forward up to
+    # the record's splice point: beyond it the forward run of a decaying
+    # solution turns to the growing one where each integrator's truncation
+    # error sets, and the two part by up to 4e-7 in theta
+    if case == "constant-family":
+        fam, lam, theta0 = constant_family(), 0.0, 3.0 * math.pi / 4.0
+        win = dg.TruncationWindow(x_zero=0.5, x_inf=10.0, delta=1e-3,
+                                  eps=1e-3)
+        x_stop = win.x_inf
+    else:
+        fam = request.getfixturevalue("coulomb_plus")
+        record = request.getfixturevalue("ground_fast")
+        lam, x_stop = record.lam, record.x_match
+        theta0 = request.getfixturevalue("zero_plus").theta_zero
+        win = request.getfixturevalue("fast_window")
+    tp = dg.integrate_prufer(fam, lam, win, theta0, rtol=1e-11, atol=1e-13,
+                             x_stop=x_stop)
+    tc = dg.integrate_cartesian(fam, lam, win,
+                                (math.cos(theta0), math.sin(theta0)),
+                                rtol=1e-11, atol=1e-13, x_stop=x_stop)
+    for x in np.geomspace(win.x_zero, x_stop, 64):
+        theta, logrho = tp.state(x)
+        assert abs(theta - tc.state(x)[3]) < 1e-8
+        assert abs(logrho - log_norm(tc, x)) < 1e-8
 
 
 def test_cartesian_amplitude_exact_across_hundreds_of_decades(coulomb_minus,
@@ -208,8 +243,8 @@ def test_cartesian_amplitude_exact_across_hundreds_of_decades(coulomb_minus,
         (math.cos(zero_minus.theta_zero), math.sin(zero_minus.theta_zero)))
     tp = dg.integrate_prufer(coulomb_minus, 0.3, win, zero_minus.theta_zero)
     assert abs(math.hypot(*tc.state(800.0)[:2]) - 1.0) < 1e-9
-    assert tc.log_norm(800.0) > 300.0
-    assert abs(tc.log_norm(800.0) - tp.logrho(800.0)) < 1e-8
+    assert log_norm(tc, 800.0) > 300.0
+    assert abs(log_norm(tc, 800.0) - tp.state(800.0)[1]) < 1e-8
 
 
 def test_cartesian_decay_and_growth_rates():
@@ -219,11 +254,11 @@ def test_cartesian_decay_and_growth_rates():
     win = dg.TruncationWindow(x_zero=0.5, x_inf=20.0, delta=1e-3, eps=1e-3)
     b1 = np.array([-1.0, 1.0]) / math.sqrt(2.0)
     c1 = dg.integrate_cartesian(fam, 0.0, win, b1)
-    rate1 = (c1.log_norm(18.0) - c1.log_norm(1.0)) / 17.0
+    rate1 = (log_norm(c1, 18.0) - log_norm(c1, 1.0)) / 17.0
     assert math.isclose(rate1, -1.0, abs_tol=1e-6)
     b2 = np.array([1.0, 1.0]) / math.sqrt(2.0)
     c2 = dg.integrate_cartesian(fam, 0.0, win, b2)
-    rate2 = (c2.log_norm(18.0) - c2.log_norm(1.0)) / 17.0
+    rate2 = (log_norm(c2, 18.0) - log_norm(c2, 1.0)) / 17.0
     assert math.isclose(rate2, 1.0, abs_tol=1e-8)
 
 
@@ -231,24 +266,3 @@ def test_cartesian_rejects_zero_init(coulomb_minus, fast_window):
     with pytest.raises(ValueError):
         dg.integrate_cartesian(coulomb_minus, 0.1, fast_window, (0.0, 0.0))
 
-
-# -- residual check ------------------------------------------------------------
-
-def test_residual_constant_family():
-    fam = constant_family()
-    win = dg.TruncationWindow(x_zero=0.5, x_inf=10.0, delta=1e-3, eps=1e-3)
-    traj = dg.integrate_prufer(fam, 0.0, win, 3.0 * math.pi / 4.0)
-    assert dg.ode_residual(traj, fam, 0.0, 20) < 1e-7
-
-
-def test_residual_zero_samples(coulomb_minus, zero_minus, fast_window):
-    traj = dg.integrate_prufer(coulomb_minus, 0.2, fast_window,
-                               zero_minus.theta_zero)
-    assert dg.ode_residual(traj, coulomb_minus, 0.2, 0) == 0.0
-
-
-def test_residual_eigenfunction_trajectory(coulomb_plus, zero_plus,
-                                           ground_fast, fast_window):
-    traj = dg.integrate_prufer(coulomb_plus, ground_fast.lam, fast_window,
-                               zero_plus.theta_zero)
-    assert dg.ode_residual(traj, coulomb_plus, ground_fast.lam, 40) < 1e-6
