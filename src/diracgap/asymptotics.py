@@ -232,26 +232,33 @@ def contraction_samples(family: CoefficientFamily,
     return np.vstack((xs, np.array([family.coeffs(x) for x in xs]).T))
 
 
+def decay_integral(samples: np.ndarray, lams) -> tuple:
+    """(kappa^2, int kappa dx from the first sample) on the
+    contraction_samples by the trapezoid rule, one row per lane, kappa being
+    0 where kappa^2 <= 0; e^-(its increment) is the WKB decay of the tail."""
+    xs, p11, p12, p22 = samples
+    lam = np.reshape(lams, (-1, 1))
+    kappa2 = p12 * p12 - (lam - p11) * (lam - p22)
+    kappa = np.sqrt(np.maximum(kappa2, 0.0))
+    return kappa2, np.cumsum(np.concatenate(
+        (np.zeros((lam.shape[0], 1)),
+         0.5 * (kappa[:, 1:] + kappa[:, :-1]) * np.diff(xs)), axis=1), axis=1)
+
+
 def contraction_start(samples: np.ndarray, lams, x_from=None) -> float:
     """Where a backward angle run from theta_inf may start instead of x_inf.
 
     At a fixed point of the angle flow theta' the linearized rate is
     -+2 kappa, with kappa^2 = p12^2 - (lam - p11)(lam - p22) the local decay
     rate; past a point with int kappa dx >= 18 a backward run from a start
-    error of O(0.1) reaches the points below damped by e^-36.  kappa is
-    computed on the contraction_samples of the window and integrated by the
-    trapezoid rule from each lane's last turning point (kappa^2 <= 0) or
-    from x_from (x_mid when None), whichever is further out; the result is
-    the largest first point that reaches 18 over the lanes, and x_inf when
-    a lane does not reach it.
+    error of O(0.1) reaches the points below damped by e^-36.  The
+    decay_integral is counted from each lane's last turning point
+    (kappa^2 <= 0) or from x_from (x_mid when None), whichever is further
+    out; the result is the largest first point that reaches 18 over the
+    lanes, and x_inf when a lane does not reach it.
     """
-    xs, p11, p12, p22 = samples
-    lam = np.reshape(lams, (-1, 1))
-    kappa2 = p12 * p12 - (lam - p11) * (lam - p22)
-    kappa = np.sqrt(np.maximum(kappa2, 0.0))
-    integral = np.cumsum(np.concatenate(
-        (np.zeros((lam.shape[0], 1)),
-         0.5 * (kappa[:, 1:] + kappa[:, :-1]) * np.diff(xs)), axis=1), axis=1)
+    xs = samples[0]
+    kappa2, integral = decay_integral(samples, lams)
     x_c, first = float(xs[0]), np.searchsorted(xs, x_from or xs[0])
     for lane_kappa2, lane_integral in zip(kappa2, integral):
         turning = np.flatnonzero(lane_kappa2 <= 0.0)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diracgap as dg
-from diracgap.bifurcation import _corrector_lanes
+from diracgap.bifurcation import _corrector_lanes, _differences
 from diracgap.spectrum import _nodal_index
 
 
@@ -63,21 +63,84 @@ def test_branch_takes_only_full_steps(branch_a8):
 
 
 def test_branch_keeps_the_shot_budget(branch_a8):
-    # one lane shot per Newton evaluation and one dense re-shot per point
-    # keep the corrector within 6 shoot_nonlinear calls per accepted point
+    # one lane shot per Newton evaluation, the tangent predictor and the
+    # dense shot that closes the solve keep the corrector within 4
+    # shoot_nonlinear calls per accepted point
     branch, calls = branch_a8
-    assert sum(c["shots"] for c in calls) <= 6 * len(branch.points)
+    assert sum(c["shots"] for c in calls) <= 4 * len(branch.points)
     assert all("error" not in c for c in calls)
 
 
 def test_branch_residual_is_that_of_a_one_lane_shot(
         branch_a8, coulomb_plus, zero_plus, branch_window, soler_coupling):
-    # the reported residual comes from the dense re-shot, not from a lane
+    # the reported residual comes from the dense shot that closed the
+    # solve, from the point's own backward start, not from a lane
     for pt in branch_a8[0].points:
         shot = dg.shoot_nonlinear(coulomb_plus, soler_coupling, pt.lam, pt.a,
                                   pt.b, branch_window, log_b=pt.log_b,
-                                  zero=zero_plus)
+                                  x_start=pt.x_start, zero=zero_plus)
         assert pt.residual == float(np.linalg.norm(shot.mismatch))
+
+
+def test_every_a8_point_closes_on_its_dense_shot(
+        branch_a8, coulomb_plus, zero_plus, branch_window, soler_coupling):
+    # a point is accepted only where its own dense shot meets the
+    # corrector's tolerance, not where a lane shot does
+    for pt in branch_a8[0].points:
+        shot = dg.shoot_nonlinear(coulomb_plus, soler_coupling, pt.lam, pt.a,
+                                  pt.b, branch_window, log_b=pt.log_b,
+                                  x_start=pt.x_start, zero=zero_plus)
+        assert np.max(np.abs(shot.mismatch)) < 1e-9 * max(1.0, pt.a)
+
+
+@pytest.mark.parametrize("x_inf", [250.0, 8659.6])
+def test_branch_does_not_depend_on_the_window_end(x_inf, coulomb_plus,
+                                                  zero_plus, soler_coupling):
+    # the backward halves start where the tail has contracted, so the far
+    # cutoff (8659.6 is the README window's) moves no point
+    def first_points(x_end):
+        win = dg.TruncationWindow(x_zero=1e-3, x_inf=x_end, delta=2e-4,
+                                  eps=1e-3)
+        scan = dg.scan_spectrum(coulomb_plus, np.linspace(0.5, 0.93, 9), win,
+                                zero_plus)
+        seed = dg.find_eigenvalue(coulomb_plus, 1, scan.brackets[0], 1e-9,
+                                  window=win, zero=zero_plus)
+        return dg.continue_branch(coulomb_plus, soler_coupling, seed,
+                                  ds=1e-3, max_steps=3, window=win,
+                                  zero=zero_plus).points
+
+    near, far = first_points(60.0), first_points(x_inf)
+    assert len(near) == len(far) == 3
+    for p, q in zip(near, far):
+        assert abs(p.lam - q.lam) < 1e-9
+        assert abs(p.l2_norm - q.l2_norm) < 1e-8 * p.l2_norm
+
+
+def test_defocusing_branch_moves_its_start_out(coulomb_plus, zero_plus,
+                                               seed_branch, branch_window):
+    # lam heads for mu_+ and the tail decays ever more slowly: after each
+    # point the backward start lies at or beyond that point's own
+    # contraction start, and every point solves the problem shot from x_inf
+    coupling = dg.build_soler_coupling(lambda r: r * r / (1.0 + r ** 5),
+                                       lambda s: -s, 1.0)
+    branch = dg.continue_branch(coulomb_plus, coupling, seed_branch, ds=1e-3,
+                                max_steps=8, window=branch_window,
+                                zero=zero_plus)
+    samples = dg.asymptotics.contraction_samples(coulomb_plus, branch_window)
+    pts = branch.points
+    assert len(pts) == 8
+    starts = [p.x_start for p in pts]
+    assert starts == sorted(starts) and starts[-1] > starts[0]
+    assert starts[0] == dg.asymptotics.contraction_start(samples,
+                                                         seed_branch.lam)
+    for prev, pt in zip(pts, pts[1:]):
+        assert pt.x_start >= dg.asymptotics.contraction_start(samples, prev.lam)
+        assert pt.x_start >= dg.asymptotics.contraction_start(samples, pt.lam)
+    last = pts[-1]
+    full = dg.solve_point(coulomb_plus, coupling, last.lam, last.a, 1.0,
+                          window=branch_window, zero=zero_plus,
+                          x_start=branch_window.x_inf)
+    assert abs(full.lam - last.lam) < 1e-9
 
 
 # ground state on the branch window, its linear log(|b|/a) (b > 0), and the
@@ -102,32 +165,53 @@ def near_branch(draw):
 def test_lane_shot_matches_one_lane_shots(case, coulomb_plus, zero_plus,
                                           branch_window):
     # the corrector's lane shot: every lane's midpoint values are those of
-    # a one-lane shot, and its lane differences are the Jacobian
+    # a one-lane shot, and each side's lane differences are the Jacobian
+    # and the log a column
     lam, a, log_b, f_sign = case
     coupling = dg.build_soler_coupling(lambda r: r * r / (1.0 + r ** 5),
                                        lambda s: f_sign * s, 1.0)
 
-    def shot(lams, log_bs):
+    def shot(lams, log_bs, log_as):
         return dg.shoot_nonlinear(coulomb_plus, coupling, lams, a,
                                   math.exp(log_b), branch_window,
-                                  log_b=log_bs, zero=zero_plus)
+                                  log_b=log_bs, log_a=log_as, zero=zero_plus)
 
-    p = np.array([lam, log_b])
-    lanes, steps = _corrector_lanes(p)
-    lane_shot = shot(lanes[:, 0], lanes[:, 1])
-    for i, (lam_i, log_b_i) in enumerate(lanes.tolist()):
-        one = shot(lam_i, log_b_i)
+    q = np.array([lam, log_b, math.log(a)])
+    lanes, steps = _corrector_lanes(q[:2], q[2])
+    lane_shot = shot(*lanes.T)
+    for i, lane in enumerate(lanes.tolist()):
+        one = shot(*lane)
         for z_lane, z_one in ((lane_shot.z_fwd[i], one.z_fwd),
                               (lane_shot.z_bwd[i], one.z_bwd)):
             assert np.linalg.norm(z_lane - z_one) < 1e-8 * np.linalg.norm(z_one)
-    m = lane_shot.mismatch
-    jac = (m[1:] - m[0]).T / steps
+    jac = _differences(lane_shot, steps)[1]
     h = 1e-6
-    for col in range(2):
-        e = np.eye(2)[col] * h
-        central = (shot(*(p + e)).mismatch - shot(*(p - e)).mismatch) / (2 * h)
+    for col in range(3):
+        e = np.eye(3)[col] * h
+        central = (shot(*(q + e)).mismatch - shot(*(q - e)).mismatch) / (2 * h)
         assert np.linalg.norm(jac[:, col] - central) \
             < 1e-5 * np.linalg.norm(central)
+
+
+def test_jacobian_differences_each_side_on_its_own(coulomb_plus, zero_plus,
+                                                   branch_window,
+                                                   soler_coupling):
+    # the first A8 point with log |b| lowered by 25: |z_bwd| / |z_fwd| is
+    # 1.4e-11, and a difference of the lanes' mismatches loses the backward
+    # change entirely; differenced on its own side, the log |b| column is
+    # -dz_bwd/dlog|b| = -z_bwd
+    a = 1e-3
+    q = np.array([LAM0, LOG_RATIO0 + math.log(a) - 25.0])
+    lanes, steps = _corrector_lanes(q, math.log(a))
+    shot = dg.shoot_nonlinear(coulomb_plus, soler_coupling, lanes[:, 0], a,
+                              math.exp(q[1]), branch_window,
+                              log_b=lanes[:, 1], log_a=lanes[:, 2],
+                              zero=zero_plus)
+    assert np.linalg.norm(shot.z_bwd[0]) \
+        < 1e-10 * np.linalg.norm(shot.z_fwd[0])
+    assert np.all(shot.mismatch[2] == shot.mismatch[0])
+    jac = _differences(shot, steps)[1]
+    np.testing.assert_allclose(jac[:, 1], -shot.z_bwd[0], rtol=1e-6)
 
 
 def test_branch_never_guesses_the_other_b_sign(branch_a8, coulomb_plus,
@@ -345,7 +429,8 @@ def test_linearized_index_matches_point(coulomb_plus, zero_plus, branch_short,
     # reproduces the rotation j it carries, and i is j's quadrant floor
     pt = branch_short.points[2]
     shot = dg.shoot_nonlinear(coulomb_plus, soler_coupling, pt.lam, pt.a,
-                              pt.b, branch_window, zero=zero_plus)
+                              pt.b, branch_window, x_start=pt.x_start,
+                              zero=zero_plus)
     assert abs(shot.rotation - pt.rotation) < 1e-9
     assert pt.index == _nodal_index(pt.rotation, zero_plus.quadrant)[0]
 
@@ -364,9 +449,12 @@ def test_linear_point_l2_norm_matches_eigenfunction(coulomb_plus, zero_plus,
                                                     seed_branch, branch_window,
                                                     a):
     # with the trivial coupling a solved point is c times the normalized
-    # eigenfunction on the same sample grid, so its L2 norm is |c|
+    # eigenfunction on the same sample grid, so its L2 norm is |c|; its
+    # residual meets the corrector's tolerance (a dense re-shot after the
+    # lanes had converged reported 6.9e-9 at a = 0.3)
     pt = dg.solve_point(coulomb_plus, dg.zero_coupling(), seed_branch.lam, a,
                         window=branch_window, zero=zero_plus)
+    assert pt.residual < 1e-9 * max(1.0, a)
     ef = dg.eigenfunction(coulomb_plus, seed_branch, 257, zero=zero_plus)
     np.testing.assert_array_equal(pt.x, ef.x)
     i = int(np.argmax(np.hypot(pt.u, pt.v)))
