@@ -20,8 +20,8 @@ from .model import (CheckResult, CoefficientFamily, CouplingRejectedError,
                     classify_zero_endpoint, coulomb_potential, mirror_family,
                     tabulated_potential, tabulated_potential_from_csv,
                     validate_hypotheses, zero_coupling)
-from .prufer import (IntegrationError, OverflowAbort, integrate_cartesian,
-                     integrate_prufer)
+from .prufer import (IntegrationError, OverflowAbort, WindowSamples,
+                     integrate_cartesian, integrate_prufer)
 from .spectrum import (AccumulationVerdict, AngleMismatchError, Bracket,
                        BracketError, ConvergenceError, DecayFit,
                        EigenvalueRecord, Eigenfunction, MonotonicityError,

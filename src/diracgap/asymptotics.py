@@ -245,30 +245,25 @@ def decay_integral(samples: np.ndarray, lams) -> tuple:
          0.5 * (kappa[:, 1:] + kappa[:, :-1]) * np.diff(xs)), axis=1), axis=1)
 
 
-def contraction_start(samples: np.ndarray, lams, x_from=None) -> float:
-    """Where a backward angle run from theta_inf may start instead of x_inf.
+def contraction_start(samples: np.ndarray, lam: float, x_from=None) -> float:
+    """Where a backward angle run from theta_inf at lam may start instead of
+    x_inf.
 
     At a fixed point of the angle flow theta' the linearized rate is
     -+2 kappa, with kappa^2 = p12^2 - (lam - p11)(lam - p22) the local decay
     rate; past a point with int kappa dx >= 18 a backward run from a start
     error of O(0.1) reaches the points below damped by e^-36.  The
-    decay_integral is counted from each lane's last turning point
-    (kappa^2 <= 0) or from x_from (x_mid when None), whichever is further
-    out; the result is the largest first point that reaches 18 over the
-    lanes, and x_inf when a lane does not reach it.
+    decay_integral is counted from the last turning point (kappa^2 <= 0) or
+    from x_from (x_mid when None), whichever is further out; the result is
+    the first point that reaches 18, and x_inf when none does.
     """
     xs = samples[0]
-    kappa2, integral = decay_integral(samples, lams)
-    x_c, first = float(xs[0]), np.searchsorted(xs, x_from or xs[0])
-    for lane_kappa2, lane_integral in zip(kappa2, integral):
-        turning = np.flatnonzero(lane_kappa2 <= 0.0)
-        start = max(turning[-1] if turning.size else 0, first)
-        reached = np.flatnonzero(lane_integral[start:]
-                                 >= lane_integral[start] + 18.0)
-        if not reached.size:
-            return float(xs[-1])
-        x_c = max(x_c, float(xs[start + reached[0]]))
-    return x_c
+    (kappa2,), (integral,) = decay_integral(samples, lam)
+    turning = np.flatnonzero(kappa2 <= 0.0)
+    start = max(turning[-1] if turning.size else 0,
+                np.searchsorted(xs, x_from or xs[0]))
+    reached = np.flatnonzero(integral[start:] >= integral[start] + 18.0)
+    return float(xs[start + reached[0]] if reached.size else xs[-1])
 
 
 def match_point(samples: np.ndarray, lam: float) -> float:
@@ -277,6 +272,6 @@ def match_point(samples: np.ndarray, lam: float) -> float:
     allowed well (kappa^2 < 0) or its nearest approach when there is none.
     An eigenfunction at lam is large there, and exponentially small at x_mid
     near the gap edge.  A backward half stopped here starts at
-    contraction_start(samples, lams, x_from=this point)."""
+    contraction_start(samples, lam, x_from=this point)."""
     xs, p11, p12, p22 = samples[:, samples[0] < contraction_start(samples, lam)]
     return float(xs[np.argmin(p12 * p12 - (lam - p11) * (lam - p22))])

@@ -250,7 +250,8 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
     The unknowns are p = (lam, log |b|) at fixed left amplitude a_target, b
     being the amplitude at x_start, where the backward half starts (if None,
     the contraction start at lam_guess on ``samples``, contraction_samples
-    if None); beyond it the point's samples decay by the WKB factor.  log_b
+    if None), moved out to an accepted iterate's own (log |b| carried by the
+    WKB factor, by which the point's samples decay beyond it).  log_b
     is the start for log |b|, and b_guess gives the sign of b, which is
     frozen (the backward direction flips sign for odd rotation offsets);
     without log_b, the linear amplitude ratio at lam_guess supplies both.
@@ -313,6 +314,16 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         r, cols = _differences(shoot(*lanes.T), steps)
         return r, cols[:, :2], cols[:, 2]
 
+    def moved_out(p):
+        nonlocal x_start
+        x_c = contraction_start(samples, p[0])
+        if x_c <= x_start:
+            return False
+        decay = decay_integral(samples, p[0])[1][0]
+        p[1] -= np.diff(np.interp([x_start, x_c], samples[0], decay))[0]
+        x_start = x_c
+        return True
+
     p = np.array([lam_guess, log_b])
     r, jac, m_log_a = evaluate(p)
     norms = [float(np.max(np.abs(r)))]
@@ -326,13 +337,16 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         if norms[-1] < tol or (len(norms) > 1
                                and norms[-1] ** 3 < 0.1 * tol * norms[-2] ** 2):
             shot = shoot(*(p + dp))
-            if float(np.linalg.norm(shot.mismatch)) < tol:
+            if float(np.linalg.norm(shot.mismatch)) < tol \
+                    and contraction_start(samples, shot.lam) <= x_start:
                 tangent = -np.linalg.solve(jac, m_log_a) / a_target
                 return _point_from_shot(family, zero, window, shot, tangent,
                                         samples)
             if norms[-1] < tol:
-                # lanes within tol, the dense lane not: a chord step on it
+                # lanes within tol, the dense lane not (or below its start)
                 p, r = p + dp, shot.mismatch
+                if moved_out(p):
+                    r, jac, m_log_a = evaluate(p)
                 continue
         # damped update: accepted only where it lowers the mismatch
         scale = 1.0
@@ -347,7 +361,8 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         else:
             raise CorrectorError("corrector step could not reduce the mismatch")
         p = p + scale * dp
-        r, jac, m_log_a = r_new, jac_new, m_new
+        r, jac, m_log_a = (evaluate(p) if moved_out(p)
+                           else (r_new, jac_new, m_new))
         norms.append(float(np.max(np.abs(r))))
     raise CorrectorError(
         f"no convergence in 25 iterations (final mismatch {norms[-1]:.3g}, "
@@ -407,8 +422,8 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
     the linear amplitude ratio at the seed (solve_point), later ones from
     _predict's tangent predictor; b keeps the seed's sign.  The backward
     halves start at x_s, the contraction start at the seed lam on
-    contraction_samples taken once, moved out to that of a predicted or
-    accepted lam further out (defocusing branches heading for mu_+).
+    contraction_samples taken once, moved out to that of a predicted lam
+    further out (defocusing branches heading for mu_+) or of a point.
     Terminates when lam comes within 1e-6 of a gap edge ("gap-edge-reached"),
     when a reaches a_max ("amplitude-budget"), after max_steps points
     ("max-steps"), or on persistent corrector failure ("step-failure").
@@ -451,8 +466,7 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
             termination = "step-failure"
             break
         points.append(accepted)
-        x_s = max(x_s, contraction_start(samples, accepted.lam))
-        a = accepted.a
+        x_s, a = accepted.x_start, accepted.a
         if accepted.lam >= family.mu_plus - edge_tol \
                 or accepted.lam <= family.mu_minus + edge_tol:
             termination = "gap-edge-reached"

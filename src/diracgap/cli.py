@@ -88,7 +88,7 @@ from .asymptotics import (CrossedCutoffError, NoWindowError, TruncationWindow,
                           select_truncation, zero_data)
 from .model import (CouplingRejectedError, build_dirac_family,
                     build_soler_coupling, validate_hypotheses)
-from .prufer import IntegrationError
+from .prufer import IntegrationError, WindowSamples
 from .spectrum import AngleMismatchError, ConvergenceError, MonotonicityError
 
 EXIT_OK = 0
@@ -430,8 +430,10 @@ def _solve_levels(cfg: RunConfig, wanted=None, level=None):
     family = build_dirac_family(cfg.params)
     zero = zero_data(family)        # rejects an inadmissible origin
     window = _make_window(cfg, family, zero)
+    samples = WindowSamples(family, window)     # for the scan and solves
     scan = spectrum.scan_spectrum(family, cfg.lam_grid, window, zero,
-                                  rtol=cfg.rtol, atol=cfg.atol)
+                                  rtol=cfg.rtol, atol=cfg.atol,
+                                  samples=samples)
     brackets = scan.brackets
     if level is not None:
         brackets = [b for b in brackets if b.k == level][:1]
@@ -442,7 +444,8 @@ def _solve_levels(cfg: RunConfig, wanted=None, level=None):
         brackets = [b for b in brackets if b.k in wanted]
     records = [spectrum.find_eigenvalue(family, br.k, br, cfg.tol,
                                         window=window, zero=zero,
-                                        rtol=cfg.rtol, atol=cfg.atol)
+                                        rtol=cfg.rtol, atol=cfg.atol,
+                                        samples=samples)
                for br in brackets]
     return family, zero, window, records
 

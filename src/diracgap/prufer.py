@@ -6,34 +6,34 @@ J z' + P(x) z = lam z decouples into
     theta'   = (lam - p11) cos^2 - 2 p12 cos sin + (lam - p22) sin^2
     logrho'  = p12 (cos^2 - sin^2) + (p22 - p11) sin cos
 
-One winding rule holds on both integration paths: the angle is integrated as
-an ODE component, never rebuilt from atan2 branch fixing, so the winding
-count is exact.  Near the origin the coefficients blow up like x^-beta; the
-left part of the window is therefore integrated in a transformed variable,
-log x for beta = 1 and x^(1-beta) for beta > 1, in which the flow is
-asymptotically autonomous.  The module picks the chart automatically.
+The winding count is exact on every path: a dense run integrates the angle
+as an ODE component, and a lane run sums the atan2 increments of steps that
+turn the solution by less than pi.  Near the origin the coefficients blow up
+like x^-beta; the left part of the window is therefore integrated in a
+transformed variable, log x for beta = 1 and x^(1-beta) for beta > 1, in
+which the flow is asymptotically autonomous.  The module picks the chart
+automatically.
 
 The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z in the exactly
 scaled variables z = e^mu w, with w kept at unit size and mu carrying the log
 of the true amplitude, and carries the polar angle of w as a fourth
 component; it serves as an independent cross-check of the polar formulation
 (w is integrated in components, and its angle rate is formed from them) and
-as the engine for the nonlinear shooting solver.  Each path has one entry
-point, and both follow one lane rule (_lanes): a float lam is one dense run,
-an array of lam is endpoint-only lanes, one vector ODE on one step sequence.
-Both return one Trajectory type, whose state(x) reads the dense state row.
+as the engine for the nonlinear shooting solver (_lanes).  Both integrators
+return one Trajectory type, whose state(x) reads the dense state row.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .asymptotics import TruncationWindow
+from .asymptotics import TruncationWindow, contraction_samples
 from .model import CoefficientFamily, NonlinearCoupling, polar_rates
 
 DEFAULT_RTOL = 1e-10
@@ -104,17 +104,14 @@ def _segments(window: TruncationWindow, beta: float, direction: str,
     return pieces
 
 
-def _lanes(lam, n_one: int) -> tuple:
-    """The lane rule of both integrators: (lams, dense, tolerance scale).
-
-    A float lam is one dense run; an array of N (one included) is N
-    endpoint-only lanes.  DOP853's error norm is an RMS over components, so
-    lanes scale rtol and atol by sqrt(n_one/N), where a dense run has as
-    many components as n_one lanes: no lane gets a looser bound than it.
-    """
+def _lanes(lam) -> tuple:
+    """The lane rule of integrate_cartesian, (lams, dense, tolerance scale):
+    a float lam is one dense run, an array of N is N endpoint-only lanes on
+    one DOP853 step sequence, rtol and atol scaled by sqrt(1/N) since its
+    error norm is an RMS over components."""
     dense = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=float)).reshape(-1)
-    return lams, dense, 1.0 if dense else math.sqrt(n_one / lams.size)
+    return lams, dense, 1.0 if dense else math.sqrt(1.0 / lams.size)
 
 
 @dataclass
@@ -211,40 +208,146 @@ def integrate_prufer(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
+    x_start=None,
     x_stop: Optional[float] = None,
+    samples: Optional["WindowSamples"] = None,
 ) -> Trajectory:
-    """Integrate the angle across the window with adaptive embedded RK.
+    """Integrate the angle across the window.
 
-    ``direction`` chooses the starting end and ``x_stop`` truncates the run
-    at an interior point (the matched halves).  A float lam integrates
-    (theta, log rho), log rho starting at 0, and keeps DOP853's dense output.
-    An array of N lam integrates theta alone from theta_init (shared, or one
-    per lane) as N endpoint-only lanes (_lanes: rtol and atol scaled by
-    sqrt(2/N)); one ``coeffs(x)`` call per RHS evaluation serves every lane.
+    ``direction`` chooses the starting end, ``x_start`` moves the start off
+    it and ``x_stop`` truncates the run at an interior point (the matched
+    halves).  A float lam integrates (theta, log rho), log rho starting at
+    0, with adaptive DOP853 and keeps its dense output.  An array is theta
+    lanes from theta_init and x_start (shared, or one per lane) on Magnus
+    mesh n = ceil(16 (1e-10/rtol)^(1/6)) of ``samples`` (a new
+    WindowSamples if None), each across the intervals of its own span in a
+    float loop (_turn), so no lane depends on another; stats then has the
+    run's intervals as steps and the P samples it drew as nfev.
     """
     if not np.all(np.isfinite(theta_init)):
         raise ValueError("theta_init must be finite")
-    lams, dense, scale = _lanes(lam, 2)
-    coeffs = family.coeffs
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be forward or backward, got {direction!r}")
+    d = 1 if direction == "forward" else -1
+    ends = (window.x_zero, window.x_inf)[::d]
+    if np.ndim(lam) == 0:
+        if x_start is not None:
+            window = replace(window, **{"x_inf" if d < 0 else "x_zero": x_start})
+        pieces, stats, _, y_end = _run_segments(
+            lambda x, y: polar_rates(*family.coeffs(x), lam, y[0]),
+            (theta_init, 0.0),
+            _segments(window, family.beta, direction, x_stop), rtol, atol)
+        return Trajectory(stats, y_end.reshape(1, -1), pieces)
 
-    if dense:
-        def rhs_in_x(x, y):
-            p11, p12, p22 = coeffs(x)
-            return polar_rates(p11, p12, p22, lam, y[0])
-        y0 = (theta_init, 0.0)
-    else:
-        def rhs_in_x(x, th):
-            # the theta' of polar_rates, per lane
-            p11, p12, p22 = coeffs(x)
-            ct = np.cos(th)
-            st = np.sin(th)
-            return (lams - p11) * ct * ct - 2.0 * p12 * ct * st \
-                + (lams - p22) * st * st
-        y0 = np.broadcast_to(theta_init, lams.shape)
-    pieces, stats, _, y_end = _run_segments(
-        rhs_in_x, y0, _segments(window, family.beta, direction, x_stop),
-        rtol * scale, atol * scale, dense=dense)
-    return Trajectory(stats, y_end.reshape(lams.size, -1), pieces)
+    lams = np.asarray(lam, dtype=float).reshape(-1)
+    samples = samples or WindowSamples(family, window)
+    stop = ends[1] if x_stop is None else x_stop
+    spans = [(x, stop)[::d] for x in np.broadcast_to(
+        ends[0] if x_start is None else x_start, lams.shape).tolist()]
+    if not all(window.x_zero <= lo < hi <= window.x_inf for lo, hi in spans):
+        raise ValueError("integration span must be a nontrivial part of the window")
+    drawn, lanes, index = samples.drawn, [], {}
+    nodes = samples.nodes(window.x_zero, math.ceil(16.0 * (1e-10 / rtol) ** (
+        1.0 / 6.0)), max(hi for _, hi in spans))
+    for lo, hi in spans:
+        xs = sorted({lo, hi, *nodes[bisect.bisect_left(nodes, lo):
+                                    bisect.bisect_right(nodes, hi)]})
+        cols = [index.setdefault(pair, len(index)) for pair in zip(xs, xs[1:])]
+        lanes.append(cols[::d])
+    omega = d * _magnus(np.array([samples.row(*pair) for pair in index]), lams)
+    thetas = [_turn(theta, *omega[:, lane, cols].tolist()) for lane, (
+        theta, cols) in enumerate(zip(np.broadcast_to(
+            theta_init, lams.shape).tolist(), lanes))]
+    return Trajectory(IntegratorStats(len(index), samples.drawn - drawn, rtol,
+                                      atol), np.array(thetas).reshape(-1, 1),
+                      [(_IDENTITY, None, min(spans)[0],
+                        max(hi for _, hi in spans))])
+
+
+_GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+
+
+class WindowSamples:
+    """P(x) sampled once per window, for every lane run on it.
+
+    ``contraction`` is the window's contraction_samples.  Magnus mesh n
+    depends on x_zero and n alone: nodes uniform in x^p up to 1 (2n per unit
+    of log x at 1; p = 1/2 in the log chart, 1/8 in the x^(1-beta) one,
+    where a step's error grows toward 0), then steps min(x/(2n), sqrt(x)/n,
+    8/n), the cap bounding a far step's error, which grows like h^7 |P'|.
+    ``row`` samples an interval once: h, its length in its chart variable
+    s, and (j, j p11, j p12, j p22), j = dx/ds, at its Gauss-Legendre
+    points; ``drawn`` counts them.  Nothing is kept beyond the object.
+    """
+
+    def __init__(self, family: CoefficientFamily, window: TruncationWindow):
+        self.family, self.drawn, self._nodes, self._rows = family, 0, {}, {}
+        self._left = _LOG if family.beta == 1.0 else _power_chart(family.beta)
+        self.contraction = contraction_samples(family, window)
+
+    def nodes(self, x_zero: float, n: int, x_hi: float) -> list:
+        nodes = self._nodes.setdefault((x_zero, n), [x_zero])
+        p = 0.5 if self._left is _LOG else 0.125
+        t0 = x_zero ** p
+        m = math.ceil(2 * n * (1.0 - t0) / p) if x_zero < 1.0 else 0
+        while nodes[-1] < x_hi:
+            i, x = len(nodes), nodes[-1]
+            nodes.append((t0 + (1.0 - t0) * i / m) ** (1.0 / p) if i < m
+                         else 1.0 if i == m
+                         else x + min(x / (2 * n), math.sqrt(x) / n, 8.0 / n))
+        return nodes
+
+    def row(self, x_lo: float, x_hi: float) -> list:
+        if (x_lo, x_hi) not in self._rows:
+            chart = self._left if x_hi <= 1.0 else _IDENTITY
+            s, h = chart.to_s(x_lo), chart.to_s(x_hi) - chart.to_s(x_lo)
+            self._rows[x_lo, x_hi] = [h] + [
+                v for j, x in ((chart.dx_ds(s + g * h), chart.to_x(s + g * h))
+                               for g in _GAUSS)
+                for v in (j, *(j * p for p in self.family.coeffs(x)))]
+            self.drawn += 3
+        return self._rows[x_lo, x_hi]
+
+
+def _magnus(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Sixth-order Magnus exponents (Blanes, Casas & Ros 2000) of A = j [[p12,
+    p22 - lam], [lam - p11, -p12]], as (a, b, c) = [[a, b], [c, -a]] of shape
+    (3, lanes, intervals)."""
+    def bracket(x, y):
+        return np.array((x[1] * y[2] - y[1] * x[2],
+                         2.0 * (x[0] * y[1] - y[0] * x[1]),
+                         2.0 * (y[0] * x[2] - x[0] * y[2])))
+
+    lam, h = np.reshape(lams, (-1, 1)), rows[:, 0]
+    a1, a2, a3 = (np.array(np.broadcast_arrays(jp12, jp22 - lam * j,
+                                               lam * j - jp11))
+                  for j, jp11, jp12, jp22 in rows[:, 1:].reshape(-1, 3, 4)
+                  .transpose(1, 2, 0))
+    alpha1 = h * a2
+    alpha2 = (math.sqrt(15.0) / 3.0) * h * (a3 - a1)
+    alpha3 = (10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
+    c1 = bracket(alpha1, alpha2)
+    c2 = bracket(alpha1, 2.0 * alpha3 + c1) / -60.0
+    return alpha1 + alpha3 / 12.0 \
+        + bracket(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+
+
+def _turn(theta: float, a: list, b: list, c: list) -> float:
+    """theta across the steps exp(Omega), Omega = [[a, b], [c, -a]], by the
+    atan2 increments between unit vectors; exp(Omega) over cosh(r), so as not
+    to overflow, is Id + tanh(r)/r Omega, r^2 = a^2 + bc (cos, sin if < 0)."""
+    u, v = math.cos(theta), math.sin(theta)
+    for a, b, c in zip(a, b, c):
+        q = a * a + b * c
+        r = math.sqrt(abs(q))
+        ch, sh = (((1.0, math.tanh(r) / r) if q > 0.0 else
+                   (math.cos(r), math.sin(r) / r)) if r else (1.0, 1.0))
+        u2 = (ch + sh * a) * u + sh * b * v
+        v2 = sh * c * u + (ch - sh * a) * v
+        theta += math.atan2(u * v2 - v * u2, u * u2 + v * v2)
+        r = math.hypot(u2, v2)
+        u, v = u2 / r, v2 / r
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +388,7 @@ def integrate_cartesian(
     called once per lane, and each lane's arithmetic is that of a float
     run.
     """
-    lams, dense, scale = _lanes(lam, 1)
+    lams, dense, scale = _lanes(lam)
     z0 = np.broadcast_to(np.asarray(z_init, dtype=float), lams.shape + (2,))
     logs = np.broadcast_to(np.asarray(log_scale_init, dtype=float), lams.shape)
     if not np.all(np.any(z0, axis=1)):

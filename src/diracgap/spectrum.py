@@ -21,10 +21,11 @@ one started on the decaying direction theta_inf (theta_inf plus the gap
 angle is pi), spliced at x.  It has the roots and monotonicity of the limit
 functional and stays well conditioned at a root, where shooting from one end
 only would turn into a numerical staircase.  One routine (_halves)
-integrates the two halves, on lanes of lam for nu_star and on a float for
-the dense _matched.  In lanes a value moves slightly with the other lanes
-of its run, so a scan bracket carries the end values it was bracketed on,
-and the root solve takes its sign test and first step from them.
+integrates the two halves, on Magnus lanes of lam for nu_star and on a
+float for the dense _matched.  A lane's value depends on its lam alone,
+not on the other lanes or on whether the window's WindowSamples is handed
+in; the CLI hands one to the scan and to every root solve.  A scan bracket
+carries its end values, for the root solve's sign test and first step.
 
 theta_fwd - theta_bwd meets a multiple of pi only at an eigenvalue, so
 neither floor(nu_star/pi) off a level nor the root depends on x; the
@@ -35,18 +36,17 @@ eigenfunction, at match_point, the bottom of the well (Pryce 1993).
 
 The backward half of nu_star need not start at x_inf: on the way in a
 start error shrinks by e^(-2 int kappa dx), kappa the local decay rate, so
-it starts on theta_inf where that factor reaches e^-36
-(asymptotics.contraction_start, on P sampled once per scan or root solve);
+each lane starts on theta_inf where that factor reaches e^-36 for its own
+lam (asymptotics.contraction_start, on the window's contraction samples);
 _matched starts it at x_inf.
 
 find_eigenvalue runs nu_star on two lanes, lam and lam + delta with
-delta = 1e-7 max(1, |lam|).  Both lanes share one step sequence, so their
-forward difference is the Newton slope, free of the step-control noise that
-differencing two separate runs would carry.  At the default tolerances a
-value can be off by more than the residual tolerance where the slope is
-large (3.5e-9 at a slope of 8.6e3), so a residual ends the solve only when
-read at tolerances tightened a hundredfold.  That read also gives the
-rotation number, as nu = nu_star - pi + theta_inf, with no further run.
+delta = 1e-7 max(1, |lam|), on one mesh, and their forward difference is
+the Newton slope.  At the default tolerances a value can be off by more
+than the residual tolerance (up to 2e-9), so a residual ends the solve only
+when read at tolerances tightened a hundredfold, on the denser mesh they
+map to (2e-11).  That read also gives the rotation number, as
+nu = nu_star - pi + theta_inf, with no further run.
 Its steps are taken in u = (lam - c)/kappa_inf(lam), c the gap centre: the
 Coulomb ladder accumulating at mu_plus is evenly spaced in u, at
 (n_r + s)/|gamma|, and nu_star there is close to linear.
@@ -62,11 +62,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from .asymptotics import (CrossedCutoffError, TruncationWindow, ZeroData,
-                          contraction_samples, contraction_start,
-                          gap_coordinate, gap_point, infinity_data,
-                          match_point, select_truncation, zero_data)
+                          contraction_start, gap_coordinate, gap_point,
+                          infinity_data, match_point, select_truncation,
+                          zero_data)
 from .model import CoefficientFamily, mirror_family
-from .prufer import DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, integrate_prufer
+from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, WindowSamples,
+                     integrate_prufer)
 
 
 class BracketError(ValueError):
@@ -117,15 +118,16 @@ class _MatchInfo:
 
 
 def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol,
-            x_match=None):
+            x_match=None, samples=None):
     """theta_zero forward from x_zero and theta_inf backward from x_start, both
     to x_match (x_mid when None): dense for a float lam, lanes for an array."""
     x_stop = window.x_mid if x_match is None else x_match
     fwd = integrate_prufer(family, lam, window, theta_zero, "forward",
-                           rtol=rtol, atol=atol, x_stop=x_stop)
-    bwd = integrate_prufer(family, lam, replace(window, x_inf=x_start),
-                           theta_inf, "backward", rtol=rtol, atol=atol,
-                           x_stop=x_stop)
+                           rtol=rtol, atol=atol, x_stop=x_stop,
+                           samples=samples)
+    bwd = integrate_prufer(family, lam, window, theta_inf, "backward",
+                           rtol=rtol, atol=atol, x_start=x_start,
+                           x_stop=x_stop, samples=samples)
     return fwd, bwd
 
 
@@ -144,24 +146,26 @@ def _matched(family, lam, window, zero, rtol, atol, x_match=None):
 
 def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
             zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
-            atol: float = DEFAULT_ATOL, samples: Optional[np.ndarray] = None,
+            atol: float = DEFAULT_ATOL,
+            samples: Optional[WindowSamples] = None,
             x_match: Optional[float] = None):
     """Matched value of nu_star, strictly increasing across the gap.
 
     ``lam`` is a float or an array, integrated as one endpoint-only lane per
     value (a float too); the result has its shape.  The halves meet at
-    ``x_match`` (x_mid when None), below the backward half's start, the
-    lanes' contraction start on ``samples`` (contraction_samples if None).
+    ``x_match`` (x_mid when None), below each lane's backward start, its
+    own contraction start.  ``samples`` is the window's WindowSamples (a
+    new one if None); a value does not depend on whether it is passed in.
     """
     zero = zero or zero_data(family)
-    if samples is None:
-        samples = contraction_samples(family, window)
+    samples = samples or WindowSamples(family, window)
     lams = np.asarray(lam, dtype=float)
     theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
                  for l in lams.flat]
+    starts = [contraction_start(samples.contraction, l, x_match)
+              for l in lams.flat]
     fwd, bwd = _halves(family, lams.reshape(-1), window, zero.theta_zero,
-                       theta_inf, contraction_start(samples, lams, x_match),
-                       rtol, atol, x_match)
+                       theta_inf, starts, rtol, atol, x_match, samples)
     # theta_inf plus the gap angle is pi, as in _matched
     values = (math.pi + fwd.end[:, 0] - bwd.end[:, 0]).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
@@ -191,8 +195,8 @@ class ScanResult:
 def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
                   window: TruncationWindow,
                   zero: Optional[ZeroData] = None, *,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
-                  ) -> ScanResult:
+                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                  samples: Optional[WindowSamples] = None) -> ScanResult:
     """Evaluate nu_star on a grid and bracket every crossing of k*pi.
 
     The grid is one lane run.  nu_star is strictly increasing, so a cell
@@ -212,8 +216,7 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
     if not (family.mu_minus < lams[0] and lams[-1] < family.mu_plus):
         raise ValueError("scan grid must lie inside the open gap")
     values = nu_star(family, lams, window, zero or zero_data(family),
-                     rtol=rtol, atol=atol,
-                     samples=contraction_samples(family, window))
+                     rtol=rtol, atol=atol, samples=samples)
     diffs = np.diff(values)
     max_dec = float(-diffs.min()) if diffs.size and diffs.min() < 0 else 0.0
     if max_dec > 1e-7:
@@ -274,7 +277,8 @@ def _nodal_index(rot: float, quadrant: str) -> tuple:
 def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
                     tol: float = 1e-9, *, window: TruncationWindow,
                     zero: Optional[ZeroData] = None,
-                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
+                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                    samples: Optional[WindowSamples] = None
                     ) -> EigenvalueRecord:
     """Solve nu_star(lam) = k*pi inside a bracket by safeguarded Newton in u.
 
@@ -301,7 +305,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     resolve.  The record, rot included, comes from the iterates.
     """
     zero = zero or zero_data(family)
-    samples = contraction_samples(family, window)
+    samples = samples or WindowSamples(family, window)
     if not isinstance(bracket, Bracket):
         ends = np.array(bracket, dtype=float)
         bracket = Bracket(k, *ends.tolist(), *nu_star(
@@ -333,7 +337,8 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
         value, sibling = nu_star(family, np.array([lam, lam + delta]), window,
                                  zero, rtol=rtol * scale, atol=atol * scale,
                                  samples=samples,
-                                 x_match=match_point(samples, lam)).tolist()
+                                 x_match=match_point(samples.contraction,
+                                                     lam)).tolist()
         f = value - target
         history.append((lam, f, rtol * scale))
         return f, (sibling - value) / delta
@@ -391,7 +396,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     nodal, flags = _nodal_index(rot, zero.quadrant)
     return EigenvalueRecord(k=k, lam=lam, rot=rot, nodal_index=nodal,
                             residual=abs(f), window=window,
-                            x_match=match_point(samples, lam),
+                            x_match=match_point(samples.contraction, lam),
                             quadrant=zero.quadrant, flags=flags,
                             history=tuple(history))
 

@@ -118,9 +118,9 @@ def test_branch_does_not_depend_on_the_window_end(x_inf, coulomb_plus,
 
 def test_defocusing_branch_moves_its_start_out(coulomb_plus, zero_plus,
                                                seed_branch, branch_window):
-    # lam heads for mu_+ and the tail decays ever more slowly: after each
-    # point the backward start lies at or beyond that point's own
-    # contraction start, and every point solves the problem shot from x_inf
+    # lam heads for mu_+ and the tail decays ever more slowly: every point,
+    # the first included, is shot from at or beyond its own contraction
+    # start and the previous point's, and solves the problem shot from x_inf
     coupling = dg.build_soler_coupling(lambda r: r * r / (1.0 + r ** 5),
                                        lambda s: -s, 1.0)
     branch = dg.continue_branch(coulomb_plus, coupling, seed_branch, ds=1e-3,
@@ -131,11 +131,10 @@ def test_defocusing_branch_moves_its_start_out(coulomb_plus, zero_plus,
     assert len(pts) == 8
     starts = [p.x_start for p in pts]
     assert starts == sorted(starts) and starts[-1] > starts[0]
-    assert starts[0] == dg.asymptotics.contraction_start(samples,
-                                                         seed_branch.lam)
+    for pt in pts:
+        assert pt.x_start >= dg.asymptotics.contraction_start(samples, pt.lam)
     for prev, pt in zip(pts, pts[1:]):
         assert pt.x_start >= dg.asymptotics.contraction_start(samples, prev.lam)
-        assert pt.x_start >= dg.asymptotics.contraction_start(samples, pt.lam)
     last = pts[-1]
     full = dg.solve_point(coulomb_plus, coupling, last.lam, last.a, 1.0,
                           window=branch_window, zero=zero_plus,

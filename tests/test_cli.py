@@ -251,9 +251,9 @@ def test_unattainable_window_is_rejection(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, note", [
-    # x_zero = 2 lies above the origin's asymptotic region; the root solve
-    # then runs out of iterations with a message that names no config key
-    ("x_zero = 1e-3", "x_zero = 2.0",
+    # x_zero = 5 lies above the origin's asymptotic region; the root solve
+    # then meets a jump of nu_star with a message that names no config key
+    ("x_zero = 1e-3", "x_zero = 5.0",
      "line 12: [numerics] x_zero and line 13: [numerics] x_inf given"),
     ("x_zero = 1e-3\n", "delta = 1e-30\n", "line 13: [numerics] x_inf given"),
     ("x_zero = 1e-3\nx_inf = 250.0\n", "delta = 1e-30\n", None),
@@ -273,7 +273,7 @@ def test_rejection_names_a_jump_the_window_does_not_resolve(tmp_path,
                                                             capsys):
     # the README config with x_zero = 2.0: on the selected window nu_star
     # jumps by pi between two adjacent floats at the ground state, and the
-    # root solve stalls at residual 2.63, which is no residual floor
+    # root solve stalls at residual 0.516, which is no residual floor
     cfg = COULOMB_BASE.replace("lambda_max = 0.93", "lambda_max = 0.995")
     cfg = cfg.replace("lambda_points = 8", "lambda_points = 12")
     path = write(tmp_path, cfg.replace("x_zero = 1e-3\nx_inf = 250.0\n",
@@ -284,7 +284,7 @@ def test_rejection_names_a_jump_the_window_does_not_resolve(tmp_path,
     err = capsys.readouterr().err.splitlines()[0]
     assert err.startswith("rejected: nu_star jumps across the closed bracket")
     assert err.endswith("the window does not resolve the level")
-    assert "residual 2.63 " in err and "floor" not in err
+    assert "residual 0.516 " in err and "floor" not in err
 
 
 def test_given_x_inf_skips_the_cone_test_at_infinity(tmp_path):

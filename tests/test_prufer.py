@@ -119,11 +119,6 @@ def test_invalid_direction_rejected(coulomb_minus, fast_window):
 
 # -- the lane rule, on both integrators ------------------------------------------
 
-# lanes whose components match one float run: theta lanes against (theta,
-# log rho), Cartesian lanes against one (u, v, mu, theta) run
-ONE_RUN_LANES = {"prufer": 2, "cartesian": 1}
-
-
 def integrate(integrator, family, lam, window):
     """Either integrator from the start angle 0.3; returns (trajectory, the
     column of ``end`` and of ``state(x)`` that holds the angle)."""
@@ -150,13 +145,20 @@ def test_array_lam_is_endpoint_only_lanes(integrator, n, coulomb_minus,
     lams = np.linspace(0.2, 0.6, n)
     traj, col = integrate(integrator, coulomb_minus, lams, fast_window)
     assert traj.end.shape[0] == n
-    scale = math.sqrt(ONE_RUN_LANES[integrator] / n)
-    assert traj.stats.rtol == pytest.approx(1e-10 * scale, rel=1e-15)
-    assert traj.stats.atol == pytest.approx(1e-12 * scale, rel=1e-15)
+    if integrator == "prufer":
+        # Magnus lanes keep the tolerances as given, count the mesh
+        # intervals they cross as steps, and on a fresh table draw P at the
+        # three Gauss points of each
+        assert (traj.stats.rtol, traj.stats.atol) == (1e-10, 1e-12)
+        assert traj.stats.nfev == 3 * traj.stats.steps > 0
+    else:
+        scale = math.sqrt(1 / n)
+        assert traj.stats.rtol == pytest.approx(1e-10 * scale, rel=1e-15)
+        assert traj.stats.atol == pytest.approx(1e-12 * scale, rel=1e-15)
     # each lane ends where a float run of its lam ends, to tolerance
     for lam, lane_end in zip(lams.tolist(), traj.end[:, col].tolist()):
         one, _ = integrate(integrator, coulomb_minus, lam, fast_window)
-        assert abs(lane_end - one.end[0, col]) < 1e-7
+        assert abs(lane_end - one.end[0, col]) < 1e-9
 
 
 @pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
