@@ -232,17 +232,20 @@ def contraction_samples(family: CoefficientFamily,
     return np.vstack((xs, np.array([family.coeffs(x) for x in xs]).T))
 
 
-def decay_integral(samples: np.ndarray, lams) -> tuple:
-    """(kappa^2, int kappa dx from the first sample) on the
-    contraction_samples by the trapezoid rule, one row per lane, kappa being
-    0 where kappa^2 <= 0; e^-(its increment) is the WKB decay of the tail."""
+def wkb_decay(samples: np.ndarray, lams, x_from: float, x_to):
+    """int kappa dx from x_from to x_to, by the trapezoid rule on the
+    contraction_samples and linear between them, kappa being the local
+    decay rate (0 where kappa^2 <= 0), for a float lam or one row per lane:
+    beyond a backward start, where the angle has contracted, a decaying
+    solution is its start state times e^-(this), the WKB tail."""
     xs, p11, p12, p22 = samples
     lam = np.reshape(lams, (-1, 1))
-    kappa2 = p12 * p12 - (lam - p11) * (lam - p22)
-    kappa = np.sqrt(np.maximum(kappa2, 0.0))
-    return kappa2, np.cumsum(np.concatenate(
-        (np.zeros((lam.shape[0], 1)),
-         0.5 * (kappa[:, 1:] + kappa[:, :-1]) * np.diff(xs)), axis=1), axis=1)
+    kappa = np.sqrt(np.maximum(p12 * p12 - (lam - p11) * (lam - p22), 0.0))
+    integral = np.cumsum(np.concatenate((np.zeros((lam.shape[0], 1)), 0.5 * (
+        kappa[:, 1:] + kappa[:, :-1]) * np.diff(xs)), axis=1), axis=1)
+    rows = [np.interp(x_to, xs, row) - np.interp(x_from, xs, row)
+            for row in integral]
+    return rows[0] if np.ndim(lams) == 0 else np.array(rows)
 
 
 def contraction_start(samples: np.ndarray, lam: float, x_from=None) -> float:
@@ -252,17 +255,17 @@ def contraction_start(samples: np.ndarray, lam: float, x_from=None) -> float:
     At a fixed point of the angle flow theta' the linearized rate is
     -+2 kappa, with kappa^2 = p12^2 - (lam - p11)(lam - p22) the local decay
     rate; past a point with int kappa dx >= 18 a backward run from a start
-    error of O(0.1) reaches the points below damped by e^-36.  The
-    decay_integral is counted from the last turning point (kappa^2 <= 0) or
+    error of O(0.1) reaches the points below damped by e^-36.  The integral
+    (wkb_decay) is counted from the last turning point (kappa^2 <= 0) or
     from x_from (x_mid when None), whichever is further out; the result is
     the first point that reaches 18, and x_inf when none does.
     """
-    xs = samples[0]
-    (kappa2,), (integral,) = decay_integral(samples, lam)
-    turning = np.flatnonzero(kappa2 <= 0.0)
+    xs, p11, p12, p22 = samples
+    turning = np.flatnonzero(p12 * p12 - (lam - p11) * (lam - p22) <= 0.0)
     start = max(turning[-1] if turning.size else 0,
                 np.searchsorted(xs, x_from or xs[0]))
-    reached = np.flatnonzero(integral[start:] >= integral[start] + 18.0)
+    reached = np.flatnonzero(wkb_decay(samples, lam, xs[start], xs[start:])
+                             >= 18.0)
     return float(xs[start + reached[0]] if reached.size else xs[-1])
 
 

@@ -31,15 +31,15 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .asymptotics import (TruncationWindow, ZeroData, contraction_samples,
-                          contraction_start, decay_integral, infinity_data,
-                          zero_data)
+from .asymptotics import (TruncationWindow, ZeroData, contraction_start,
+                          infinity_data, wkb_decay, zero_data)
 from .model import CoefficientFamily, NonlinearCoupling
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, Trajectory,
-                     integrate_cartesian)
+                     WindowSamples, integrate_cartesian)
 # unused here, kept because perfbench/tracing.py traces this module attribute
 from .prufer import integrate_prufer  # noqa: F401
-from .spectrum import EigenvalueRecord, _l2_mass, _matched, _nodal_index
+from .spectrum import (EigenvalueRecord, _l2_mass, _matched, _nodal_index,
+                       _Splice)
 
 
 class CorrectorError(RuntimeError):
@@ -55,14 +55,14 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
     """(log ratio, sign) of backward to forward shooting amplitude for the
     linear flow at lam: matching midpoint magnitudes requires
     b = sign * exp(log_ratio) * a, with sign -1 when the matched angles differ
-    by an odd multiple of pi, b taken at x_start (x_inf when None).  On a
-    wide window the ratio at x_inf lies below the float range (e^-788 on
-    [1e-3, 1600]).
+    by an odd multiple of pi, b taken at x_start (x_inf when None), where
+    the backward half starts.  On a wide window the ratio at x_inf lies
+    below the float range (e^-788 on [1e-3, 1600]).
     """
     zero = zero or zero_data(family)
-    start = window if x_start is None else replace(window, x_inf=x_start)
-    info = _matched(family, lam, start, zero, rtol, atol, window.x_mid)
-    return info.offset, -1.0 if info.turns % 2 else 1.0
+    splice = _matched(family, lam, window, zero, rtol, atol, window.x_mid,
+                      x_start=window.x_inf if x_start is None else x_start)
+    return splice.offset, -1.0 if splice.turns % 2 else 1.0
 
 
 @dataclass
@@ -184,37 +184,16 @@ class BranchPoint:
 
 
 def _point_from_shot(family, zero, window, shot: ShootResult, tangent,
-                     samples) -> BranchPoint:
-    xs = np.geomspace(window.x_zero, window.x_inf, 257)
-    decay = decay_integral(samples, shot.lam)[1][0]
-
-    def row(x):
-        # (u, v, mu) of the dense shot at x; beyond the backward start, the
-        # start state decays by the WKB factor of the linear tail
-        if x <= window.x_mid:
-            return shot.fwd.state(x)[:3]
-        if x <= shot.x_start:
-            return shot.bwd.state(x)[:3]
-        u, v, ls, _ = shot.bwd.state(shot.x_start)
-        return u, v, ls - np.diff(np.interp([shot.x_start, x], samples[0],
-                                            decay))[0]
-
-    rows = np.array([row(x) for x in xs])
-    us, vs = (rows[:, :2] * np.exp(rows[:, 2:])).T
-
-    def log_norm(x):
-        u, v, ls = row(x)
-        return ls + 0.5 * math.log(u * u + v * v)
-
-    lmax, mass, tail, head = _l2_mass(family, zero, window, shot.lam, log_norm)
-    l2 = math.exp(lmax) * math.sqrt(mass + tail + head)
-
+                     samples: WindowSamples) -> BranchPoint:
+    splice = _Splice(shot.lam, shot.fwd, shot.bwd, window.x_mid,
+                     shot.x_start, samples)
+    xs, us, vs = splice.sample(window, 257)
     rot = shot.rotation
-    idx = _nodal_index(rot, zero.quadrant)[0]
     return BranchPoint(lam=shot.lam, a=shot.a, b=shot.b, log_b=shot.log_b,
-                       x_start=shot.x_start, tangent=tangent,
-                       x=xs, u=us, v=vs,
-                       l2_norm=l2, rotation=rot, index=idx,
+                       x_start=shot.x_start, tangent=tangent, x=xs, u=us, v=vs,
+                       l2_norm=math.exp(_l2_mass(family, zero, window,
+                                                 splice)[0]),
+                       rotation=rot, index=_nodal_index(rot, zero.quadrant)[0],
                        residual=float(np.linalg.norm(shot.mismatch)))
 
 
@@ -242,16 +221,16 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                 window: TruncationWindow,
                 zero: Optional[ZeroData] = None,
                 x_start: Optional[float] = None,
-                samples: Optional[np.ndarray] = None,
+                samples: Optional[WindowSamples] = None,
                 rtol: float = DEFAULT_RTOL,
                 atol: float = DEFAULT_ATOL) -> BranchPoint:
     """Newton-correct one nonlinear solution near the supplied guess.
 
     The unknowns are p = (lam, log |b|) at fixed left amplitude a_target, b
     being the amplitude at x_start, where the backward half starts (if None,
-    the contraction start at lam_guess on ``samples``, contraction_samples
-    if None), moved out to an accepted iterate's own (log |b| carried by the
-    WKB factor, by which the point's samples decay beyond it).  log_b
+    the contraction start at lam_guess on ``samples``, the window's
+    WindowSamples, a new one if None), moved out to an accepted iterate's
+    own (log |b| carried by the WKB tail, asymptotics.wkb_decay).  log_b
     is the start for log |b|, and b_guess gives the sign of b, which is
     frozen (the backward direction flips sign for odd rotation offsets);
     without log_b, the linear amplitude ratio at lam_guess supplies both.
@@ -274,8 +253,9 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
     zero = zero or zero_data(family)
     if a_target <= 0.0:
         raise ValueError("amplitude target must be positive")
-    samples = contraction_samples(family, window) if samples is None else samples
-    x_start = contraction_start(samples, lam_guess) if x_start is None else x_start
+    samples = samples or WindowSamples(family, window)
+    contraction = samples.contraction
+    x_start = x_start or contraction_start(contraction, lam_guess)
     if log_b is None:
         # the linear eigenfunction fixes both the scale and the sign of the
         # backward amplitude; anything else is hopeless as a Newton start
@@ -316,11 +296,10 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
 
     def moved_out(p):
         nonlocal x_start
-        x_c = contraction_start(samples, p[0])
+        x_c = contraction_start(contraction, p[0])
         if x_c <= x_start:
             return False
-        decay = decay_integral(samples, p[0])[1][0]
-        p[1] -= np.diff(np.interp([x_start, x_c], samples[0], decay))[0]
+        p[1] -= wkb_decay(contraction, p[0], x_start, x_c)
         x_start = x_c
         return True
 
@@ -338,7 +317,7 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                                and norms[-1] ** 3 < 0.1 * tol * norms[-2] ** 2):
             shot = shoot(*(p + dp))
             if float(np.linalg.norm(shot.mismatch)) < tol \
-                    and contraction_start(samples, shot.lam) <= x_start:
+                    and contraction_start(contraction, shot.lam) <= x_start:
                 tangent = -np.linalg.solve(jac, m_log_a) / a_target
                 return _point_from_shot(family, zero, window, shot, tangent,
                                         samples)
@@ -385,19 +364,18 @@ class Branch:
         return all(p.index == self.seed.nodal_index for p in self.points)
 
 
-def _predict(samples: np.ndarray, points: tuple, a: float,
+def _predict(contraction: np.ndarray, points: tuple, a: float,
              x_start: float) -> np.ndarray:
     """(lam, log(|b|/a)) at a, b measured at x_start: the cubic Hermite
     through the last two points and their tangents, or an Euler step from a
     single point.  Each point's log |b| and its slope are first carried from
-    its own start out to x_start by the WKB decay of the linear tail (its
-    lam derivative by a central difference)."""
+    its own start out to x_start by the WKB decay of the linear tail
+    (asymptotics.wkb_decay; its lam derivative by a central difference)."""
     nodes = []
     for pt in points:
         h = 1e-6 * max(1.0, abs(pt.lam))
-        rows = decay_integral(samples, [pt.lam, pt.lam - h, pt.lam + h])[1]
-        shift = np.diff(rows[:, np.searchsorted(samples[0],
-                                                [pt.x_start, x_start])])[:, 0]
+        shift = wkb_decay(contraction, [pt.lam, pt.lam - h, pt.lam + h],
+                          pt.x_start, x_start)
         dlam, dlog_b = pt.tangent
         nodes.append((pt.a, (pt.lam, pt.log_b - shift[0] - math.log(pt.a)),
                       (dlam, dlog_b - 1.0 / pt.a
@@ -413,6 +391,7 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
                     a_max: float = 10.0,
                     window: Optional[TruncationWindow] = None,
                     zero: Optional[ZeroData] = None,
+                    samples: Optional[WindowSamples] = None,
                     rtol: float = DEFAULT_RTOL,
                     atol: float = DEFAULT_ATOL) -> Branch:
     """March a solution branch away from a linear eigenvalue in amplitude.
@@ -422,8 +401,9 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
     the linear amplitude ratio at the seed (solve_point), later ones from
     _predict's tangent predictor; b keeps the seed's sign.  The backward
     halves start at x_s, the contraction start at the seed lam on
-    contraction_samples taken once, moved out to that of a predicted lam
-    further out (defocusing branches heading for mu_+) or of a point.
+    ``samples`` (as for solve_point), moved out to that of a point or of a
+    predicted lam in the gap further out (defocusing branches heading for
+    mu_+); a prediction outside the gap fails in solve_point, x_s unmoved.
     Terminates when lam comes within 1e-6 of a gap edge ("gap-edge-reached"),
     when a reaches a_max ("amplitude-budget"), after max_steps points
     ("max-steps"), or on persistent corrector failure ("step-failure").
@@ -436,8 +416,9 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
         raise ValueError("seed eigenvalue residual too large for continuation")
     window = window or seed.window
     zero = zero or zero_data(family)
-    samples = contraction_samples(family, window)
-    x_s = contraction_start(samples, seed.lam)
+    samples = samples or WindowSamples(family, window)
+    contraction = samples.contraction
+    x_s = contraction_start(contraction, seed.lam)
 
     points = []
     termination = "max-steps"
@@ -450,9 +431,11 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
             a_try = a + ds_local
             lam_pred, b_guess, log_b = seed.lam, None, None
             if points:
-                lam_pred = _predict(samples, points[-2:], a_try, x_s)[0]
-                x_s = max(x_s, contraction_start(samples, lam_pred))
-                lam_pred, r_pred = _predict(samples, points[-2:], a_try, x_s)
+                lam_pred = _predict(contraction, points[-2:], a_try, x_s)[0]
+                if family.mu_minus < lam_pred < family.mu_plus:
+                    x_s = max(x_s, contraction_start(contraction, lam_pred))
+                lam_pred, r_pred = _predict(contraction, points[-2:], a_try,
+                                            x_s)
                 b_guess, log_b = points[-1].b, math.log(a_try) + r_pred
             try:
                 accepted = solve_point(family, coupling, lam_pred, a_try,

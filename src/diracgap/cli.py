@@ -425,12 +425,13 @@ def _solve_levels(cfg: RunConfig, wanted=None, level=None):
 
     ``wanted`` restricts the solve to a set of level indices.  ``level`` asks
     for one level: its first bracket is solved, and a missing one is rejected
-    (BracketError).  Returns (family, zero, window, records).
+    (BracketError).  Returns (family, zero, window, records, samples), the
+    last the WindowSamples of the scan and solves, for the later runs.
     """
     family = build_dirac_family(cfg.params)
     zero = zero_data(family)        # rejects an inadmissible origin
     window = _make_window(cfg, family, zero)
-    samples = WindowSamples(family, window)     # for the scan and solves
+    samples = WindowSamples(family, window)
     scan = spectrum.scan_spectrum(family, cfg.lam_grid, window, zero,
                                   rtol=cfg.rtol, atol=cfg.atol,
                                   samples=samples)
@@ -447,13 +448,13 @@ def _solve_levels(cfg: RunConfig, wanted=None, level=None):
                                         rtol=cfg.rtol, atol=cfg.atol,
                                         samples=samples)
                for br in brackets]
-    return family, zero, window, records
+    return family, zero, window, records, samples
 
 
 def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
     """Scan the gap, solve every bracketed level, persist the records."""
     wanted = cfg.task.get("spectrum_k")
-    _, _, window, records = _solve_levels(
+    _, _, window, records, _ = _solve_levels(
         cfg, None if wanted is None else set(wanted))
     rows = [(r.k, r.lam, r.rot, r.nodal_index, r.residual) for r in records]
     _write_csv(cfg.out_dir / "spectrum.csv", cfg, "spectrum",
@@ -472,9 +473,9 @@ def cmd_eigenfunction(cfg: RunConfig, quiet: bool = False) -> int:
     want = cfg.task.get("eigenfunction_k")
     if want is None:
         raise ConfigError(["[eigenfunction] k: required for this command"])
-    family, zero, window, (rec,) = _solve_levels(cfg, level=want)
+    family, zero, window, (rec,), samples = _solve_levels(cfg, level=want)
     ef = spectrum.eigenfunction(family, rec, cfg.task["samples"], zero=zero,
-                                rtol=cfg.rtol, atol=cfg.atol)
+                                samples=samples, rtol=cfg.rtol, atol=cfg.atol)
     rows = list(zip(ef.x, ef.u, ef.v))
     _write_csv(cfg.out_dir / "eigenfunction.csv", cfg, "eigenfunction",
                ("x", "u", "v"), rows,
@@ -517,10 +518,10 @@ def cmd_branch(cfg: RunConfig, quiet: bool = False) -> int:
     if seed_k is None:
         raise ConfigError(["[branch] seed_k: required for this command"])
     coupling = _build_coupling(cfg)
-    family, zero, window, (seed,) = _solve_levels(cfg, level=seed_k)
+    family, zero, window, (seed,), samples = _solve_levels(cfg, level=seed_k)
     branch = bifurcation.continue_branch(
         family, coupling, seed, cfg.task["ds"], cfg.task["max_steps"],
-        a_max=cfg.task["a_max"], window=window, zero=zero,
+        a_max=cfg.task["a_max"], window=window, zero=zero, samples=samples,
         rtol=cfg.rtol, atol=cfg.atol)
     rows = [(i, p.lam, p.a, p.l2_norm, p.rotation, p.index, p.residual)
             for i, p in enumerate(branch.points)]

@@ -26,6 +26,7 @@ return one Trajectory type, whose state(x) reads the dense state row.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -270,20 +271,25 @@ _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 class WindowSamples:
     """P(x) sampled once per window, for every lane run on it.
 
-    ``contraction`` is the window's contraction_samples.  Magnus mesh n
-    depends on x_zero and n alone: nodes uniform in x^p up to 1 (2n per unit
-    of log x at 1; p = 1/2 in the log chart, 1/8 in the x^(1-beta) one,
-    where a step's error grows toward 0), then steps min(x/(2n), sqrt(x)/n,
-    8/n), the cap bounding a far step's error, which grows like h^7 |P'|.
-    ``row`` samples an interval once: h, its length in its chart variable
-    s, and (j, j p11, j p12, j p22), j = dx/ds, at its Gauss-Legendre
-    points; ``drawn`` counts them.  Nothing is kept beyond the object.
+    ``contraction`` is the window's contraction_samples, drawn when first
+    read.  Magnus mesh n depends on x_zero and n alone: nodes uniform in x^p
+    up to 1 (2n per unit of log x at 1; p = 1/2 in the log chart, 1/8 in the
+    x^(1-beta) one, where a step's error grows toward 0), then steps
+    min(x/(2n), sqrt(x)/n, 8/n), the cap bounding a far step's error, which
+    grows like h^7 |P'|.  ``row`` samples an interval once: h, its length in
+    its chart variable s, and (j, j p11, j p12, j p22), j = dx/ds, at its
+    Gauss-Legendre points; ``drawn`` counts them.  Nothing is kept beyond
+    the object.
     """
 
     def __init__(self, family: CoefficientFamily, window: TruncationWindow):
-        self.family, self.drawn, self._nodes, self._rows = family, 0, {}, {}
+        self.family, self._window, self.drawn = family, window, 0
+        self._nodes, self._rows = {}, {}
         self._left = _LOG if family.beta == 1.0 else _power_chart(family.beta)
-        self.contraction = contraction_samples(family, window)
+
+    @functools.cached_property
+    def contraction(self) -> np.ndarray:
+        return contraction_samples(self.family, self._window)
 
     def nodes(self, x_zero: float, n: int, x_hi: float) -> list:
         nodes = self._nodes.setdefault((x_zero, n), [x_zero])

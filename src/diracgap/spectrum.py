@@ -22,7 +22,8 @@ angle is pi), spliced at x.  It has the roots and monotonicity of the limit
 functional and stays well conditioned at a root, where shooting from one end
 only would turn into a numerical staircase.  One routine (_halves)
 integrates the two halves, on Magnus lanes of lam for nu_star and on a
-float for the dense _matched.  A lane's value depends on its lam alone,
+float for the dense _matched behind the eigenfunction and the nonlinear
+seed.  A lane's value depends on its lam alone,
 not on the other lanes or on whether the window's WindowSamples is handed
 in; the CLI hands one to the scan and to every root solve.  A scan bracket
 carries its end values, for the root solve's sign test and first step.
@@ -34,11 +35,11 @@ near the gap edge) nu_star is a step of height pi in lam and a root solve
 bisects, so the scan splices at x_mid but the root solve, and then the
 eigenfunction, at match_point, the bottom of the well (Pryce 1993).
 
-The backward half of nu_star need not start at x_inf: on the way in a
-start error shrinks by e^(-2 int kappa dx), kappa the local decay rate, so
-each lane starts on theta_inf where that factor reaches e^-36 for its own
-lam (asymptotics.contraction_start, on the window's contraction samples);
-_matched starts it at x_inf.
+The backward half need not start at x_inf: on the way in a start error
+shrinks by e^(-2 int kappa dx), kappa the local decay rate, so _halves
+starts it on theta_inf where that factor reaches e^-36 for its own lam
+(asymptotics.contraction_start, on the window's contraction samples), and
+beyond that start a dense solution is its WKB tail (_Splice).
 
 find_eigenvalue runs nu_star on two lanes, lam and lam + delta with
 delta = 1e-7 max(1, |lam|), on one mesh, and their forward difference is
@@ -64,7 +65,7 @@ from scipy.integrate import quad
 from .asymptotics import (CrossedCutoffError, TruncationWindow, ZeroData,
                           contraction_start, gap_coordinate, gap_point,
                           infinity_data, match_point, select_truncation,
-                          zero_data)
+                          wkb_decay, zero_data)
 from .model import CoefficientFamily, mirror_family
 from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, WindowSamples,
                      integrate_prufer)
@@ -90,58 +91,85 @@ class AngleMismatchError(RuntimeError):
 # The angle functional
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _MatchInfo:
-    """The two halves at lam, spliced at x_match, where both end.
+@dataclass(frozen=True)
+class _Splice:
+    """A solution that decays into both ends, read anywhere on the window.
 
-    turns = round((theta_f - theta_b) / pi) and offset = log rho_f - log rho_b
-    there; ``theta`` and ``logrho`` read columns 0 and 1 of the halves'
-    states on the whole window, the forward half up to x_match and the
-    backward half beyond it, shifted by them to meet the forward one.
+    ``fwd`` runs from x_zero and ``bwd`` from x_start, both to x_match, as
+    dense runs of either integrator.  at(x) is (angle, log amplitude): the
+    forward half up to x_match, the backward half, moved by turns * pi and
+    offset to meet the forward one, up to x_start, and beyond it the start
+    state decayed by the WKB tail (asymptotics.wkb_decay).
     """
 
     lam: float
-    nu_star_hat: float          # two-sided value of nu_star
-    x_match: float
     fwd: Trajectory
     bwd: Trajectory
-    turns: int
-    offset: float
+    x_match: float
+    x_start: float
+    samples: WindowSamples
+    turns: int = 0              # round((theta_f - theta_b) / pi) at x_match
+    offset: float = 0.0         # log rho_f - log rho_b at x_match
+    nu_star_hat: float = math.nan   # pi + theta_f - theta_b there (angles)
 
-    def theta(self, x: float) -> float:
-        return (self.fwd.state(x)[0] if x <= self.x_match
-                else self.bwd.state(x)[0] + self.turns * math.pi)
+    def at(self, x: float) -> tuple:
+        bwd = x > self.x_match
+        row = (self.bwd if bwd else self.fwd).state(min(x, self.x_start))
+        if len(row) == 4:           # (u, v, mu, theta) of integrate_cartesian
+            u, v, mu, _ = row
+            row = math.atan2(v, u), mu + 0.5 * math.log(u * u + v * v)
+        if not bwd:
+            return row
+        tail = (wkb_decay(self.samples.contraction, self.lam, self.x_start, x)
+                if x > self.x_start else 0.0)
+        return row[0] + self.turns * math.pi, row[1] + self.offset - tail
 
-    def logrho(self, x: float) -> float:
-        return (self.fwd.state(x)[1] if x <= self.x_match
-                else self.bwd.state(x)[1] + self.offset)
+    def sample(self, window, n: int, log_shift: float = 0.0) -> tuple:
+        """(x, u, v) on n log-spaced points, amplitudes times e^log_shift."""
+        xs = np.geomspace(window.x_zero, window.x_inf, n)
+        angle, log_amp = np.array([self.at(x) for x in xs]).T
+        r = np.exp(log_amp + log_shift)
+        return xs, r * np.cos(angle), r * np.sin(angle)
 
 
 def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol,
             x_match=None, samples=None):
-    """theta_zero forward from x_zero and theta_inf backward from x_start, both
-    to x_match (x_mid when None): dense for a float lam, lanes for an array."""
+    """(fwd, bwd, x_start): theta_zero forward from x_zero and theta_inf
+    backward from x_start, both to x_match (x_mid when None), dense for a
+    float lam, lanes for an array.  A backward half starts, unless x_start
+    names its start (shared, or one per lane), at its lam's contraction
+    start above x_match on ``samples`` (a new WindowSamples if None)."""
     x_stop = window.x_mid if x_match is None else x_match
+    samples = samples or WindowSamples(family, window)
+    if x_start is None:
+        starts = [contraction_start(samples.contraction, l, x_stop)
+                  for l in np.ravel(lam).tolist()]
+        x_start = starts if np.ndim(lam) else starts[0]
     fwd = integrate_prufer(family, lam, window, theta_zero, "forward",
                            rtol=rtol, atol=atol, x_stop=x_stop,
                            samples=samples)
     bwd = integrate_prufer(family, lam, window, theta_inf, "backward",
                            rtol=rtol, atol=atol, x_start=x_start,
                            x_stop=x_stop, samples=samples)
-    return fwd, bwd
+    return fwd, bwd, x_start
 
 
-def _matched(family, lam, window, zero, rtol, atol, x_match=None):
+def _matched(family, lam, window, zero, rtol, atol, x_match=None, *,
+             x_start=None, samples=None) -> _Splice:
+    """The dense halves at a float lam spliced at x_match (x_mid when None),
+    the backward one from x_start (_halves' start rule when None)."""
     x_match = window.x_mid if x_match is None else x_match
+    samples = samples or WindowSamples(family, window)
     theta_inf = infinity_data(family.mu_minus, family.mu_plus, lam).theta_inf
-    fwd, bwd = _halves(family, lam, window, zero.theta_zero, theta_inf,
-                       window.x_inf, rtol, atol, x_match)
+    fwd, bwd, x_start = _halves(family, lam, window, zero.theta_zero,
+                                theta_inf, x_start, rtol, atol, x_match,
+                                samples)
     (th_f, lr_f), (th_b, lr_b) = fwd.end[0].tolist(), bwd.end[0].tolist()
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
-    return _MatchInfo(lam=lam, nu_star_hat=math.pi + th_f - th_b,
-                      x_match=x_match, fwd=fwd, bwd=bwd,
-                      turns=round((th_f - th_b) / math.pi),
-                      offset=lr_f - lr_b)
+    return _Splice(lam=lam, fwd=fwd, bwd=bwd, x_match=x_match,
+                   x_start=x_start, samples=samples,
+                   turns=round((th_f - th_b) / math.pi), offset=lr_f - lr_b,
+                   nu_star_hat=math.pi + th_f - th_b)
 
 
 def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
@@ -158,14 +186,11 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
     new one if None); a value does not depend on whether it is passed in.
     """
     zero = zero or zero_data(family)
-    samples = samples or WindowSamples(family, window)
     lams = np.asarray(lam, dtype=float)
     theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
                  for l in lams.flat]
-    starts = [contraction_start(samples.contraction, l, x_match)
-              for l in lams.flat]
-    fwd, bwd = _halves(family, lams.reshape(-1), window, zero.theta_zero,
-                       theta_inf, starts, rtol, atol, x_match, samples)
+    fwd, bwd, _ = _halves(family, lams.reshape(-1), window, zero.theta_zero,
+                          theta_inf, None, rtol, atol, x_match, samples)
     # theta_inf plus the gap angle is pi, as in _matched
     values = (math.pi + fwd.end[:, 0] - bwd.end[:, 0]).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
@@ -498,16 +523,17 @@ class DecayFit:
     rel_err_zero: float
 
 
-def _decay_fit(family, zero, info: _MatchInfo, window) -> DecayFit:
-    # amplitude slope at infinity over the last decade of the window
+def _decay_fit(family, zero, splice: _Splice, window) -> DecayFit:
+    """Least-squares slopes of the log amplitude over the window's last
+    decade, in x, and its first, in the left chart.  Where x_start lies
+    below x_inf / 10 the far slope is that of the WKB tail, -kappa(x)."""
     xs = np.geomspace(window.x_inf / 10.0, window.x_inf, 48)
-    slope_inf = float(np.polyfit(xs, [info.logrho(x) for x in xs], 1)[0])
+    slope_inf = float(np.polyfit(xs, [splice.at(x)[1] for x in xs], 1)[0])
     expected_inf = -infinity_data(family.mu_minus, family.mu_plus,
-                                  info.lam).decay_rate
-    # amplitude slope at the origin over the first decade, in the left chart
+                                  splice.lam).decay_rate
     x0 = np.geomspace(window.x_zero, window.x_zero * 10.0, 48)
     s0 = np.log(x0) if family.beta == 1.0 else x0 ** (1.0 - family.beta)
-    slope_zero = float(np.polyfit(s0, [info.logrho(x) for x in x0], 1)[0])
+    slope_zero = float(np.polyfit(s0, [splice.at(x)[1] for x in x0], 1)[0])
     expected_zero = zero.rate if family.beta == 1.0 else -zero.rate
     return DecayFit(
         exponent_inf=slope_inf, expected_inf=expected_inf,
@@ -530,39 +556,30 @@ class Eigenfunction:
 def _gauss_log_segments(x_lo: float, x_hi: float):
     """Gauss-Legendre nodes/weights in log x, 48 per decade."""
     t_lo, t_hi = math.log(x_lo), math.log(x_hi)
-    n_seg = max(1, int(math.ceil((t_hi - t_lo) / math.log(10.0))))
+    edges = np.linspace(t_lo, t_hi, max(1, math.ceil(
+        (t_hi - t_lo) / math.log(10.0))) + 1)[:, None]
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[:-1] + edges[1:])
     base_x, base_w = np.polynomial.legendre.leggauss(48)
-    xs, ws = [], []
-    edges = np.linspace(t_lo, t_hi, n_seg + 1)
-    for i in range(n_seg):
-        a, b = edges[i], edges[i + 1]
-        t = 0.5 * (b - a) * base_x + 0.5 * (a + b)
-        w = 0.5 * (b - a) * base_w
-        xs.append(np.exp(t))
-        ws.append(w * np.exp(t))       # dx = x dt
-    return np.concatenate(xs), np.concatenate(ws)
+    xs = np.exp(half * base_x + mid).ravel()
+    return xs, (half * base_w).ravel() * xs       # dx = x dt
 
 
 def _l2_mass(family: CoefficientFamily, zero: ZeroData,
-             window: TruncationWindow, lam: float, log_amp) -> tuple:
-    """Squared L2 mass of e^log_amp(x), relative to its peak on the window.
-
-    Returns (peak, inside, tail, head): peak is the largest log_amp at the
-    quadrature nodes, inside the Gauss-Legendre quadrature of
-    e^(2 (log_amp - peak)) over the window, tail and head the closed-form
-    masses beyond x_inf and below x_zero from the linear decay rates at lam.
-    The total mass is e^(2 peak) (inside + tail + head).
-    """
+             window: TruncationWindow, splice: _Splice) -> tuple:
+    """(log of the L2 norm, share of the squared mass inside the window) of
+    the splice's amplitude: Gauss-Legendre quadrature over the window,
+    relative to the peak at its nodes, plus the closed-form masses beyond
+    x_inf and below x_zero from the linear decay rates at lam."""
     gx, gw = _gauss_log_segments(window.x_zero, window.x_inf)
-    lr_nodes = np.array([log_amp(x) for x in gx])
+    lr_nodes = np.array([splice.at(x)[1] for x in gx])
     peak = float(lr_nodes.max())
-    mass_window = float(np.sum(gw * np.exp(2.0 * (lr_nodes - peak))))
+    inside = float(np.sum(gw * np.exp(2.0 * (lr_nodes - peak))))
 
-    idata = infinity_data(family.mu_minus, family.mu_plus, lam)
-    tail = math.exp(2.0 * (log_amp(window.x_inf) - peak)) \
+    idata = infinity_data(family.mu_minus, family.mu_plus, splice.lam)
+    tail = math.exp(2.0 * (splice.at(window.x_inf)[1] - peak)) \
         / (2.0 * idata.decay_rate)
     x0 = window.x_zero
-    lr_start, rate = log_amp(x0), zero.rate
+    lr_start, rate = splice.at(x0)[1], zero.rate
     if family.beta == 1.0:
         head = math.exp(2.0 * (lr_start - peak)) * x0 / (2.0 * rate + 1.0)
     else:
@@ -571,62 +588,50 @@ def _l2_mass(family: CoefficientFamily, zero: ZeroData,
                                               - x0 ** (1.0 - family.beta))),
             0.0, x0)
         head = math.exp(2.0 * (lr_start - peak)) * head_int
-    return peak, mass_window, tail, head
+    total = inside + tail + head
+    return peak + 0.5 * math.log(total), inside / total
 
 
 def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
                   n_samples: int = 512, *, zero: Optional[ZeroData] = None,
+                  samples: Optional[WindowSamples] = None,
                   rtol: float = DEFAULT_RTOL,
                   atol: float = DEFAULT_ATOL) -> Eigenfunction:
     """Reconstruct and L2-normalize the eigenfunction by two-sided integration.
 
-    Angle trajectories are run forward from x_zero and backward from x_inf and
-    matched at record.x_match, where the level was solved; a mismatch (mod
-    pi) beyond 1e-6 there means lam is not an eigenvalue to tolerance.
-    Amplitudes are spliced by matching the log-amplitude there, normalized by
-    quadrature over the window plus closed-form tail and head corrections from
-    the known decay exponents, and sampled on a log grid.  The same run gives
-    the least-squares decay exponents of the amplitude over the last decade of
-    the window and the first.
+    The dense _matched halves at record.lam, the backward one from its
+    contraction start on ``samples`` (the window's WindowSamples, a new one
+    if None, with the same result), are spliced at record.x_match, where
+    the level was solved; an angle mismatch (mod pi) beyond 1e-6 there
+    means lam is not an eigenvalue to tolerance.  Beyond the backward start
+    the amplitude is the WKB tail.  The eigenfunction is normalized by
+    _l2_mass and sampled on a log grid, and the same run gives the
+    least-squares decay exponents (_decay_fit).
     """
     window = record.window
     zero = zero or zero_data(family)
-    info = _matched(family, record.lam, window, zero, rtol, atol,
-                    record.x_match)
+    splice = _matched(family, record.lam, window, zero, rtol, atol,
+                      record.x_match, samples=samples)
     # theta_fwd - theta_bwd - turns * pi at x_match
-    mism = info.nu_star_hat - math.pi * (info.turns + 1)
+    mism = splice.nu_star_hat - math.pi * (splice.turns + 1)
     if abs(mism) > 1e-6:
         raise AngleMismatchError(
             f"angle mismatch {mism:.3g} at x = {record.x_match:.3g}; "
             "lam is not an eigenvalue to tolerance")
 
     # normalization, overflow-safe relative to the amplitude peak
-    lr_max, mass_window, tail, head = _l2_mass(family, zero, window,
-                                               record.lam, info.logrho)
-    total = mass_window + tail + head
-    lr_shift = -(lr_max + 0.5 * math.log(total))
+    log_norm, inside = _l2_mass(family, zero, window, splice)
+    xs, us, vs = splice.sample(window, n_samples, -log_norm)
 
-    xs = np.geomspace(window.x_zero, window.x_inf, n_samples)
-    us = np.empty(n_samples)
-    vs = np.empty(n_samples)
-    for i, x in enumerate(xs):
-        th = info.theta(x)
-        r = math.exp(info.logrho(x) + lr_shift)
-        us[i] = r * math.cos(th)
-        vs[i] = r * math.sin(th)
-
-    # independent re-check of the normalization with adaptive quadrature
+    # independent re-check of the normalization with adaptive quadrature,
+    # split where the splice joins its pieces
     def density(x):
-        return math.exp(2.0 * (info.logrho(x) + lr_shift))
+        return math.exp(2.0 * (splice.at(x)[1] - log_norm))
 
-    seams = [window.x_zero, min(1.0, window.x_inf)] if window.x_zero < 1.0 else [window.x_zero]
-    seams += list(np.geomspace(max(1.0, window.x_zero), window.x_inf, 6)[1:]) \
-        if window.x_inf > 1.0 else []
-    seams = sorted(set(seams))
+    seams = sorted({window.x_zero, splice.x_match, splice.x_start,
+                    window.x_inf})
     check = sum(quad(density, aa, bb, limit=200)[0]
                 for aa, bb in zip(seams[:-1], seams[1:]))
-    check += (tail + head) * math.exp(2.0 * lr_max + 2.0 * lr_shift)
-
-    return Eigenfunction(record=record, x=xs, u=us, v=vs,
-                         norm_window=mass_window * math.exp(2.0 * lr_max + 2.0 * lr_shift),
-                         norm_check=check, decay=_decay_fit(family, zero, info, window))
+    return Eigenfunction(record=record, x=xs, u=us, v=vs, norm_window=inside,
+                         norm_check=check + 1.0 - inside,
+                         decay=_decay_fit(family, zero, splice, window))

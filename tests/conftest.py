@@ -130,6 +130,21 @@ def seed_branch(coulomb_plus, zero_plus, branch_window):
 
 
 @pytest.fixture(scope="session")
+def readme_levels(coulomb_plus, zero_plus):
+    """The README config's five levels, solved as the CLI solves them: its
+    selected window [1.78e-4, 8659.6], 12 grid points, one WindowSamples.
+    Returns (window, samples, records)."""
+    window = dg.select_truncation(coulomb_plus, (0.5, 0.995), zero=zero_plus)
+    samples = dg.WindowSamples(coulomb_plus, window)
+    scan = dg.scan_spectrum(coulomb_plus, np.linspace(0.5, 0.995, 12), window,
+                            zero_plus, samples=samples)
+    return window, samples, [
+        dg.find_eigenvalue(coulomb_plus, br.k, br, 1e-9, window=window,
+                           zero=zero_plus, samples=samples)
+        for br in scan.brackets]
+
+
+@pytest.fixture(scope="session")
 def soler_coupling():
     return dg.build_soler_coupling(lambda r: r * r / (1.0 + r ** 5),
                                    lambda s: s, 1.0)

@@ -142,6 +142,34 @@ def test_defocusing_branch_moves_its_start_out(coulomb_plus, zero_plus,
     assert abs(full.lam - last.lam) < 1e-9
 
 
+def test_a_prediction_outside_the_gap_leaves_the_backward_start(
+        coulomb_plus, zero_plus, seed_branch, branch_window, soler_coupling,
+        monkeypatch):
+    # at the README config's fold the predictor gave lam = -15.29, where
+    # kappa^2 < 0 far out and the contraction start is x_inf; x_s moved
+    # there for every later attempt.  Such a prediction fails in solve_point
+    # and is halved, with x_s where it was
+    predict, solve = dg.bifurcation._predict, dg.bifurcation.solve_point
+    starts = []
+
+    def outside(*args):
+        return np.array([-15.29, predict(*args)[1]])
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs["x_start"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dg.bifurcation, "_predict", outside)
+    monkeypatch.setattr(dg.bifurcation, "solve_point", recording)
+    branch = dg.continue_branch(coulomb_plus, soler_coupling, seed_branch,
+                                ds=1e-3, max_steps=2, window=branch_window,
+                                zero=zero_plus)
+    assert len(branch.points) == 1 and branch.termination == "step-failure"
+    x_s = branch.points[0].x_start
+    assert x_s < branch_window.x_inf
+    assert starts == [x_s] * 6
+
+
 # ground state on the branch window, its linear log(|b|/a) (b > 0), and the
 # branch's lam ~ LAM0 - 480 F'(0) a^2 at small a
 LAM0, LOG_RATIO0 = 0.865634525837297, -20.52901059794487

@@ -498,6 +498,29 @@ def test_branch_command(tmp_path):
     assert (tmp_path / "branch_solution.csv").exists()
 
 
+def test_eigenfunction_and_branch_do_not_depend_on_the_shared_table(
+        tmp_path):
+    # the CLI hands the scan's WindowSamples on to the eigenfunction and the
+    # branch; each gives what it gives with a table of its own, bit for bit
+    cfg = COULOMB_BASE.replace("x_inf = 250.0", "x_inf = 60.0")
+    cfg += "\n[branch]\nseed_k = 1\nmax_steps = 3\n\n[coupling]\nkind = soler\n"
+    run = cli.load_config(write(tmp_path, cfg))
+    family, zero, window, (rec,), samples = cli._solve_levels(run, level=1)
+
+    def solve(table):
+        ef = cli.spectrum.eigenfunction(family, rec, zero=zero, samples=table)
+        branch = cli.bifurcation.continue_branch(
+            family, cli._build_coupling(run), rec, 1e-3, 3, window=window,
+            zero=zero, samples=table)
+        return [ef.x, ef.u, ef.v, ef.norm_check, ef.decay] + [
+            value for p in branch.points for value in vars(p).values()]
+
+    own, shared = solve(None), solve(samples)
+    assert len(own) == len(shared) > 5
+    for a, b in zip(own, shared):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 def test_branch_from_an_excited_level_passes_the_index_audit(tmp_path):
     # the README config from the level-2 seed on [1e-3, 120]: its backward
     # amplitude is negative, and the audit used to fail with i = 2

@@ -134,8 +134,8 @@ def test_lane_values_match_scalar_and_other_batches(gamma, k, grid,
     assert lanes.shape == lams.shape
     for lam, value in zip(lams, lanes):
         scalar = spectrum._matched(fam, lam, fast_window, zd,
-                                   DEFAULT_RTOL * 1e-2,
-                                   DEFAULT_ATOL * 1e-2).nu_star_hat
+                                   DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2,
+                                   x_start=fast_window.x_inf).nu_star_hat
         assert abs(value - scalar) < 1e-9
     other = dg.nu_star(fam, np.append(lams[::2], 0.0), fast_window, zd)
     assert np.array_equal(other[:-1], lanes[::2])
@@ -278,9 +278,9 @@ def test_contraction_start_matches_full_window(gamma, k, lam, x_inf, mu_a):
     value = dg.nu_star(fam, lam, win, zd, rtol=1e-13, atol=1e-15,
                        samples=samples)
     theta_inf = dg.infinity_data(-1.0, 1.0, lam).theta_inf
-    fwd, bwd = spectrum._halves(fam, np.array([lam]), win, zd.theta_zero,
-                                [theta_inf], [win.x_inf], 1e-13, 1e-15,
-                                samples=samples)
+    fwd, bwd, _ = spectrum._halves(fam, np.array([lam]), win, zd.theta_zero,
+                                   [theta_inf], [win.x_inf], 1e-13, 1e-15,
+                                   samples=samples)
     assert abs(value - (math.pi + fwd.end[0, 0] - bwd.end[0, 0])) < 1e-11
 
 
@@ -305,7 +305,7 @@ def test_match_point_lies_where_the_backward_half_has_contracted(
     value = dg.nu_star(fam, lam, fast_window, zd, rtol=1e-13, atol=1e-15,
                        samples=samples, x_match=x)
     full = spectrum._matched(fam, lam, fast_window, zd, 1e-13, 1e-15,
-                             x_match=x).nu_star_hat
+                             x_match=x, x_start=fast_window.x_inf).nu_star_hat
     assert abs(value - full) < 1e-11
 
 
@@ -335,7 +335,7 @@ def test_magnus_lanes_match_the_dense_path(gamma, k, lam, x_inf, mu_a):
     samples = spectrum.WindowSamples(fam, win)
     x = dg.asymptotics.match_point(samples.contraction, lam)
     full = spectrum._matched(fam, lam, win, zd, 1e-13, 1e-15,
-                             x_match=x).nu_star_hat
+                             x_match=x, x_start=win.x_inf).nu_star_hat
     for rtol, bound in ((DEFAULT_RTOL, 5e-9), (1e-2 * DEFAULT_RTOL, 1e-10)):
         value = dg.nu_star(fam, lam, win, zd, rtol=rtol, samples=samples,
                            x_match=x)
@@ -361,7 +361,7 @@ def test_returned_level_meets_tol_at_tight_tolerances(level):
     br = scan.brackets[level - 1]
     rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=win, zero=zd)
     ref = spectrum._matched(fam, rec.lam, win, zd, 1e-13, 1e-15,
-                            x_match=rec.x_match).nu_star_hat
+                            x_match=rec.x_match, x_start=win.x_inf).nu_star_hat
     assert abs(ref - br.k * math.pi) <= 1e-9
 
 
@@ -657,7 +657,8 @@ def test_closed_form_rot_matches_a_dense_run(gamma, k, mu_a, tabulated,
                                  zero=zd)
         info = spectrum._matched(fam, rec.lam, fast_window, zd,
                                  DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2,
-                                 x_match=rec.x_match)
+                                 x_match=rec.x_match,
+                                 x_start=fast_window.x_inf)
         theta_inf = dg.infinity_data(fam.mu_minus, fam.mu_plus,
                                      rec.lam).theta_inf
         dense = (info.nu_star_hat - math.pi + theta_inf
@@ -886,6 +887,57 @@ def test_eigenfunction_decay_exponents(ground_eigenfunction):
 
 def test_eigenfunction_quadrature_mass_inside_window(ground_eigenfunction):
     assert 0.999 < ground_eigenfunction.norm_window <= 1.0 + 1e-9
+
+
+def _sign_changes(w):
+    s = np.sign(w[w != 0.0])        # the far samples underflow to 0
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def test_nodal_index_counts_the_eigenfunction_zeros(readme_levels,
+                                                    coulomb_plus, zero_plus,
+                                                    fast_window):
+    # the index from the floor rule is the number of sign changes of v over
+    # the eigenfunction's samples; u has as many for k > 0 (second-quadrant
+    # origin angle) and one more for k < 0 (first-quadrant origin angle)
+    _, samples, records = readme_levels
+    cases = [(1, coulomb_plus, zero_plus, rec, samples) for rec in records]
+    assert len(cases) == 5
+    for k in (1, -1, 2, -2):
+        fam = dg.build_dirac_family(dg.DiracRadialParams(
+            k=k, mu_a=0.0, potential=dg.coulomb_potential(-0.5)))
+        zd = dg.zero_data(fam)
+        scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 12), fast_window,
+                                zd)
+        assert scan.brackets
+        cases += [(k, fam, zd, dg.find_eigenvalue(fam, br.k, br,
+                                                  window=fast_window, zero=zd),
+                   None) for br in scan.brackets]
+    for k, fam, zd, rec, samples in cases:
+        ef = dg.eigenfunction(fam, rec, 1024, zero=zd, samples=samples)
+        assert _sign_changes(ef.v) == rec.nodal_index
+        assert _sign_changes(ef.u) == rec.nodal_index + (k < 0)
+
+
+def test_eigenfunction_matches_a_full_window_reference(readme_levels,
+                                                       coulomb_plus,
+                                                       zero_plus):
+    # the README levels against dense halves from x_inf at rtol 1e-13,
+    # normalized by the same quadrature: the backward half from the
+    # contraction start, with the WKB tail beyond it, reads within 1.6e-9.
+    # Integrated from x_inf at the default rtol, level 1 read 2.0e-8 off,
+    # from the DOP853 interpolant in the stationary far tail
+    window, samples, records = readme_levels
+    for rec in records:
+        ef = dg.eigenfunction(coulomb_plus, rec, zero=zero_plus,
+                              samples=samples)
+        ref = spectrum._matched(coulomb_plus, rec.lam, window, zero_plus,
+                                1e-13, 1e-15, rec.x_match,
+                                x_start=window.x_inf, samples=samples)
+        log_norm, _ = spectrum._l2_mass(coulomb_plus, zero_plus, window, ref)
+        _, u, v = ref.sample(window, 512, -log_norm)
+        assert np.max(np.abs(ef.u - u)) < 1e-8
+        assert np.max(np.abs(ef.v - v)) < 1e-8
 
 
 def test_eigenfunction_rejects_non_eigenvalue(coulomb_plus, zero_plus,
