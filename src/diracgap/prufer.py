@@ -9,10 +9,10 @@ J z' + P(x) z = lam z decouples into
 The winding count is exact on every path: a dense run integrates the angle
 as an ODE component, and a lane run sums the atan2 increments of steps that
 turn the solution by less than pi.  Near the origin the coefficients blow up
-like x^-beta; the left part of the window is therefore integrated in a
-transformed variable, log x for beta = 1 and x^(1-beta) for beta > 1, in
-which the flow is asymptotically autonomous.  The module picks the chart
-automatically.
+like x^-beta; below x = 1 a DOP853 run is therefore integrated in log x
+for beta = 1 and x^(1-beta) for beta > 1, in which the flow is
+asymptotically autonomous.  Above 1 a forward run keeps x and a backward
+one, whose needed step shrinks like x, takes log x (_segments).
 
 The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z in the exactly
 scaled variables z = e^mu w, with w kept at unit size and mu carrying the log
@@ -40,7 +40,7 @@ from .model import CoefficientFamily, NonlinearCoupling, polar_rates
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 _OVERFLOW_LOG = 100.0 * math.log(10.0)     # abort bound for coupled runs
-_EVAL_BUDGET = 150_000                     # RHS evaluations per Cartesian run
+_EVAL_BUDGET = 150_000                     # lane RHS calls per Cartesian run
 
 
 class IntegrationError(RuntimeError):
@@ -83,7 +83,13 @@ def _power_chart(beta: float) -> _Chart:
 
 def _segments(window: TruncationWindow, beta: float, direction: str,
               x_stop: Optional[float]) -> list:
-    """Ordered (chart, x_from, x_to) pieces covering the requested span."""
+    """Ordered (chart, x_from, x_to) pieces covering the requested span,
+    adjacent pieces in one chart being one: below 1 log x (beta = 1) or
+    x^(1-beta) (beta > 1), above 1 x forward and log x backward.  A backward
+    run's needed step is proportional to x; in x, where scipy's DOP853
+    controller retries a rejected size at the next point, every other step
+    is rejected.  Forward runs keep x: log x moved their evaluation counts
+    by -10% to +6% (Coulomb, to 100 and 2000 at lam in [0, 0.999])."""
     if direction == "forward":
         a, b = window.x_zero, window.x_inf if x_stop is None else x_stop
     elif direction == "backward":
@@ -94,12 +100,13 @@ def _segments(window: TruncationWindow, beta: float, direction: str,
         raise ValueError("integration span must be a nontrivial part of the window")
 
     left_chart = _LOG if beta == 1.0 else _power_chart(beta)
+    right_chart = _LOG if direction == "backward" else _IDENTITY
     lo, hi = min(a, b), max(a, b)
-    pieces = []
-    if lo < 1.0:
-        pieces.append((left_chart, lo, min(hi, 1.0)))
-    if hi > 1.0:
-        pieces.append((_IDENTITY, max(lo, 1.0), hi))
+    pieces = [(left_chart, lo, min(hi, 1.0))] if lo < 1.0 else []
+    if hi > 1.0 and pieces and left_chart is right_chart:
+        pieces = [(right_chart, lo, hi)]
+    elif hi > 1.0:
+        pieces.append((right_chart, max(lo, 1.0), hi))
     if direction == "backward":
         pieces = [(c, x1, x0) for (c, x0, x1) in reversed(pieces)]
     return pieces
@@ -139,23 +146,28 @@ class Trajectory:
     end: np.ndarray = field(repr=False)
     _pieces: list = field(repr=False)     # (chart, dense output, x_lo, x_hi)
 
-    def state(self, x: float) -> tuple:
+    def state(self, x) -> tuple:
         """The state row at x, read in the first piece (in integration
         order) that holds x with 1e-12 relative slack, or else in the one
-        whose end lies within 1e-9 relative of x, at x clamped into it."""
-        for piece in self._pieces:
-            if piece[2] - 1e-300 <= x <= piece[3] * (1.0 + 1e-12) + 1e-300:
-                break
-        else:
-            dist, piece = min(((min(abs(x - p[2]), abs(x - p[3])), p)
-                               for p in self._pieces), key=lambda t: t[0])
-            if dist > 1e-9 * max(1.0, abs(x)):
-                raise ValueError(f"x = {x:g} outside the integrated span")
-        chart, sol, x_lo, x_hi = piece
-        if sol is None:
+        whose end lies within 1e-9 relative of x, at x clamped into it: a
+        tuple of floats for a float x, for an array of n points an array of
+        shape (components, n), each piece's interpolant called once."""
+        if self._pieces[0][1] is None:
             raise ValueError("an endpoint-only lane run has no interior "
                              "values; integrate a float lam for dense output")
-        return tuple(sol(chart.to_s(min(max(x, x_lo), x_hi))).tolist())
+        xs = np.asarray(x, dtype=float).reshape(-1)
+        lo, hi = np.array([p[2:] for p in self._pieces]).T[..., None]
+        gap = np.maximum(0.0, np.maximum(lo - 1e-300 - xs,
+                                         xs - hi * (1.0 + 1e-12) - 1e-300))
+        far = gap.min(axis=0) > 1e-9 * np.maximum(1.0, abs(xs))
+        if far.any():
+            raise ValueError(f"x = {xs[far][0]:g} outside the integrated span")
+        rows, which = np.empty((len(self.end[0]), xs.size)), gap.argmin(0)
+        for i, (chart, sol, x_lo, x_hi) in enumerate(self._pieces):
+            if (which == i).any():
+                rows[:, which == i] = sol([chart.to_s(v) for v in np.clip(
+                    xs[which == i], x_lo, x_hi).tolist()])
+        return tuple(rows[:, 0].tolist()) if np.ndim(x) == 0 else rows
 
 
 def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
@@ -384,7 +396,8 @@ def integrate_cartesian(
     angle of z_init.  S is zero without a ``coupling``; with one it is
     evaluated at the true z, and the run aborts with OverflowAbort when the
     true amplitude of any lane leaves the representable range.  A run that
-    exhausts the evaluation budget (a near-blowup trajectory) raises
+    exhausts the evaluation budget of 150,000 lane RHS evaluations (a
+    near-blowup trajectory; an L-lane RHS call counts L) raises
     IntegrationError.
 
     A float lam is one dense run.  An array of L lam is L endpoint-only
@@ -406,8 +419,8 @@ def integrate_cartesian(
 
     def rhs_in_x(x, y):
         # fail fast on near-blowup trajectories instead of letting the step
-        # control chase the spike indefinitely
-        used[0] += 1
+        # control chase the spike indefinitely; each lane counts
+        used[0] += len(lam_list)
         if used[0] > _EVAL_BUDGET:
             raise IntegrationError("integration work budget exceeded "
                                    "(near-blowup trajectory)", x)

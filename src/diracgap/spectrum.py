@@ -112,22 +112,28 @@ class _Splice:
     offset: float = 0.0         # log rho_f - log rho_b at x_match
     nu_star_hat: float = math.nan   # pi + theta_f - theta_b there (angles)
 
-    def at(self, x: float) -> tuple:
-        bwd = x > self.x_match
-        row = (self.bwd if bwd else self.fwd).state(min(x, self.x_start))
-        if len(row) == 4:           # (u, v, mu, theta) of integrate_cartesian
-            u, v, mu, _ = row
-            row = math.atan2(v, u), mu + 0.5 * math.log(u * u + v * v)
-        if not bwd:
-            return row
-        tail = (wkb_decay(self.samples.contraction, self.lam, self.x_start, x)
-                if x > self.x_start else 0.0)
-        return row[0] + self.turns * math.pi, row[1] + self.offset - tail
+    def at(self, x) -> tuple:
+        """Floats for a float x, arrays of its shape for an array, each
+        half (Trajectory.state) and the tail read once."""
+        xs = np.asarray(x, dtype=float).reshape(-1)
+        bwd, far = xs > self.x_match, xs > self.x_start
+        out = np.empty((2, xs.size))
+        for half, mine in ((self.fwd, ~bwd), (self.bwd, bwd)):
+            row = half.state(np.minimum(xs[mine], self.x_start))
+            if len(row) == 4:       # (u, v, mu, theta) of integrate_cartesian
+                u, v, mu, _ = row
+                row = np.arctan2(v, u), mu + 0.5 * np.log(u * u + v * v)
+            out[:, mine] = row
+        out[:, bwd] += [[self.turns * math.pi], [self.offset]]
+        out[1, far] -= wkb_decay(self.samples.contraction, self.lam,
+                                 self.x_start, xs[far])
+        out = out.reshape((2,) + np.shape(x))
+        return tuple(out.tolist() if np.ndim(x) == 0 else out)
 
     def sample(self, window, n: int, log_shift: float = 0.0) -> tuple:
         """(x, u, v) on n log-spaced points, amplitudes times e^log_shift."""
         xs = np.geomspace(window.x_zero, window.x_inf, n)
-        angle, log_amp = np.array([self.at(x) for x in xs]).T
+        angle, log_amp = self.at(xs)
         r = np.exp(log_amp + log_shift)
         return xs, r * np.cos(angle), r * np.sin(angle)
 
@@ -479,7 +485,10 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     lam_edge = family.mu_plus
     traj = integrate_prufer(family, lam_edge, window, zero.theta_zero,
                             "forward", rtol=rtol, atol=atol)
-    thetas = [traj.state(x)[0] for x in schedule]
+    lo, hi = schedule[-1] / 10.0, schedule[-1]
+    theta = traj.state(np.append(schedule, np.geomspace(
+        (lo / 10.0, lo), (lo, hi), 48).T))[0]
+    thetas = theta[:len(schedule)].tolist()
     growth = tuple(thetas[i + 1] - thetas[i] for i in range(len(thetas) - 1))
 
     probe_xs = np.geomspace(schedule[0], schedule[-1], 64)
@@ -487,9 +496,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
 
     # settling is judged per decade: a bounded angle may still creep like 1/x,
     # so the two final decades are measured separately
-    variation = max(float(np.ptp([traj.state(x)[0]
-                                  for x in np.geomspace(hi / 10.0, hi, 48)]))
-                    for hi in (schedule[-1] / 10.0, schedule[-1]))
+    variation = float(np.ptp(theta[len(schedule):].reshape(2, -1), 1).max())
 
     if growth and all(gv >= 2.0 * math.pi for gv in growth) and mono_ok:
         verdict = "accumulating"
@@ -528,12 +535,13 @@ def _decay_fit(family, zero, splice: _Splice, window) -> DecayFit:
     decade, in x, and its first, in the left chart.  Where x_start lies
     below x_inf / 10 the far slope is that of the WKB tail, -kappa(x)."""
     xs = np.geomspace(window.x_inf / 10.0, window.x_inf, 48)
-    slope_inf = float(np.polyfit(xs, [splice.at(x)[1] for x in xs], 1)[0])
+    x0 = np.geomspace(window.x_zero, window.x_zero * 10.0, 48)
+    lr_inf, lr_zero = np.split(splice.at(np.concatenate((xs, x0)))[1], 2)
+    slope_inf = float(np.polyfit(xs, lr_inf, 1)[0])
     expected_inf = -infinity_data(family.mu_minus, family.mu_plus,
                                   splice.lam).decay_rate
-    x0 = np.geomspace(window.x_zero, window.x_zero * 10.0, 48)
     s0 = np.log(x0) if family.beta == 1.0 else x0 ** (1.0 - family.beta)
-    slope_zero = float(np.polyfit(s0, [splice.at(x)[1] for x in x0], 1)[0])
+    slope_zero = float(np.polyfit(s0, lr_zero, 1)[0])
     expected_zero = zero.rate if family.beta == 1.0 else -zero.rate
     return DecayFit(
         exponent_inf=slope_inf, expected_inf=expected_inf,
@@ -571,15 +579,14 @@ def _l2_mass(family: CoefficientFamily, zero: ZeroData,
     relative to the peak at its nodes, plus the closed-form masses beyond
     x_inf and below x_zero from the linear decay rates at lam."""
     gx, gw = _gauss_log_segments(window.x_zero, window.x_inf)
-    lr_nodes = np.array([splice.at(x)[1] for x in gx])
+    lr = splice.at(np.append(gx, (window.x_inf, window.x_zero)))[1]
+    (lr_inf, lr_start), lr_nodes = lr[-2:].tolist(), lr[:-2]
     peak = float(lr_nodes.max())
     inside = float(np.sum(gw * np.exp(2.0 * (lr_nodes - peak))))
 
     idata = infinity_data(family.mu_minus, family.mu_plus, splice.lam)
-    tail = math.exp(2.0 * (splice.at(window.x_inf)[1] - peak)) \
-        / (2.0 * idata.decay_rate)
-    x0 = window.x_zero
-    lr_start, rate = splice.at(x0)[1], zero.rate
+    tail = math.exp(2.0 * (lr_inf - peak)) / (2.0 * idata.decay_rate)
+    x0, rate = window.x_zero, zero.rate
     if family.beta == 1.0:
         head = math.exp(2.0 * (lr_start - peak)) * x0 / (2.0 * rate + 1.0)
     else:

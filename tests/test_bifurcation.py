@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import diracgap as dg
 from diracgap.bifurcation import _corrector_lanes, _differences
-from diracgap.spectrum import _nodal_index
+from diracgap.spectrum import _matched, _nodal_index, _Splice
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +251,71 @@ def test_branch_never_guesses_the_other_b_sign(branch_a8, coulomb_plus,
     guesses = [c["b_guess"] for c in branch_a8[1] if c["b_guess"] is not None]
     assert guesses
     assert [math.copysign(1.0, b) for b in guesses] == [sign] * len(guesses)
+
+
+def a8_first_shot(branch_a8, family, coupling, window, zero, rtol=1e-10,
+                  atol=1e-12):
+    """The dense shot of the first A8 point, from its own backward start."""
+    pt = branch_a8[0].points[0]
+    return dg.shoot_nonlinear(family, coupling, pt.lam, pt.a, pt.b, window,
+                              log_b=pt.log_b, x_start=pt.x_start, zero=zero,
+                              rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("integrator, max_nfev",
+                         [("cartesian", 400), ("prufer", 380)])
+def test_backward_half_is_one_log_x_run(integrator, max_nfev, branch_a8,
+                                        coulomb_plus, zero_plus,
+                                        branch_window, soler_coupling):
+    # a backward half's needed step is proportional to x: in log x it is
+    # one piece at a near-constant step, within 1e-9 of an rtol-1e-13 run
+    # and within evaluation bounds that a run in x above 1 exceeds (691 and
+    # 577 evaluations there, with every other step rejected)
+    def half(rtol, atol):
+        if integrator == "cartesian":
+            return a8_first_shot(branch_a8, coulomb_plus, soler_coupling,
+                                 branch_window, zero_plus, rtol, atol).bwd
+        lam, x_s = branch_a8[0].points[0].lam, branch_a8[0].points[0].x_start
+        theta_inf = dg.infinity_data(coulomb_plus.mu_minus,
+                                     coulomb_plus.mu_plus, lam).theta_inf
+        return dg.integrate_prufer(coulomb_plus, lam, branch_window,
+                                   theta_inf, "backward", x_start=x_s,
+                                   x_stop=branch_window.x_mid, rtol=rtol,
+                                   atol=atol)
+
+    traj, ref = half(1e-10, 1e-12), half(1e-13, 1e-15)
+    assert len(traj._pieces) == 1
+    assert traj.stats.nfev <= max_nfev
+    assert np.linalg.norm(traj.end - ref.end) \
+        <= 1e-9 * np.linalg.norm(ref.end)
+
+
+def test_splice_array_reads_equal_float_reads(branch_a8, coulomb_plus,
+                                              zero_plus, seed_branch,
+                                              branch_window, soler_coupling):
+    # the Cartesian splice of the first A8 point and the Prufer splice of
+    # its seed, read once per half and once in the tail: the float reads'
+    # values on both sides of x_match, at x_start, in the WKB tail beyond
+    # it, and within 1e-9 below x_zero, clamped into the forward half
+    shot = a8_first_shot(branch_a8, coulomb_plus, soler_coupling,
+                         branch_window, zero_plus)
+    samples = dg.WindowSamples(coulomb_plus, branch_window)
+    lo, hi = branch_window.x_zero, branch_window.x_inf
+    for splice in (_Splice(shot.lam, shot.fwd, shot.bwd, branch_window.x_mid,
+                           shot.x_start, samples),
+                   _matched(coulomb_plus, seed_branch.lam, branch_window,
+                            zero_plus, 1e-10, 1e-12, seed_branch.x_match,
+                            samples=samples)):
+        m, s = splice.x_match, splice.x_start
+        assert m < s < hi
+        xs = np.random.default_rng(3).permutation(np.concatenate((
+            [lo, lo * (1.0 - 5e-10), m, math.nextafter(m, hi), 1.0, s,
+             math.nextafter(s, hi), hi], np.geomspace(lo, hi, 33))))
+        reads = splice.at(xs)
+        assert all(r.shape == xs.shape for r in reads)
+        np.testing.assert_allclose(np.array(reads),
+                                   np.array([splice.at(x) for x in xs]).T,
+                                   rtol=1e-15, atol=0.0)
 
 
 def test_trivial_shot_zero_mismatch(coulomb_plus, zero_plus, branch_window,

@@ -1,6 +1,7 @@
 """Angle/amplitude integration and the raw Cartesian cross-check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,54 @@ def test_lane_run_refuses_interior_values(integrator, coulomb_minus,
                         fast_window)
     with pytest.raises(ValueError, match="endpoint-only"):
         traj.state(1.0)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
+def test_array_reads_equal_float_reads(integrator, direction, coulomb_minus,
+                                       fast_window):
+    # one interpolant call per piece reads what the float reads do: at the
+    # run's ends, at x = 1 (where a forward run changes chart), and within
+    # 1e-9 beyond either end, clamped into the run
+    if integrator == "prufer":
+        traj = dg.integrate_prufer(coulomb_minus, 0.2, fast_window, 0.3,
+                                   direction)
+    else:
+        traj = dg.integrate_cartesian(coulomb_minus, 0.2, fast_window,
+                                      (math.cos(0.3), math.sin(0.3)),
+                                      direction)
+    lo, hi = fast_window.x_zero, fast_window.x_inf
+    xs = np.random.default_rng(7).permutation(np.concatenate((
+        [lo, lo * (1.0 - 5e-10), 1.0, math.nextafter(1.0, 0.0),
+         fast_window.x_mid, hi, hi * (1.0 + 5e-10)],
+        np.geomspace(lo, hi, 41))))
+    rows = traj.state(xs)
+    assert rows.shape == (traj.end.shape[1], xs.size)
+    np.testing.assert_allclose(rows, np.array([traj.state(x) for x in xs]).T,
+                               rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match="outside the integrated span"):
+        traj.state(np.array([1.0, 1.01 * hi]))
+
+
+def test_eval_budget_counts_every_lane(monkeypatch, coulomb_minus,
+                                       fast_window):
+    # the budget is one of lane evaluations: a 3-lane run exhausts it in a
+    # third of the RHS calls (one coeffs call each) of a 1-lane run
+    monkeypatch.setattr(dg.prufer, "_EVAL_BUDGET", 300)
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return coulomb_minus.coeffs(x)
+
+    fam = replace(coulomb_minus, coeffs=counting)
+    used = []
+    for lam in (0.2, np.array([0.2, 0.3, 0.4])):
+        calls.clear()
+        with pytest.raises(dg.IntegrationError, match="budget"):
+            dg.integrate_cartesian(fam, lam, fast_window, (1.0, 0.0))
+        used.append(len(calls))
+    assert used == [300, 100]
 
 
 # -- Cartesian cross-check -----------------------------------------------------
