@@ -193,10 +193,15 @@ class CoefficientFamily:
         return np.array([[p11 - self.mu_minus, p12], [p12, p22 - self.mu_plus]])
 
     def remainder_zero_norm(self, x: float) -> float:
-        return float(np.linalg.norm(self.remainder_zero(x), 2))
+        return _norm2(*self.remainder_zero(x).ravel().tolist())
 
     def remainder_inf_norm(self, x: float) -> float:
-        return float(np.linalg.norm(self.remainder_inf(x), 2))
+        return _norm2(*self.remainder_inf(x).ravel().tolist())
+
+
+def _norm2(a: float, b: float, c: float, d: float) -> float:
+    """Spectral norm of [[a, b], [c, d]]: (|(a+d, b-c)| + |(a-d, b+c)|) / 2."""
+    return 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
 
 
 def polar_rates(p11: float, p12: float, p22: float, lam: float,

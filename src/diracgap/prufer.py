@@ -25,7 +25,6 @@ return one Trajectory type, whose state(x) reads the dense state row.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -233,9 +232,10 @@ def integrate_prufer(
     0, with adaptive DOP853 and keeps its dense output.  An array is theta
     lanes from theta_init and x_start (shared, or one per lane) on Magnus
     mesh n = ceil(16 (1e-10/rtol)^(1/6)) of ``samples`` (a new
-    WindowSamples if None), each across the intervals of its own span in a
-    float loop (_turn), so no lane depends on another; stats then has the
-    run's intervals as steps and the P samples it drew as nfev.
+    WindowSamples if None): the spans share x_stop, so one slice of the
+    mesh plus end rows holds all their rows; each lane turns across its own
+    in a float loop (_turn), so no lane depends on another; stats then has
+    the rows as steps and the draws as nfev.
     """
     if not np.all(np.isfinite(theta_init)):
         raise ValueError("theta_init must be finite")
@@ -254,27 +254,21 @@ def integrate_prufer(
 
     lams = np.asarray(lam, dtype=float).reshape(-1)
     samples = samples or WindowSamples(family, window)
-    stop = ends[1] if x_stop is None else x_stop
-    spans = [(x, stop)[::d] for x in np.broadcast_to(
-        ends[0] if x_start is None else x_start, lams.shape).tolist()]
-    if not all(window.x_zero <= lo < hi <= window.x_inf for lo, hi in spans):
+    starts, span = np.unique(np.broadcast_to(
+        ends[0] if x_start is None else x_start, lams.shape), return_inverse=True)
+    los, his = (starts, np.full(starts.shape, ends[1] if x_stop is None
+                                else x_stop))[::d]
+    if not window.x_zero <= los[0] <= los[-1] < his[0] <= his[-1] <= window.x_inf:
         raise ValueError("integration span must be a nontrivial part of the window")
-    drawn, lanes, index = samples.drawn, [], {}
-    nodes = samples.nodes(window.x_zero, math.ceil(16.0 * (1e-10 / rtol) ** (
-        1.0 / 6.0)), max(hi for _, hi in spans))
-    for lo, hi in spans:
-        xs = sorted({lo, hi, *nodes[bisect.bisect_left(nodes, lo):
-                                    bisect.bisect_right(nodes, hi)]})
-        cols = [index.setdefault(pair, len(index)) for pair in zip(xs, xs[1:])]
-        lanes.append(cols[::d])
-    omega = d * _magnus(np.array([samples.row(*pair) for pair in index]), lams)
-    thetas = [_turn(theta, *omega[:, lane, cols].tolist()) for lane, (
-        theta, cols) in enumerate(zip(np.broadcast_to(
-            theta_init, lams.shape).tolist(), lanes))]
-    return Trajectory(IntegratorStats(len(index), samples.drawn - drawn, rtol,
+    drawn, (rows, cols) = samples.drawn, samples.table(window.x_zero, math.ceil(
+        16.0 * (1e-10 / rtol) ** (1.0 / 6.0)), los.tolist(), his.tolist())
+    omega = d * _magnus(rows, lams)
+    thetas = [_turn(theta, *omega[:, lane, cols[u][::d]].tolist())
+              for lane, (theta, u) in enumerate(zip(np.broadcast_to(
+                  theta_init, lams.shape).tolist(), span.tolist()))]
+    return Trajectory(IntegratorStats(len(rows), samples.drawn - drawn, rtol,
                                       atol), np.array(thetas).reshape(-1, 1),
-                      [(_IDENTITY, None, min(spans)[0],
-                        max(hi for _, hi in spans))])
+                      [(_IDENTITY, None, los[0].item(), his[-1].item())])
 
 
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -288,43 +282,74 @@ class WindowSamples:
     up to 1 (2n per unit of log x at 1; p = 1/2 in the log chart, 1/8 in the
     x^(1-beta) one, where a step's error grows toward 0), then steps
     min(x/(2n), sqrt(x)/n, 8/n), the cap bounding a far step's error, which
-    grows like h^7 |P'|.  ``row`` samples an interval once: h, its length in
+    grows like h^7 |P'|.  A row samples an interval once: h, its length in
     its chart variable s, and (j, j p11, j p12, j p22), j = dx/ds, at its
-    Gauss-Legendre points; ``drawn`` counts them.  Nothing is kept beyond
-    the object.
+    Gauss-Legendre points; ``drawn`` counts them.  A mesh is a node array
+    to the furthest span end yet asked for and a row array, NaN where not
+    drawn; only the end rows of spans ending off a node are kept by (x_lo,
+    x_hi).  Nothing is kept beyond the object.
     """
 
     def __init__(self, family: CoefficientFamily, window: TruncationWindow):
         self.family, self._window, self.drawn = family, window, 0
-        self._nodes, self._rows = {}, {}
+        self._meshes, self._ends = {}, {}
         self._left = _LOG if family.beta == 1.0 else _power_chart(family.beta)
 
     @functools.cached_property
     def contraction(self) -> np.ndarray:
         return contraction_samples(self.family, self._window)
 
-    def nodes(self, x_zero: float, n: int, x_hi: float) -> list:
-        nodes = self._nodes.setdefault((x_zero, n), [x_zero])
-        p = 0.5 if self._left is _LOG else 0.125
-        t0 = x_zero ** p
-        m = math.ceil(2 * n * (1.0 - t0) / p) if x_zero < 1.0 else 0
-        while nodes[-1] < x_hi:
-            i, x = len(nodes), nodes[-1]
-            nodes.append((t0 + (1.0 - t0) * i / m) ** (1.0 / p) if i < m
-                         else 1.0 if i == m
-                         else x + min(x / (2 * n), math.sqrt(x) / n, 8.0 / n))
-        return nodes
+    def table(self, x_zero: float, n: int, los: list, his: list) -> tuple:
+        """(rows, cols) of spans [los[i], his[i]] nested about one shared
+        end on mesh (x_zero, n): the mesh slice they cross, its undrawn rows
+        drawn in one batch, then their end rows; cols[i] indexes span i's."""
+        nodes, rows = self._mesh(x_zero, n, max(his))
+        first = np.searchsorted(nodes, los).tolist()            # node >= lo
+        last = (np.searchsorted(nodes, his, "right") - 1).tolist()  # <= hi
+        k0, k1 = min(first), max(min(first), *last)
+        todo = k0 + np.flatnonzero(np.isnan(rows[k0:k1, 0]))
+        rows[todo] = np.reshape([self._draw(*e) for e in zip(
+            nodes[todo].tolist(), nodes[todo + 1].tolist())], (-1, 13))
+        ends, cols = {}, []
+        for lo, hi, a, b in zip(los, his, first, last):
+            x0, x1 = nodes[[a, b]].tolist() if a <= b else (hi, hi)
+            head, tail = ([ends.setdefault(e, k1 - k0 + len(ends))]
+                          if e[0] < e[1] else [] for e in ((lo, x0), (x1, hi)))
+            cols.append(np.concatenate((head, np.arange(a, max(a, b)) - k0,
+                                        tail)).astype(int))
+        for e in ends.keys() - self._ends.keys():
+            self._ends[e] = self._draw(*e)
+        return np.concatenate((rows[k0:k1], np.reshape(
+            [self._ends[e] for e in ends], (-1, 13)))), cols
 
-    def row(self, x_lo: float, x_hi: float) -> list:
-        if (x_lo, x_hi) not in self._rows:
-            chart = self._left if x_hi <= 1.0 else _IDENTITY
-            s, h = chart.to_s(x_lo), chart.to_s(x_hi) - chart.to_s(x_lo)
-            self._rows[x_lo, x_hi] = [h] + [
-                v for j, x in ((chart.dx_ds(s + g * h), chart.to_x(s + g * h))
-                               for g in _GAUSS)
-                for v in (j, *(j * p for p in self.family.coeffs(x)))]
-            self.drawn += 3
-        return self._rows[x_lo, x_hi]
+    def _mesh(self, x_zero: float, n: int, x_hi: float) -> tuple:
+        nodes, rows = self._meshes.get((x_zero, n), (np.array([x_zero]),
+                                                     np.empty((0, 13))))
+        if nodes[-1] < x_hi:
+            p = 0.5 if self._left is _LOG else 0.125
+            t0 = x_zero ** p
+            m = math.ceil(2 * n * (1.0 - t0) / p) if x_zero < 1.0 else 0
+            new = [nodes[-1].item()]
+            while new[-1] < x_hi:
+                i, x = nodes.size + len(new) - 1, new[-1]
+                new.append((t0 + (1.0 - t0) * i / m) ** (1.0 / p) if i < m
+                           else 1.0 if i == m
+                           else x + min(x / (2 * n), math.sqrt(x) / n, 8.0 / n))
+            nodes = np.append(nodes, new[1:])
+            rows = np.append(rows, np.full((len(new) - 1, 13), np.nan), axis=0)
+            self._meshes[x_zero, n] = nodes, rows
+        return nodes, rows
+
+    def _draw(self, x_lo: float, x_hi: float) -> list:
+        chart = self._left if x_hi <= 1.0 else _IDENTITY
+        s, h = chart.to_s(x_lo), chart.to_s(x_hi) - chart.to_s(x_lo)
+        self.drawn += 3
+        row = [h]
+        for g in _GAUSS:
+            j = chart.dx_ds(s + g * h)
+            p11, p12, p22 = self.family.coeffs(chart.to_x(s + g * h))
+            row += (j, j * p11, j * p12, j * p22)
+        return row
 
 
 def _magnus(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Config ingestion, command dispatch, persistence and exit codes."""
 
+import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +341,30 @@ def test_spectrum_finds_ground_state(tmp_path, capsys):
     row = lines[1].split(",")
     assert abs(float(row[1]) - math.sqrt(3.0) / 2.0) < 1e-8
     assert int(row[3]) == 0
+
+
+def test_readme_spectrum_evaluates_p_at_9171_points(tmp_path, monkeypatch):
+    # the README config's spectrum run, its families counting every point
+    # they are given as the benchmark's counter does (np.size(x)): a change
+    # to the sample table that draws more moves the pin
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    path = write(tmp_path, re.search(r"```ini\n(.*?)```", readme, re.S)[1])
+    seen, build = [], cli.build_dirac_family
+
+    def counted(params):
+        family = build(params)
+
+        def coeffs(x):
+            seen.append(np.size(x))
+            return family.coeffs(x)
+
+        return dataclasses.replace(family, coeffs=coeffs)
+
+    monkeypatch.setattr(cli, "build_dirac_family", counted)
+    assert cli.main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+    assert sum(seen) == 9171
 
 
 def test_spectrum_empty_for_zero_potential(tmp_path):

@@ -40,6 +40,26 @@ def test_symmetry_bit_identical():
             assert m[0, 1] == m[1, 0]
 
 
+_ENTRY = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.tuples(_ENTRY, _ENTRY, _ENTRY),
+       limit=st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+       x=st.floats(1e-3, 1e3), beta=st.sampled_from([1.0, 1.5, 3.0]))
+def test_remainder_norms_match_the_svd(p, limit, x, beta):
+    # the closed-form spectral norms against numpy's SVD, within a few ulp
+    # of the matrix scale (1e-300 absolute where an entry underflows); the
+    # limit need not be symmetric, so neither need the origin remainder
+    fam = dg.CoefficientFamily(coeffs=lambda _: p, mu_minus=-1.0,
+                               mu_plus=1.0, beta=beta,
+                               limit_zero=np.reshape(limit, (2, 2)))
+    for m, norm in ((fam.remainder_zero(x), fam.remainder_zero_norm(x)),
+                    (fam.remainder_inf(x), fam.remainder_inf_norm(x))):
+        svd = np.linalg.norm(m, 2)
+        assert abs(norm - svd) <= 8 * np.finfo(float).eps * svd + 1e-300
+
+
 def test_remainder_zero_offdiagonal_vanishes_without_moment():
     fam = dg.build_dirac_family(
         dg.DiracRadialParams(k=-1, mu_a=0.0, potential=dg.coulomb_potential(-0.5)))

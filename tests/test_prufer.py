@@ -198,6 +198,58 @@ def test_array_reads_equal_float_reads(integrator, direction, coulomb_minus,
         traj.state(np.array([1.0, 1.01 * hi]))
 
 
+def _mesh_nodes(family, window, n=16):
+    """Nodes of Magnus mesh n (16 at the default rtol) across the window."""
+    return dg.WindowSamples(family, window)._mesh(window.x_zero, n,
+                                                  window.x_inf)[0]
+
+
+def test_lane_starts_on_and_beside_mesh_nodes(coulomb_minus, fast_window):
+    # a fresh backward run whose lanes start on a node, one ulp above and
+    # one ulp below another, and at x_inf: every row it reads is drawn once,
+    # and a lane crosses one row per node in (x_stop, x_start] plus an end
+    # row where x_start is off the mesh; the start on a node draws none
+    nodes, x_stop = _mesh_nodes(coulomb_minus, fast_window), 3.0
+    on, beside = nodes[-60], nodes[-30]
+    starts = [on, math.nextafter(beside, math.inf),
+              math.nextafter(beside, 0.0), fast_window.x_inf]
+    samples = dg.WindowSamples(coulomb_minus, fast_window)
+    traj = dg.integrate_prufer(coulomb_minus, np.full(4, 0.4), fast_window,
+                               0.3, "backward", x_start=starts,
+                               x_stop=x_stop, samples=samples)
+    assert traj.stats.nfev == 3 * traj.stats.steps > 0
+    assert all(hi != on for _, hi in samples._ends)
+    for x_start in starts:
+        fresh = dg.integrate_prufer(coulomb_minus, np.array([0.4]),
+                                    fast_window, 0.3, "backward",
+                                    x_start=x_start, x_stop=x_stop)
+        crossed = np.count_nonzero((nodes > x_stop) & (nodes <= x_start))
+        assert fresh.stats.steps == crossed + (x_start not in nodes)
+        assert fresh.stats.nfev == 3 * fresh.stats.steps
+        assert fresh.end[0, 0] == traj.end[starts.index(x_start), 0]
+
+
+def test_lane_values_do_not_depend_on_what_the_table_holds(coulomb_minus,
+                                                           fast_window):
+    # nu_star of lanes on a fresh table, and on one that an n = 35 run
+    # (rtol 1e-12) and a run across the whole window have already extended
+    # and drawn: the same bits, from new end rows only (each lane's
+    # backward start and the two ends at x_mid)
+    lams = np.array([0.2, 0.5, 0.8])
+    zero = dg.zero_data(coulomb_minus)
+    fresh = dg.nu_star(coulomb_minus, lams, fast_window, zero)
+    samples = dg.WindowSamples(coulomb_minus, fast_window)
+    dg.integrate_prufer(coulomb_minus, lams, fast_window, 0.3, rtol=1e-12,
+                        samples=samples)
+    dg.integrate_prufer(coulomb_minus, lams, fast_window, 0.3, "backward",
+                        samples=samples)
+    drawn = samples.drawn
+    extended = dg.nu_star(coulomb_minus, lams, fast_window, zero,
+                          samples=samples)
+    assert np.array_equal(extended, fresh)
+    assert samples.drawn - drawn <= 3 * (lams.size + 2)
+
+
 def test_eval_budget_counts_every_lane(monkeypatch, coulomb_minus,
                                        fast_window):
     # the budget is one of lane evaluations: a 3-lane run exhausts it in a
