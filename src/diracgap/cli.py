@@ -30,6 +30,9 @@ exits 1 naming its line:
 
     [numerics]
     rtol [1e-10]  atol [1e-12]  delta [1e-4 * gap width]  eps [1e-3]  (> 0)
+    rtol sets the Magnus mesh of the scan and root solves (and of their reads
+    at rtol / 100) and the DOP853 tolerance of eigenfunction, accumulation
+    and branch; atol applies to those DOP853 runs only.
     lambda_min lambda_max lambda_points   scan grid       [-0.9, 0.999, 50]
     x_zero x_inf                          window overrides (optional; > 0,
                                           x_zero below x_inf); a given end is
@@ -88,7 +91,7 @@ from .asymptotics import (CrossedCutoffError, NoWindowError, TruncationWindow,
                           select_truncation, zero_data)
 from .model import (CouplingRejectedError, build_dirac_family,
                     build_soler_coupling, validate_hypotheses)
-from .prufer import IntegrationError, WindowSamples
+from .prufer import DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, WindowSamples
 from .spectrum import AngleMismatchError, ConvergenceError, MonotonicityError
 
 EXIT_OK = 0
@@ -249,8 +252,8 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
     if k == 0:
         bad("problem", "k", "must be nonzero")
 
-    rtol = get("numerics", "rtol", 1e-10, kind=float, positive=True)
-    atol = get("numerics", "atol", 1e-12, kind=float, positive=True)
+    rtol = get("numerics", "rtol", DEFAULT_RTOL, kind=float, positive=True)
+    atol = get("numerics", "atol", DEFAULT_ATOL, kind=float, positive=True)
     delta = get("numerics", "delta", None, kind=float, positive=True)
     eps = get("numerics", "eps", 1e-3, kind=float, positive=True)
     tol = get("numerics", "tol", 1e-9, kind=float, positive=True)
@@ -433,8 +436,7 @@ def _solve_levels(cfg: RunConfig, wanted=None, level=None):
     window = _make_window(cfg, family, zero)
     samples = WindowSamples(family, window)
     scan = spectrum.scan_spectrum(family, cfg.lam_grid, window, zero,
-                                  rtol=cfg.rtol, atol=cfg.atol,
-                                  samples=samples)
+                                  rtol=cfg.rtol, samples=samples)
     brackets = scan.brackets
     if level is not None:
         brackets = [b for b in brackets if b.k == level][:1]
@@ -445,8 +447,7 @@ def _solve_levels(cfg: RunConfig, wanted=None, level=None):
         brackets = [b for b in brackets if b.k in wanted]
     records = [spectrum.find_eigenvalue(family, br.k, br, cfg.tol,
                                         window=window, zero=zero,
-                                        rtol=cfg.rtol, atol=cfg.atol,
-                                        samples=samples)
+                                        rtol=cfg.rtol, samples=samples)
                for br in brackets]
     return family, zero, window, records, samples
 

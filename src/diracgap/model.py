@@ -412,15 +412,13 @@ def validate_hypotheses(family: CoefficientFamily) -> HypothesisReport:
               CheckResult("origin-determinant", cls.admissible, cls.det_limit,
                           cls.bound, cls.note)]
     if family.dirac is not None:
-        checks.extend(_potential_checks(family.dirac, left, cls.bound))
+        checks.extend(_potential_checks(family.dirac, left))
     return HypothesisReport(checks=tuple(checks),
                             passed=all(c.passed for c in checks))
 
 
-def _potential_checks(params: DiracRadialParams, left: np.ndarray,
-                      det_bound: float) -> list:
-    # with mu_a = 0, det(limit_zero) = gamma0^2 - k^2, so the coupling bound
-    # is the determinant bound in the potential's terms
+def _potential_checks(params: DiracRadialParams, left: np.ndarray) -> list:
+    # gamma0's bound at the origin is origin-determinant's (det(limit_zero))
     pot = params.potential
     thr = max(1e-6, 1e-3 * (1.0 + abs(pot.gamma_zero)))
 
@@ -431,21 +429,13 @@ def _potential_checks(params: DiracRadialParams, left: np.ndarray,
                            f"{label} must vanish at the origin")
 
     if params.mu_a == 0.0:
-        bound = float(params.k) ** 2 + det_bound
         return [CheckResult("potential-origin-exponent",
                             abs(pot.alpha_zero - 1.0) < 1e-12,
                             pot.alpha_zero, 1.0,
                             "mu_a = 0 requires a Coulomb-order origin exponent"),
                 vanishes("potential-origin-remainder", 1.0,
-                         pot.remainder_at_zero, "x * remainder"),
-                CheckResult("potential-coupling-bound",
-                            pot.gamma_zero ** 2 < bound,
-                            pot.gamma_zero ** 2, bound,
-                            "gamma0^2 < k^2 - 1/4")]
-    return [CheckResult("potential-coupling-nonzero",
-                        pot.gamma_zero != 0.0, pot.gamma_zero, 0.0,
-                        "mu_a != 0 requires gamma0 != 0"),
-            vanishes("potential-origin-remainder", pot.alpha_zero,
+                         pot.remainder_at_zero, "x * remainder")]
+    return [vanishes("potential-origin-remainder", pot.alpha_zero,
                      pot.remainder_at_zero, "x^alpha0 * remainder"),
             vanishes("potential-origin-remainder-derivative",
                      pot.alpha_zero + 1.0, pot.d_remainder_at_zero,

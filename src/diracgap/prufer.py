@@ -253,6 +253,8 @@ def integrate_prufer(
         return Trajectory(stats, y_end.reshape(1, -1), pieces)
 
     lams = np.asarray(lam, dtype=float).reshape(-1)
+    if lams.size == 0:
+        raise ValueError("lam is an empty array; give at least one value")
     samples = samples or WindowSamples(family, window)
     starts, span = np.unique(np.broadcast_to(
         ends[0] if x_start is None else x_start, lams.shape), return_inverse=True)

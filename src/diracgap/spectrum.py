@@ -23,10 +23,10 @@ functional and stays well conditioned at a root, where shooting from one end
 only would turn into a numerical staircase.  One routine (_halves)
 integrates the two halves, on Magnus lanes of lam for nu_star and on a
 float for the dense _matched behind the eigenfunction and the nonlinear
-seed.  A lane's value depends on its lam alone,
-not on the other lanes or on whether the window's WindowSamples is handed
-in; the CLI hands one to the scan and to every root solve.  A scan bracket
-carries its end values, for the root solve's sign test and first step.
+seed.  A lane reads rtol, not atol, and its value depends on its lam
+alone, not on the other lanes or on whether the window's WindowSamples is
+handed in; the CLI hands one to the scan and to every root solve.  A scan
+bracket carries its end values, for the root solve's sign test and first step.
 
 theta_fwd - theta_bwd meets a multiple of pi only at an eigenvalue, so
 neither floor(nu_star/pi) off a level nor the root depends on x; the
@@ -43,10 +43,10 @@ beyond that start a dense solution is its WKB tail (_Splice).
 
 find_eigenvalue runs nu_star on two lanes, lam and lam + delta with
 delta = 1e-7 max(1, |lam|), on one mesh, and their forward difference is
-the Newton slope.  At the default tolerances a value can be off by more
-than the residual tolerance (up to 2e-9), so a residual ends the solve only
-when read at tolerances tightened a hundredfold, on the denser mesh they
-map to (2e-11).  That read also gives the rotation number, as
+the Newton slope.  At the default rtol a value can be off by more than
+the residual tolerance (up to 2e-9), so a residual ends the solve only
+when read at rtol tightened a hundredfold, on the denser mesh it maps to
+(2e-11).  That read also gives the rotation number, as
 nu = nu_star - pi + theta_inf, with no further run.
 Its steps are taken in u = (lam - c)/kappa_inf(lam), c the gap centre: the
 Coulomb ladder accumulating at mu_plus is evenly spaced in u, at
@@ -180,7 +180,6 @@ def _matched(family, lam, window, zero, rtol, atol, x_match=None, *,
 
 def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
             zero: Optional[ZeroData] = None, *, rtol: float = DEFAULT_RTOL,
-            atol: float = DEFAULT_ATOL,
             samples: Optional[WindowSamples] = None,
             x_match: Optional[float] = None):
     """Matched value of nu_star, strictly increasing across the gap.
@@ -188,15 +187,15 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
     ``lam`` is a float or an array, integrated as one endpoint-only lane per
     value (a float too); the result has its shape.  The halves meet at
     ``x_match`` (x_mid when None), below each lane's backward start, its
-    own contraction start.  ``samples`` is the window's WindowSamples (a
-    new one if None); a value does not depend on whether it is passed in.
+    own contraction start, on rtol's Magnus mesh.  ``samples`` (the
+    window's WindowSamples, a new one if None) does not change a value.
     """
     zero = zero or zero_data(family)
     lams = np.asarray(lam, dtype=float)
     theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
                  for l in lams.flat]
     fwd, bwd, _ = _halves(family, lams.reshape(-1), window, zero.theta_zero,
-                          theta_inf, None, rtol, atol, x_match, samples)
+                          theta_inf, None, rtol, DEFAULT_ATOL, x_match, samples)
     # theta_inf plus the gap angle is pi, as in _matched
     values = (math.pi + fwd.end[:, 0] - bwd.end[:, 0]).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
@@ -226,19 +225,20 @@ class ScanResult:
 def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
                   window: TruncationWindow,
                   zero: Optional[ZeroData] = None, *,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                  rtol: float = DEFAULT_RTOL,
                   samples: Optional[WindowSamples] = None) -> ScanResult:
     """Evaluate nu_star on a grid and bracket every crossing of k*pi.
 
-    The grid is one lane run.  nu_star is strictly increasing, so a cell
-    (lam_i, lam_i+1) crosses each level k*pi at most once, and a cell that
-    crosses several is the Bracket of each of them, with the end values read
-    there; find_eigenvalue isolates the level.  Brackets come out sorted by
-    (lam_lo, k).  The values must be non-decreasing up to integration noise;
-    a decrease beyond 1e-7 raises MonotonicityError (the window is too small
-    for the lam range).  The grid is closed at both ends: a level whose
-    value at a grid end is k*pi to within 1024 ulp is bracketed by the end
-    cell, on whichever side rounding put it.
+    The grid is one lane run on rtol's mesh.  nu_star is strictly
+    increasing, so a cell (lam_i, lam_i+1) crosses each level k*pi at most
+    once, and a cell that crosses several is the Bracket of each of them,
+    with the end values read there; find_eigenvalue isolates the level.
+    Brackets come out sorted by (lam_lo, k).  The values must be
+    non-decreasing up to integration noise; a decrease beyond 1e-7 raises
+    MonotonicityError (the window is too small for the lam range).  The
+    grid is closed at both ends: a level whose value at a grid end is k*pi
+    to within 1024 ulp is bracketed by the end cell, on whichever side
+    rounding put it.
     """
     lams = np.sort(np.asarray(list(lam_grid), dtype=float))
     if lams.size == 0:
@@ -246,8 +246,7 @@ def scan_spectrum(family: CoefficientFamily, lam_grid: Sequence[float],
                           max_decrease=0.0)
     if not (family.mu_minus < lams[0] and lams[-1] < family.mu_plus):
         raise ValueError("scan grid must lie inside the open gap")
-    values = nu_star(family, lams, window, zero or zero_data(family),
-                     rtol=rtol, atol=atol, samples=samples)
+    values = nu_star(family, lams, window, zero, rtol=rtol, samples=samples)
     diffs = np.diff(values)
     max_dec = float(-diffs.min()) if diffs.size and diffs.min() < 0 else 0.0
     if max_dec > 1e-7:
@@ -308,7 +307,7 @@ def _nodal_index(rot: float, quadrant: str) -> tuple:
 def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
                     tol: float = 1e-9, *, window: TruncationWindow,
                     zero: Optional[ZeroData] = None,
-                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                    rtol: float = DEFAULT_RTOL,
                     samples: Optional[WindowSamples] = None
                     ) -> EigenvalueRecord:
     """Solve nu_star(lam) = k*pi inside a bracket by safeguarded Newton in u.
@@ -326,11 +325,11 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     back by gap_point; a step not strictly inside the current lam bracket,
     or a slope that is not finite and positive, gives way to the midpoint
     in u, and every evaluation shrinks the bracket by its residual's sign.
-    Integrator tolerances are tightened a hundredfold, and the bracket reset
+    rtol (the Magnus mesh) is tightened a hundredfold, and the bracket reset
     to the given one, for the iterate after a lam step below 1e-6 or in a
     lam interval below 1e-9 (relative to max(1, |lam|)); a residual below
-    tol ends the solve only when read at them.  An iterate at a lam already
-    read at them, or 80 steps above tol, raise ConvergenceError: the
+    tol ends the solve only when read at it.  An iterate at a lam already
+    read at it, or 80 steps above tol, raise ConvergenceError: the
     message names a residual floor, or, for a residual above 1e4 rtol, a
     jump of nu_star across the closed bracket that the window does not
     resolve.  The record, rot included, comes from the iterates.
@@ -340,8 +339,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
     if not isinstance(bracket, Bracket):
         ends = np.array(bracket, dtype=float)
         bracket = Bracket(k, *ends.tolist(), *nu_star(
-            family, ends, window, zero, rtol=rtol, atol=atol,
-            samples=samples).tolist())
+            family, ends, window, zero, rtol=rtol, samples=samples).tolist())
     a, b = bracket.lam_lo, bracket.lam_hi
     if not a < b:
         raise BracketError("bracket must be an increasing interval")
@@ -366,8 +364,7 @@ def find_eigenvalue(family: CoefficientFamily, k: int, bracket,
         if lam + delta >= family.mu_plus:
             delta = -delta
         value, sibling = nu_star(family, np.array([lam, lam + delta]), window,
-                                 zero, rtol=rtol * scale, atol=atol * scale,
-                                 samples=samples,
+                                 zero, rtol=rtol * scale, samples=samples,
                                  x_match=match_point(samples.contraction,
                                                      lam)).tolist()
         f = value - target

@@ -169,6 +169,29 @@ def test_check_accepts_anomalous_strong_coupling(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("gamma, k, mu_a, admissible", [
+    (-0.5, 1, 0.0, True),
+    (-0.99, -1, 0.0, False),    # gamma0^2 above k^2 - 1/4
+    (-2.0, -1, 1.0, True),
+    (0.0, 1, 0.3, False),       # mu_a != 0 with gamma0 = 0
+])
+def test_check_states_the_origin_verdict_once(tmp_path, gamma, k, mu_a,
+                                              admissible):
+    # origin-determinant is the one admissibility row: no potential-coupling
+    # row restates it, and it agrees with the admissible= header
+    cfg = COULOMB_BASE.replace("gamma = -0.5", f"gamma = {gamma}")
+    cfg = cfg.replace("k = 1", f"k = {k}").replace("mu_a = 0.0", f"mu_a = {mu_a}")
+    code = cli.main(["check", "--config", str(write(tmp_path, cfg)), "--out",
+                     str(tmp_path), "--quiet"])
+    assert code == (0 if admissible else 2)
+    text = (tmp_path / "check_report.csv").read_text()
+    assert f"# admissible={admissible}\n" in text
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+    assert not [r for r in rows if r[0].startswith("potential-coupling")]
+    assert [r[1] for r in rows if r[0] == "origin-determinant"] == [
+        str(admissible)]
+
+
 def test_malformed_config_is_usage_error(tmp_path, capsys):
     path = write(tmp_path, "problem\nkind =\n")
     code = cli.main(["check", "--config", str(path), "--out", str(tmp_path)])
@@ -424,6 +447,21 @@ def test_outputs_reproducible_byte_for_byte(tmp_path):
     b2 = (out2 / "spectrum.csv").read_bytes()
     assert b1 == b2
     assert b"config_hash=" in b1
+
+
+def test_spectrum_rows_do_not_read_atol(tmp_path):
+    # the scan and the root solves run Magnus lanes, which read rtol alone:
+    # only the config hash and the tolerance line may differ
+    def rows(cfg, out):
+        assert cli.main(["spectrum", "--config", str(write(tmp_path, cfg)),
+                         "--out", str(out), "--quiet"]) == 0
+        return [l for l in (out / "spectrum.csv").read_text().splitlines()
+                if not l.startswith(("# config_hash=", "# rtol="))]
+
+    loose = COULOMB_BASE.replace("[numerics]", "[numerics]\natol = 1e-6")
+    default = rows(COULOMB_BASE, tmp_path / "default")
+    assert len(default) > 3 and rows(loose, tmp_path / "loose") == default
+    assert "atol=1e-06" in (tmp_path / "loose" / "spectrum.csv").read_text()
 
 
 def test_spectrum_on_tabulated_coulomb(tmp_path):

@@ -137,15 +137,15 @@ def test_validate_zero_potential_passes():
 
 
 def test_validate_coupling_bound_fails():
-    # 0.9801 > k^2 - 1/4 = 0.75
+    # gamma0^2 = 0.9801 > k^2 - 1/4 = 0.75: det = 0.9801 - 1 >= -1/4
     fam = dg.build_dirac_family(
         dg.DiracRadialParams(k=-1, mu_a=0.0, potential=dg.coulomb_potential(-0.99)))
     report = dg.validate_hypotheses(fam)
     names = report.failed_names()
-    assert "potential-coupling-bound" in names
-    check = {c.name: c for c in report.checks}["potential-coupling-bound"]
-    assert math.isclose(check.measured, 0.9801)
-    assert math.isclose(check.threshold, 0.75)
+    assert "origin-determinant" in names
+    check = {c.name: c for c in report.checks}["origin-determinant"]
+    assert math.isclose(check.measured, 0.9801 - 1.0)
+    assert math.isclose(check.threshold, -0.25)
 
 
 def test_validate_anomalous_family_passes():
@@ -190,9 +190,8 @@ ENDS = ["origin-limit", "infinity-limit", "infinity-integral",
 
 
 @pytest.mark.parametrize("mu_a, gamma, potential_checks", [
-    (0.0, -0.5, ["potential-origin-exponent", "potential-origin-remainder",
-                 "potential-coupling-bound"]),
-    (1.0, -2.0, ["potential-coupling-nonzero", "potential-origin-remainder",
+    (0.0, -0.5, ["potential-origin-exponent", "potential-origin-remainder"]),
+    (1.0, -2.0, ["potential-origin-remainder",
                  "potential-origin-remainder-derivative"]),
 ])
 def test_report_row_order(mu_a, gamma, potential_checks):

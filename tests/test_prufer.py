@@ -118,6 +118,15 @@ def test_invalid_direction_rejected(coulomb_minus, fast_window):
         dg.integrate_prufer(coulomb_minus, 0.1, fast_window, 0.3, "sideways")
 
 
+def test_empty_lam_array_rejected(coulomb_minus, fast_window):
+    # named as such, before the table draws a row
+    samples = dg.prufer.WindowSamples(coulomb_minus, fast_window)
+    with pytest.raises(ValueError, match="lam is an empty array"):
+        dg.integrate_prufer(coulomb_minus, np.array([]), fast_window, 0.3,
+                            samples=samples)
+    assert samples.drawn == 0
+
+
 # -- the lane rule, on both integrators ------------------------------------------
 
 def integrate(integrator, family, lam, window):

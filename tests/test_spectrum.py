@@ -275,8 +275,7 @@ def test_contraction_start_matches_full_window(gamma, k, lam, x_inf, mu_a):
     samples = spectrum.WindowSamples(fam, win)
     x_c = dg.asymptotics.contraction_start(samples.contraction, lam)
     assert win.x_mid < x_c <= win.x_inf
-    value = dg.nu_star(fam, lam, win, zd, rtol=1e-13, atol=1e-15,
-                       samples=samples)
+    value = dg.nu_star(fam, lam, win, zd, rtol=1e-13, samples=samples)
     theta_inf = dg.infinity_data(-1.0, 1.0, lam).theta_inf
     fwd, bwd, _ = spectrum._halves(fam, np.array([lam]), win, zd.theta_zero,
                                    [theta_inf], [win.x_inf], 1e-13, 1e-15,
@@ -302,7 +301,7 @@ def test_match_point_lies_where_the_backward_half_has_contracted(
     zd = dg.zero_data(fam)
     samples = spectrum.WindowSamples(fam, fast_window)
     x = dg.asymptotics.match_point(samples.contraction, lam)
-    value = dg.nu_star(fam, lam, fast_window, zd, rtol=1e-13, atol=1e-15,
+    value = dg.nu_star(fam, lam, fast_window, zd, rtol=1e-13,
                        samples=samples, x_match=x)
     full = spectrum._matched(fam, lam, fast_window, zd, 1e-13, 1e-15,
                              x_match=x, x_start=fast_window.x_inf).nu_star_hat
