@@ -34,8 +34,8 @@ from scipy.interpolate import CubicHermiteSpline
 from .asymptotics import (TruncationWindow, ZeroData, contraction_start,
                           infinity_data, wkb_decay, zero_data)
 from .model import CoefficientFamily, NonlinearCoupling
-from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, Trajectory,
-                     WindowSamples, integrate_cartesian)
+from .prufer import (DEFAULT_RTOL, IntegrationError, Trajectory, WindowSamples,
+                     integrate_cartesian)
 # unused here, kept because perfbench/tracing.py traces this module attribute
 from .prufer import integrate_prufer  # noqa: F401
 from .spectrum import (EigenvalueRecord, _l2_mass, _matched, _nodal_index,
@@ -50,8 +50,7 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
                            window: TruncationWindow, *,
                            zero: Optional[ZeroData] = None,
                            x_start: Optional[float] = None,
-                           rtol: float = DEFAULT_RTOL,
-                           atol: float = DEFAULT_ATOL) -> tuple:
+                           rtol: float = DEFAULT_RTOL) -> tuple:
     """(log ratio, sign) of backward to forward shooting amplitude for the
     linear flow at lam: matching midpoint magnitudes requires
     b = sign * exp(log_ratio) * a, with sign -1 when the matched angles differ
@@ -60,7 +59,7 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
     below the float range (e^-788 on [1e-3, 1600]).
     """
     zero = zero or zero_data(family)
-    splice = _matched(family, lam, window, zero, rtol, atol, window.x_mid,
+    splice = _matched(family, lam, window, zero, rtol, window.x_mid,
                       x_start=window.x_inf if x_start is None else x_start)
     return splice.offset, -1.0 if splice.turns % 2 else 1.0
 
@@ -101,8 +100,7 @@ def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
                     log_b=None, log_a=None,
                     x_start: Optional[float] = None,
                     zero: Optional[ZeroData] = None,
-                    rtol: float = DEFAULT_RTOL,
-                    atol: float = DEFAULT_ATOL) -> ShootResult:
+                    rtol: float = DEFAULT_RTOL) -> ShootResult:
     """Integrate the full nonlinear system from both ends to the midpoint.
 
     a and b are the signed shooting amplitudes, b at x_start (x_inf when
@@ -137,8 +135,8 @@ def shoot_nonlinear(family: CoefficientFamily, coupling: NonlinearCoupling,
         traj = integrate_cartesian(
             family, pairs[:, 0] if np.ndim(lam) else float(lams[0]), win,
             [(sgn * math.cos(t), sgn * math.sin(t)) for t in thetas[first]],
-            direction, coupling=coupling, rtol=rtol, atol=atol,
-            x_stop=window.x_mid, log_scale_init=pairs[:, 1])
+            direction, coupling=coupling, rtol=rtol, x_stop=window.x_mid,
+            log_scale_init=pairs[:, 1])
         u, v, ls, angle = traj.end[lane.reshape(-1)].T
         return traj, log_amp, np.stack((u, v), axis=1) * np.exp(ls)[:, None], \
             angle
@@ -222,8 +220,7 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                 zero: Optional[ZeroData] = None,
                 x_start: Optional[float] = None,
                 samples: Optional[WindowSamples] = None,
-                rtol: float = DEFAULT_RTOL,
-                atol: float = DEFAULT_ATOL) -> BranchPoint:
+                rtol: float = DEFAULT_RTOL) -> BranchPoint:
     """Newton-correct one nonlinear solution near the supplied guess.
 
     The unknowns are p = (lam, log |b|) at fixed left amplitude a_target, b
@@ -260,8 +257,7 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         # the linear eigenfunction fixes both the scale and the sign of the
         # backward amplitude; anything else is hopeless as a Newton start
         log_ratio, b_sign = linear_amplitude_ratio(
-            family, lam_guess, window, zero=zero, x_start=x_start, rtol=rtol,
-            atol=atol)
+            family, lam_guess, window, zero=zero, x_start=x_start, rtol=rtol)
         log_b = log_ratio + math.log(a_target)
     else:
         b_sign = math.copysign(1.0, b_guess)
@@ -276,7 +272,7 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
                 family, coupling, lam, a_target,
                 b_sign * math.exp(np.ravel(log_abs_b)[0]), window,
                 log_b=log_abs_b, log_a=log_abs_a, x_start=x_start, zero=zero,
-                rtol=rtol, atol=atol)
+                rtol=rtol)
         except IntegrationError as exc:      # OverflowAbort included
             raise CorrectorError(f"shot failed: {exc}") from exc
 
@@ -392,8 +388,7 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
                     window: Optional[TruncationWindow] = None,
                     zero: Optional[ZeroData] = None,
                     samples: Optional[WindowSamples] = None,
-                    rtol: float = DEFAULT_RTOL,
-                    atol: float = DEFAULT_ATOL) -> Branch:
+                    rtol: float = DEFAULT_RTOL) -> Branch:
     """March a solution branch away from a linear eigenvalue in amplitude.
 
     Starts at left amplitude ds and grows it by ds per accepted step, with up
@@ -441,7 +436,7 @@ def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,
                 accepted = solve_point(family, coupling, lam_pred, a_try,
                                        b_guess, log_b=log_b, window=window,
                                        zero=zero, x_start=x_s,
-                                       samples=samples, rtol=rtol, atol=atol)
+                                       samples=samples, rtol=rtol)
                 break
             except CorrectorError:
                 ds_local *= 0.5

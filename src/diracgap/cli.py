@@ -29,10 +29,10 @@ exits 1 naming its line:
     mu_a        anomalous moment                    [0.0]
 
     [numerics]
-    rtol [1e-10]  atol [1e-12]  delta [1e-4 * gap width]  eps [1e-3]  (> 0)
+    rtol [1e-10]  delta [1e-4 * gap width]  eps [1e-3]  (> 0)
     rtol sets the Magnus mesh of the scan and root solves (and of their reads
     at rtol / 100) and the DOP853 tolerance of eigenfunction, accumulation
-    and branch; atol applies to those DOP853 runs only.
+    and branch, whose absolute tolerance is rtol / 100.
     lambda_min lambda_max lambda_points   scan grid       [-0.9, 0.999, 50]
     x_zero x_inf                          window overrides (optional; > 0,
                                           x_zero below x_inf); a given end is
@@ -91,7 +91,7 @@ from .asymptotics import (CrossedCutoffError, NoWindowError, TruncationWindow,
                           select_truncation, zero_data)
 from .model import (CouplingRejectedError, build_dirac_family,
                     build_soler_coupling, validate_hypotheses)
-from .prufer import DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, WindowSamples
+from .prufer import DEFAULT_RTOL, IntegrationError, WindowSamples
 from .spectrum import AngleMismatchError, ConvergenceError, MonotonicityError
 
 EXIT_OK = 0
@@ -164,7 +164,6 @@ class RunConfig:
 
     params: model.DiracRadialParams
     rtol: float
-    atol: float
     delta: Optional[float]
     eps: float
     lam_grid: np.ndarray
@@ -253,7 +252,6 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
         bad("problem", "k", "must be nonzero")
 
     rtol = get("numerics", "rtol", DEFAULT_RTOL, kind=float, positive=True)
-    atol = get("numerics", "atol", DEFAULT_ATOL, kind=float, positive=True)
     delta = get("numerics", "delta", None, kind=float, positive=True)
     eps = get("numerics", "eps", 1e-3, kind=float, positive=True)
     tol = get("numerics", "tol", 1e-9, kind=float, positive=True)
@@ -314,7 +312,7 @@ def load_config(path, out_override: Optional[str] = None) -> RunConfig:
         raise ConfigError(errors)
 
     params = model.DiracRadialParams(k=k, mu_a=mu_a, potential=pot)
-    return RunConfig(params=params, rtol=rtol, atol=atol, delta=delta, eps=eps,
+    return RunConfig(params=params, rtol=rtol, delta=delta, eps=eps,
                      lam_grid=np.linspace(lam_min, lam_max, lam_pts), tol=tol,
                      x_zero_override=xz, x_inf_override=xi,
                      out_dir=Path(out_dir), task=task, config_hash=digest,
@@ -357,8 +355,8 @@ def _write_csv(path: Path, cfg: RunConfig, command: str, columns, rows,
         fh.write(f"# config_hash={cfg.config_hash}\n")
         for line in extra_header:
             fh.write(f"# {line}\n")
-        fh.write(f"# rtol={_fmt(cfg.rtol)} atol={_fmt(cfg.atol)} "
-                 f"eps={_fmt(cfg.eps)} tol={_fmt(cfg.tol)}\n")
+        fh.write(f"# rtol={_fmt(cfg.rtol)} eps={_fmt(cfg.eps)} "
+                 f"tol={_fmt(cfg.tol)}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -476,7 +474,7 @@ def cmd_eigenfunction(cfg: RunConfig, quiet: bool = False) -> int:
         raise ConfigError(["[eigenfunction] k: required for this command"])
     family, zero, window, (rec,), samples = _solve_levels(cfg, level=want)
     ef = spectrum.eigenfunction(family, rec, cfg.task["samples"], zero=zero,
-                                samples=samples, rtol=cfg.rtol, atol=cfg.atol)
+                                samples=samples, rtol=cfg.rtol)
     rows = list(zip(ef.x, ef.u, ef.v))
     _write_csv(cfg.out_dir / "eigenfunction.csv", cfg, "eigenfunction",
                ("x", "u", "v"), rows,
@@ -499,7 +497,7 @@ def cmd_accumulation(cfg: RunConfig, quiet: bool = False) -> int:
     try:
         verdict = spectrum.detect_accumulation(
             family, cfg.task["endpoint"], cfg.task["schedule"],
-            rtol=cfg.rtol, atol=cfg.atol, x_zero=cfg.x_zero_override)
+            rtol=cfg.rtol, x_zero=cfg.x_zero_override)
     except CrossedCutoffError as exc:   # the schedule gives the far end
         raise _crossing(cfg, exc, ("accumulation", "schedule"))
     rows = [(x, th) for x, th in verdict.samples]
@@ -523,7 +521,7 @@ def cmd_branch(cfg: RunConfig, quiet: bool = False) -> int:
     branch = bifurcation.continue_branch(
         family, coupling, seed, cfg.task["ds"], cfg.task["max_steps"],
         a_max=cfg.task["a_max"], window=window, zero=zero, samples=samples,
-        rtol=cfg.rtol, atol=cfg.atol)
+        rtol=cfg.rtol)
     rows = [(i, p.lam, p.a, p.l2_norm, p.rotation, p.index, p.residual)
             for i, p in enumerate(branch.points)]
     _write_csv(cfg.out_dir / "branch.csv", cfg, "branch",

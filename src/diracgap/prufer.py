@@ -19,7 +19,7 @@ scaled variables z = e^mu w, with w kept at unit size and mu carrying the log
 of the true amplitude, and carries the polar angle of w as a fourth
 component; it serves as an independent cross-check of the polar formulation
 (w is integrated in components, and its angle rate is formed from them) and
-as the engine for the nonlinear shooting solver (_lanes).  Both integrators
+as the engine for the nonlinear shooting solver.  Both integrators
 return one Trajectory type, whose state(x) reads the dense state row.
 """
 
@@ -37,7 +37,6 @@ from .asymptotics import TruncationWindow, contraction_samples
 from .model import CoefficientFamily, NonlinearCoupling, polar_rates
 
 DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 _OVERFLOW_LOG = 100.0 * math.log(10.0)     # abort bound for coupled runs
 _EVAL_BUDGET = 150_000                     # lane RHS calls per Cartesian run
 
@@ -111,22 +110,14 @@ def _segments(window: TruncationWindow, beta: float, direction: str,
     return pieces
 
 
-def _lanes(lam) -> tuple:
-    """The lane rule of integrate_cartesian, (lams, dense, tolerance scale):
-    a float lam is one dense run, an array of N is N endpoint-only lanes on
-    one DOP853 step sequence, rtol and atol scaled by sqrt(1/N) since its
-    error norm is an RMS over components."""
-    dense = np.ndim(lam) == 0
-    lams = np.atleast_1d(np.asarray(lam, dtype=float)).reshape(-1)
-    return lams, dense, 1.0 if dense else math.sqrt(1.0 / lams.size)
-
-
 @dataclass
 class IntegratorStats:
+    """Steps, RHS calls and rtol of one run (Magnus lanes: mesh rows and P
+    draws; Cartesian lanes: the scaled rtol, _run_segments)."""
+
     steps: int
     nfev: int
     rtol: float
-    atol: float
 
 
 @dataclass
@@ -170,15 +161,19 @@ class Trajectory:
 
 
 def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
-                  atol: float, events: Optional[list] = None,
+                  scale: float = 1.0, events: Optional[list] = None,
                   dense: bool = True) -> tuple:
-    """Integrate over ordered chart segments.
+    """Integrate over ordered chart segments with DOP853 at rtol * scale
+    and atol = (rtol / 100) * scale, the one tolerance rule of every dense
+    and Cartesian run; scale is sqrt(1/L) for L lanes, applied after the
+    division, so that at the default rtol atol is 1e-12 * scale to the bit.
 
     Returns (pieces, stats, x_event, y_end): x_event is the x at which a
     terminal event stopped the run, or None when the whole span was covered,
     and y_end the solver's final state.  Without ``dense`` the pieces carry no
     interpolant (scipy's step sequence is the same either way).
     """
+    rtol, atol = rtol * scale, rtol / 100.0 * scale
     pieces = []
     y = np.array(y0, dtype=float)
     nfev = 0
@@ -188,8 +183,7 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
 
         def rhs(s, yy, _c=chart):
             j = _c.dx_ds(s)
-            dy = rhs_in_x(_c.to_x(s), yy)
-            return dy * j if isinstance(dy, np.ndarray) else [d * j for d in dy]
+            return [d * j for d in rhs_in_x(_c.to_x(s), yy)]
 
         res = solve_ivp(rhs, (chart.to_s(x_from), chart.to_s(x_to)), y,
                         method="DOP853", rtol=rtol, atol=atol,
@@ -203,7 +197,7 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
             x_event = chart.to_x(res.t[-1])
             break
         pieces.append((chart, res.sol, min(x_from, x_to), max(x_from, x_to)))
-    stats = IntegratorStats(steps=steps, nfev=nfev, rtol=rtol, atol=atol)
+    stats = IntegratorStats(steps=steps, nfev=nfev, rtol=rtol)
     return pieces, stats, x_event, y
 
 
@@ -219,7 +213,6 @@ def integrate_prufer(
     direction: str = "forward",
     *,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     x_start=None,
     x_stop: Optional[float] = None,
     samples: Optional["WindowSamples"] = None,
@@ -249,7 +242,7 @@ def integrate_prufer(
         pieces, stats, _, y_end = _run_segments(
             lambda x, y: polar_rates(*family.coeffs(x), lam, y[0]),
             (theta_init, 0.0),
-            _segments(window, family.beta, direction, x_stop), rtol, atol)
+            _segments(window, family.beta, direction, x_stop), rtol)
         return Trajectory(stats, y_end.reshape(1, -1), pieces)
 
     lams = np.asarray(lam, dtype=float).reshape(-1)
@@ -268,8 +261,8 @@ def integrate_prufer(
     thetas = [_turn(theta, *omega[:, lane, cols[u][::d]].tolist())
               for lane, (theta, u) in enumerate(zip(np.broadcast_to(
                   theta_init, lams.shape).tolist(), span.tolist()))]
-    return Trajectory(IntegratorStats(len(rows), samples.drawn - drawn, rtol,
-                                      atol), np.array(thetas).reshape(-1, 1),
+    return Trajectory(IntegratorStats(len(rows), samples.drawn - drawn, rtol),
+                      np.array(thetas).reshape(-1, 1),
                       [(_IDENTITY, None, los[0].item(), his[-1].item())])
 
 
@@ -408,7 +401,6 @@ def integrate_cartesian(
     *,
     coupling: Optional[NonlinearCoupling] = None,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     x_stop: Optional[float] = None,
     log_scale_init=0.0,
 ) -> Trajectory:
@@ -428,13 +420,16 @@ def integrate_cartesian(
     IntegrationError.
 
     A float lam is one dense run.  An array of L lam is L endpoint-only
-    lanes (_lanes: rtol and atol scaled by sqrt(1/L)), against which z_init
+    lanes on one DOP853 step sequence, its tolerances scaled by sqrt(1/L)
+    since its error norm is an RMS over components, against which z_init
     (shape (2,) or (L, 2)) and log_scale_init broadcast: one ``coeffs(x)``
     call per RHS evaluation serves every lane, ``coupling.entries`` is
     called once per lane, and each lane's arithmetic is that of a float
     run.
     """
-    lams, dense, scale = _lanes(lam)
+    dense = np.ndim(lam) == 0
+    lams = np.atleast_1d(np.asarray(lam, dtype=float)).reshape(-1)
+    scale = 1.0 if dense else math.sqrt(1.0 / lams.size)
     z0 = np.broadcast_to(np.asarray(z_init, dtype=float), lams.shape + (2,))
     logs = np.broadcast_to(np.asarray(log_scale_init, dtype=float), lams.shape)
     if not np.all(np.any(z0, axis=1)):
@@ -486,7 +481,7 @@ def integrate_cartesian(
         y0 += (z1 / n0, z2 / n0, ls + math.log(n0), math.atan2(z2, z1))
     pieces, stats, x_event, y_end = _run_segments(
         rhs_in_x, y0, _segments(window, family.beta, direction, x_stop),
-        rtol * scale, atol * scale, events, dense=dense)
+        rtol, scale, events, dense=dense)
     if x_event is not None:
         raise OverflowAbort(
             "amplitude exceeded the representable range; shrink the "

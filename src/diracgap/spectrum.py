@@ -23,10 +23,11 @@ functional and stays well conditioned at a root, where shooting from one end
 only would turn into a numerical staircase.  One routine (_halves)
 integrates the two halves, on Magnus lanes of lam for nu_star and on a
 float for the dense _matched behind the eigenfunction and the nonlinear
-seed.  A lane reads rtol, not atol, and its value depends on its lam
-alone, not on the other lanes or on whether the window's WindowSamples is
-handed in; the CLI hands one to the scan and to every root solve.  A scan
-bracket carries its end values, for the root solve's sign test and first step.
+seed.  A lane's only tolerance is rtol, which sets its Magnus mesh, and its
+value depends on its lam alone, not on the other lanes or on whether the
+window's WindowSamples is handed in; the CLI hands one to the scan and to
+every root solve.  A scan bracket carries its end values, for the root
+solve's sign test and first step.
 
 theta_fwd - theta_bwd meets a multiple of pi only at an eigenvalue, so
 neither floor(nu_star/pi) off a level nor the root depends on x; the
@@ -67,8 +68,7 @@ from .asymptotics import (CrossedCutoffError, TruncationWindow, ZeroData,
                           infinity_data, match_point, select_truncation,
                           wkb_decay, zero_data)
 from .model import CoefficientFamily, mirror_family
-from .prufer import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, WindowSamples,
-                     integrate_prufer)
+from .prufer import DEFAULT_RTOL, Trajectory, WindowSamples, integrate_prufer
 
 
 class BracketError(ValueError):
@@ -138,7 +138,7 @@ class _Splice:
         return xs, r * np.cos(angle), r * np.sin(angle)
 
 
-def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol,
+def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol,
             x_match=None, samples=None):
     """(fwd, bwd, x_start): theta_zero forward from x_zero and theta_inf
     backward from x_start, both to x_match (x_mid when None), dense for a
@@ -152,15 +152,14 @@ def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol, atol,
                   for l in np.ravel(lam).tolist()]
         x_start = starts if np.ndim(lam) else starts[0]
     fwd = integrate_prufer(family, lam, window, theta_zero, "forward",
-                           rtol=rtol, atol=atol, x_stop=x_stop,
-                           samples=samples)
+                           rtol=rtol, x_stop=x_stop, samples=samples)
     bwd = integrate_prufer(family, lam, window, theta_inf, "backward",
-                           rtol=rtol, atol=atol, x_start=x_start,
-                           x_stop=x_stop, samples=samples)
+                           rtol=rtol, x_start=x_start, x_stop=x_stop,
+                           samples=samples)
     return fwd, bwd, x_start
 
 
-def _matched(family, lam, window, zero, rtol, atol, x_match=None, *,
+def _matched(family, lam, window, zero, rtol, x_match=None, *,
              x_start=None, samples=None) -> _Splice:
     """The dense halves at a float lam spliced at x_match (x_mid when None),
     the backward one from x_start (_halves' start rule when None)."""
@@ -168,8 +167,7 @@ def _matched(family, lam, window, zero, rtol, atol, x_match=None, *,
     samples = samples or WindowSamples(family, window)
     theta_inf = infinity_data(family.mu_minus, family.mu_plus, lam).theta_inf
     fwd, bwd, x_start = _halves(family, lam, window, zero.theta_zero,
-                                theta_inf, x_start, rtol, atol, x_match,
-                                samples)
+                                theta_inf, x_start, rtol, x_match, samples)
     (th_f, lr_f), (th_b, lr_b) = fwd.end[0].tolist(), bwd.end[0].tolist()
     # theta_inf plus the gap angle is pi, so the shifted functional simplifies
     return _Splice(lam=lam, fwd=fwd, bwd=bwd, x_match=x_match,
@@ -195,7 +193,7 @@ def nu_star(family: CoefficientFamily, lam, window: TruncationWindow,
     theta_inf = [infinity_data(family.mu_minus, family.mu_plus, l).theta_inf
                  for l in lams.flat]
     fwd, bwd, _ = _halves(family, lams.reshape(-1), window, zero.theta_zero,
-                          theta_inf, None, rtol, DEFAULT_ATOL, x_match, samples)
+                          theta_inf, None, rtol, x_match, samples)
     # theta_inf plus the gap angle is pi, as in _matched
     values = (math.pi + fwd.end[:, 0] - bwd.end[:, 0]).reshape(lams.shape)
     return float(values) if values.ndim == 0 else values
@@ -448,7 +446,6 @@ class AccumulationVerdict:
 def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
                         x_schedule: Optional[Sequence[float]] = None, *,
                         rtol: float = DEFAULT_RTOL,
-                        atol: float = DEFAULT_ATOL,
                         x_zero: Optional[float] = None) -> AccumulationVerdict:
     """Probe eigenvalue accumulation at a gap edge from the edge-angle growth.
 
@@ -467,7 +464,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
         raise ValueError("endpoint must be 'upper' or 'lower'")
     if endpoint == "lower":
         out = detect_accumulation(mirror_family(family), "upper", x_schedule,
-                                  rtol=rtol, atol=atol, x_zero=x_zero)
+                                  rtol=rtol, x_zero=x_zero)
         return replace(out, endpoint="lower")
 
     schedule = sorted(x_schedule) if x_schedule else [1e2, 1e3, 1e4, 1e5]
@@ -481,7 +478,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
                                  f"origin cutoff {window.x_zero!r}")
     lam_edge = family.mu_plus
     traj = integrate_prufer(family, lam_edge, window, zero.theta_zero,
-                            "forward", rtol=rtol, atol=atol)
+                            "forward", rtol=rtol)
     lo, hi = schedule[-1] / 10.0, schedule[-1]
     theta = traj.state(np.append(schedule, np.geomspace(
         (lo / 10.0, lo), (lo, hi), 48).T))[0]
@@ -599,8 +596,7 @@ def _l2_mass(family: CoefficientFamily, zero: ZeroData,
 def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
                   n_samples: int = 512, *, zero: Optional[ZeroData] = None,
                   samples: Optional[WindowSamples] = None,
-                  rtol: float = DEFAULT_RTOL,
-                  atol: float = DEFAULT_ATOL) -> Eigenfunction:
+                  rtol: float = DEFAULT_RTOL) -> Eigenfunction:
     """Reconstruct and L2-normalize the eigenfunction by two-sided integration.
 
     The dense _matched halves at record.lam, the backward one from its
@@ -614,8 +610,8 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     """
     window = record.window
     zero = zero or zero_data(family)
-    splice = _matched(family, record.lam, window, zero, rtol, atol,
-                      record.x_match, samples=samples)
+    splice = _matched(family, record.lam, window, zero, rtol, record.x_match,
+                      samples=samples)
     # theta_fwd - theta_bwd - turns * pi at x_match
     mism = splice.nu_star_hat - math.pi * (splice.turns + 1)
     if abs(mism) > 1e-6:

@@ -253,13 +253,12 @@ def test_branch_never_guesses_the_other_b_sign(branch_a8, coulomb_plus,
     assert [math.copysign(1.0, b) for b in guesses] == [sign] * len(guesses)
 
 
-def a8_first_shot(branch_a8, family, coupling, window, zero, rtol=1e-10,
-                  atol=1e-12):
+def a8_first_shot(branch_a8, family, coupling, window, zero, rtol=1e-10):
     """The dense shot of the first A8 point, from its own backward start."""
     pt = branch_a8[0].points[0]
     return dg.shoot_nonlinear(family, coupling, pt.lam, pt.a, pt.b, window,
                               log_b=pt.log_b, x_start=pt.x_start, zero=zero,
-                              rtol=rtol, atol=atol)
+                              rtol=rtol)
 
 
 @pytest.mark.parametrize("integrator, max_nfev",
@@ -271,19 +270,18 @@ def test_backward_half_is_one_log_x_run(integrator, max_nfev, branch_a8,
     # one piece at a near-constant step, within 1e-9 of an rtol-1e-13 run
     # and within evaluation bounds that a run in x above 1 exceeds (691 and
     # 577 evaluations there, with every other step rejected)
-    def half(rtol, atol):
+    def half(rtol):
         if integrator == "cartesian":
             return a8_first_shot(branch_a8, coulomb_plus, soler_coupling,
-                                 branch_window, zero_plus, rtol, atol).bwd
+                                 branch_window, zero_plus, rtol).bwd
         lam, x_s = branch_a8[0].points[0].lam, branch_a8[0].points[0].x_start
         theta_inf = dg.infinity_data(coulomb_plus.mu_minus,
                                      coulomb_plus.mu_plus, lam).theta_inf
         return dg.integrate_prufer(coulomb_plus, lam, branch_window,
                                    theta_inf, "backward", x_start=x_s,
-                                   x_stop=branch_window.x_mid, rtol=rtol,
-                                   atol=atol)
+                                   x_stop=branch_window.x_mid, rtol=rtol)
 
-    traj, ref = half(1e-10, 1e-12), half(1e-13, 1e-15)
+    traj, ref = half(1e-10), half(1e-13)
     assert len(traj._pieces) == 1
     assert traj.stats.nfev <= max_nfev
     assert np.linalg.norm(traj.end - ref.end) \
@@ -304,7 +302,7 @@ def test_splice_array_reads_equal_float_reads(branch_a8, coulomb_plus,
     for splice in (_Splice(shot.lam, shot.fwd, shot.bwd, branch_window.x_mid,
                            shot.x_start, samples),
                    _matched(coulomb_plus, seed_branch.lam, branch_window,
-                            zero_plus, 1e-10, 1e-12, seed_branch.x_match,
+                            zero_plus, 1e-10, seed_branch.x_match,
                             samples=samples)):
         m, s = splice.x_match, splice.x_start
         assert m < s < hi

@@ -234,6 +234,7 @@ SOLER = "\n[coupling]\nkind = soler\n"
     ("spectrum", "\n[spectrum]\nk = 1.5\n", "k = 1.5"),
     ("spectrum", "\n[spectrum]\nk = 1 2.7\n", "k = 1 2.7"),
     ("spectrum", "rtol = -1e-10\n", "rtol = -1e-10"),
+    ("spectrum", "atol = 1e-12\n", "atol = 1e-12"),
     ("spectrum", "tol = 0\n", "tol = 0"),
     ("spectrum", "delta = inf\n", "delta = inf"),
     ("spectrum", "lambda_points = 1\n", "lambda_points = 1"),
@@ -447,21 +448,6 @@ def test_outputs_reproducible_byte_for_byte(tmp_path):
     b2 = (out2 / "spectrum.csv").read_bytes()
     assert b1 == b2
     assert b"config_hash=" in b1
-
-
-def test_spectrum_rows_do_not_read_atol(tmp_path):
-    # the scan and the root solves run Magnus lanes, which read rtol alone:
-    # only the config hash and the tolerance line may differ
-    def rows(cfg, out):
-        assert cli.main(["spectrum", "--config", str(write(tmp_path, cfg)),
-                         "--out", str(out), "--quiet"]) == 0
-        return [l for l in (out / "spectrum.csv").read_text().splitlines()
-                if not l.startswith(("# config_hash=", "# rtol="))]
-
-    loose = COULOMB_BASE.replace("[numerics]", "[numerics]\natol = 1e-6")
-    default = rows(COULOMB_BASE, tmp_path / "default")
-    assert len(default) > 3 and rows(loose, tmp_path / "loose") == default
-    assert "atol=1e-06" in (tmp_path / "loose" / "spectrum.csv").read_text()
 
 
 def test_spectrum_on_tabulated_coulomb(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import diracgap as dg
 from diracgap.model import polar_rates
@@ -142,7 +143,7 @@ def integrate(integrator, family, lam, window):
 def test_float_lam_is_one_dense_run(integrator, coulomb_minus, fast_window):
     traj, col = integrate(integrator, coulomb_minus, 0.2, fast_window)
     assert traj.end.shape[0] == 1
-    assert traj.stats.rtol == 1e-10 and traj.stats.atol == 1e-12
+    assert traj.stats.rtol == 1e-10
     assert traj.state(fast_window.x_inf)[col] == pytest.approx(
         traj.end[0, col], abs=1e-12)
     assert math.isfinite(traj.state(fast_window.x_mid)[col])
@@ -156,19 +157,35 @@ def test_array_lam_is_endpoint_only_lanes(integrator, n, coulomb_minus,
     traj, col = integrate(integrator, coulomb_minus, lams, fast_window)
     assert traj.end.shape[0] == n
     if integrator == "prufer":
-        # Magnus lanes keep the tolerances as given, count the mesh
-        # intervals they cross as steps, and on a fresh table draw P at the
-        # three Gauss points of each
-        assert (traj.stats.rtol, traj.stats.atol) == (1e-10, 1e-12)
+        # Magnus lanes keep rtol as given, count the mesh intervals they
+        # cross as steps, and on a fresh table draw P at the three Gauss
+        # points of each
+        assert traj.stats.rtol == 1e-10
         assert traj.stats.nfev == 3 * traj.stats.steps > 0
     else:
         scale = math.sqrt(1 / n)
         assert traj.stats.rtol == pytest.approx(1e-10 * scale, rel=1e-15)
-        assert traj.stats.atol == pytest.approx(1e-12 * scale, rel=1e-15)
     # each lane ends where a float run of its lam ends, to tolerance
     for lam, lane_end in zip(lams.tolist(), traj.end[:, col].tolist()):
         one, _ = integrate(integrator, coulomb_minus, lam, fast_window)
         assert abs(lane_end - one.end[0, col]) < 1e-9
+
+
+def test_dop853_runs_take_atol_from_rtol(monkeypatch, coulomb_minus,
+                                         fast_window):
+    # atol is rtol / 100, times the lane scale sqrt(1/L) after the division
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["atol"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dg.prufer, "solve_ivp", recording)
+    dg.integrate_prufer(coulomb_minus, 0.2, fast_window, 0.3, rtol=1e-11)
+    assert seen and set(seen) == {1e-11 / 100}
+    seen.clear()
+    integrate("cartesian", coulomb_minus, np.array([0.2, 0.4]), fast_window)
+    assert seen and set(seen) == {1e-10 / 100 * math.sqrt(0.5)}
 
 
 @pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
@@ -292,11 +309,10 @@ def test_angle_equivalence_random_families(seed):
         dg.DiracRadialParams(k=k, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
     zd = dg.zero_data(fam)
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=400.0, delta=2e-4, eps=1e-3)
-    tp = dg.integrate_prufer(fam, lam, win, zd.theta_zero,
-                             rtol=1e-11, atol=1e-13)
+    tp = dg.integrate_prufer(fam, lam, win, zd.theta_zero, rtol=1e-11)
     tc = dg.integrate_cartesian(
         fam, lam, win, (math.cos(zd.theta_zero), math.sin(zd.theta_zero)),
-        rtol=1e-11, atol=1e-13)
+        rtol=1e-11)
     xs = np.geomspace(win.x_zero, win.x_inf, 64)
     for x in xs:
         assert abs(tp.state(x)[0] - tc.state(x)[3]) < 1e-8
@@ -334,11 +350,10 @@ def test_polar_and_cartesian_agree_on_exact_solutions(case, request):
         lam, x_stop = record.lam, record.x_match
         theta0 = request.getfixturevalue("zero_plus").theta_zero
         win = request.getfixturevalue("fast_window")
-    tp = dg.integrate_prufer(fam, lam, win, theta0, rtol=1e-11, atol=1e-13,
-                             x_stop=x_stop)
+    tp = dg.integrate_prufer(fam, lam, win, theta0, rtol=1e-11, x_stop=x_stop)
     tc = dg.integrate_cartesian(fam, lam, win,
                                 (math.cos(theta0), math.sin(theta0)),
-                                rtol=1e-11, atol=1e-13, x_stop=x_stop)
+                                rtol=1e-11, x_stop=x_stop)
     for x in np.geomspace(win.x_zero, x_stop, 64):
         theta, logrho = tp.state(x)
         assert abs(theta - tc.state(x)[3]) < 1e-8

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import diracgap as dg
 from diracgap import spectrum
-from diracgap.prufer import DEFAULT_ATOL, DEFAULT_RTOL
+from diracgap.prufer import DEFAULT_RTOL
 from conftest import sommerfeld
 
 
@@ -134,7 +134,7 @@ def test_lane_values_match_scalar_and_other_batches(gamma, k, grid,
     assert lanes.shape == lams.shape
     for lam, value in zip(lams, lanes):
         scalar = spectrum._matched(fam, lam, fast_window, zd,
-                                   DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2,
+                                   DEFAULT_RTOL * 1e-2,
                                    x_start=fast_window.x_inf).nu_star_hat
         assert abs(value - scalar) < 1e-9
     other = dg.nu_star(fam, np.append(lams[::2], 0.0), fast_window, zd)
@@ -278,7 +278,7 @@ def test_contraction_start_matches_full_window(gamma, k, lam, x_inf, mu_a):
     value = dg.nu_star(fam, lam, win, zd, rtol=1e-13, samples=samples)
     theta_inf = dg.infinity_data(-1.0, 1.0, lam).theta_inf
     fwd, bwd, _ = spectrum._halves(fam, np.array([lam]), win, zd.theta_zero,
-                                   [theta_inf], [win.x_inf], 1e-13, 1e-15,
+                                   [theta_inf], [win.x_inf], 1e-13,
                                    samples=samples)
     assert abs(value - (math.pi + fwd.end[0, 0] - bwd.end[0, 0])) < 1e-11
 
@@ -303,7 +303,7 @@ def test_match_point_lies_where_the_backward_half_has_contracted(
     x = dg.asymptotics.match_point(samples.contraction, lam)
     value = dg.nu_star(fam, lam, fast_window, zd, rtol=1e-13,
                        samples=samples, x_match=x)
-    full = spectrum._matched(fam, lam, fast_window, zd, 1e-13, 1e-15,
+    full = spectrum._matched(fam, lam, fast_window, zd, 1e-13,
                              x_match=x, x_start=fast_window.x_inf).nu_star_hat
     assert abs(value - full) < 1e-11
 
@@ -333,8 +333,8 @@ def test_magnus_lanes_match_the_dense_path(gamma, k, lam, x_inf, mu_a):
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=x_inf, delta=2e-4, eps=1e-3)
     samples = spectrum.WindowSamples(fam, win)
     x = dg.asymptotics.match_point(samples.contraction, lam)
-    full = spectrum._matched(fam, lam, win, zd, 1e-13, 1e-15,
-                             x_match=x, x_start=win.x_inf).nu_star_hat
+    full = spectrum._matched(fam, lam, win, zd, 1e-13, x_match=x,
+                             x_start=win.x_inf).nu_star_hat
     for rtol, bound in ((DEFAULT_RTOL, 5e-9), (1e-2 * DEFAULT_RTOL, 1e-10)):
         value = dg.nu_star(fam, lam, win, zd, rtol=rtol, samples=samples,
                            x_match=x)
@@ -359,7 +359,7 @@ def test_returned_level_meets_tol_at_tight_tolerances(level):
     scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 12), win, zd)
     br = scan.brackets[level - 1]
     rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=win, zero=zd)
-    ref = spectrum._matched(fam, rec.lam, win, zd, 1e-13, 1e-15,
+    ref = spectrum._matched(fam, rec.lam, win, zd, 1e-13,
                             x_match=rec.x_match, x_start=win.x_inf).nu_star_hat
     assert abs(ref - br.k * math.pi) <= 1e-9
 
@@ -655,8 +655,7 @@ def test_closed_form_rot_matches_a_dense_run(gamma, k, mu_a, tabulated,
         rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=fast_window,
                                  zero=zd)
         info = spectrum._matched(fam, rec.lam, fast_window, zd,
-                                 DEFAULT_RTOL * 1e-2, DEFAULT_ATOL * 1e-2,
-                                 x_match=rec.x_match,
+                                 DEFAULT_RTOL * 1e-2, x_match=rec.x_match,
                                  x_start=fast_window.x_inf)
         theta_inf = dg.infinity_data(fam.mu_minus, fam.mu_plus,
                                      rec.lam).theta_inf
@@ -931,7 +930,7 @@ def test_eigenfunction_matches_a_full_window_reference(readme_levels,
         ef = dg.eigenfunction(coulomb_plus, rec, zero=zero_plus,
                               samples=samples)
         ref = spectrum._matched(coulomb_plus, rec.lam, window, zero_plus,
-                                1e-13, 1e-15, rec.x_match,
+                                1e-13, rec.x_match,
                                 x_start=window.x_inf, samples=samples)
         log_norm, _ = spectrum._l2_mass(coulomb_plus, zero_plus, window, ref)
         _, u, v = ref.sample(window, 512, -log_norm)
