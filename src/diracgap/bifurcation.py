@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .asymptotics import (TruncationWindow, ZeroData, contraction_start,
                           infinity_data, wkb_decay, zero_data)
@@ -377,9 +376,15 @@ def _predict(contraction: np.ndarray, points: tuple, a: float,
                       (dlam, dlog_b - 1.0 / pt.a
                        - dlam * (shift[2] - shift[1]) / (2.0 * h))))
     a_n, y_n, t_n = map(np.array, zip(*nodes))
+    s = a - a_n[0]
     if len(nodes) == 1:
-        return y_n[0] + (a - a_n[0]) * t_n[0]
-    return CubicHermiteSpline(a_n, y_n, t_n)(a)
+        return y_n[0] + s * t_n[0]
+    # CubicHermiteSpline's PPoly coefficients and summation order, to the bit
+    da = a_n[1] - a_n[0]
+    slope = (y_n[1] - y_n[0]) / da
+    c = (t_n[0] + t_n[1] - 2 * slope) / da
+    return (y_n[0] + t_n[0] * s + ((slope - t_n[0]) / da - c) * (s * s)
+            + c / da * (s * s * s))
 
 
 def continue_branch(family: CoefficientFamily, coupling: NonlinearCoupling,

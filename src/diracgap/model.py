@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class MissingDerivativeError(ValueError):
@@ -86,6 +85,7 @@ def tabulated_potential(
     Outside the tabulated range the declared leading terms continue the
     potential.  The abscissae must be strictly increasing and positive.
     """
+    from scipy.interpolate import CubicSpline
     xs = np.asarray(x, dtype=float)
     vs = np.asarray(v, dtype=float)
     if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 4:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .asymptotics import TruncationWindow, contraction_samples
 from .model import CoefficientFamily, NonlinearCoupling, polar_rates
@@ -173,6 +172,7 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
     and y_end the solver's final state.  Without ``dense`` the pieces carry no
     interpolant (scipy's step sequence is the same either way).
     """
+    from scipy.integrate import solve_ivp
     rtol, atol = rtol * scale, rtol / 100.0 * scale
     pieces = []
     y = np.array(y0, dtype=float)

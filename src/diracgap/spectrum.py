@@ -61,7 +61,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .asymptotics import (CrossedCutoffError, TruncationWindow, ZeroData,
                           contraction_start, gap_coordinate, gap_point,
@@ -551,7 +550,7 @@ class Eigenfunction:
     u: np.ndarray
     v: np.ndarray
     norm_window: float          # L2 mass inside the window after normalization
-    norm_check: float           # independent quadrature of the total L2 mass
+    norm_check: float           # total L2 mass, Gauss rule split at the seams
     decay: DecayFit
 
 
@@ -570,8 +569,9 @@ def _l2_mass(family: CoefficientFamily, zero: ZeroData,
              window: TruncationWindow, splice: _Splice) -> tuple:
     """(log of the L2 norm, share of the squared mass inside the window) of
     the splice's amplitude: Gauss-Legendre quadrature over the window,
-    relative to the peak at its nodes, plus the closed-form masses beyond
-    x_inf and below x_zero from the linear decay rates at lam."""
+    relative to the peak at its nodes, plus the masses beyond x_inf and
+    below x_zero from the linear decay rates at lam, the head for beta > 1
+    by 32-node Gauss-Laguerre in s = 2 rate (x^(1-beta) - x_zero^(1-beta))."""
     gx, gw = _gauss_log_segments(window.x_zero, window.x_inf)
     lr = splice.at(np.append(gx, (window.x_inf, window.x_zero)))[1]
     (lr_inf, lr_start), lr_nodes = lr[-2:].tolist(), lr[:-2]
@@ -584,11 +584,10 @@ def _l2_mass(family: CoefficientFamily, zero: ZeroData,
     if family.beta == 1.0:
         head = math.exp(2.0 * (lr_start - peak)) * x0 / (2.0 * rate + 1.0)
     else:
-        head_int, _ = quad(
-            lambda x: math.exp(-2.0 * rate * (x ** (1.0 - family.beta)
-                                              - x0 ** (1.0 - family.beta))),
-            0.0, x0)
-        head = math.exp(2.0 * (lr_start - peak)) * head_int
+        m, t0 = family.beta - 1.0, 2.0 * rate * x0 ** (1.0 - family.beta)
+        s, w = np.polynomial.laguerre.laggauss(32)
+        head = math.exp(2.0 * (lr_start - peak)) * x0 / (m * t0) * float(
+            np.sum(w * (1.0 + s / t0) ** (-1.0 - 1.0 / m)))
     total = inside + tail + head
     return peak + 0.5 * math.log(total), inside / total
 
@@ -606,7 +605,8 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     means lam is not an eigenvalue to tolerance.  Beyond the backward start
     the amplitude is the WKB tail.  The eigenfunction is normalized by
     _l2_mass and sampled on a log grid, and the same run gives the
-    least-squares decay exponents (_decay_fit).
+    least-squares decay exponents (_decay_fit).  norm_check re-checks the
+    norm with _gauss_log_segments split at the seams of the splice.
     """
     window = record.window
     zero = zero or zero_data(family)
@@ -623,15 +623,10 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     log_norm, inside = _l2_mass(family, zero, window, splice)
     xs, us, vs = splice.sample(window, n_samples, -log_norm)
 
-    # independent re-check of the normalization with adaptive quadrature,
-    # split where the splice joins its pieces
-    def density(x):
-        return math.exp(2.0 * (splice.at(x)[1] - log_norm))
-
-    seams = sorted({window.x_zero, splice.x_match, splice.x_start,
-                    window.x_inf})
-    check = sum(quad(density, aa, bb, limit=200)[0]
-                for aa, bb in zip(seams[:-1], seams[1:]))
+    cuts = sorted({window.x_zero, splice.x_match, splice.x_start,
+                   window.x_inf})
+    gx, gw = np.hstack([_gauss_log_segments(*s) for s in zip(cuts, cuts[1:])])
+    check = float(np.sum(gw * np.exp(2.0 * (splice.at(gx)[1] - log_norm))))
     return Eigenfunction(record=record, x=xs, u=us, v=vs, norm_window=inside,
                          norm_check=check + 1.0 - inside,
                          decay=_decay_fit(family, zero, splice, window))

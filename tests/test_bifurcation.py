@@ -2,11 +2,13 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
 import diracgap as dg
 from diracgap.bifurcation import _corrector_lanes, _differences
@@ -168,6 +170,27 @@ def test_a_prediction_outside_the_gap_leaves_the_backward_start(
     x_s = branch.points[0].x_start
     assert x_s < branch_window.x_inf
     assert starts == [x_s] * 6
+
+
+def test_predictor_is_scipys_cubic_hermite_to_the_bit():
+    # the closed form against scipy's CubicHermiteSpline through the same two
+    # nodes, at a inside the last interval and beyond it, where continuation
+    # reads it; bit-identity keeps every branch point's predictor unchanged
+    rng = np.random.default_rng(0)
+    contraction = np.array([[0.5, 2.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    for _ in range(2000):
+        a_n = np.cumsum(rng.uniform(1e-4, 0.1, 2))
+        points = [SimpleNamespace(a=a, lam=rng.uniform(-1.0, 1.0),
+                                  log_b=rng.normal(-20.0, 5.0), x_start=1.0,
+                                  tangent=rng.normal(0.0, 100.0, 2))
+                  for a in a_n.tolist()]
+        a = float(a_n[0] + (a_n[1] - a_n[0]) * rng.uniform(0.0, 3.0))
+        # wkb_decay from x_start to itself is 0: the nodes carry no shift
+        y_n = [(p.lam, p.log_b - math.log(p.a)) for p in points]
+        t_n = [(p.tangent[0], p.tangent[1] - 1.0 / p.a) for p in points]
+        assert np.array_equal(
+            dg.bifurcation._predict(contraction, points, a, 1.0),
+            CubicHermiteSpline(a_n, y_n, t_n)(a))
 
 
 # ground state on the branch window, its linear log(|b|/a) (b > 0), and the

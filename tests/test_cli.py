@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +392,31 @@ def test_readme_spectrum_evaluates_p_at_9171_points(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--config", str(path), "--out",
                      str(tmp_path / "out"), "--quiet"]) == 0
     assert sum(seen) == 9171
+
+
+def test_check_and_spectrum_load_no_scipy(tmp_path):
+    # in a fresh interpreter, since the tests themselves import scipy: the
+    # package imports it only where a DOP853 run or a tabulated spline starts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    path = write(tmp_path, re.search(r"```ini\n(.*?)```", readme, re.S)[1])
+    script = f"""
+import sys
+import diracgap.cli as cli
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+for command in ("check", "spectrum"):
+    assert cli.main([command, "--config", {str(path)!r}, "--out",
+                     {str(tmp_path / "out")!r}, "--quiet"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "out" / "spectrum.csv").exists()
 
 
 def test_spectrum_empty_for_zero_potential(tmp_path):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -180,7 +181,8 @@ def test_dop853_runs_take_atol_from_rtol(monkeypatch, coulomb_minus,
         seen.append(kwargs["atol"])
         return solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(dg.prufer, "solve_ivp", recording)
+    # _run_segments imports solve_ivp from scipy.integrate when it runs
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
     dg.integrate_prufer(coulomb_minus, 0.2, fast_window, 0.3, rtol=1e-11)
     assert seen and set(seen) == {1e-11 / 100}
     seen.clear()

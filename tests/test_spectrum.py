@@ -896,25 +896,32 @@ def test_nodal_index_counts_the_eigenfunction_zeros(readme_levels,
                                                     coulomb_plus, zero_plus,
                                                     fast_window):
     # the index from the floor rule is the number of sign changes of v over
-    # the eigenfunction's samples; u has as many for k > 0 (second-quadrant
-    # origin angle) and one more for k < 0 (first-quadrant origin angle)
+    # the eigenfunction's samples; u has as many for a second-quadrant origin
+    # angle (k > 0 at mu_a = 0) and one more under the first-quadrant
+    # convention (k < 0 at mu_a = 0, and the degenerate angle at mu_a = 0.2,
+    # where beta = 2 and _l2_mass takes the head by Gauss-Laguerre)
     _, samples, records = readme_levels
-    cases = [(1, coulomb_plus, zero_plus, rec, samples) for rec in records]
+    cases = [(coulomb_plus, zero_plus, rec, samples) for rec in records]
     assert len(cases) == 5
-    for k in (1, -1, 2, -2):
-        fam = dg.build_dirac_family(dg.DiracRadialParams(
-            k=k, mu_a=0.0, potential=dg.coulomb_potential(-0.5)))
-        zd = dg.zero_data(fam)
-        scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 12), fast_window,
-                                zd)
-        assert scan.brackets
-        cases += [(k, fam, zd, dg.find_eigenvalue(fam, br.k, br,
-                                                  window=fast_window, zero=zd),
-                   None) for br in scan.brackets]
-    for k, fam, zd, rec, samples in cases:
+    for mu_a in (0.0, 0.2):
+        for k in (1, -1, 2, -2):
+            fam = dg.build_dirac_family(dg.DiracRadialParams(
+                k=k, mu_a=mu_a, potential=dg.coulomb_potential(-0.5)))
+            zd = dg.zero_data(fam)
+            scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 12),
+                                    fast_window, zd)
+            assert scan.brackets
+            cases += [(fam, zd, dg.find_eigenvalue(fam, br.k, br,
+                                                   window=fast_window,
+                                                   zero=zd), None)
+                      for br in scan.brackets]
+    assert sum(fam.beta > 1.0 for fam, *_ in cases) == 8
+    for fam, zd, rec, samples in cases:
         ef = dg.eigenfunction(fam, rec, 1024, zero=zd, samples=samples)
         assert _sign_changes(ef.v) == rec.nodal_index
-        assert _sign_changes(ef.u) == rec.nodal_index + (k < 0)
+        assert _sign_changes(ef.u) == (rec.nodal_index
+                                       + (zd.quadrant != "second"))
+        assert abs(ef.norm_check - 1.0) < 1e-6
 
 
 def test_eigenfunction_matches_a_full_window_reference(readme_levels,
