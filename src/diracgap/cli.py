@@ -55,7 +55,8 @@ exits 1 naming its line:
     [accumulation]
     endpoint    upper | lower             [upper]
     schedule    space separated X values (> 0)  [1e2 1e3 1e4 1e5]
-                above the origin cutoff x_zero (else exit 1)
+                above the origin cutoff x_zero, the last at least
+                100 x_zero (else exit 1)
 
     [branch]
     seed_k      level index of the seed   (required by the command)

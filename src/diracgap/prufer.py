@@ -9,10 +9,10 @@ J z' + P(x) z = lam z decouples into
 The winding count is exact on every path: a dense run integrates the angle
 as an ODE component, and a lane run sums the atan2 increments of steps that
 turn the solution by less than pi.  Near the origin the coefficients blow up
-like x^-beta; below x = 1 a DOP853 run is therefore integrated in log x
-for beta = 1 and x^(1-beta) for beta > 1, in which the flow is
-asymptotically autonomous.  Above 1 a forward run keeps x and a backward
-one, whose needed step shrinks like x, takes log x (_segments).
+like x^-beta.  Every run, DOP853 or Magnus, in either direction, takes one
+chart s: x^(1-beta) below x = 1 when beta > 1, log x elsewhere.  In s the
+flow is asymptotically autonomous at the origin, and above 1 a step in s
+spans a length of x proportional to x, as the step a run needs grows.
 
 The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z in the exactly
 scaled variables z = e^mu w, with w kept at unit size and mu carrying the log
@@ -64,12 +64,14 @@ class _Chart(NamedTuple):
     dx_ds: Callable[[float], float]
 
 
-_IDENTITY = _Chart(lambda x: x, lambda s: s, lambda s: 1.0)
 _LOG = _Chart(math.log, math.exp, math.exp)
 
 
-def _power_chart(beta: float) -> _Chart:
-    """s = x^(1-beta) for beta > 1; s is decreasing in x."""
+def _origin_chart(beta: float) -> _Chart:
+    """The chart below x = 1: log x for beta = 1, else s = x^(1-beta),
+    decreasing in x."""
+    if beta == 1.0:
+        return _LOG
 
     def to_x(s):
         return s ** (1.0 / (1.0 - beta))
@@ -80,30 +82,20 @@ def _power_chart(beta: float) -> _Chart:
 
 def _segments(window: TruncationWindow, beta: float, direction: str,
               x_stop: Optional[float]) -> list:
-    """Ordered (chart, x_from, x_to) pieces covering the requested span,
-    adjacent pieces in one chart being one: below 1 log x (beta = 1) or
-    x^(1-beta) (beta > 1), above 1 x forward and log x backward.  A backward
-    run's needed step is proportional to x; in x, where scipy's DOP853
-    controller retries a rejected size at the next point, every other step
-    is rejected.  Forward runs keep x: log x moved their evaluation counts
-    by -10% to +6% (Coulomb, to 100 and 2000 at lam in [0, 0.999])."""
+    """Ordered (chart, x_from, x_to) pieces covering the requested span:
+    _origin_chart below x = 1, log x above; ``direction`` only orders them."""
     if direction == "forward":
         a, b = window.x_zero, window.x_inf if x_stop is None else x_stop
     elif direction == "backward":
         a, b = window.x_inf, window.x_zero if x_stop is None else x_stop
     else:
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    if not (window.x_zero <= min(a, b) and max(a, b) <= window.x_inf) or a == b:
+    lo, hi = sorted((a, b))
+    if not window.x_zero <= lo < hi <= window.x_inf:
         raise ValueError("integration span must be a nontrivial part of the window")
-
-    left_chart = _LOG if beta == 1.0 else _power_chart(beta)
-    right_chart = _LOG if direction == "backward" else _IDENTITY
-    lo, hi = min(a, b), max(a, b)
-    pieces = [(left_chart, lo, min(hi, 1.0))] if lo < 1.0 else []
-    if hi > 1.0 and pieces and left_chart is right_chart:
-        pieces = [(right_chart, lo, hi)]
-    elif hi > 1.0:
-        pieces.append((right_chart, max(lo, 1.0), hi))
+    origin = _origin_chart(beta)
+    cut = lo if origin is _LOG else min(max(lo, 1.0), hi)
+    pieces = [p for p in ((origin, lo, cut), (_LOG, cut, hi)) if p[1] < p[2]]
     if direction == "backward":
         pieces = [(c, x1, x0) for (c, x0, x1) in reversed(pieces)]
     return pieces
@@ -263,7 +255,7 @@ def integrate_prufer(
                   theta_init, lams.shape).tolist(), span.tolist()))]
     return Trajectory(IntegratorStats(len(rows), samples.drawn - drawn, rtol),
                       np.array(thetas).reshape(-1, 1),
-                      [(_IDENTITY, None, los[0].item(), his[-1].item())])
+                      [(None, None, los[0].item(), his[-1].item())])
 
 
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -277,18 +269,19 @@ class WindowSamples:
     up to 1 (2n per unit of log x at 1; p = 1/2 in the log chart, 1/8 in the
     x^(1-beta) one, where a step's error grows toward 0), then steps
     min(x/(2n), sqrt(x)/n, 8/n), the cap bounding a far step's error, which
-    grows like h^7 |P'|.  A row samples an interval once: h, its length in
-    its chart variable s, and (j, j p11, j p12, j p22), j = dx/ds, at its
-    Gauss-Legendre points; ``drawn`` counts them.  A mesh is a node array
-    to the furthest span end yet asked for and a row array, NaN where not
-    drawn; only the end rows of spans ending off a node are kept by (x_lo,
-    x_hi).  Nothing is kept beyond the object.
+    grows like h^7 |P'|.  A row samples an interval once in the runs' chart
+    s (_origin_chart up to 1, log x above): h, its length in s, and (j,
+    j p11, j p12, j p22), j = dx/ds, at its Gauss-Legendre points; ``drawn``
+    counts them.  A mesh is a node array to the furthest span end yet asked
+    for and a row array, NaN where not drawn; only the end rows of spans
+    ending off a node are kept by (x_lo, x_hi).  Nothing is kept beyond the
+    object.
     """
 
     def __init__(self, family: CoefficientFamily, window: TruncationWindow):
         self.family, self._window, self.drawn = family, window, 0
         self._meshes, self._ends = {}, {}
-        self._left = _LOG if family.beta == 1.0 else _power_chart(family.beta)
+        self._origin = _origin_chart(family.beta)
 
     @functools.cached_property
     def contraction(self) -> np.ndarray:
@@ -321,7 +314,7 @@ class WindowSamples:
         nodes, rows = self._meshes.get((x_zero, n), (np.array([x_zero]),
                                                      np.empty((0, 13))))
         if nodes[-1] < x_hi:
-            p = 0.5 if self._left is _LOG else 0.125
+            p = 0.5 if self._origin is _LOG else 0.125
             t0 = x_zero ** p
             m = math.ceil(2 * n * (1.0 - t0) / p) if x_zero < 1.0 else 0
             new = [nodes[-1].item()]
@@ -336,7 +329,7 @@ class WindowSamples:
         return nodes, rows
 
     def _draw(self, x_lo: float, x_hi: float) -> list:
-        chart = self._left if x_hi <= 1.0 else _IDENTITY
+        chart = self._origin if x_hi <= 1.0 else _LOG
         s, h = chart.to_s(x_lo), chart.to_s(x_hi) - chart.to_s(x_lo)
         self.drawn += 3
         row = [h]

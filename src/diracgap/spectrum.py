@@ -457,7 +457,8 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     limit vs. at least a full turn per decade), so the settling bound needs no
     tuning.  The lower edge is handled by the mirror substitution
     that swaps the components and negates the spectrum.  A schedule point
-    below the origin cutoff raises CrossedCutoffError before any integration.
+    below the origin cutoff, or a last one within two decades of it, raises
+    CrossedCutoffError before any integration.
     """
     if endpoint not in ("upper", "lower"):
         raise ValueError("endpoint must be 'upper' or 'lower'")
@@ -475,6 +476,9 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     if schedule[0] < window.x_zero:
         raise CrossedCutoffError(f"schedule point {schedule[0]!r} below the "
                                  f"origin cutoff {window.x_zero!r}")
+    if schedule[-1] < 100.0 * window.x_zero:    # the settling test reads there
+        raise CrossedCutoffError(f"last schedule point {schedule[-1]!r} within "
+                                 f"two decades of the origin cutoff {window.x_zero!r}")
     lam_edge = family.mu_plus
     traj = integrate_prufer(family, lam_edge, window, zero.theta_zero,
                             "forward", rtol=rtol)
@@ -550,7 +554,7 @@ class Eigenfunction:
     u: np.ndarray
     v: np.ndarray
     norm_window: float          # L2 mass inside the window after normalization
-    norm_check: float           # total L2 mass, Gauss rule split at the seams
+    norm_check: float           # window quadrature re-checked at the seams
     decay: DecayFit
 
 
@@ -606,7 +610,8 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
     the amplitude is the WKB tail.  The eigenfunction is normalized by
     _l2_mass and sampled on a log grid, and the same run gives the
     least-squares decay exponents (_decay_fit).  norm_check re-checks the
-    norm with _gauss_log_segments split at the seams of the splice.
+    window quadrature only (_gauss_log_segments split at the splice's seams):
+    the masses beyond the cutoffs enter both terms alike, so errors cancel.
     """
     window = record.window
     zero = zero or zero_data(family)

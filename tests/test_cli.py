@@ -547,17 +547,24 @@ def test_accumulation_crossing_names_the_x_zero_line(tmp_path, capsys):
 
 
 def test_accumulation_schedule_below_x_zero_names_its_line(tmp_path, capsys):
-    text = (COULOMB_BASE.replace("x_zero = 1e-3\n", "")
-            + "\n[accumulation]\nschedule = 1e-6 1e2 1e3\n")
-    path = write(tmp_path, text)
-    code = cli.main(["accumulation", "--config", str(path), "--out",
-                     str(tmp_path), "--quiet"])
-    assert code == 1
-    err = capsys.readouterr().err
-    line = text.splitlines().index("schedule = 1e-6 1e2 1e3") + 1
-    assert f"config error: line {line}: [accumulation] schedule: " in err
-    assert "schedule point 1e-06 below the origin cutoff 0.0" in err
-    assert not (tmp_path / "accumulation.csv").exists()
+    # a point below x_zero = 1.78e-4, and a last point less than two decades
+    # above it, where the settling test would read below the window
+    for schedule, reason in (
+            ("1e-6 1e2 1e3", "schedule point 1e-06 below the origin cutoff 0.0"),
+            ("0.01", "last schedule point 0.01 within two decades of the "
+                     "origin cutoff 0.0"),
+            ("0.005 0.01", "last schedule point 0.01 within two decades")):
+        text = (COULOMB_BASE.replace("x_zero = 1e-3\n", "")
+                + f"\n[accumulation]\nschedule = {schedule}\n")
+        path = write(tmp_path, text)
+        code = cli.main(["accumulation", "--config", str(path), "--out",
+                         str(tmp_path), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        line = text.splitlines().index(f"schedule = {schedule}") + 1
+        assert f"config error: line {line}: [accumulation] schedule: " in err
+        assert reason in err
+        assert not (tmp_path / "accumulation.csv").exists()
 
 
 def test_branch_command(tmp_path):

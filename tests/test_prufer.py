@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import diracgap as dg
+from diracgap import prufer
 from diracgap.model import polar_rates
 
 
@@ -199,31 +200,91 @@ def test_lane_run_refuses_interior_values(integrator, coulomb_minus,
         traj.state(1.0)
 
 
+@pytest.fixture(scope="module")
+def anomalous_minus():
+    """gamma = -0.5, k = -1 with mu_a = 0.3: beta = 2."""
+    return dg.build_dirac_family(dg.DiracRadialParams(
+        k=-1, mu_a=0.3, potential=dg.coulomb_potential(-0.5)))
+
+
+def _run(integrator, family, window, direction, x_stop=None):
+    """A float-lam run of either integrator at lam = 0.2 from the angle 0.3."""
+    if integrator == "prufer":
+        return dg.integrate_prufer(family, 0.2, window, 0.3, direction,
+                                   x_stop=x_stop)
+    return dg.integrate_cartesian(family, 0.2, window,
+                                  (math.cos(0.3), math.sin(0.3)), direction,
+                                  x_stop=x_stop)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
+def test_dop853_runs_take_one_chart_rule(integrator, direction, coulomb_minus,
+                                         anomalous_minus, fast_window):
+    # x^(1-beta) below x = 1 when beta > 1, log x everywhere else, whichever
+    # the direction and the integrator: a beta = 1 run is one log-x piece
+    lo, hi = fast_window.x_zero, fast_window.x_inf
+    traj = _run(integrator, coulomb_minus, fast_window, direction)
+    assert [p[0] for p in traj._pieces] == [prufer._LOG]
+    assert traj._pieces[0][2:] == (lo, hi)
+    # beta = 2: s = 1/x up to 1, then log x; the pieces in integration order
+    traj = _run(integrator, anomalous_minus, fast_window, direction)
+    pieces = traj._pieces[::1 if direction == "forward" else -1]
+    assert [p[2:] for p in pieces] == [(lo, 1.0), (1.0, hi)]
+    assert pieces[0][0].to_s(0.25) == 4.0
+    assert pieces[0][0].dx_ds(4.0) == pytest.approx(-0.25 ** 2, rel=1e-15)
+    assert pieces[1][0] is prufer._LOG
+    # a span on one side of x = 1 is one piece in that side's chart
+    traj = _run(integrator, anomalous_minus, fast_window, "forward", 0.5)
+    assert len(traj._pieces) == 1 and traj._pieces[0][0] is not prufer._LOG
+    traj = _run(integrator, anomalous_minus, fast_window, "backward", 2.0)
+    assert [p[0] for p in traj._pieces] == [prufer._LOG]
+
+
+@pytest.mark.parametrize("beta_above_1", [False, True])
+def test_window_sample_rows_take_the_chart_rule(beta_above_1, coulomb_minus,
+                                                anomalous_minus, fast_window):
+    # a row above 1 is drawn in log x: h = log(x_hi/x_lo), j = dx/ds = x at
+    # its Gauss points; below 1 in the runs' chart there, log x or s = 1/x
+    fam = anomalous_minus if beta_above_1 else coulomb_minus
+    samples = dg.WindowSamples(fam, fast_window)
+    log = (np.log, np.exp, np.exp)
+    inverse = (lambda x: 1.0 / x, lambda s: 1.0 / s, lambda s: -1.0 / s ** 2)
+    for x_lo, x_hi, (to_s, to_x, dx_ds) in ((2.0, 3.0, log), (
+            0.25, 0.5, inverse if beta_above_1 else log)):
+        row = samples._draw(x_lo, x_hi)
+        h = to_s(x_hi) - to_s(x_lo)
+        assert row[0] == pytest.approx(h, rel=1e-14)
+        sg = to_s(x_lo) + np.array(prufer._GAUSS) * h
+        j, jp11, jp12, jp22 = np.reshape(row[1:], (3, 4)).T
+        np.testing.assert_allclose(j, dx_ds(sg), rtol=1e-13)
+        coeffs = np.array([fam.coeffs(x) for x in to_x(sg)]).T
+        np.testing.assert_allclose((jp11, jp12, jp22), j * coeffs, rtol=1e-12)
+
+
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 @pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
 def test_array_reads_equal_float_reads(integrator, direction, coulomb_minus,
-                                       fast_window):
+                                       anomalous_minus, fast_window):
     # one interpolant call per piece reads what the float reads do: at the
-    # run's ends, at x = 1 (where a forward run changes chart), and within
-    # 1e-9 beyond either end, clamped into the run
-    if integrator == "prufer":
-        traj = dg.integrate_prufer(coulomb_minus, 0.2, fast_window, 0.3,
-                                   direction)
-    else:
-        traj = dg.integrate_cartesian(coulomb_minus, 0.2, fast_window,
-                                      (math.cos(0.3), math.sin(0.3)),
-                                      direction)
+    # run's ends, at x = 1 (where a beta > 1 run changes chart, so that its
+    # two pieces are read), and within 1e-9 beyond either end, clamped into
+    # the run
     lo, hi = fast_window.x_zero, fast_window.x_inf
     xs = np.random.default_rng(7).permutation(np.concatenate((
         [lo, lo * (1.0 - 5e-10), 1.0, math.nextafter(1.0, 0.0),
          fast_window.x_mid, hi, hi * (1.0 + 5e-10)],
         np.geomspace(lo, hi, 41))))
-    rows = traj.state(xs)
-    assert rows.shape == (traj.end.shape[1], xs.size)
-    np.testing.assert_allclose(rows, np.array([traj.state(x) for x in xs]).T,
-                               rtol=1e-15, atol=0.0)
-    with pytest.raises(ValueError, match="outside the integrated span"):
-        traj.state(np.array([1.0, 1.01 * hi]))
+    for family, n_pieces in ((coulomb_minus, 1), (anomalous_minus, 2)):
+        traj = _run(integrator, family, fast_window, direction)
+        assert len(traj._pieces) == n_pieces
+        rows = traj.state(xs)
+        assert rows.shape == (traj.end.shape[1], xs.size)
+        np.testing.assert_allclose(
+            rows, np.array([traj.state(x) for x in xs]).T, rtol=1e-15,
+            atol=0.0)
+        with pytest.raises(ValueError, match="outside the integrated span"):
+            traj.state(np.array([1.0, 1.01 * hi]))
 
 
 def _mesh_nodes(family, window, n=16):

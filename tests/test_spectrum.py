@@ -856,6 +856,18 @@ def test_accumulation_rejects_unknown_endpoint(coulomb_plus):
         dg.detect_accumulation(coulomb_plus, "sideways")
 
 
+@pytest.mark.parametrize("endpoint", ["upper", "lower"])
+def test_accumulation_needs_two_decades_above_x_zero(coulomb_plus, endpoint,
+                                                     monkeypatch):
+    # the settling test reads the two decades below the last schedule point;
+    # a shorter schedule is a crossing, refused before any integration
+    monkeypatch.setattr(spectrum, "integrate_prufer", None)
+    with pytest.raises(dg.CrossedCutoffError, match="within two decades of"):
+        dg.detect_accumulation(coulomb_plus, endpoint, [0.005, 0.01])
+    with pytest.raises(dg.CrossedCutoffError, match="within two decades of"):
+        dg.detect_accumulation(coulomb_plus, endpoint, [1.0], x_zero=0.011)
+
+
 # -- eigenfunction reconstruction ------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -898,24 +910,29 @@ def test_nodal_index_counts_the_eigenfunction_zeros(readme_levels,
     # the index from the floor rule is the number of sign changes of v over
     # the eigenfunction's samples; u has as many for a second-quadrant origin
     # angle (k > 0 at mu_a = 0) and one more under the first-quadrant
-    # convention (k < 0 at mu_a = 0, and the degenerate angle at mu_a = 0.2,
-    # where beta = 2 and _l2_mass takes the head by Gauss-Laguerre)
+    # convention (k < 0 at mu_a = 0, and the degenerate angle at mu_a > 0,
+    # where beta = 2, runs change chart at x = 1 and _l2_mass takes the head
+    # by Gauss-Laguerre)
     _, samples, records = readme_levels
     cases = [(coulomb_plus, zero_plus, rec, samples) for rec in records]
     assert len(cases) == 5
-    for mu_a in (0.0, 0.2):
+    counts = []
+    for mu_a, gamma in ((0.0, -0.5), (0.2, -0.5), (0.2, -0.3), (0.3, -0.5),
+                        (0.3, -0.3)):
         for k in (1, -1, 2, -2):
             fam = dg.build_dirac_family(dg.DiracRadialParams(
-                k=k, mu_a=mu_a, potential=dg.coulomb_potential(-0.5)))
+                k=k, mu_a=mu_a, potential=dg.coulomb_potential(gamma)))
             zd = dg.zero_data(fam)
             scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 12),
                                     fast_window, zd)
-            assert scan.brackets
+            counts.append(len(scan.brackets))
             cases += [(fam, zd, dg.find_eigenvalue(fam, br.k, br,
                                                    window=fast_window,
                                                    zero=zd), None)
                       for br in scan.brackets]
-    assert sum(fam.beta > 1.0 for fam, *_ in cases) == 8
+    # at gamma = -0.3, k = -2 no level lies in [0.5, 0.99]
+    assert counts == [3, 2, 2, 1] * 2 + [2, 1, 1, 0] + [3, 2, 2, 1, 2, 1, 1, 0]
+    assert sum(fam.beta > 1.0 for fam, *_ in cases) == 24
     for fam, zd, rec, samples in cases:
         ef = dg.eigenfunction(fam, rec, 1024, zero=zd, samples=samples)
         assert _sign_changes(ef.v) == rec.nodal_index
