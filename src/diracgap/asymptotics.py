@@ -225,11 +225,12 @@ def select_truncation(
 
 def contraction_samples(family: CoefficientFamily,
                         window: TruncationWindow) -> np.ndarray:
-    """Rows x, p11, p12, p22 at 32 points per decade on [x_mid, x_inf]."""
+    """Rows x, p11, p12, p22 at 32 points per decade on [x_mid, x_inf],
+    from one coeffs call."""
     x_mid, x_inf = window.x_mid, window.x_inf
     xs = np.geomspace(x_mid, x_inf,
                       int(math.ceil(32.0 * math.log10(x_inf / x_mid))) + 1)
-    return np.vstack((xs, np.array([family.coeffs(x) for x in xs]).T))
+    return np.array(np.broadcast_arrays(xs, *family.coeffs(xs)))
 
 
 def wkb_decay(samples: np.ndarray, lams, x_from: float, x_to):
@@ -248,25 +249,29 @@ def wkb_decay(samples: np.ndarray, lams, x_from: float, x_to):
     return rows[0] if np.ndim(lams) == 0 else np.array(rows)
 
 
-def contraction_start(samples: np.ndarray, lam: float, x_from=None) -> float:
+def contraction_start(samples: np.ndarray, lam, x_from=None):
     """Where a backward angle run from theta_inf at lam may start instead of
-    x_inf.
+    x_inf: a float for a float lam, else one per element of lam.
 
     At a fixed point of the angle flow theta' the linearized rate is
     -+2 kappa, with kappa^2 = p12^2 - (lam - p11)(lam - p22) the local decay
     rate; past a point with int kappa dx >= 18 a backward run from a start
     error of O(0.1) reaches the points below damped by e^-36.  The integral
-    (wkb_decay) is counted from the last turning point (kappa^2 <= 0) or
-    from x_from (x_mid when None), whichever is further out; the result is
-    the first point that reaches 18, and x_inf when none does.
+    (wkb_decay, one cumulative integral for all lanes) is counted from the
+    lane's last turning point (kappa^2 <= 0) or from x_from (x_mid when
+    None), whichever is further out; the result is the first point that
+    reaches 18, and x_inf when none does.
     """
     xs, p11, p12, p22 = samples
-    turning = np.flatnonzero(p12 * p12 - (lam - p11) * (lam - p22) <= 0.0)
-    start = max(turning[-1] if turning.size else 0,
-                np.searchsorted(xs, x_from or xs[0]))
-    reached = np.flatnonzero(wkb_decay(samples, lam, xs[start], xs[start:])
-                             >= 18.0)
-    return float(xs[start + reached[0]] if reached.size else xs[-1])
+    lams, at = np.reshape(lam, (-1, 1)), np.arange(xs.size)
+    turning = np.where(p12 * p12 - (lams - p11) * (lams - p22) <= 0.0, at, 0)
+    start = np.maximum(turning.max(axis=1),
+                       np.searchsorted(xs, x_from or xs[0]))[:, None]
+    decay = wkb_decay(samples, lams, xs[0], xs)
+    reached = (at >= start) & (
+        decay - np.take_along_axis(decay, start, axis=1) >= 18.0)
+    out = np.where(reached.any(axis=1), xs[reached.argmax(axis=1)], xs[-1])
+    return float(out[0]) if np.ndim(lam) == 0 else out
 
 
 def match_point(samples: np.ndarray, lam: float) -> float:

@@ -83,7 +83,8 @@ def tabulated_potential(
     """Cubic-spline interpolant on a log-x grid with declared endpoint powers.
 
     Outside the tabulated range the declared leading terms continue the
-    potential.  The abscissae must be strictly increasing and positive.
+    potential.  The abscissae must be strictly increasing and positive.  V
+    and V' take a float or an array, an element's value the same either way.
     """
     from scipy.interpolate import CubicSpline
     xs = np.asarray(x, dtype=float)
@@ -97,19 +98,19 @@ def tabulated_potential(
     dspline = spline.derivative()
     lo, hi = xs[0], xs[-1]
 
-    def v_eval(t: float) -> float:
-        if t < lo:
-            return gamma_zero * t ** (-alpha_zero)
-        if t > hi:
-            return gamma_inf * t ** (-alpha_inf)
-        return float(spline(math.log(t)))
+    def v_eval(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < lo, gamma_zero * t ** (-alpha_zero), np.where(
+            t > hi, gamma_inf * t ** (-alpha_inf),
+            spline(np.log(np.clip(t, lo, hi)))))[()]
 
-    def dv_eval(t: float) -> float:
-        if t < lo:
-            return -alpha_zero * gamma_zero * t ** (-alpha_zero - 1.0)
-        if t > hi:
-            return -alpha_inf * gamma_inf * t ** (-alpha_inf - 1.0)
-        return float(dspline(math.log(t))) / t
+    def dv_eval(t):
+        t = np.asarray(t, dtype=float)
+        c = np.clip(t, lo, hi)
+        return np.where(
+            t < lo, -alpha_zero * gamma_zero * t ** (-alpha_zero - 1.0),
+            np.where(t > hi, -alpha_inf * gamma_inf * t ** (-alpha_inf - 1.0),
+                     dspline(np.log(c)) / c))[()]
 
     return PotentialSpec(gamma_zero, alpha_zero, gamma_inf, alpha_inf,
                          v_eval, dv_eval)
@@ -155,10 +156,12 @@ class DiracRadialParams:
 class CoefficientFamily:
     """Symmetric coefficient matrix P(x) together with its endpoint data.
 
-    ``coeffs(x)`` returns the scalar triple (p11, p12, p22), so the matrix is
-    symmetric by construction.  ``limit_zero`` is the limit of x**beta * P(x)
-    at the origin, and the limit at infinity is diag(mu_minus, mu_plus).  Evaluators are pure, so a family
-    may be shared read-only across concurrent computations.
+    ``coeffs(x)`` returns the triple (p11, p12, p22), so the matrix is
+    symmetric by construction; x is a float or an ndarray, and the entries
+    broadcast to its shape, so that one call samples a batch of points.
+    ``limit_zero`` is the limit of x**beta * P(x) at the origin, and the
+    limit at infinity is diag(mu_minus, mu_plus).  Evaluators are pure, so a
+    family may be shared read-only across concurrent computations.
     """
 
     coeffs: Callable[[float], tuple]

@@ -65,6 +65,7 @@ class _Chart(NamedTuple):
 
 
 _LOG = _Chart(math.log, math.exp, math.exp)
+_NPLOG = _Chart(np.log, np.exp, np.exp)       # _LOG on arrays
 
 
 def _origin_chart(beta: float) -> _Chart:
@@ -249,8 +250,8 @@ def integrate_prufer(
         raise ValueError("integration span must be a nontrivial part of the window")
     drawn, (rows, cols) = samples.drawn, samples.table(window.x_zero, math.ceil(
         16.0 * (1e-10 / rtol) ** (1.0 / 6.0)), los.tolist(), his.tolist())
-    omega = d * _magnus(rows, lams)
-    thetas = [_turn(theta, *omega[:, lane, cols[u][::d]].tolist())
+    steps = _steps(d * _magnus(rows, lams))
+    thetas = [_turn(theta, *steps[:, lane, cols[u][::d]].tolist())
               for lane, (theta, u) in enumerate(zip(np.broadcast_to(
                   theta_init, lams.shape).tolist(), span.tolist()))]
     return Trajectory(IntegratorStats(len(rows), samples.drawn - drawn, rtol),
@@ -274,8 +275,8 @@ class WindowSamples:
     j p11, j p12, j p22), j = dx/ds, at its Gauss-Legendre points; ``drawn``
     counts them.  A mesh is a node array to the furthest span end yet asked
     for and a row array, NaN where not drawn; only the end rows of spans
-    ending off a node are kept by (x_lo, x_hi).  Nothing is kept beyond the
-    object.
+    ending off a node are kept by (x_lo, x_hi).  Rows are drawn with one
+    coeffs call per batch.  Nothing is kept beyond the object.
     """
 
     def __init__(self, family: CoefficientFamily, window: TruncationWindow):
@@ -296,8 +297,8 @@ class WindowSamples:
         last = (np.searchsorted(nodes, his, "right") - 1).tolist()  # <= hi
         k0, k1 = min(first), max(min(first), *last)
         todo = k0 + np.flatnonzero(np.isnan(rows[k0:k1, 0]))
-        rows[todo] = np.reshape([self._draw(*e) for e in zip(
-            nodes[todo].tolist(), nodes[todo + 1].tolist())], (-1, 13))
+        if todo.size:
+            rows[todo] = self._draw(nodes[todo], nodes[todo + 1])
         ends, cols = {}, []
         for lo, hi, a, b in zip(los, his, first, last):
             x0, x1 = nodes[[a, b]].tolist() if a <= b else (hi, hi)
@@ -305,8 +306,9 @@ class WindowSamples:
                           if e[0] < e[1] else [] for e in ((lo, x0), (x1, hi)))
             cols.append(np.concatenate((head, np.arange(a, max(a, b)) - k0,
                                         tail)).astype(int))
-        for e in ends.keys() - self._ends.keys():
-            self._ends[e] = self._draw(*e)
+        new = [e for e in ends if e not in self._ends]
+        if new:
+            self._ends.update(zip(new, self._draw(*np.transpose(new))))
         return np.concatenate((rows[k0:k1], np.reshape(
             [self._ends[e] for e in ends], (-1, 13)))), cols
 
@@ -328,16 +330,20 @@ class WindowSamples:
             self._meshes[x_zero, n] = nodes, rows
         return nodes, rows
 
-    def _draw(self, x_lo: float, x_hi: float) -> list:
-        chart = self._origin if x_hi <= 1.0 else _LOG
-        s, h = chart.to_s(x_lo), chart.to_s(x_hi) - chart.to_s(x_lo)
-        self.drawn += 3
-        row = [h]
-        for g in _GAUSS:
-            j = chart.dx_ds(s + g * h)
-            p11, p12, p22 = self.family.coeffs(chart.to_x(s + g * h))
-            row += (j, j * p11, j * p12, j * p22)
-        return row
+    def _draw(self, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
+        """The rows of intervals [x_lo, x_hi] (arrays), from one coeffs call;
+        each chart reads its own rows only, so exp never sees a power s."""
+        h, (xs, js) = np.empty(x_lo.size), np.empty((2, 3, x_lo.size))
+        below = _NPLOG if self._origin is _LOG else self._origin
+        for chart, mine in ((below, x_hi <= 1.0), (_NPLOG, x_hi > 1.0)):
+            s = chart.to_s(x_lo[mine])
+            h[mine] = chart.to_s(x_hi[mine]) - s
+            sg = s + np.reshape(_GAUSS, (3, 1)) * h[mine]
+            xs[:, mine], js[:, mine] = chart.to_x(sg), chart.dx_ds(sg)
+        p11, p12, p22 = self.family.coeffs(xs)
+        self.drawn += xs.size
+        return np.column_stack((h, np.transpose(
+            [js, js * p11, js * p12, js * p22]).reshape(-1, 12)))
 
 
 def _magnus(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -363,18 +369,26 @@ def _magnus(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
         + bracket(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
 
 
-def _turn(theta: float, a: list, b: list, c: list) -> float:
-    """theta across the steps exp(Omega), Omega = [[a, b], [c, -a]], by the
-    atan2 increments between unit vectors; exp(Omega) over cosh(r), so as not
-    to overflow, is Id + tanh(r)/r Omega, r^2 = a^2 + bc (cos, sin if < 0)."""
+def _steps(omega: np.ndarray) -> np.ndarray:
+    """exp(Omega) over cosh(r), so as not to overflow, for every Omega =
+    [[a, b], [c, -a]] of omega: Id + tanh(r)/r Omega, r^2 = a^2 + bc (cos,
+    sin if < 0), as its entries (m11, m12, m21, m22)."""
+    a, b, c = omega
+    q = a * a + b * c
+    r = np.sqrt(abs(q))
+    ch = np.where(q > 0.0, 1.0, np.cos(r))
+    sh = np.divide(np.where(q > 0.0, np.tanh(r), np.sin(r)), r,
+                   out=np.ones_like(r), where=r > 0.0)
+    return np.array((ch + sh * a, sh * b, sh * c, ch - sh * a))
+
+
+def _turn(theta: float, *steps: list) -> float:
+    """theta across the _steps (m11, m12, m21, m22), by the atan2
+    increments between unit vectors."""
     u, v = math.cos(theta), math.sin(theta)
-    for a, b, c in zip(a, b, c):
-        q = a * a + b * c
-        r = math.sqrt(abs(q))
-        ch, sh = (((1.0, math.tanh(r) / r) if q > 0.0 else
-                   (math.cos(r), math.sin(r) / r)) if r else (1.0, 1.0))
-        u2 = (ch + sh * a) * u + sh * b * v
-        v2 = sh * c * u + (ch - sh * a) * v
+    for m11, m12, m21, m22 in zip(*steps):
+        u2 = m11 * u + m12 * v
+        v2 = m21 * u + m22 * v
         theta += math.atan2(u * v2 - v * u2, u * u2 + v * v2)
         r = math.hypot(u2, v2)
         u, v = u2 / r, v2 / r

@@ -147,9 +147,7 @@ def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol,
     x_stop = window.x_mid if x_match is None else x_match
     samples = samples or WindowSamples(family, window)
     if x_start is None:
-        starts = [contraction_start(samples.contraction, l, x_stop)
-                  for l in np.ravel(lam).tolist()]
-        x_start = starts if np.ndim(lam) else starts[0]
+        x_start = contraction_start(samples.contraction, lam, x_stop)
     fwd = integrate_prufer(family, lam, window, theta_zero, "forward",
                            rtol=rtol, x_stop=x_stop, samples=samples)
     bwd = integrate_prufer(family, lam, window, theta_inf, "backward",
@@ -489,7 +487,7 @@ def detect_accumulation(family: CoefficientFamily, endpoint: str = "upper",
     growth = tuple(thetas[i + 1] - thetas[i] for i in range(len(thetas) - 1))
 
     probe_xs = np.geomspace(schedule[0], schedule[-1], 64)
-    mono_ok = all(family.coeffs(x)[0] < family.mu_minus for x in probe_xs)
+    mono_ok = bool(np.all(family.coeffs(probe_xs)[0] < family.mu_minus))
 
     # settling is judged per decade: a bounded angle may still creep like 1/x,
     # so the two final decades are measured separately

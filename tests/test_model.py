@@ -212,6 +212,25 @@ def test_tabulated_matches_coulomb():
         assert math.isclose(pot.dv(x), 0.5 / x ** 2, rel_tol=1e-4)
 
 
+def test_tabulated_takes_arrays_bit_for_bit():
+    # V and V' of an array equal the float calls element by element, bit for
+    # bit: inside the table, below and above it (tails with other constants
+    # than the table's, so each branch shows), and exactly at both ends
+    xs = np.geomspace(1e-2, 1e2, 50)
+    pot = dg.tabulated_potential(xs, -0.5 / xs + 0.1 * np.sin(xs), -0.7, 1.0,
+                                 -0.3, 2.0)
+    ts = np.concatenate(([xs[0], xs[-1]], np.geomspace(1e-4, 1e4, 301)))
+    for f in (pot.v, pot.dv):
+        floats = [f(t) for t in ts.tolist()]
+        assert all(isinstance(v, float) for v in floats)
+        assert f(ts).tolist() == floats
+        assert f(ts.reshape(3, -1)).shape == (3, 101)
+    assert pot.v(1e-4) == pytest.approx(-0.7 / 1e-4, rel=1e-15)
+    assert pot.v(1e4) == pytest.approx(-0.3 / 1e8, rel=1e-15)
+    assert pot.v(xs[0]) == pytest.approx(-0.5 / xs[0] + 0.1 * math.sin(xs[0]),
+                                         rel=1e-14)
+
+
 def test_tabulated_csv_roundtrip(tmp_path):
     path = tmp_path / "pot.csv"
     xs = np.geomspace(1e-6, 1e6, 200)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -252,7 +253,7 @@ def test_window_sample_rows_take_the_chart_rule(beta_above_1, coulomb_minus,
     inverse = (lambda x: 1.0 / x, lambda s: 1.0 / s, lambda s: -1.0 / s ** 2)
     for x_lo, x_hi, (to_s, to_x, dx_ds) in ((2.0, 3.0, log), (
             0.25, 0.5, inverse if beta_above_1 else log)):
-        row = samples._draw(x_lo, x_hi)
+        row = samples._draw(np.array([x_lo]), np.array([x_hi]))[0]
         h = to_s(x_hi) - to_s(x_lo)
         assert row[0] == pytest.approx(h, rel=1e-14)
         sg = to_s(x_lo) + np.array(prufer._GAUSS) * h
@@ -260,6 +261,77 @@ def test_window_sample_rows_take_the_chart_rule(beta_above_1, coulomb_minus,
         np.testing.assert_allclose(j, dx_ds(sg), rtol=1e-13)
         coeffs = np.array([fam.coeffs(x) for x in to_x(sg)]).T
         np.testing.assert_allclose((jp11, jp12, jp22), j * coeffs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta_above_1", [False, True])
+def test_window_sample_rows_do_not_depend_on_the_batch(
+        beta_above_1, coulomb_minus, anomalous_minus, fast_window):
+    # a mesh drawn in one table call, and the same mesh drawn over several
+    # calls with other span sets (forward spans to one x_stop, backward ones
+    # from several starts) or one row at a time: the same rows, bit for bit,
+    # as are the end rows of spans ending off a node (NaN marks the rows
+    # past hi, which neither draws)
+    fam = anomalous_minus if beta_above_1 else coulomb_minus
+    lo, hi = fast_window.x_zero, fast_window.x_inf
+    one = dg.WindowSamples(fam, fast_window)
+    one.table(lo, 16, [lo], [hi])
+    nodes, rows = one._meshes[lo, 16]
+    several = dg.WindowSamples(fam, fast_window)
+    for los, his in (([lo, lo], [0.3, 0.3]), ([2.5, 2.5], [7.7, 19.0]),
+                     ([0.3] * 3, [1.0, 2.5, 60.0]), ([lo], [hi])):
+        several.table(lo, 16, los, his)
+    assert np.array_equal(several._meshes[lo, 16][0], nodes)
+    assert np.array_equal(several._meshes[lo, 16][1], rows, equal_nan=True)
+    held = np.flatnonzero(~np.isnan(rows[:, 0]))[::5]
+    alone = np.vstack([one._draw(nodes[i:i + 1], nodes[i + 1:i + 2])
+                       for i in held])
+    assert held.size > 100 and np.array_equal(alone, rows[held])
+    for e, row in several._ends.items():
+        assert np.array_equal(one._draw(*np.transpose([e])), [row])
+
+
+def test_step_matrices_are_scaled_exponentials():
+    # every lane and step at once: exp(Omega) over cosh(r) where r^2 = a^2 +
+    # bc > 0, exp(Omega) itself where r^2 <= 0 (r = 0 included), against expm
+    omega = np.random.default_rng(3).normal(size=(3, 4, 25))
+    omega[:, 0, :2] = [[0.0, 0.5], [0.0, 2.0], [0.0, -0.125]]    # r^2 = 0
+    steps = prufer._steps(omega)
+    assert steps.shape == (4, 4, 25)
+    for (a, b, c), m in zip(omega.reshape(3, -1).T, steps.reshape(4, -1).T):
+        q = a * a + b * c
+        want = scipy.linalg.expm([[a, b], [c, -a]]) / (
+            math.cosh(math.sqrt(q)) if q > 0.0 else 1.0)
+        np.testing.assert_allclose(m.reshape(2, 2), want, rtol=1e-12,
+                                   atol=1e-14)
+
+
+def test_window_samples_take_one_coeffs_call_per_batch(coulomb_minus,
+                                                       fast_window):
+    # a table call draws its undrawn mesh rows in one coeffs call and its new
+    # end rows in another, three points per row, and nothing when all are
+    # drawn
+    calls = []
+
+    def coeffs(x, inner=coulomb_minus.coeffs):
+        calls.append(np.size(x))
+        return inner(x)
+
+    samples = dg.WindowSamples(replace(coulomb_minus, coeffs=coeffs),
+                               fast_window)
+    lo = fast_window.x_zero
+
+    def rows_held():
+        mesh = samples._meshes.get((lo, 16), (None, np.empty((0, 13))))[1]
+        return np.count_nonzero(~np.isnan(mesh[:, 0])) + len(samples._ends)
+
+    for los, his in (([lo], [3.3]), ([2.5, 2.5], [7.7, 19.0]), ([lo], [250.0]),
+                     ([lo, 0.2], [5.0, 5.0]), ([lo], [3.3])):
+        del calls[:]
+        held, drawn = rows_held(), samples.drawn
+        samples.table(lo, 16, los, his)
+        assert len(calls) <= 2
+        assert sum(calls) == samples.drawn - drawn == 3 * (rows_held() - held)
+    assert calls == []
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])

@@ -348,6 +348,38 @@ def test_contraction_start_past_the_window(coulomb_plus):
     assert dg.asymptotics.contraction_start(samples, 0.999) == 60.0
 
 
+@pytest.mark.parametrize("x_from", [None, 3.0, 40.0])
+@pytest.mark.parametrize("mu_a", [0.0, 0.3])
+def test_contraction_starts_of_all_lanes_in_one_pass(mu_a, x_from):
+    # an array of lam gives each lane the start of one float lam, bit for
+    # bit, and of the per-lam rule it replaces: from the lane's last turning
+    # point or x_from, the first sample where wkb_decay reaches 18.  Near
+    # mu_plus the decay never builds up and the start is x_inf
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=1, mu_a=mu_a, potential=dg.coulomb_potential(-0.5)))
+    win = dg.TruncationWindow(x_zero=1e-3, x_inf=250.0, delta=2e-4, eps=1e-3)
+    samples = dg.asymptotics.contraction_samples(fam, win)
+    xs, p11, p12, p22 = samples
+
+    def per_lam(lam):
+        turning = np.flatnonzero(p12 * p12 - (lam - p11) * (lam - p22) <= 0.0)
+        start = max(turning[-1] if turning.size else 0,
+                    np.searchsorted(xs, x_from or xs[0]))
+        reached = np.flatnonzero(dg.asymptotics.wkb_decay(
+            samples, lam, xs[start], xs[start:]) >= 18.0)
+        return float(xs[start + reached[0]] if reached.size else xs[-1])
+
+    lams = np.concatenate((np.linspace(-0.99, 0.99, 23),
+                           [0.866, 0.9999, 1.0 - 1e-9]))
+    starts = dg.asymptotics.contraction_start(samples, lams, x_from)
+    assert starts.shape == lams.shape
+    floats = [dg.asymptotics.contraction_start(samples, lam, x_from)
+              for lam in lams.tolist()]
+    assert all(type(x) is float for x in floats)
+    assert starts.tolist() == floats == [per_lam(lam) for lam in lams.tolist()]
+    assert starts[-2] == starts[-1] == win.x_inf > starts[0]
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_returned_level_meets_tol_at_tight_tolerances(level):
     # the residual is read at tightened tolerances: at the caller's ones the
@@ -677,12 +709,12 @@ def test_closed_form_rot_matches_a_dense_run(gamma, k, mu_a, tabulated,
 # -- work counts: P(x) evaluated through a counting family ---------------------
 
 def _counting(family):
-    """The family with a coeffs that records every x, as the benchmark's
-    coefficient counter wraps it."""
+    """The family with a coeffs that records every x, each x of an array
+    too, as the benchmark's coefficient counter wraps it."""
     seen = []
 
     def coeffs(x, inner=family.coeffs):
-        seen.append(float(x))
+        seen.extend(np.ravel(x).tolist())
         return inner(x)
 
     return replace(family, coeffs=coeffs), seen
