@@ -30,9 +30,9 @@ exits 1 naming its line:
 
     [numerics]
     rtol [1e-10]  delta [1e-4 * gap width]  eps [1e-3]  (> 0)
-    rtol sets the Magnus mesh of the scan and root solves (and of their reads
-    at rtol / 100) and the DOP853 tolerance of eigenfunction, accumulation
-    and branch, whose absolute tolerance is rtol / 100.
+    rtol sets the Magnus mesh of every linear run (some parts on that of
+    rtol / 100) and the DOP853 tolerance of branch alone, whose absolute
+    tolerance is rtol / 100.
     lambda_min lambda_max lambda_points   scan grid       [-0.9, 0.999, 50]
     x_zero x_inf                          window overrides (optional; > 0,
                                           x_zero below x_inf); a given end is

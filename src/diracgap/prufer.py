@@ -1,26 +1,22 @@
 """Angle/amplitude and raw Cartesian integration of the planar system.
 
-In polar coordinates u = rho cos(theta), v = rho sin(theta) the system
-J z' + P(x) z = lam z decouples into
+J z' + P(x) z = lam z is integrated two ways.  integrate_prufer carries the
+angle theta and log amplitude log rho of z = rho (cos theta, sin theta) on
+sixth-order Magnus steps over the meshes of WindowSamples; the winding count
+is exact, since each step turns the solution by less than pi and adds its
+atan2 increment.  Near the origin the coefficients blow up like x^-beta.
+Every run, Magnus or DOP853, in either direction, takes one chart s:
+x^(1-beta) below x = 1 when beta > 1, log x elsewhere.  In s the flow is
+asymptotically autonomous at the origin, and above 1 a step in s spans a
+length of x proportional to x, as the step a run needs grows.
 
-    theta'   = (lam - p11) cos^2 - 2 p12 cos sin + (lam - p22) sin^2
-    logrho'  = p12 (cos^2 - sin^2) + (p22 - p11) sin cos
-
-The winding count is exact on every path: a dense run integrates the angle
-as an ODE component, and a lane run sums the atan2 increments of steps that
-turn the solution by less than pi.  Near the origin the coefficients blow up
-like x^-beta.  Every run, DOP853 or Magnus, in either direction, takes one
-chart s: x^(1-beta) below x = 1 when beta > 1, log x elsewhere.  In s the
-flow is asymptotically autonomous at the origin, and above 1 a step in s
-spans a length of x proportional to x, as the step a run needs grows.
-
-The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z in the exactly
-scaled variables z = e^mu w, with w kept at unit size and mu carrying the log
-of the true amplitude, and carries the polar angle of w as a fourth
-component; it serves as an independent cross-check of the polar formulation
+The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z with DOP853 in
+the exactly scaled variables z = e^mu w, with w kept at unit size and mu
+carrying the log of the true amplitude, and carries the polar angle of w as
+a fourth component; it serves as an independent cross-check of the angle
 (w is integrated in components, and its angle rate is formed from them) and
-as the engine for the nonlinear shooting solver.  Both integrators
-return one Trajectory type, whose state(x) reads the dense state row.
+as the engine for the nonlinear shooting solver.  Both integrators return
+one Trajectory type, whose state(x) reads the dense state row.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .asymptotics import TruncationWindow, contraction_samples
-from .model import CoefficientFamily, NonlinearCoupling, polar_rates
+from .model import CoefficientFamily, NonlinearCoupling
 
 DEFAULT_RTOL = 1e-10
 _OVERFLOW_LOG = 100.0 * math.log(10.0)     # abort bound for coupled runs
@@ -126,14 +122,14 @@ class Trajectory:
 
     stats: IntegratorStats
     end: np.ndarray = field(repr=False)
-    _pieces: list = field(repr=False)     # (chart, dense output, x_lo, x_hi)
+    _pieces: list = field(repr=False)     # (chart, read(x array), x_lo, x_hi)
 
     def state(self, x) -> tuple:
         """The state row at x, read in the first piece (in integration
         order) that holds x with 1e-12 relative slack, or else in the one
         whose end lies within 1e-9 relative of x, at x clamped into it: a
         tuple of floats for a float x, for an array of n points an array of
-        shape (components, n), each piece's interpolant called once."""
+        shape (components, n), each piece's reader called once."""
         if self._pieces[0][1] is None:
             raise ValueError("an endpoint-only lane run has no interior "
                              "values; integrate a float lam for dense output")
@@ -145,10 +141,9 @@ class Trajectory:
         if far.any():
             raise ValueError(f"x = {xs[far][0]:g} outside the integrated span")
         rows, which = np.empty((len(self.end[0]), xs.size)), gap.argmin(0)
-        for i, (chart, sol, x_lo, x_hi) in enumerate(self._pieces):
+        for i, (_, read, x_lo, x_hi) in enumerate(self._pieces):
             if (which == i).any():
-                rows[:, which == i] = sol([chart.to_s(v) for v in np.clip(
-                    xs[which == i], x_lo, x_hi).tolist()])
+                rows[:, which == i] = read(np.clip(xs[which == i], x_lo, x_hi))
         return tuple(rows[:, 0].tolist()) if np.ndim(x) == 0 else rows
 
 
@@ -156,14 +151,14 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
                   scale: float = 1.0, events: Optional[list] = None,
                   dense: bool = True) -> tuple:
     """Integrate over ordered chart segments with DOP853 at rtol * scale
-    and atol = (rtol / 100) * scale, the one tolerance rule of every dense
-    and Cartesian run; scale is sqrt(1/L) for L lanes, applied after the
+    and atol = (rtol / 100) * scale, the one tolerance rule of every
+    Cartesian run; scale is sqrt(1/L) for L lanes, applied after the
     division, so that at the default rtol atol is 1e-12 * scale to the bit.
 
     Returns (pieces, stats, x_event, y_end): x_event is the x at which a
     terminal event stopped the run, or None when the whole span was covered,
-    and y_end the solver's final state.  Without ``dense`` the pieces carry no
-    interpolant (scipy's step sequence is the same either way).
+    and y_end the solver's final state.  A piece's reader calls its
+    interpolant on an x array; without ``dense`` (the same steps) it is None.
     """
     from scipy.integrate import solve_ivp
     rtol, atol = rtol * scale, rtol / 100.0 * scale
@@ -189,7 +184,9 @@ def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
         if res.status == 1:
             x_event = chart.to_x(res.t[-1])
             break
-        pieces.append((chart, res.sol, min(x_from, x_to), max(x_from, x_to)))
+        read = None if res.sol is None else (
+            lambda xs, c=chart, sol=res.sol: sol([c.to_s(v) for v in xs.tolist()]))
+        pieces.append((chart, read, min(x_from, x_to), max(x_from, x_to)))
     stats = IntegratorStats(steps=steps, nfev=nfev, rtol=rtol)
     return pieces, stats, x_event, y
 
@@ -210,18 +207,20 @@ def integrate_prufer(
     x_stop: Optional[float] = None,
     samples: Optional["WindowSamples"] = None,
 ) -> Trajectory:
-    """Integrate the angle across the window.
+    """Integrate the angle across the window on Magnus lanes.
 
     ``direction`` chooses the starting end, ``x_start`` moves the start off
     it and ``x_stop`` truncates the run at an interior point (the matched
-    halves).  A float lam integrates (theta, log rho), log rho starting at
-    0, with adaptive DOP853 and keeps its dense output.  An array is theta
-    lanes from theta_init and x_start (shared, or one per lane) on Magnus
-    mesh n = ceil(16 (1e-10/rtol)^(1/6)) of ``samples`` (a new
-    WindowSamples if None): the spans share x_stop, so one slice of the
-    mesh plus end rows holds all their rows; each lane turns across its own
-    in a float loop (_turn), so no lane depends on another; stats then has
-    the rows as steps and the draws as nfev.
+    halves).  Each lam is a theta lane from theta_init and x_start (shared,
+    or one per lane) on Magnus mesh n = ceil(16 (1e-10/rtol)^(1/6)) of
+    ``samples`` (a new WindowSamples if None): the spans share x_stop, so
+    one slice of the mesh plus end rows holds all their rows; each lane
+    turns across its own in a float loop (_turn), so no lane depends on
+    another; stats has the rows as steps and the draws as nfev.  An array
+    lam is endpoint-only.  A float lam is one lane, below x = 1 on the mesh
+    of rtol / 100 (rtol's reads 1e-7 off near the origin), that ends on
+    (theta, log rho), log rho summed from 0 over its steps; state(x) takes
+    one partial Magnus step to each x from the node before it in run order.
     """
     if not np.all(np.isfinite(theta_init)):
         raise ValueError("theta_init must be finite")
@@ -229,15 +228,6 @@ def integrate_prufer(
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     d = 1 if direction == "forward" else -1
     ends = (window.x_zero, window.x_inf)[::d]
-    if np.ndim(lam) == 0:
-        if x_start is not None:
-            window = replace(window, **{"x_inf" if d < 0 else "x_zero": x_start})
-        pieces, stats, _, y_end = _run_segments(
-            lambda x, y: polar_rates(*family.coeffs(x), lam, y[0]),
-            (theta_init, 0.0),
-            _segments(window, family.beta, direction, x_stop), rtol)
-        return Trajectory(stats, y_end.reshape(1, -1), pieces)
-
     lams = np.asarray(lam, dtype=float).reshape(-1)
     if lams.size == 0:
         raise ValueError("lam is an empty array; give at least one value")
@@ -248,15 +238,39 @@ def integrate_prufer(
                                 else x_stop))[::d]
     if not window.x_zero <= los[0] <= los[-1] < his[0] <= his[-1] <= window.x_inf:
         raise ValueError("integration span must be a nontrivial part of the window")
-    drawn, (rows, cols) = samples.drawn, samples.table(window.x_zero, math.ceil(
-        16.0 * (1e-10 / rtol) ** (1.0 / 6.0)), los.tolist(), his.tolist())
-    steps = _steps(d * _magnus(rows, lams))
+    n, n_origin = (math.ceil(16.0 * (1e-10 / r) ** (1.0 / 6.0))
+                   for r in (rtol, rtol / 100.0))
+    drawn, (lo, hi) = samples.drawn, (los[0].item(), his[0].item())
+    if np.ndim(lam):
+        rows, cols = samples.table(window.x_zero, n, los.tolist(), his.tolist())
+    else:
+        cut = min(max(lo, 1.0), hi)
+        nodes, rows = (np.concatenate(part) for part in zip(*(
+            samples.span(window.x_zero, m, x0, x1) for m, x0, x1 in (
+                (n_origin, lo, cut), (n, cut, hi)) if x0 < x1)))
+        nodes, cols = np.unique(nodes), [np.arange(len(rows))]
+    omega = d * _magnus(rows, lams)
+    steps = _steps(omega)
     thetas = [_turn(theta, *steps[:, lane, cols[u][::d]].tolist())
               for lane, (theta, u) in enumerate(zip(np.broadcast_to(
                   theta_init, lams.shape).tolist(), span.tolist()))]
-    return Trajectory(IntegratorStats(len(rows), samples.drawn - drawn, rtol),
-                      np.array(thetas).reshape(-1, 1),
-                      [(None, None, los[0].item(), his[-1].item())])
+    stats = IntegratorStats(len(rows), samples.drawn - drawn, rtol)
+    if np.ndim(lam):
+        return Trajectory(stats, np.array([t[-1:] for t in thetas]),
+                          [(None, None, lo, his[-1].item())])
+    theta, omega = np.array(thetas[0]), omega[:, 0, ::d]   # in run order
+    log_rho = np.cumsum(np.append(0.0, _advance(omega, theta[:-1])[1]))
+    at = theta[::d], log_rho[::d]                           # in x order
+
+    def read(xs):
+        k = np.searchsorted(nodes, xs, "right" if d > 0 else "left") - (d > 0)
+        step = d * _magnus(samples._draw(*(nodes[k], xs)[::d]), lams)[:, 0]
+        return np.add([a[k] for a in at], _advance(step, at[0][k]))
+
+    x_span = replace(window, **{("x_zero", "x_inf")[d < 0]: starts[0].item()})
+    return Trajectory(stats, np.array([[theta[-1], log_rho[-1]]]), [
+        (c, read, *sorted(ab)) for c, *ab in _segments(
+            x_span, family.beta, direction, x_stop)])
 
 
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -312,6 +326,12 @@ class WindowSamples:
         return np.concatenate((rows[k0:k1], np.reshape(
             [self._ends[e] for e in ends], (-1, 13)))), cols
 
+    def span(self, x_zero: float, n: int, lo: float, hi: float) -> tuple:
+        """table's rows of one span [lo, hi], in x order, after its nodes."""
+        rows, (cols,) = self.table(x_zero, n, [lo], [hi])
+        mesh = self._meshes[x_zero, n][0]
+        return np.r_[lo, mesh[(mesh > lo) & (mesh < hi)], hi], rows[cols]
+
     def _mesh(self, x_zero: float, n: int, x_hi: float) -> tuple:
         nodes, rows = self._meshes.get((x_zero, n), (np.array([x_zero]),
                                                      np.empty((0, 13))))
@@ -319,14 +339,20 @@ class WindowSamples:
             p = 0.5 if self._origin is _LOG else 0.125
             t0 = x_zero ** p
             m = math.ceil(2 * n * (1.0 - t0) / p) if x_zero < 1.0 else 0
-            new = [nodes[-1].item()]
-            while new[-1] < x_hi:
-                i, x = nodes.size + len(new) - 1, new[-1]
-                new.append((t0 + (1.0 - t0) * i / m) ** (1.0 / p) if i < m
-                           else 1.0 if i == m
-                           else x + min(x / (2 * n), math.sqrt(x) / n, 8.0 / n))
-            nodes = np.append(nodes, new[1:])
-            rows = np.append(rows, np.full((len(new) - 1, 13), np.nan), axis=0)
+            # node i < m in closed form, node m at 1, each further one a step
+            # on; from x = 64 on the step is 8/n, and cumsum adds in order
+            new = [nodes[-1].item()] + [(t0 + (1.0 - t0) * i / m) ** (1.0 / p)
+                   for i in range(nodes.size, m)] + [1.0] * (nodes.size <= m)
+            new = new[:np.searchsorted(new, x_hi) + 1]
+            while new[-1] < min(x_hi, 64.0):
+                new.append(new[-1] + min(new[-1] / (2 * n),
+                                         math.sqrt(new[-1]) / n, 8.0 / n))
+            far = np.cumsum([new[-1]] + [8.0 / n] * math.ceil(
+                (x_hi - new[-1]) * n / 8.0 + 2.0))
+            nodes = np.concatenate((nodes, new[1:], far[1:np.searchsorted(
+                far, x_hi) + 1]))
+            rows = np.append(rows, np.full((nodes.size - 1 - len(rows), 13),
+                                           np.nan), axis=0)
             self._meshes[x_zero, n] = nodes, rows
         return nodes, rows
 
@@ -382,17 +408,31 @@ def _steps(omega: np.ndarray) -> np.ndarray:
     return np.array((ch + sh * a, sh * b, sh * c, ch - sh * a))
 
 
-def _turn(theta: float, *steps: list) -> float:
-    """theta across the _steps (m11, m12, m21, m22), by the atan2
-    increments between unit vectors."""
+def _turn(theta: float, *steps: list) -> list:
+    """theta at every node across the _steps (m11, m12, m21, m22), by the
+    atan2 increments between unit vectors."""
     u, v = math.cos(theta), math.sin(theta)
+    thetas = [theta]
     for m11, m12, m21, m22 in zip(*steps):
         u2 = m11 * u + m12 * v
         v2 = m21 * u + m22 * v
         theta += math.atan2(u * v2 - v * u2, u * u2 + v * v2)
+        thetas.append(theta)
         r = math.hypot(u2, v2)
         u, v = u2 / r, v2 / r
-    return theta
+    return thetas
+
+
+def _advance(omega: np.ndarray, theta: np.ndarray) -> tuple:
+    """The (theta, log rho) increments of unit vectors at angles theta
+    across exp(Omega), one Omega per theta: the atan2 one, and log |M w|
+    for M of _steps plus log cosh r where r^2 > 0."""
+    (m11, m12, m21, m22), (a, b, c) = _steps(omega), omega
+    u, v = np.cos(theta), np.sin(theta)
+    u2, v2 = m11 * u + m12 * v, m21 * u + m22 * v
+    r = np.sqrt(np.maximum(a * a + b * c, 0.0))
+    return (np.arctan2(u * v2 - v * u2, u * u2 + v * v2), np.log(
+        np.hypot(u2, v2)) + np.logaddexp(r, -r) - math.log(2.0))
 
 
 # ---------------------------------------------------------------------------

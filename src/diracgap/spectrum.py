@@ -21,13 +21,13 @@ one started on the decaying direction theta_inf (theta_inf plus the gap
 angle is pi), spliced at x.  It has the roots and monotonicity of the limit
 functional and stays well conditioned at a root, where shooting from one end
 only would turn into a numerical staircase.  One routine (_halves)
-integrates the two halves, on Magnus lanes of lam for nu_star and on a
-float for the dense _matched behind the eigenfunction and the nonlinear
-seed.  A lane's only tolerance is rtol, which sets its Magnus mesh, and its
-value depends on its lam alone, not on the other lanes or on whether the
-window's WindowSamples is handed in; the CLI hands one to the scan and to
-every root solve.  A scan bracket carries its end values, for the root
-solve's sign test and first step.
+integrates the two halves on Magnus lanes: endpoint-only lanes of an array
+of lam for nu_star, one lane of a float, read anywhere, for the _matched
+behind the eigenfunction and the nonlinear seed.  A lane's only tolerance is
+rtol, which sets its Magnus mesh, and its value depends on its lam alone,
+not on the other lanes or on whether the window's WindowSamples is handed
+in; the CLI hands one to the scan and to every root solve.  A scan bracket
+carries its end values, for the root solve's sign test and first step.
 
 theta_fwd - theta_bwd meets a multiple of pi only at an eigenvalue, so
 neither floor(nu_star/pi) off a level nor the root depends on x; the
@@ -95,7 +95,7 @@ class _Splice:
     """A solution that decays into both ends, read anywhere on the window.
 
     ``fwd`` runs from x_zero and ``bwd`` from x_start, both to x_match, as
-    dense runs of either integrator.  at(x) is (angle, log amplitude): the
+    float-lam runs of either integrator.  at(x) is (angle, log amplitude): the
     forward half up to x_match, the backward half, moved by turns * pi and
     offset to meet the forward one, up to x_start, and beyond it the start
     state decayed by the WKB tail (asymptotics.wkb_decay).
@@ -140,8 +140,8 @@ class _Splice:
 def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol,
             x_match=None, samples=None):
     """(fwd, bwd, x_start): theta_zero forward from x_zero and theta_inf
-    backward from x_start, both to x_match (x_mid when None), dense for a
-    float lam, lanes for an array.  A backward half starts, unless x_start
+    backward from x_start, both to x_match (x_mid when None), one lane read
+    anywhere for a float lam.  A backward half starts, unless x_start
     names its start (shared, or one per lane), at its lam's contraction
     start above x_match on ``samples`` (a new WindowSamples if None)."""
     x_stop = window.x_mid if x_match is None else x_match
@@ -158,7 +158,7 @@ def _halves(family, lam, window, theta_zero, theta_inf, x_start, rtol,
 
 def _matched(family, lam, window, zero, rtol, x_match=None, *,
              x_start=None, samples=None) -> _Splice:
-    """The dense halves at a float lam spliced at x_match (x_mid when None),
+    """The halves of a float lam spliced at x_match (x_mid when None),
     the backward one from x_start (_halves' start rule when None)."""
     x_match = window.x_mid if x_match is None else x_match
     samples = samples or WindowSamples(family, window)
@@ -600,7 +600,7 @@ def eigenfunction(family: CoefficientFamily, record: EigenvalueRecord,
                   rtol: float = DEFAULT_RTOL) -> Eigenfunction:
     """Reconstruct and L2-normalize the eigenfunction by two-sided integration.
 
-    The dense _matched halves at record.lam, the backward one from its
+    The _matched halves at record.lam, the backward one from its
     contraction start on ``samples`` (the window's WindowSamples, a new one
     if None, with the same result), are spliced at record.x_match, where
     the level was solved; an angle mismatch (mod pi) beyond 1e-6 there

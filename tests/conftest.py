@@ -19,12 +19,37 @@ import numpy as np
 import pytest
 
 import diracgap as dg
+from diracgap import spectrum
 
 
 def sommerfeld(n_r: int, gamma: float = -0.5, k: int = 1) -> float:
     """Closed-form Dirac-Coulomb gap eigenvalue, independent of the solver."""
     s = math.sqrt(k * k - gamma * gamma)
     return (1.0 + (gamma / (n_r + s)) ** 2) ** -0.5
+
+
+def cartesian_matched(family, lam, window, zero, x_match=None):
+    """What spectrum._matched returns at a float lam, from halves that
+    integrate_cartesian runs at rtol 1e-13 from x_zero and from x_inf to
+    x_match (x_mid when None): theta is their 4th component and log rho =
+    mu + log(u^2 + v^2) / 2.  A reference independent of the Magnus lanes."""
+    x_match = window.x_mid if x_match is None else x_match
+    theta_inf = dg.infinity_data(family.mu_minus, family.mu_plus,
+                                 lam).theta_inf
+    fwd, bwd = (dg.integrate_cartesian(family, lam, window,
+                                       (math.cos(th), math.sin(th)), way,
+                                       rtol=1e-13, x_stop=x_match)
+                for th, way in ((zero.theta_zero, "forward"),
+                                (theta_inf, "backward")))
+    (th_f, lr_f), (th_b, lr_b) = ((th, mu + 0.5 * math.log(u * u + v * v))
+                                  for u, v, mu, th in (fwd.end[0].tolist(),
+                                                       bwd.end[0].tolist()))
+    return spectrum._Splice(lam=lam, fwd=fwd, bwd=bwd, x_match=x_match,
+                            x_start=window.x_inf,
+                            samples=dg.WindowSamples(family, window),
+                            turns=round((th_f - th_b) / math.pi),
+                            offset=lr_f - lr_b,
+                            nu_star_hat=math.pi + th_f - th_b)
 
 
 GAMMA = -0.5

@@ -113,7 +113,7 @@ def test_a4_formulation_equivalence():
             worst = max(worst, abs(tp.state(x)[0] - tc.state(x)[3]))
     ok = worst < 1e-8
     assert report("A4", ok,
-                  f"polar vs Cartesian unwrapped angle, 5 random families, "
+                  f"Magnus vs Cartesian unwrapped angle, 5 random families, "
                   f"64 points each: worst difference {worst:.2e} (< 1e-8)")
 
 

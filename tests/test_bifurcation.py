@@ -290,29 +290,19 @@ def a8_first_shot(branch_a8, family, coupling, window, zero, rtol=1e-10):
                               rtol=rtol)
 
 
-@pytest.mark.parametrize("integrator, max_nfev",
-                         [("cartesian", 400), ("prufer", 380)])
-def test_backward_half_is_one_log_x_run(integrator, max_nfev, branch_a8,
-                                        coulomb_plus, zero_plus,
+def test_backward_half_is_one_log_x_run(branch_a8, coulomb_plus, zero_plus,
                                         branch_window, soler_coupling):
     # a backward half's needed step is proportional to x: in log x it is
     # one piece at a near-constant step, within 1e-9 of an rtol-1e-13 run
-    # and within evaluation bounds that a run in x above 1 exceeds (691 and
-    # 577 evaluations there, with every other step rejected)
+    # and within 400 evaluations, a bound that a run in x above 1 exceeds
+    # (691 evaluations there, with every other step rejected)
     def half(rtol):
-        if integrator == "cartesian":
-            return a8_first_shot(branch_a8, coulomb_plus, soler_coupling,
-                                 branch_window, zero_plus, rtol).bwd
-        lam, x_s = branch_a8[0].points[0].lam, branch_a8[0].points[0].x_start
-        theta_inf = dg.infinity_data(coulomb_plus.mu_minus,
-                                     coulomb_plus.mu_plus, lam).theta_inf
-        return dg.integrate_prufer(coulomb_plus, lam, branch_window,
-                                   theta_inf, "backward", x_start=x_s,
-                                   x_stop=branch_window.x_mid, rtol=rtol)
+        return a8_first_shot(branch_a8, coulomb_plus, soler_coupling,
+                             branch_window, zero_plus, rtol).bwd
 
     traj, ref = half(1e-10), half(1e-13)
     assert len(traj._pieces) == 1
-    assert traj.stats.nfev <= max_nfev
+    assert traj.stats.nfev <= 400
     assert np.linalg.norm(traj.end - ref.end) \
         <= 1e-9 * np.linalg.norm(ref.end)
 

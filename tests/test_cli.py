@@ -398,16 +398,23 @@ def test_readme_spectrum_evaluates_p_at_9171_points(tmp_path, monkeypatch):
 
 def test_check_and_spectrum_load_no_scipy(tmp_path):
     # in a fresh interpreter, since the tests themselves import scipy: the
-    # package imports it only where a DOP853 run or a tabulated spline starts
+    # package imports it only where a DOP853 run (branch) or a tabulated
+    # spline starts, so every linear command of the README config, and
+    # accumulation at both edges, runs on numpy alone
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
-    path = write(tmp_path, re.search(r"```ini\n(.*?)```", readme, re.S)[1])
+    text = re.search(r"```ini\n(.*?)```", readme, re.S)[1]
+    path, lower = write(tmp_path, text), write(tmp_path, re.sub(
+        r"(?m)^endpoint = .*$", "endpoint = lower", text), "lower.cfg")
     script = f"""
 import sys
 import diracgap.cli as cli
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
-for command in ("check", "spectrum"):
-    assert cli.main([command, "--config", {str(path)!r}, "--out",
+for command, cfg in (("check", {str(path)!r}), ("spectrum", {str(path)!r}),
+                     ("eigenfunction", {str(path)!r}),
+                     ("accumulation", {str(path)!r}),
+                     ("accumulation", {str(lower)!r})):
+    assert cli.main([command, "--config", cfg, "--out",
                      {str(tmp_path / "out")!r}, "--quiet"]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
@@ -418,7 +425,8 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "[]"]
-    assert (tmp_path / "out" / "spectrum.csv").exists()
+    for name in ("spectrum", "eigenfunction", "accumulation"):
+        assert (tmp_path / "out" / f"{name}.csv").exists()
 
 
 def test_spectrum_empty_for_zero_potential(tmp_path):

@@ -185,7 +185,8 @@ def test_dop853_runs_take_atol_from_rtol(monkeypatch, coulomb_minus,
 
     # _run_segments imports solve_ivp from scipy.integrate when it runs
     monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
-    dg.integrate_prufer(coulomb_minus, 0.2, fast_window, 0.3, rtol=1e-11)
+    dg.integrate_cartesian(coulomb_minus, 0.2, fast_window, (1.0, 0.0),
+                           rtol=1e-11)
     assert seen and set(seen) == {1e-11 / 100}
     seen.clear()
     integrate("cartesian", coulomb_minus, np.array([0.2, 0.4]), fast_window)
@@ -357,6 +358,38 @@ def test_array_reads_equal_float_reads(integrator, direction, coulomb_minus,
             atol=0.0)
         with pytest.raises(ValueError, match="outside the integrated span"):
             traj.state(np.array([1.0, 1.01 * hi]))
+
+
+def _loop_mesh(x_zero, n, x_hi, p):
+    """Magnus mesh nodes as a loop builds them, one node per pass."""
+    t0 = x_zero ** p
+    m = math.ceil(2 * n * (1.0 - t0) / p) if x_zero < 1.0 else 0
+    nodes = [x_zero]
+    while nodes[-1] < x_hi:
+        i, x = len(nodes), nodes[-1]
+        nodes.append((t0 + (1.0 - t0) * i / m) ** (1.0 / p) if i < m
+                     else 1.0 if i == m
+                     else x + min(x / (2 * n), math.sqrt(x) / n, 8.0 / n))
+    return np.array(nodes)
+
+
+@pytest.mark.parametrize("beta_above_1", [False, True])
+@pytest.mark.parametrize("x_zero", [1e-3, 1.78e-4])
+@pytest.mark.parametrize("n", [16, 35])
+def test_mesh_nodes_are_those_of_the_node_loop(n, x_zero, beta_above_1,
+                                               coulomb_minus, anomalous_minus):
+    # closed form below 1 and a cumulative sum of 8/n from x = 64 on give
+    # the loop's nodes bit for bit, to 1e5 in one call or extended in several
+    fam, p = (anomalous_minus, 0.125) if beta_above_1 else (coulomb_minus, 0.5)
+    window = dg.TruncationWindow(x_zero=x_zero, x_inf=1e5, delta=2e-4,
+                                 eps=1e-3)
+    want = _loop_mesh(x_zero, n, 1e5, p)
+    assert np.array_equal(
+        dg.WindowSamples(fam, window)._mesh(x_zero, n, 1e5)[0], want)
+    samples = dg.WindowSamples(fam, window)
+    for x_hi in (0.01, 1.0, 3.0, 64.0, 64.5, 1e5):
+        nodes = samples._mesh(x_zero, n, x_hi)[0]
+        assert np.array_equal(nodes, want[:np.searchsorted(want, x_hi) + 1])
 
 
 def _mesh_nodes(family, window, n=16):

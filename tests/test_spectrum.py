@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import diracgap as dg
 from diracgap import spectrum
 from diracgap.prufer import DEFAULT_RTOL
-from conftest import sommerfeld
+from conftest import cartesian_matched, sommerfeld
 
 
 def test_nu_stationary_synthetic():
@@ -119,13 +119,12 @@ def test_grid_end_on_or_beside_level_is_solved(gamma, j, end, fast_window):
 @example(gamma=-0.6106, k=1, grid=[0.98, 0.0, -9.6e-185])
 def test_lane_values_match_scalar_and_other_batches(gamma, k, grid,
                                                     fast_window):
-    # one lane run per half must give every lane the scalar matched value,
-    # and a lane's value must not depend on which lanes share its run: each
-    # lane is carried across its own span of the mesh.  The scalar reference
-    # runs at the solver's tightened tolerances: at the default ones it is
-    # itself up to 3.5e-9 off for k = 2 (gamma near -0.62).  The last three
-    # examples failed one assertion or the other on DOP853 lanes, whose step
-    # sequence, and error, moved with the lanes sharing it
+    # one lane run per half must give every lane the matched value of
+    # Cartesian halves at rtol 1e-13 from both ends, and a lane's value must
+    # not depend on which lanes share its run: each lane is carried across
+    # its own span of the mesh.  The last three examples failed one
+    # assertion or the other on DOP853 lanes, whose step sequence, and
+    # error, moved with the lanes sharing it
     fam = dg.build_dirac_family(
         dg.DiracRadialParams(k=k, mu_a=0.0, potential=dg.coulomb_potential(gamma)))
     zd = dg.zero_data(fam)
@@ -133,9 +132,7 @@ def test_lane_values_match_scalar_and_other_batches(gamma, k, grid,
     lanes = dg.nu_star(fam, lams, fast_window, zd)
     assert lanes.shape == lams.shape
     for lam, value in zip(lams, lanes):
-        scalar = spectrum._matched(fam, lam, fast_window, zd,
-                                   DEFAULT_RTOL * 1e-2,
-                                   x_start=fast_window.x_inf).nu_star_hat
+        scalar = cartesian_matched(fam, lam, fast_window, zd).nu_star_hat
         assert abs(value - scalar) < 1e-9
     other = dg.nu_star(fam, np.append(lams[::2], 0.0), fast_window, zd)
     assert np.array_equal(other[:-1], lanes[::2])
@@ -265,8 +262,8 @@ def test_sibling_lane_slope_matches_central_difference(coulomb_plus, zero_plus,
 def test_contraction_start_matches_full_window(gamma, k, lam, x_inf, mu_a):
     # the backward half started at x_c instead of x_inf: its start error
     # reaches x_mid damped by e^-36, far below the integrator's error.  The
-    # run from x_inf is a lane on the same mesh: a dense run at rtol 1e-13
-    # is itself up to 1.8e-11 off on these windows (the last two examples,
+    # run from x_inf is a lane on the same mesh: a DOP853 run at rtol 1e-13
+    # was itself up to 1.8e-11 off on these windows (the last two examples,
     # where the mesh at rtol 1e-13 lies within 2.1e-13 of one at 1e-17)
     fam = dg.build_dirac_family(dg.DiracRadialParams(
         k=k, mu_a=mu_a, potential=dg.coulomb_potential(gamma)))
@@ -303,8 +300,7 @@ def test_match_point_lies_where_the_backward_half_has_contracted(
     x = dg.asymptotics.match_point(samples.contraction, lam)
     value = dg.nu_star(fam, lam, fast_window, zd, rtol=1e-13,
                        samples=samples, x_match=x)
-    full = spectrum._matched(fam, lam, fast_window, zd, 1e-13,
-                             x_match=x, x_start=fast_window.x_inf).nu_star_hat
+    full = cartesian_matched(fam, lam, fast_window, zd, x).nu_star_hat
     assert abs(value - full) < 1e-11
 
 
@@ -320,8 +316,8 @@ def test_match_point_lies_where_the_backward_half_has_contracted(
 @example(gamma=-0.5, k=1, lam=1.0 - 1e-9, x_inf=250.0, mu_a=0.2)
 @example(gamma=-0.75, k=-1, lam=0.0, x_inf=250.0, mu_a=0.2)
 def test_magnus_lanes_match_the_dense_path(gamma, k, lam, x_inf, mu_a):
-    # lane nu_star on the Magnus meshes against the dense DOP853 path at
-    # rtol 1e-13, both spliced at match_point: within 5e-9 on the default
+    # lane nu_star on the Magnus meshes against Cartesian halves at rtol
+    # 1e-13, both spliced at match_point: within 5e-9 on the default
     # mesh, and within 1e-10 on the tightened one, whose read ends a root
     # solve; mu_a > 0 puts the left part in the x^(1 - beta) chart.  The
     # first two examples read 1.8e-9 and 1.8e-11 off, near the largest of
@@ -333,8 +329,7 @@ def test_magnus_lanes_match_the_dense_path(gamma, k, lam, x_inf, mu_a):
     win = dg.TruncationWindow(x_zero=1e-3, x_inf=x_inf, delta=2e-4, eps=1e-3)
     samples = spectrum.WindowSamples(fam, win)
     x = dg.asymptotics.match_point(samples.contraction, lam)
-    full = spectrum._matched(fam, lam, win, zd, 1e-13, x_match=x,
-                             x_start=win.x_inf).nu_star_hat
+    full = cartesian_matched(fam, lam, win, zd, x).nu_star_hat
     for rtol, bound in ((DEFAULT_RTOL, 5e-9), (1e-2 * DEFAULT_RTOL, 1e-10)):
         value = dg.nu_star(fam, lam, win, zd, rtol=rtol, samples=samples,
                            x_match=x)
@@ -391,8 +386,7 @@ def test_returned_level_meets_tol_at_tight_tolerances(level):
     scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.99, 12), win, zd)
     br = scan.brackets[level - 1]
     rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=win, zero=zd)
-    ref = spectrum._matched(fam, rec.lam, win, zd, 1e-13,
-                            x_match=rec.x_match, x_start=win.x_inf).nu_star_hat
+    ref = cartesian_matched(fam, rec.lam, win, zd, rec.x_match).nu_star_hat
     assert abs(ref - br.k * math.pi) <= 1e-9
 
 
@@ -668,11 +662,10 @@ def test_rotation_numbers_derived_values(records_plus, zero_plus):
 @example(gamma=-0.5, k=1, mu_a=0.0, tabulated=True)
 def test_closed_form_rot_matches_a_dense_run(gamma, k, mu_a, tabulated,
                                              fast_window):
-    # the record's rot comes from the last iterate alone; a dense matched
-    # run at the tightened tolerances, spliced where that iterate was read,
-    # must read the same rotation number.  Levels up to 0.98: spliced at
-    # x_mid, a k = -2 level's tightened reads above it differed by up to
-    # 8e-9 in rot
+    # the record's rot comes from the last iterate alone; Cartesian halves
+    # at rtol 1e-13, spliced where that iterate was read, must read the same
+    # rotation number.  Levels up to 0.98: spliced at x_mid, a k = -2
+    # level's tightened reads above it differed by up to 8e-9 in rot
     if tabulated:
         xs = np.geomspace(1e-7, 1e7, 600)
         pot = dg.tabulated_potential(xs, gamma / xs, gamma, 1.0, gamma, 1.0)
@@ -686,9 +679,7 @@ def test_closed_form_rot_matches_a_dense_run(gamma, k, mu_a, tabulated,
     for br in scan.brackets[:2]:
         rec = dg.find_eigenvalue(fam, br.k, br, 1e-9, window=fast_window,
                                  zero=zd)
-        info = spectrum._matched(fam, rec.lam, fast_window, zd,
-                                 DEFAULT_RTOL * 1e-2, x_match=rec.x_match,
-                                 x_start=fast_window.x_inf)
+        info = cartesian_matched(fam, rec.lam, fast_window, zd, rec.x_match)
         theta_inf = dg.infinity_data(fam.mu_minus, fam.mu_plus,
                                      rec.lam).theta_inf
         dense = (info.nu_star_hat - math.pi + theta_inf
@@ -976,20 +967,29 @@ def test_nodal_index_counts_the_eigenfunction_zeros(readme_levels,
 def test_eigenfunction_matches_a_full_window_reference(readme_levels,
                                                        coulomb_plus,
                                                        zero_plus):
-    # the README levels against dense halves from x_inf at rtol 1e-13,
-    # normalized by the same quadrature: the backward half from the
-    # contraction start, with the WKB tail beyond it, reads within 1.6e-9.
-    # Integrated from x_inf at the default rtol, level 1 read 2.0e-8 off,
-    # from the DOP853 interpolant in the stationary far tail
+    # the README levels, and level 1 of the README config at mu_a = 0.3
+    # (the x^(1-beta) chart below 1), against Cartesian halves from both
+    # ends at rtol 1e-13, normalized by the same quadrature: the Magnus
+    # halves, the backward one from the contraction start with the WKB tail
+    # beyond it, read within 1e-8.  On DOP853 halves and their interpolant
+    # the mu_a = 0.3 level read 1.35e-8 off
     window, samples, records = readme_levels
-    for rec in records:
-        ef = dg.eigenfunction(coulomb_plus, rec, zero=zero_plus,
-                              samples=samples)
-        ref = spectrum._matched(coulomb_plus, rec.lam, window, zero_plus,
-                                1e-13, rec.x_match,
-                                x_start=window.x_inf, samples=samples)
-        log_norm, _ = spectrum._l2_mass(coulomb_plus, zero_plus, window, ref)
-        _, u, v = ref.sample(window, 512, -log_norm)
+    cases = [(coulomb_plus, zero_plus, samples, rec) for rec in records]
+    fam = dg.build_dirac_family(dg.DiracRadialParams(
+        k=1, mu_a=0.3, potential=dg.coulomb_potential(-0.5)))
+    zd = dg.zero_data(fam)
+    win = dg.select_truncation(fam, (0.5, 0.995), zero=zd)
+    table = dg.WindowSamples(fam, win)
+    scan = dg.scan_spectrum(fam, np.linspace(0.5, 0.995, 12), win, zd,
+                            samples=table)
+    level_1 = next(br for br in scan.brackets if br.k == 1)
+    cases.append((fam, zd, table, dg.find_eigenvalue(
+        fam, 1, level_1, 1e-9, window=win, zero=zd, samples=table)))
+    for fam, zd, table, rec in cases:
+        ef = dg.eigenfunction(fam, rec, zero=zd, samples=table)
+        ref = cartesian_matched(fam, rec.lam, rec.window, zd, rec.x_match)
+        log_norm, _ = spectrum._l2_mass(fam, zd, rec.window, ref)
+        _, u, v = ref.sample(rec.window, 512, -log_norm)
         assert np.max(np.abs(ef.u - u)) < 1e-8
         assert np.max(np.abs(ef.v - v)) < 1e-8
 
