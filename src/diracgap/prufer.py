@@ -269,8 +269,8 @@ def integrate_prufer(
 
     x_span = replace(window, **{("x_zero", "x_inf")[d < 0]: starts[0].item()})
     return Trajectory(stats, np.array([[theta[-1], log_rho[-1]]]), [
-        (c, read, *sorted(ab)) for c, *ab in _segments(
-            x_span, family.beta, direction, x_stop)])
+        (chart, read, min(a, b), max(a, b))
+        for chart, a, b in _segments(x_span, family.beta, direction, x_stop)])
 
 
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -427,7 +427,8 @@ def _advance(omega: np.ndarray, theta: np.ndarray) -> tuple:
     """The (theta, log rho) increments of unit vectors at angles theta
     across exp(Omega), one Omega per theta: the atan2 one, and log |M w|
     for M of _steps plus log cosh r where r^2 > 0."""
-    (m11, m12, m21, m22), (a, b, c) = _steps(omega), omega
+    m11, m12, m21, m22 = _steps(omega)
+    a, b, c = omega
     u, v = np.cos(theta), np.sin(theta)
     u2, v2 = m11 * u + m12 * v, m21 * u + m22 * v
     r = np.sqrt(np.maximum(a * a + b * c, 0.0))
