@@ -49,6 +49,7 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
                            window: TruncationWindow, *,
                            zero: Optional[ZeroData] = None,
                            x_start: Optional[float] = None,
+                           samples: Optional[WindowSamples] = None,
                            rtol: float = DEFAULT_RTOL) -> tuple:
     """(log ratio, sign) of backward to forward shooting amplitude for the
     linear flow at lam: matching midpoint magnitudes requires
@@ -59,7 +60,8 @@ def linear_amplitude_ratio(family: CoefficientFamily, lam: float,
     """
     zero = zero or zero_data(family)
     splice = _matched(family, lam, window, zero, rtol, window.x_mid,
-                      x_start=window.x_inf if x_start is None else x_start)
+                      x_start=window.x_inf if x_start is None else x_start,
+                      samples=samples)
     return splice.offset, -1.0 if splice.turns % 2 else 1.0
 
 
@@ -256,7 +258,8 @@ def solve_point(family: CoefficientFamily, coupling: NonlinearCoupling,
         # the linear eigenfunction fixes both the scale and the sign of the
         # backward amplitude; anything else is hopeless as a Newton start
         log_ratio, b_sign = linear_amplitude_ratio(
-            family, lam_guess, window, zero=zero, x_start=x_start, rtol=rtol)
+            family, lam_guess, window, zero=zero, x_start=x_start,
+            samples=samples, rtol=rtol)
         log_b = log_ratio + math.log(a_target)
     else:
         b_sign = math.copysign(1.0, b_guess)

@@ -10,13 +10,14 @@ x^(1-beta) below x = 1 when beta > 1, log x elsewhere.  In s the flow is
 asymptotically autonomous at the origin, and above 1 a step in s spans a
 length of x proportional to x, as the step a run needs grows.
 
-The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z with DOP853 in
-the exactly scaled variables z = e^mu w, with w kept at unit size and mu
-carrying the log of the true amplitude, and carries the polar angle of w as
-a fourth component; it serves as an independent cross-check of the angle
-(w is integrated in components, and its angle rate is formed from them) and
-as the engine for the nonlinear shooting solver.  Both integrators return
-one Trajectory type, whose state(x) reads the dense state row.
+The Cartesian path integrates z' = J^{-1}(lam Id - P + S) z with DOP853,
+the package's own loop with scipy's steps to the bit, in the exactly scaled
+variables z = e^mu w, w kept at unit size and mu carrying the log of the
+true amplitude, and carries the polar angle of w as a fourth component; it
+serves as an independent cross-check of the angle (w is integrated in
+components, and its angle rate is formed from them) and as the engine for
+the nonlinear shooting solver.  Both integrators return one Trajectory
+type, whose state(x) reads the dense state row.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _segments(window: TruncationWindow, beta: float, direction: str,
 @dataclass
 class IntegratorStats:
     """Steps, RHS calls and rtol of one run (Magnus lanes: mesh rows and P
-    draws; Cartesian lanes: the scaled rtol, _run_segments)."""
+    draws; Cartesian runs: scipy's counts, the scaled rtol, _run_segments)."""
 
     steps: int
     nfev: int
@@ -148,47 +149,169 @@ class Trajectory:
 
 
 def _run_segments(rhs_in_x: Callable, y0, segments: list, rtol: float,
-                  scale: float = 1.0, events: Optional[list] = None,
+                  scale: float = 1.0, check: Optional[Callable] = None,
                   dense: bool = True) -> tuple:
-    """Integrate over ordered chart segments with DOP853 at rtol * scale
+    """Integrate y' = rhs_in_x(x, j, y), j = dx/ds, over ordered chart
+    segments with _dop853 at rtol * scale (at least 100 eps, as in scipy)
     and atol = (rtol / 100) * scale, the one tolerance rule of every
-    Cartesian run; scale is sqrt(1/L) for L lanes, applied after the
-    division, so that at the default rtol atol is 1e-12 * scale to the bit.
-
-    Returns (pieces, stats, x_event, y_end): x_event is the x at which a
-    terminal event stopped the run, or None when the whole span was covered,
-    and y_end the solver's final state.  A piece's reader calls its
-    interpolant on an x array; without ``dense`` (the same steps) it is None.
-    """
-    from scipy.integrate import solve_ivp
+    Cartesian run (scale is sqrt(1/L) for L lanes, applied after the
+    division); check(x, y) runs at every accepted step's end.  Returns
+    (pieces, stats, y_end), a piece's reader reading its steps' dense
+    output on an x array (None without ``dense``).  A step below 10 ulp
+    raises IntegrationError at the last x reached."""
     rtol, atol = rtol * scale, rtol / 100.0 * scale
-    pieces = []
-    y = np.array(y0, dtype=float)
-    nfev = 0
-    steps = 0
-    x_event = None
+    pieces, y, nfev, steps = [], np.array(y0, dtype=float), 0, 0
     for chart, x_from, x_to in segments:
 
-        def rhs(s, yy, _c=chart):
-            j = _c.dx_ds(s)
-            return [d * j for d in rhs_in_x(_c.to_x(s), yy)]
+        def fun(s, yy, _c=chart):
+            nonlocal nfev
+            nfev += 1
+            x = math.exp(s) if _c is _LOG else _c.to_x(s)
+            return rhs_in_x(x, x if _c is _LOG else _c.dx_ds(s), yy)
 
-        res = solve_ivp(rhs, (chart.to_s(x_from), chart.to_s(x_to)), y,
-                        method="DOP853", rtol=rtol, atol=atol,
-                        dense_output=dense, events=events)
-        if res.status == -1:
-            raise IntegrationError(res.message, chart.to_x(res.t[-1]))
-        nfev += res.nfev
-        steps += len(res.t) - 1
-        y = res.y[:, -1]
-        if res.status == 1:
-            x_event = chart.to_x(res.t[-1])
-            break
-        read = None if res.sol is None else (
-            lambda xs, c=chart, sol=res.sol: sol([c.to_s(v) for v in xs.tolist()]))
+        s, s_end = chart.to_s(x_from), chart.to_s(x_to)
+        ts, y_olds, fs = [s], [], []
+        for s, y, y_old, f in _dop853(fun, s, s_end, y, max(
+                rtol, 100 * np.finfo(float).eps), atol, dense):
+            ts.append(s)
+            if dense:
+                y_olds.append(y_old), fs.append(f)
+            if check is not None:
+                check(chart.to_x(s), y)
+        if s != s_end:
+            raise IntegrationError("required step size is less than the "
+                                   "spacing between numbers", chart.to_x(s))
+        steps += len(ts) - 1
+        read = functools.partial(_read_dense, chart, np.array(ts), np.array(
+            y_olds), np.array(fs)) if dense else None
         pieces.append((chart, read, min(x_from, x_to), max(x_from, x_to)))
-    stats = IntegratorStats(steps=steps, nfev=nfev, rtol=rtol)
-    return pieces, stats, x_event, y
+    return pieces, IntegratorStats(steps=steps, nfev=nfev, rtol=rtol), y
+
+
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as scipy 1.17
+# tabulates it, shortest round-trip literals: A's rows 1-15 below the
+# diagonal, C, E3, E5 and D's four rows; B is A[12, :12].
+_TABLEAU = [float(v) for v in """\
+.05260015195876773 .0197250569845379 .0591751709536137 .02958758547680685 0
+.08876275643042054 .2413651341592667 0 -.8845494793282861 .924834003261792
+.037037037037037035 0 0 .17082860872947386 .12546768756682242 .037109375 0 0
+.17025221101954405 .06021653898045596 -.017578125 .03709200011850479 0 0
+.17038392571223998 .10726203044637328 -.015319437748624402 .008273789163814023
+.6241109587160757 0 0 -3.3608926294469414 -.868219346841726 27.59209969944671
+20.154067550477894 -43.48988418106996 .47766253643826434 0 0
+-2.4881146199716677 -.590290826836843 21.230051448181193 15.279233632882423
+-33.28821096898486 -.020331201708508627 -.9371424300859873 0 0
+5.186372428844064 1.0914373489967295 -8.149787010746927 -18.52006565999696
+22.739487099350505 2.4936055526796523 -3.0467644718982196 2.273310147516538 0 0
+-10.53449546673725 -2.0008720582248625 -17.9589318631188 27.94888452941996
+-2.8589982771350235 -8.87285693353063 12.360567175794303 .6433927460157636
+.054293734116568765 0 0 0 0 4.450312892752409 1.8915178993145003
+-5.801203960010585 .3111643669578199 -.1521609496625161 .20136540080403034
+.04471061572777259 .056167502283047954 0 0 0 0 0 .25350021021662483
+-.2462390374708025 -.12419142326381637 .15329179827876568 .00820105229563469
+.007567897660545699 -.008298 .03183464816350214 0 0 0 0 .028300909672366776
+.053541988307438566 -.05492374857139099 0 0 -.00010834732869724932
+.0003825710908356584 -.00034046500868740456 .1413124436746325
+-.42889630158379194 0 0 0 0 -4.697621415361164 7.683421196062599
+4.06898981839711 .3567271874552811 0 0 0 -.0013990241651590145
+2.9475147891527724 -9.15095847217987 0 .05260015195876773 .0789002279381516
+.1183503419072274 .2816496580927726 .3333333333333333 .25 .3076923076923077
+.6512820512820513 .6 .8571428571428571 1 1 .1 .2 .7777777777777778
+-.18980075407240762 0 0 0 0 4.450312892752409 1.8915178993145003
+-5.801203960010585 -.4226823213237919 -.1521609496625161 .20136540080403034
+.02265179219836082 0 .01312004499419488 0 0 0 0 -1.2251564463762044
+-.4957589496572502 1.6643771824549864 -.35032884874997366 .3341791187130175
+.08192320648511571 -.022355307863886294 0 -8.428938276109013 0 0 0 0
+.5667149535193777 -3.0689499459498917 2.38466765651207 2.117034582445028
+-.871391583777973 2.2404374302607883 .6315787787694688 -.08899033645133331
+18.148505520854727 -9.194632392478356 -4.436036387594894 10.427508642579134 0 0
+0 0 242.28349177525817 165.20045171727028 -374.5467547226902
+-22.113666853125306 7.733432668472264 -30.674084731089398 -9.332130526430229
+15.697238121770845 -31.139403219565178 -9.35292435884448 35.81684148639408
+19.985053242002433 0 0 0 0 -387.0373087493518 -189.17813819516758
+527.8081592054236 -11.57390253995963 6.8812326946963 -1.0006050966910838
+.7777137798053443 -2.778205752353508 -60.19669523126412 84.32040550667716
+11.99229113618279 -25.69393346270375 0 0 0 0 -154.18974869023643
+-231.5293791760455 357.6391179106141 93.40532418362432 -37.45832313645163
+104.0996495089623 29.8402934266605 -43.53345659001114 96.32455395918828
+-39.17726167561544 -149.72683625798564""".split()]
+_A = np.zeros((16, 16))
+_A[np.tril_indices(16, -1)] = _TABLEAU[:120]
+_C, _E3, _E5, _D = np.split(np.array(_TABLEAU[120:]), [16, 29, 42])
+_B, _D = _A[12, :12], _D.reshape(4, 16)
+
+
+def _dop853(fun: Callable, s: float, s_end: float, y: np.ndarray,
+            rtol: float, atol: float, dense: bool):
+    """Step y' = fun(s, y) (a list) toward s_end with DOP853 as scipy 1.17's
+    solve_ivp does, operation for operation: select_initial_step, the stage
+    sums, the err5/err3 norm, the controller (safety 0.9, factors 0.2 and
+    10, no growth after a rejection) and the dense output's extra stages.
+    Yields (s, y, y_old, F) at each accepted step, F the 7 rows of its
+    interpolant (None without ``dense``); stops below a step of 10 ulp."""
+    if not np.isfinite(y).all():
+        raise ValueError("all components of the initial state must be finite")
+    direction = 1.0 if s_end > s else -1.0
+    K, F = np.empty((16, y.size)), None
+    K[0] = fun(s, y)
+    # stage i: its c, the stages before it as columns and its row of A
+    stages = [(c, K[:i].T, _A[i, :i]) for i, c in enumerate(_C.tolist())]
+    scale, n = atol + np.abs(y) * rtol, y.size ** 0.5
+    d0, d1 = (np.linalg.norm(v / scale) / n for v in (y, K[0]))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+             abs(s_end - s))
+    f1 = fun(s + h0 * direction, y + h0 * direction * K[0])
+    d2 = np.linalg.norm((f1 - K[0]) / scale) / n / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
+        else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, abs(s_end - s))
+    while s != s_end:
+        min_step = 10 * abs(math.nextafter(s, direction * math.inf) - s)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                return
+            s_new = s + h_abs * direction
+            s_new = s_end if direction * (s_new - s_end) > 0 else s_new
+            h, h_abs = s_new - s, abs(s_new - s)
+            for i, (c, k, a) in enumerate(stages[1:12], 1):
+                K[i] = fun(s + c * h, y + np.dot(k, a) * h)
+            y_new = y + h * np.dot(K[:12].T, _B)
+            K[12] = fun(s + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5, e3 = (math.sqrt(e.dot(e)) ** 2 for e in (
+                np.dot(K[:13].T, b) / scale for b in (_E5, _E3)))
+            error = 0.0 if e5 == 0 and e3 == 0 else \
+                abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error ** -0.125), True
+        if dense:
+            for i, (c, k, a) in enumerate(stages[13:], 13):
+                K[i] = fun(s + c * h, y + np.dot(k, a) * h)
+            dy = y_new - y
+            F = np.vstack((dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]),
+                           h * np.dot(_D, K)))
+        K[0] = K[12]
+        s, y, y_old = s_new, y_new, y
+        yield s, y, y_old, F
+
+
+def _read_dense(chart: _Chart, ts: np.ndarray, y_old: np.ndarray,
+                F: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The states (components, len(xs)) at xs of a _dop853 run with step
+    ends ts, read as scipy's OdeSolution and Dop853DenseOutput read them."""
+    s = np.array([chart.to_s(v) for v in xs.tolist()])
+    d = 1.0 if ts[-1] >= ts[0] else -1.0
+    k = np.clip(np.searchsorted(d * ts, d * s) - 1, 0, len(ts) - 2)
+    x = ((s - ts[k]) / (ts[k + 1] - ts[k]))[:, None]
+    y = np.zeros((s.size, F.shape[2]))
+    for i in range(7):
+        y += F[k, 6 - i]
+        y *= x if i % 2 == 0 else 1 - x
+    return (y + y_old[k]).T
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +584,11 @@ def integrate_cartesian(
     e^log_scale_init * z_init.  The polar angle of w is integrated alongside,
     theta' = (u (Aw)_2 - v (Aw)_1) / <w, w> (the rho terms cancel), from the
     angle of z_init.  S is zero without a ``coupling``; with one it is
-    evaluated at the true z, and the run aborts with OverflowAbort when the
-    true amplitude of any lane leaves the representable range.  A run that
-    exhausts the evaluation budget of 150,000 lane RHS evaluations (a
-    near-blowup trajectory; an L-lane RHS call counts L) raises
-    IntegrationError.
+    evaluated at the true z, and the run aborts with OverflowAbort at the
+    end of the accepted step where the true amplitude of any lane reaches
+    1e100.  A run that exhausts the evaluation budget of 150,000 lane RHS
+    evaluations (a near-blowup trajectory; an L-lane RHS call counts L)
+    raises IntegrationError.
 
     A float lam is one dense run.  An array of L lam is L endpoint-only
     lanes on one DOP853 step sequence, its tolerances scaled by sqrt(1/L)
@@ -487,7 +610,7 @@ def integrate_cartesian(
     entries = coupling.entries if coupling is not None else None
     used = [0]
 
-    def rhs_in_x(x, y):
+    def rhs_in_x(x, j, y):
         # fail fast on near-blowup trajectories instead of letting the step
         # control chase the spike indefinitely; each lane counts
         used[0] += len(lam_list)
@@ -510,28 +633,22 @@ def integrate_cartesian(
             a2 = m11 * u + m12 * v
             n2 = u * u + v * v
             rho = (u * a1 + v * a2) / n2
-            dy += (a1 - rho * u, a2 - rho * v, rho, (u * a2 - v * a1) / n2)
+            dy += ((a1 - rho * u) * j, (a2 - rho * v) * j, rho * j,
+                   (u * a2 - v * a1) / n2 * j)
         return dy
 
-    events = None
-    if coupling is not None:
-        def overflow(s, y):
-            ys = y.tolist()
-            return max(mu + 0.5 * math.log(u * u + v * v)
-                       for u, v, mu in zip(ys[0::4], ys[1::4], ys[2::4])) \
-                - _OVERFLOW_LOG
-        overflow.terminal = True
-        events = [overflow]
+    def overflow(x, y):
+        ys = y.tolist()
+        if max(mu + 0.5 * math.log(u * u + v * v) for u, v, mu in zip(
+                ys[0::4], ys[1::4], ys[2::4])) >= _OVERFLOW_LOG:
+            raise OverflowAbort("amplitude exceeded the representable range;"
+                                " shrink the window or the shooting scales", x)
 
     y0 = []
     for (z1, z2), ls in zip(z0.tolist(), logs.tolist()):
         n0 = math.hypot(z1, z2)
         y0 += (z1 / n0, z2 / n0, ls + math.log(n0), math.atan2(z2, z1))
-    pieces, stats, x_event, y_end = _run_segments(
+    pieces, stats, y_end = _run_segments(
         rhs_in_x, y0, _segments(window, family.beta, direction, x_stop),
-        rtol, scale, events, dense=dense)
-    if x_event is not None:
-        raise OverflowAbort(
-            "amplitude exceeded the representable range; shrink the "
-            "window or the shooting scales", x_event)
+        rtol, scale, overflow if coupling is not None else None, dense)
     return Trajectory(stats, y_end.reshape(lams.size, 4), pieces)

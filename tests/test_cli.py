@@ -398,14 +398,18 @@ def test_readme_spectrum_evaluates_p_at_9171_points(tmp_path, monkeypatch):
 
 def test_check_and_spectrum_load_no_scipy(tmp_path):
     # in a fresh interpreter, since the tests themselves import scipy: the
-    # package imports it only where a DOP853 run (branch) or a tabulated
-    # spline starts, so every linear command of the README config, and
-    # accumulation at both edges, runs on numpy alone
+    # package imports it only where a tabulated spline starts, so every
+    # command of the README config, accumulation at both edges and a short
+    # branch on [1e-3, 60] run on numpy alone
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
     text = re.search(r"```ini\n(.*?)```", readme, re.S)[1]
     path, lower = write(tmp_path, text), write(tmp_path, re.sub(
         r"(?m)^endpoint = .*$", "endpoint = lower", text), "lower.cfg")
+    branch = write(tmp_path, re.sub(r"(?m)^max_steps = .*$", "max_steps = 2",
+                                    text).replace(
+        "[numerics]\n", "[numerics]\nx_zero = 1e-3\nx_inf = 60.0\n"),
+        "branch.cfg")
     script = f"""
 import sys
 import diracgap.cli as cli
@@ -413,7 +417,8 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 for command, cfg in (("check", {str(path)!r}), ("spectrum", {str(path)!r}),
                      ("eigenfunction", {str(path)!r}),
                      ("accumulation", {str(path)!r}),
-                     ("accumulation", {str(lower)!r})):
+                     ("accumulation", {str(lower)!r}),
+                     ("branch", {str(branch)!r})):
     assert cli.main([command, "--config", cfg, "--out",
                      {str(tmp_path / "out")!r}, "--quiet"]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
@@ -425,7 +430,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "[]"]
-    for name in ("spectrum", "eigenfunction", "accumulation"):
+    for name in ("spectrum", "eigenfunction", "accumulation", "branch"):
         assert (tmp_path / "out" / f"{name}.csv").exists()
 
 

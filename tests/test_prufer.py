@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,23 +173,73 @@ def test_array_lam_is_endpoint_only_lanes(integrator, n, coulomb_minus,
         assert abs(lane_end - one.end[0, col]) < 1e-9
 
 
-def test_dop853_runs_take_atol_from_rtol(monkeypatch, coulomb_minus,
-                                         fast_window):
-    # atol is rtol / 100, times the lane scale sqrt(1/L) after the division
-    seen = []
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("beta2", [False, True])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_dop853_loop_repeats_scipy_to_the_bit(monkeypatch, lanes, direction,
+                                              beta2, coupled, coulomb_minus,
+                                              anomalous_minus, branch_window,
+                                              soler_coupling):
+    # the package's DOP853 loop against solve_ivp on the same RHS, charts
+    # and tolerances (atol is rtol / 100, times the lane scale sqrt(1/L)
+    # after the division): the same end state, steps and RHS calls, and
+    # the same dense reads, at step ends too; coupled runs start at e^-200,
+    # which the beta = 2 runs grow into the coupling's range
+    calls = []
+    run = prufer._run_segments
+    monkeypatch.setattr(prufer, "_run_segments",
+                        lambda *args: calls.append(args) or run(*args))
+    family = anomalous_minus if beta2 else coulomb_minus
+    lam = 0.2 if lanes is None else np.linspace(0.2, 0.4, lanes)
+    traj = dg.integrate_cartesian(
+        family, lam, branch_window, (math.cos(0.3), math.sin(0.3)), direction,
+        coupling=soler_coupling if coupled else None,
+        log_scale_init=-200.0 if coupled else 0.0)
+    (rhs_in_x, y0, segments, rtol, scale, _, dense), = calls
+    assert scale == (1.0 if lanes is None else math.sqrt(1 / lanes))
+    assert dense == (lanes is None) and len(segments) == 1 + beta2
+    y, steps, nfev = np.array(y0), 0, 0
+    for (chart, x0, x1), piece in zip(segments, traj._pieces):
+        res = solve_ivp(
+            lambda s, yy, c=chart: rhs_in_x(c.to_x(s), c.dx_ds(s), yy),
+            (chart.to_s(x0), chart.to_s(x1)), y, method="DOP853",
+            rtol=rtol * scale, atol=rtol / 100 * scale, dense_output=dense)
+        assert res.status == 0
+        y, steps, nfev = res.y[:, -1], steps + len(res.t) - 1, nfev + res.nfev
+        if dense:
+            # step ends whose x maps back onto them exactly, and points
+            # between them
+            ends = [chart.to_x(t) for t in res.t[::len(res.t) // 8 + 1]]
+            ends = [x for x in ends if chart.to_s(x) in res.t]
+            assert len(ends) >= 4
+            xs = np.append(ends, np.geomspace(*piece[2:], 45)[1:-1])
+            got = piece[1](xs)
+            want = res.sol([chart.to_s(x) for x in xs.tolist()])
+            assert got.tobytes() == want.tobytes()
+    assert traj.end.tobytes() == y.reshape(traj.end.shape).tobytes()
+    assert (traj.stats.steps, traj.stats.nfev, traj.stats.rtol) == (
+        steps, nfev, rtol * scale)
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs["atol"])
-        return solve_ivp(*args, **kwargs)
 
-    # _run_segments imports solve_ivp from scipy.integrate when it runs
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
-    dg.integrate_cartesian(coulomb_minus, 0.2, fast_window, (1.0, 0.0),
-                           rtol=1e-11)
-    assert seen and set(seen) == {1e-11 / 100}
-    seen.clear()
-    integrate("cartesian", coulomb_minus, np.array([0.2, 0.4]), fast_window)
-    assert seen and set(seen) == {1e-10 / 100 * math.sqrt(0.5)}
+def test_dop853_tableau_is_scipys_to_the_bit():
+    from scipy.integrate._ivp import dop853_coefficients as coef
+    for ours, theirs in ((prufer._A, coef.A), (prufer._B, coef.B),
+                         (prufer._C, coef.C), (prufer._E3, coef.E3),
+                         (prufer._E5, coef.E5), (prufer._D, coef.D)):
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.astype(float).tobytes()
+
+
+def test_overflowing_coupled_run_aborts_inside_the_span(coulomb_minus,
+                                                        fast_window):
+    # a backward run grows by about e^245 across the window, past the bound
+    # of 1e100 (e^230) that a coupled run checks at every step's end; the
+    # abort names the end of the step that crossed it
+    with pytest.raises(dg.OverflowAbort) as caught:
+        dg.integrate_cartesian(coulomb_minus, 0.2, fast_window, (1.0, 0.0),
+                               "backward", coupling=dg.zero_coupling())
+    assert fast_window.x_zero < caught.value.x_reached < fast_window.x_inf
 
 
 @pytest.mark.parametrize("integrator", ["prufer", "cartesian"])
